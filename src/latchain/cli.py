@@ -1,11 +1,17 @@
 """Command line interface.
 
-    latchain suite <name> [--instances file] [--seed k] [--jobs n]
-                          [--json out.jsonl] [--csv out.csv]
+    latchain suite <name>|all [--instances file] [--seed k] [--jobs n]
+                              [--json out.jsonl] [--csv out.csv]
     latchain poly <op> <coeffs...> [--lo r] [--hi r] [--n k] [--at r]
     latchain build <DSL> --out <path>
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
+`suite all` runs the nine suites in order and writes all their reports to
+one --json and one --csv file; --instances needs a single suite. Every
+instance a suite reports can be fed back to it through --instances.
+
+Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
+error (missing or malformed argument, unreadable instances file, unknown
+or malformed DSL in `build`), reported on one line.
 Negative rational flag values need the equals form, e.g. --lo=-1/2.
 """
 
@@ -28,22 +34,29 @@ from .polynomial import (
     roots_in_interval,
     sturm_real_root_count,
 )
-from .posets import Poset, write_poset
+from .posets import write_poset
 from .reports import write_csv, write_jsonl
 from .suites import SUITE_NAMES, suite_run
 from .tn import RMatrix
 
-
-def _poly(text: str) -> ExactPoly:
-    return ExactPoly.from_string(text)
+# polynomial arguments each poly op takes; the others take one
+_POLY_ARITY = {"interlaces": 2, "diamond": 2, "eulerian": 0, "q-eulerian": 0}
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     instances = None
     if args.instances:
-        with open(args.instances, "r", encoding="utf-8") as fh:
-            instances = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    reports = suite_run(args.name, instances=instances, seed=args.seed, jobs=args.jobs)
+        if args.name == "all":
+            args.parser.error("--instances needs a single suite, not all")
+        try:
+            with open(args.instances, "r", encoding="utf-8") as fh:
+                instances = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        except OSError as exc:
+            args.parser.error(f"cannot read --instances file: {exc}")
+    names = SUITE_NAMES if args.name == "all" else (args.name,)
+    reports = []
+    for name in names:
+        reports += suite_run(name, instances=instances, seed=args.seed, jobs=args.jobs)
     for r in reports:
         print(f"{r.verdict.upper():5s} {r.suite} {r.instance} ({r.runtime_ms} ms)")
     passed = sum(1 for r in reports if r.ok)
@@ -55,66 +68,71 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if passed == len(reports) else 1
 
 
-def _cmd_poly(args: argparse.Namespace) -> int:
+def _poly_result(args: argparse.Namespace) -> str:
+    """What a poly op prints; a ValueError describes a usage error."""
     op = args.op
-    ps = [_poly(text) for text in args.coeffs]
+    arity = _POLY_ARITY.get(op, 1)
+    if len(args.coeffs) != arity:
+        raise ValueError(f"needs {arity} coefficient list(s), got {len(args.coeffs)}")
+    ps = [ExactPoly.from_string(text) for text in args.coeffs]
     if op == "real-rooted":
-        print("true" if is_real_rooted(ps[0]) else "false")
-    elif op == "sturm-count":
+        return "true" if is_real_rooted(ps[0]) else "false"
+    if op == "sturm-count":
         interval = None
         if args.lo is not None or args.hi is not None:
             if args.lo is None or args.hi is None:
-                raise SystemExit("sturm-count needs both --lo and --hi, or neither")
+                raise ValueError("needs both --lo and --hi, or neither")
             interval = (Fraction(args.lo), Fraction(args.hi))
-        print(sturm_real_root_count(ps[0], interval))
-    elif op == "roots-in-interval":
+        return str(sturm_real_root_count(ps[0], interval))
+    if op == "roots-in-interval":
         if args.lo is None or args.hi is None:
-            raise SystemExit("roots-in-interval needs --lo and --hi")
-        print("true" if roots_in_interval(ps[0], Fraction(args.lo), Fraction(args.hi)) else "false")
-    elif op == "interlaces":
-        if len(ps) != 2:
-            raise SystemExit("interlaces needs two polynomials: g f")
-        print("true" if interlaces(ps[0], ps[1]) else "false")
-    elif op == "diamond":
-        if len(ps) != 2:
-            raise SystemExit("diamond needs two polynomials")
-        print(diamond_product(ps[0], ps[1]).to_string())
-    elif op == "h-from-f":
+            raise ValueError("needs --lo and --hi")
+        return "true" if roots_in_interval(ps[0], Fraction(args.lo), Fraction(args.hi)) else "false"
+    if op == "interlaces":
+        return "true" if interlaces(ps[0], ps[1]) else "false"
+    if op == "diamond":
+        return diamond_product(ps[0], ps[1]).to_string()
+    if op == "h-from-f":
         if args.n is None:
-            raise SystemExit("h-from-f needs --n")
-        print(h_from_f(ps[0], args.n).to_string())
-    elif op == "f-from-h":
+            raise ValueError("needs --n")
+        return h_from_f(ps[0], args.n).to_string()
+    if op == "f-from-h":
         if args.n is None:
-            raise SystemExit("f-from-h needs --n")
-        print(f_from_h(ps[0], args.n).to_string())
-    elif op == "eval":
+            raise ValueError("needs --n")
+        return f_from_h(ps[0], args.n).to_string()
+    if op == "eval":
         if args.at is None:
-            raise SystemExit("eval needs --at")
-        print(ps[0](Fraction(args.at)))
-    elif op == "eulerian":
+            raise ValueError("needs --at")
+        return str(ps[0](Fraction(args.at)))
+    if op == "eulerian":
         if args.n is None:
-            raise SystemExit("eulerian needs --n")
-        print(eulerian(args.n).to_string())
-    elif op == "q-eulerian":
-        if args.n is None or args.at is None:
-            raise SystemExit("q-eulerian needs --n and --at <q>")
-        print(q_eulerian(args.n, Fraction(args.at)).to_string())
-    else:
-        raise SystemExit(f"unknown poly op {op!r}")
+            raise ValueError("needs --n")
+        return eulerian(args.n).to_string()
+    if args.n is None or args.at is None:  # q-eulerian
+        raise ValueError("needs --n and --at <q>")
+    return q_eulerian(args.n, Fraction(args.at)).to_string()
+
+
+def _cmd_poly(args: argparse.Namespace) -> int:
+    try:
+        print(_poly_result(args))
+    except (ValueError, ZeroDivisionError) as exc:
+        args.parser.error(f"{args.op}: {exc}")
     return 0
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    built = build_instance(args.dsl)
-    if isinstance(built, Poset):
-        write_poset(built, args.out)
-        print(f"wrote poset with {built.n} elements to {args.out}")
-    elif isinstance(built, RMatrix):
+    try:
+        built = build_instance(args.dsl)
+    except (ValueError, LookupError) as exc:
+        args.parser.error(f"cannot build {args.dsl!r}: {type(exc).__name__}: {exc}")
+    if isinstance(built, RMatrix):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(built.to_text())
         print(f"wrote {built.order + 1} rank rows to {args.out}")
-    else:  # pragma: no cover
-        raise SystemExit(f"cannot serialize {type(built).__name__}")
+    else:
+        write_poset(built, args.out)
+        print(f"wrote poset with {built.n} elements to {args.out}")
     return 0
 
 
@@ -122,14 +140,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="latchain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_suite = sub.add_parser("suite", help="run a verification suite")
-    p_suite.add_argument("name", choices=sorted(SUITE_NAMES))
+    p_suite = sub.add_parser("suite", help="run a verification suite, or all of them")
+    p_suite.add_argument("name", choices=sorted(SUITE_NAMES) + ["all"])
     p_suite.add_argument("--instances", help="file with one DSL instance per line")
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--json", help="write reports as JSON lines")
     p_suite.add_argument("--csv", help="write a CSV summary")
-    p_suite.set_defaults(func=_cmd_suite)
+    p_suite.set_defaults(func=_cmd_suite, parser=p_suite)
 
     p_poly = sub.add_parser("poly", help="exact polynomial operations")
     p_poly.add_argument(
@@ -152,12 +170,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_poly.add_argument("--hi")
     p_poly.add_argument("--n", type=int)
     p_poly.add_argument("--at")
-    p_poly.set_defaults(func=_cmd_poly)
+    p_poly.set_defaults(func=_cmd_poly, parser=p_poly)
 
     p_build = sub.add_parser("build", help="build a family instance and write it out")
     p_build.add_argument("dsl")
     p_build.add_argument("--out", required=True)
-    p_build.set_defaults(func=_cmd_build)
+    p_build.set_defaults(func=_cmd_build, parser=p_build)
 
     args = parser.parse_args(argv)
     return args.func(args)

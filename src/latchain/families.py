@@ -627,8 +627,8 @@ def build_instance(dsl: str):
     """Build a poset or rank-row matrix from a family DSL string.
 
     Forms: "boolean:4", "trunc-boolean:5:1", "subspace:3:2", "affine:2:3",
-    "partition:5", "chain:4", "vamos", "fano-design", "fano-lattice",
-    "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
+    "partition:5", "chain:4", "vamos", "fano-design", "uniform-design:5:3",
+    "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
     "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
     """
     parts = dsl.split(":")
@@ -651,6 +651,8 @@ def build_instance(dsl: str):
         return vamos_lattice()
     if head == "fano-design":
         return design_poset(fano_design())
+    if head == "uniform-design":
+        return design_poset(uniform_design(int(parts[1]), int(parts[2])))
     if head == "fano-lattice":
         return fano_lattice()
     if head == "dowling-rows":
@@ -661,7 +663,9 @@ def build_instance(dsl: str):
         return paving_lattice_from_dpartition(read_dpartition(kv["file"]))
     if head == "see":
         host_spec = ":".join(p for p in parts[1:] if not p.startswith("cut="))
-        cut_spec = next(p for p in parts[1:] if p.startswith("cut="))[len("cut=") :]
+        cut_spec = next((p[len("cut=") :] for p in parts[1:] if p.startswith("cut=")), None)
+        if cut_spec is None:
+            raise ValueError("a see: instance needs a cut=... part")
         host = build_instance(host_spec)
         if cut_spec == "none":
             mc = ModularCut(host, frozenset())

@@ -2,8 +2,12 @@
 
 Each suite turns a family of instances into CheckReports with exact
 verdicts: real-rootedness, root location in [-1, 0], interlacing,
-resolvability, isomorphism, and polynomial identities. Randomized
-corpora are seeded and the seed is recorded in every report.
+resolvability, isomorphism, and polynomial identities. A suite is a
+default corpus plus one check; every instance is a string that the
+check parses itself, so any reported instance can be run again on its
+own. The one exception is the rank3 corpus of random lattices, drawn
+from the seed. Randomized corpora are seeded and the seed is recorded
+in every report.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+# design_poset, dowling_rows, fano_design, uniform_design and chain_poset are used
+# only through build_instance; they stay importable from this module.
 from .families import (
     boolean_lattice,
     build_instance,
@@ -39,24 +45,13 @@ from .posets import Poset, chain_poset, is_isomorphic
 from .reports import CheckReport
 from .tn import (
     RMatrix,
+    ResolveOutcome,
     chain_polys_from_rmatrix,
     is_geometric,
     is_quasi_rank_uniform,
     ordinal_sum_rows,
     rank_matrix,
     resolve,
-)
-
-SUITE_NAMES = (
-    "rank3",
-    "paving",
-    "dowling",
-    "designs",
-    "triangular",
-    "ordinal-sum",
-    "see",
-    "diamond",
-    "counterexample",
 )
 
 
@@ -66,33 +61,6 @@ class CheckFailure(Exception):
     def __init__(self, witness: dict):
         super().__init__(str(witness))
         self.witness = witness
-
-
-def _run_checks(
-    suite: str, tasks: Sequence[Tuple[str, Callable[[], dict]]], jobs: int = 1
-) -> List[CheckReport]:
-    def run_one(item) -> CheckReport:
-        instance, thunk = item
-        start = time.monotonic()
-        try:
-            witness = thunk() or {}
-            verdict = "pass"
-        except CheckFailure as exc:
-            witness = exc.witness
-            verdict = "fail"
-        except Exception as exc:  # pragma: no cover - defensive
-            witness = {"exception": f"{type(exc).__name__}: {exc}"}
-            verdict = "error"
-        ms = int((time.monotonic() - start) * 1000)
-        return CheckReport(suite, instance, verdict, witness, ms)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(item) for item in tasks]
-    reports.sort(key=lambda r: r.instance)
-    return reports
 
 
 # -- elementary checks ------------------------------------------------------------
@@ -203,56 +171,66 @@ def random_bounded_poset(rng: random.Random, max_mid: int = 5) -> Poset:
     return Poset(n, rels)
 
 
-# -- suite builders -------------------------------------------------------------------
-
-Task = Tuple[str, Callable[[], dict]]
+# -- suites: corpus(seed) -> (instance, subject) tasks, check(subject, seed) -> witness --
 
 
-def _rank3_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
+def _tasks(tags: Iterable[str]) -> List[Tuple[str, Any]]:
+    """Tasks whose subject is the instance string itself."""
+    return [(tag, tag) for tag in tags]
+
+
+def _params(tag: str, head: str) -> Dict[str, int]:
+    """Integer parameters of an instance tag ``head:key=value:...``."""
+    first, *items = tag.split(":")
+    if first != head:
+        raise ValueError(f"expected a {head}:... instance, got {tag!r}")
+    return {key: int(value) for key, value in (item.split("=") for item in items)}
+
+
+def _rank3_corpus(seed: int) -> List[Tuple[str, Any]]:
     rng = random.Random(seed)
-    count = 200
-    posets = []
-    if instances:
-        for dsl in instances:
-            posets.append((dsl, build_instance(dsl)))
-    else:
-        for i in range(count):
-            posets.append((f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)))
-
-    def make(l: Poset, tag: str) -> Callable[[], dict]:
-        def check() -> dict:
-            _require(is_geometric(l), reason="not geometric", instance=tag)
-            c = l.chain_polynomial()
-            formula = rank3_formula(l)
-            _require(
-                c == formula,
-                reason="closed form disagrees with chain count",
-                chain=c.to_string(),
-                formula=formula.to_string(),
-            )
-            if not is_real_rooted(c):
-                raise CheckFailure({"reason": "not real-rooted", "poly": c.to_string()})
-            return {"seed": seed, "chain": c.to_string()}
-
-        return check
-
-    return [(tag, make(l, tag)) for tag, l in posets]
+    return [(f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)) for i in range(200)]
 
 
-def _paving_default_instances() -> List[str]:
-    out = ["vamos", "fano-design"]
-    for n in range(2, 8):
-        for k in range(0, n - 1):
-            out.append(f"trunc-boolean:{n}:{k}")
-    return out
+def _check_rank3(subject: Any, seed: int) -> dict:
+    """Geometric, the closed form matches the chain count, and real-rooted.
+
+    The subject is a prebuilt random lattice or a family DSL string.
+    """
+    l = build_instance(subject) if isinstance(subject, str) else subject
+    _require(is_geometric(l), reason="not geometric")
+    c = l.chain_polynomial()
+    formula = rank3_formula(l)
+    _require(
+        c == formula,
+        reason="closed form disagrees with chain count",
+        chain=c.to_string(),
+        formula=formula.to_string(),
+    )
+    if not is_real_rooted(c):
+        raise CheckFailure({"reason": "not real-rooted", "poly": c.to_string()})
+    return {"seed": seed, "chain": c.to_string()}
 
 
-def _rank_selection_sweep(p: Poset, limit: int) -> int:
-    """Check [-1,0]-rootedness of every nonempty rank selection; returns count."""
+def _paving_corpus(seed: int) -> List[Tuple[str, Any]]:
+    truncations = [f"trunc-boolean:{n}:{k}" for n in range(2, 8) for k in range(n - 1)]
+    return _tasks(["vamos", "fano-design"] + truncations)
+
+
+_SWEEP_MAX_ELEMENTS = 128
+_SWEEP_MAX_RANK = 6  # a sweep covers 2^(rank + 1) rank selections
+
+
+def _rank_selection_sweep(p: Poset) -> int:
+    """Check [-1,0]-rootedness of every nonempty rank selection; returns count.
+
+    Posets above _SWEEP_MAX_ELEMENTS elements or quasi-rank _SWEEP_MAX_RANK
+    are not swept and count 0.
+    """
     top = p.quasi_rank
-    checked = 0
-    if p.n > limit:
+    if p.n > _SWEEP_MAX_ELEMENTS or top > _SWEEP_MAX_RANK:
         return 0
+    checked = 0
     for mask in range(1, 1 << (top + 1)):
         ranks = {r for r in range(top + 1) if mask >> r & 1}
         sub = p.rank_selected(ranks)
@@ -264,92 +242,69 @@ def _rank_selection_sweep(p: Poset, limit: int) -> int:
     return checked
 
 
-def _paving_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    dsls = list(instances) if instances else _paving_default_instances()
-
-    def make(dsl: str) -> Callable[[], dict]:
-        def check() -> dict:
-            p = build_instance(dsl)
-            c = p.chain_polynomial()
-            _check_unit_interval_roots(c, "chain polynomial")
-            selections = 0
-            if p.n <= 128 and p.quasi_rank <= 6:
-                selections = _rank_selection_sweep(p, 128)
-            return {"chain": c.to_string(), "rank_selections_checked": selections}
-
-        return check
-
-    return [(dsl, make(dsl)) for dsl in dsls]
+def _check_rank_selections(dsl: str, seed: int) -> dict:
+    """The chain polynomial, and that of every rank selection, has its roots in [-1, 0]."""
+    p = build_instance(dsl)
+    c = p.chain_polynomial()
+    _check_unit_interval_roots(c, "chain polynomial")
+    return {"chain": c.to_string(), "rank_selections_checked": _rank_selection_sweep(p)}
 
 
-def _dowling_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    dsls = list(instances) if instances else [f"dowling-rows:m={m}:N=6" for m in (1, 2, 3)]
+def _certify_rows(rows: RMatrix, **context) -> ResolveOutcome:
+    """Resolve the rank rows, verify the witness, and certify the chain polynomials.
 
-    def make(dsl: str) -> Callable[[], dict]:
-        def check() -> dict:
-            rows = build_instance(dsl)
-            if not isinstance(rows, RMatrix):
-                raise CheckFailure({"reason": "instance is not a row matrix"})
-            kv = dict(item.split("=") for item in dsl.split(":")[1:])
-            m = int(kv["m"])
-            for n in range(1, rows.order + 1):
-                stepped = dowling_step_operator(m, rows.rows[n - 1])
-                _require(
-                    stepped == rows.rows[n],
-                    reason="operator identity fails",
-                    row=n,
-                    expected=rows.rows[n].to_string(),
-                    got=stepped.to_string(),
-                )
-            outcome = resolve(rows)
-            _require(outcome.ok, reason="not resolvable", detail=outcome.describe())
-            _require(outcome.witness.verify(rows), reason="witness failed verification")
-            ps = chain_polys_from_rmatrix(rows)
-            for n, pn in enumerate(ps):
-                _check_unit_interval_roots(pn, f"p_{n}")
-            for n in range(len(ps) - 1):
-                _require(
-                    interlaces(ps[n], ps[n + 1]),
-                    reason="consecutive chain polynomials fail to interlace",
-                    n=n,
-                )
-            return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
-
-        return check
-
-    return [(dsl, make(dsl)) for dsl in dsls]
+    Every chain polynomial of the rows must have its roots in [-1, 0], and
+    consecutive ones must interlace. ``context`` goes into the witness of a
+    resolution failure. Returns the resolve outcome.
+    """
+    outcome = resolve(rows)
+    _require(outcome.ok, reason="not resolvable", detail=outcome.describe(), **context)
+    _require(outcome.witness.verify(rows), reason="witness failed verification")
+    ps = chain_polys_from_rmatrix(rows)
+    for n, pn in enumerate(ps):
+        _check_unit_interval_roots(pn, f"p_{n}")
+    for n in range(len(ps) - 1):
+        _require(
+            interlaces(ps[n], ps[n + 1]),
+            reason="consecutive chain polynomials fail to interlace",
+            n=n,
+        )
+    return outcome
 
 
-def _designs_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    named: List[Tuple[str, Callable[[], Poset]]] = []
-    if instances:
-        named = [(dsl, (lambda s=dsl: build_instance(s))) for dsl in instances]
-    else:
-        named = [("fano-design", lambda: design_poset(fano_design()))]
-        for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 4)):
-            named.append(
-                (f"uniform-design:{n}:{k}", lambda n=n, k=k: design_poset(uniform_design(n, k)))
-            )
-
-    def make(builder: Callable[[], Poset]) -> Callable[[], dict]:
-        def check() -> dict:
-            p = builder()
-            c = p.chain_polynomial()
-            _check_unit_interval_roots(c, "chain polynomial")
-            selections = _rank_selection_sweep(p, 128)
-            return {"chain": c.to_string(), "rank_selections_checked": selections}
-
-        return check
-
-    return [(tag, make(builder)) for tag, builder in named]
+def _dowling_corpus(seed: int) -> List[Tuple[str, Any]]:
+    return _tasks(f"dowling-rows:m={m}:N=6" for m in (1, 2, 3))
 
 
-def _triangular_default_instances() -> List[str]:
-    out = [f"boolean:{n}" for n in range(1, 7)]
-    out += ["trunc-boolean:4:1", "trunc-boolean:5:1", "trunc-boolean:5:2", "trunc-boolean:6:2"]
-    out += ["subspace:2:2", "subspace:3:2", "subspace:2:3", "affine:2:3"]
-    out += ["partition:3", "partition:4", "partition:5"]
-    return out
+def _check_dowling(dsl: str, seed: int) -> dict:
+    rows = build_instance(dsl)
+    if not isinstance(rows, RMatrix):
+        raise CheckFailure({"reason": "instance is not a row matrix"})
+    m = _params(dsl, "dowling-rows")["m"]
+    for n in range(1, rows.order + 1):
+        stepped = dowling_step_operator(m, rows.rows[n - 1])
+        _require(
+            stepped == rows.rows[n],
+            reason="operator identity fails",
+            row=n,
+            expected=rows.rows[n].to_string(),
+            got=stepped.to_string(),
+        )
+    outcome = _certify_rows(rows)
+    return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
+
+
+def _designs_corpus(seed: int) -> List[Tuple[str, Any]]:
+    uniform = [f"uniform-design:{n}:{k}" for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 4))]
+    return _tasks(["fano-design"] + uniform)
+
+
+def _triangular_corpus(seed: int) -> List[Tuple[str, Any]]:
+    tags = [f"boolean:{n}" for n in range(1, 7)]
+    tags += ["trunc-boolean:4:1", "trunc-boolean:5:1", "trunc-boolean:5:2", "trunc-boolean:6:2"]
+    tags += ["subspace:2:2", "subspace:3:2", "subspace:2:3", "affine:2:3"]
+    tags += ["partition:3", "partition:4", "partition:5"]
+    return _tasks(tags)
 
 
 def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str]:
@@ -363,176 +318,152 @@ def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str]:
     raise CheckFailure({"reason": "neither the poset nor its dual is rank uniform"})
 
 
-def _triangular_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    dsls = list(instances) if instances else _triangular_default_instances()
-
-    def make(dsl: str) -> Callable[[], dict]:
-        def check() -> dict:
-            p = build_instance(dsl)
-            rows, side = _rows_for_poset(p)
-            outcome = resolve(rows)
-            _require(outcome.ok, reason="not resolvable", detail=outcome.describe(), side=side)
-            _require(outcome.witness.verify(rows), reason="witness failed verification")
-            ps = chain_polys_from_rmatrix(rows)
-            for n, pn in enumerate(ps):
-                _check_unit_interval_roots(pn, f"p_{n}")
-            for n in range(len(ps) - 1):
-                _require(
-                    interlaces(ps[n], ps[n + 1]),
-                    reason="consecutive chain polynomials fail to interlace",
-                    n=n,
-                )
-            c = p.chain_polynomial()
-            _check_unit_interval_roots(c, "chain polynomial")
-            return {"side": side, "order": rows.order, "chain": c.to_string()}
-
-        return check
-
-    return [(dsl, make(dsl)) for dsl in dsls]
+def _check_triangular(dsl: str, seed: int) -> dict:
+    p = build_instance(dsl)
+    rows, side = _rows_for_poset(p)
+    _certify_rows(rows, side=side)
+    c = p.chain_polynomial()
+    _check_unit_interval_roots(c, "chain polynomial")
+    return {"side": side, "order": rows.order, "chain": c.to_string()}
 
 
-_ROW_POOL: List[Tuple[str, Callable[[], RMatrix]]] = [
-    ("boolean-rows:3", lambda: rank_matrix(boolean_lattice(3))),
-    ("boolean-rows:4", lambda: rank_matrix(boolean_lattice(4))),
-    ("chain-rows:4", lambda: rank_matrix(chain_poset(4))),
-    ("chain-rows:5", lambda: rank_matrix(chain_poset(5))),
-    ("trunc-rows:4:1", lambda: rank_matrix(truncated_boolean(4, 1))),
-    ("trunc-rows:5:2", lambda: rank_matrix(truncated_boolean(5, 2))),
-    ("dowling-rows:m=1:N=4", lambda: dowling_rows(1, 4)),
-    ("dowling-rows:m=2:N=4", lambda: dowling_rows(2, 4)),
-    ("dowling-rows:m=3:N=3", lambda: dowling_rows(3, 3)),
-]
+_ROW_POOL = (
+    "boolean-rows:3",
+    "boolean-rows:4",
+    "chain-rows:4",
+    "chain-rows:5",
+    "trunc-rows:4:1",
+    "trunc-rows:5:2",
+    "dowling-rows:m=1:N=4",
+    "dowling-rows:m=2:N=4",
+    "dowling-rows:m=3:N=3",
+)
 
-_BOUNDED_POOL: List[Tuple[str, Callable[[], Poset]]] = [
-    ("boolean:2", lambda: boolean_lattice(2)),
-    ("boolean:3", lambda: boolean_lattice(3)),
-    ("chain:3", lambda: chain_poset(3)),
-    ("chain:4", lambda: chain_poset(4)),
-    ("trunc-boolean:4:1", lambda: truncated_boolean(4, 1)),
-    ("trunc-boolean:5:2", lambda: truncated_boolean(5, 2)),
-]
+_BOUNDED_POOL = (
+    "boolean:2",
+    "boolean:3",
+    "chain:3",
+    "chain:4",
+    "trunc-boolean:4:1",
+    "trunc-boolean:5:2",
+)
+
+# row-pool heads name the rank rows of the family build_instance builds
+_ROW_FAMILIES = {"boolean-rows": "boolean", "chain-rows": "chain", "trunc-rows": "trunc-boolean"}
 
 
-def _ordinal_sum_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
+def _pool_rows(tag: str) -> RMatrix:
+    head, _, args = tag.partition(":")
+    if head == "dowling-rows":
+        return build_instance(tag)
+    return rank_matrix(build_instance(f"{_ROW_FAMILIES[head]}:{args}"))
+
+
+def _ordinal_sum_corpus(seed: int) -> List[Tuple[str, Any]]:
     rng = random.Random(seed)
-    tasks: List[Task] = []
-    pair_count = 24
-    for i in range(pair_count):
-        left_tag, left_make = _ROW_POOL[rng.randrange(len(_ROW_POOL))]
-        right_tag, right_make = _ROW_POOL[rng.randrange(len(_ROW_POOL))]
-        tag = f"stacked-rows:seed={seed}:i={i:02d}:{left_tag}+{right_tag}"
-
-        def check(left_make=left_make, right_make=right_make) -> dict:
-            stacked = ordinal_sum_rows(left_make(), right_make())
-            outcome = resolve(stacked)
-            _require(outcome.ok, reason="stacked rows not resolvable", detail=outcome.describe())
-            _require(outcome.witness.verify(stacked), reason="witness failed verification")
-            return {"order": stacked.order}
-
-        tasks.append((tag, check))
-
-    for i in range(8):
-        left_tag, left_make = _BOUNDED_POOL[rng.randrange(len(_BOUNDED_POOL))]
-        right_tag, right_make = _BOUNDED_POOL[rng.randrange(len(_BOUNDED_POOL))]
-        tag = f"stacked-posets:seed={seed}:i={i:02d}:{left_tag}+{right_tag}"
-
-        def check(left_make=left_make, right_make=right_make) -> dict:
-            lp, rp = left_make(), right_make()
-            summed = lp.ordinal_sum(rp)
-            rows = rank_matrix(summed)
-            predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))
-            _require(
-                rows.rows == predicted.rows,
-                reason="stacked rank rows disagree with the construction",
-                got=[r.to_string() for r in rows.rows],
-                predicted=[r.to_string() for r in predicted.rows],
-            )
-            outcome = resolve(rows)
-            _require(outcome.ok, reason="not resolvable", detail=outcome.describe())
-            return {"order": rows.order}
-
-        tasks.append((tag, check))
-    return tasks
+    tags = []
+    for kind, pool, count in (("stacked-rows", _ROW_POOL, 24), ("stacked-posets", _BOUNDED_POOL, 8)):
+        for i in range(count):
+            tags.append(f"{kind}:seed={seed}:i={i:02d}:{rng.choice(pool)}+{rng.choice(pool)}")
+    return _tasks(tags)
 
 
-def _see_default_instances() -> List[str]:
-    out = []
+def _check_ordinal_sum(tag: str, seed: int) -> dict:
+    """``stacked-rows:seed=S:i=II:L+R`` stacks two row-pool matrices;
+    ``stacked-posets:seed=S:i=II:L+R`` the rank rows of an ordinal sum."""
+    kind, _, _, pair = tag.split(":", 3)
+    left, right = pair.split("+")
+    if kind == "stacked-rows":
+        stacked = ordinal_sum_rows(_pool_rows(left), _pool_rows(right))
+        outcome = resolve(stacked)
+        _require(outcome.ok, reason="stacked rows not resolvable", detail=outcome.describe())
+        _require(outcome.witness.verify(stacked), reason="witness failed verification")
+        return {"order": stacked.order}
+    if kind != "stacked-posets":
+        raise ValueError(f"unknown ordinal-sum instance {tag!r}")
+    lp, rp = build_instance(left), build_instance(right)
+    summed = lp.ordinal_sum(rp)
+    rows = rank_matrix(summed)
+    predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))
+    _require(
+        rows.rows == predicted.rows,
+        reason="stacked rank rows disagree with the construction",
+        got=[r.to_string() for r in rows.rows],
+        predicted=[r.to_string() for r in predicted.rows],
+    )
+    outcome = resolve(rows)
+    _require(outcome.ok, reason="not resolvable", detail=outcome.describe())
+    return {"order": rows.order}
+
+
+def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
+    tags = []
     for n in range(3, 6):
         for size in range(0, n + 1):
             for x in combinations(range(1, n + 1), size):
                 cut = ",".join(map(str, x)) if x else "none"
-                out.append(f"see:boolean:{n}:cut={cut}")
+                tags.append(f"see:boolean:{n}:cut={cut}")
         # principal cuts of the single truncation: elements up to size n-2, plus the top
         for size in range(0, n - 1):
             for x in combinations(range(1, n + 1), size):
                 cut = ",".join(map(str, x)) if x else "none"
-                out.append(f"see:trunc-boolean:{n}:1:cut={cut}")
-        out.append(f"see:trunc-boolean:{n}:1:cut={','.join(map(str, range(1, n + 1)))}")
-    return out
+                tags.append(f"see:trunc-boolean:{n}:1:cut={cut}")
+        tags.append(f"see:trunc-boolean:{n}:1:cut={','.join(map(str, range(1, n + 1)))}")
+    return _tasks(tags)
 
 
-def _see_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    dsls = list(instances) if instances else _see_default_instances()
-
-    def make(dsl: str) -> Callable[[], dict]:
-        def check() -> dict:
-            ext = build_instance(dsl)  # geometricity asserted by the constructor
-            c = ext.chain_polynomial()
-            _check_unit_interval_roots(c, "chain polynomial")
-            witness = {"chain": c.to_string(), "elements": ext.n}
-            parts = dsl.split(":")
-            if not parts[-1].startswith("cut="):
-                return witness
-            cut = parts[-1][len("cut=") :]
-            if parts[1] == "boolean" and cut != "none":
-                ground = int(parts[2])
-                members = [int(tok) for tok in cut.split(",")]
-                if 2 <= len(members) < ground:
-                    product = truncated_boolean(len(members) + 1, 1).direct_product(
-                        boolean_lattice(ground - len(members))
-                    )
-                    _require(
-                        is_isomorphic(ext, product),
-                        reason="extension does not match the product decomposition",
-                        elements=ext.n,
-                        product_elements=product.n,
-                    )
-                    witness["product_isomorphic"] = True
-            return witness
-
-        return check
-
-    return [(dsl, make(dsl)) for dsl in dsls]
-
-
-def _diamond_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    rng = random.Random(seed)
-    tasks: List[Task] = []
-    for i in range(50):
-        tag = f"product-pair:seed={seed}:i={i:02d}"
-
-        def check(i=i) -> dict:
-            local = random.Random(seed * 1000003 + i)
-            lp = random_bounded_poset(local)
-            rp = random_bounded_poset(local)
-            for q in (lp, rp):
-                _require(
-                    q.chain_polynomial().shift(1) == ExactPoly((1, 2, 1)) * q.p_polynomial(),
-                    reason="t * chain polynomial != (1+t)^2 * p polynomial",
-                )
-            product = lp.direct_product(rp)
-            lhs = product.p_polynomial()
-            rhs = diamond_product(lp.p_polynomial(), rp.p_polynomial())
-            _require(
-                lhs == rhs,
-                reason="product p polynomial disagrees with the diamond product",
-                lhs=lhs.to_string(),
-                rhs=rhs.to_string(),
+def _check_see(dsl: str, seed: int) -> dict:
+    ext = build_instance(dsl)  # geometricity asserted by the constructor
+    c = ext.chain_polynomial()
+    _check_unit_interval_roots(c, "chain polynomial")
+    witness = {"chain": c.to_string(), "elements": ext.n}
+    parts = dsl.split(":")
+    if not parts[-1].startswith("cut="):
+        return witness
+    cut = parts[-1][len("cut=") :]
+    if parts[1] == "boolean" and cut != "none":
+        ground = int(parts[2])
+        members = [int(tok) for tok in cut.split(",")]
+        if 2 <= len(members) < ground:
+            product = truncated_boolean(len(members) + 1, 1).direct_product(
+                boolean_lattice(ground - len(members))
             )
-            return {"left": lp.n, "right": rp.n}
+            _require(
+                is_isomorphic(ext, product),
+                reason="extension does not match the product decomposition",
+                elements=ext.n,
+                product_elements=product.n,
+            )
+            witness["product_isomorphic"] = True
+    return witness
 
-        tasks.append((tag, check))
-    return tasks
+
+def _diamond_corpus(seed: int) -> List[Tuple[str, Any]]:
+    return _tasks(f"product-pair:seed={seed}:i={i:02d}" for i in range(50))
+
+
+def _check_diamond(tag: str, seed: int) -> dict:
+    """``product-pair:seed=S:i=II``: the p polynomial of a product of two random
+    bounded posets is the diamond product of theirs."""
+    params = _params(tag, "product-pair")
+    local = random.Random(params["seed"] * 1000003 + params["i"])
+    lp = random_bounded_poset(local)
+    rp = random_bounded_poset(local)
+    for q in (lp, rp):
+        _require(
+            q.chain_polynomial().shift(1) == ExactPoly((1, 2, 1)) * q.p_polynomial(),
+            reason="t * chain polynomial != (1+t)^2 * p polynomial",
+        )
+    product = lp.direct_product(rp)
+    lhs = product.p_polynomial()
+    rhs = diamond_product(lp.p_polynomial(), rp.p_polynomial())
+    _require(
+        lhs == rhs,
+        reason="product p polynomial disagrees with the diamond product",
+        lhs=lhs.to_string(),
+        rhs=rhs.to_string(),
+    )
+    return {"left": lp.n, "right": rp.n}
 
 
 def counterexample_search(n: int, q_max: int = 64) -> dict:
@@ -586,36 +517,34 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
     return witness
 
 
-def _counterexample_tasks(instances: Optional[Sequence[str]], seed: int) -> List[Task]:
-    dsls = list(instances) if instances else ["counterexample:n=3:qmax=64", "counterexample:n=4:qmax=64"]
-
-    def make(dsl: str) -> Callable[[], dict]:
-        def check() -> dict:
-            kv = dict(item.split("=") for item in dsl.split(":")[1:])
-            witness = counterexample_search(int(kv["n"]), int(kv["qmax"]))
-            _require(
-                witness["first_failing_q"] is not None,
-                reason="no interlacing failure found below the search cap",
-                **witness,
-            )
-            return witness
-
-        return check
-
-    return [(dsl, make(dsl)) for dsl in dsls]
+def _counterexample_corpus(seed: int) -> List[Tuple[str, Any]]:
+    return _tasks(["counterexample:n=3:qmax=64", "counterexample:n=4:qmax=64"])
 
 
-_SUITE_BUILDERS: Dict[str, Callable[[Optional[Sequence[str]], int], List[Task]]] = {
-    "rank3": _rank3_tasks,
-    "paving": _paving_tasks,
-    "dowling": _dowling_tasks,
-    "designs": _designs_tasks,
-    "triangular": _triangular_tasks,
-    "ordinal-sum": _ordinal_sum_tasks,
-    "see": _see_tasks,
-    "diamond": _diamond_tasks,
-    "counterexample": _counterexample_tasks,
+def _check_counterexample(tag: str, seed: int) -> dict:
+    params = _params(tag, "counterexample")
+    witness = counterexample_search(params["n"], params["qmax"])
+    _require(
+        witness["first_failing_q"] is not None,
+        reason="no interlacing failure found below the search cap",
+        **witness,
+    )
+    return witness
+
+
+_SUITES: Dict[str, Tuple[Callable[[int], List[Tuple[str, Any]]], Callable[[Any, int], dict]]] = {
+    "rank3": (_rank3_corpus, _check_rank3),
+    "paving": (_paving_corpus, _check_rank_selections),
+    "dowling": (_dowling_corpus, _check_dowling),
+    "designs": (_designs_corpus, _check_rank_selections),
+    "triangular": (_triangular_corpus, _check_triangular),
+    "ordinal-sum": (_ordinal_sum_corpus, _check_ordinal_sum),
+    "see": (_see_corpus, _check_see),
+    "diamond": (_diamond_corpus, _check_diamond),
+    "counterexample": (_counterexample_corpus, _check_counterexample),
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def suite_run(
@@ -624,8 +553,35 @@ def suite_run(
     seed: int = 0,
     jobs: int = 1,
 ) -> List[CheckReport]:
-    """Run one named suite; reports come back sorted by instance string."""
-    if name not in _SUITE_BUILDERS:
+    """Run one named suite; reports come back sorted by instance string.
+
+    Without ``instances`` the suite's default corpus at ``seed`` is checked.
+    A malformed or unknown instance gets an ``error`` verdict.
+    """
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    tasks = _SUITE_BUILDERS[name](instances, seed)
-    return _run_checks(name, tasks, jobs)
+    corpus, check = _SUITES[name]
+    tasks = _tasks(instances) if instances else corpus(seed)
+
+    def run_one(task: Tuple[str, Any]) -> CheckReport:
+        instance, subject = task
+        start = time.monotonic()
+        try:
+            witness = check(subject, seed)
+            verdict = "pass"
+        except CheckFailure as exc:
+            witness = exc.witness
+            verdict = "fail"
+        except Exception as exc:  # a malformed instance must not stop the suite
+            witness = {"exception": f"{type(exc).__name__}: {exc}"}
+            verdict = "error"
+        ms = int((time.monotonic() - start) * 1000)
+        return CheckReport(name, instance, verdict, witness, ms)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            reports = list(pool.map(run_one, tasks))
+    else:
+        reports = [run_one(task) for task in tasks]
+    reports.sort(key=lambda r: r.instance)
+    return reports

@@ -100,3 +100,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "sturm-count", "1 4 5 2", "--lo", "-1"],
+        ["poly", "roots-in-interval", "1 4 5 2"],
+        ["poly", "interlaces", "1 2"],
+        ["poly", "diamond", "0 1"],
+        ["poly", "h-from-f", "1 4 5 2"],
+        ["poly", "f-from-h", "1 1"],
+        ["poly", "eval", "1 4 5 2"],
+        ["poly", "eulerian"],
+        ["poly", "q-eulerian", "--n", "3"],
+        ["poly", "real-rooted"],
+        ["poly", "real-rooted", "1_x"],
+        ["poly", "interlaces", "1 0 1", "1 2"],
+        ["build", "boolean", "--out", "x"],
+        ["build", "see:boolean:3", "--out", "x"],
+        ["suite", "paving", "--instances", "no-such-file.txt"],
+        ["suite", "all", "--instances", "f"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("boolean:3\n")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].startswith(f"latchain {argv[0]}: error: ")
+    assert not (tmp_path / "x").exists()

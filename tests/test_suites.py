@@ -1,9 +1,12 @@
 import json
 import random
+import threading
+from pathlib import Path
 
 import pytest
 
 from latchain import (
+    SUITE_NAMES,
     ExactPoly,
     PermStats,
     boolean_lattice,
@@ -19,6 +22,7 @@ from latchain import (
     write_csv,
     write_jsonl,
 )
+from latchain.cli import main
 from latchain.suites import random_bounded_poset, random_rank3_geometric
 from helpers import quasi_uniform_13
 
@@ -168,3 +172,66 @@ def test_suite_jobs_parallel_matches_serial():
     assert [(r.instance, r.verdict) for r in serial] == [
         (r.instance, r.verdict) for r in parallel
     ]
+
+
+GOLDEN = Path(__file__).parent / "data" / "suites-seed0.jsonl"
+
+
+def _records(path):
+    """JSON lines without runtime_ms, the one field that varies between runs."""
+    out = []
+    for line in Path(path).read_text().splitlines():
+        record = json.loads(line)
+        record.pop("runtime_ms")
+        out.append(json.dumps(record, sort_keys=True))
+    return out
+
+
+def test_suite_all_matches_golden_records(tmp_path, capsys):
+    out = tmp_path / "all.jsonl"
+    assert main(["suite", "all", "--seed", "0", "--json", str(out)]) == 0
+    assert "433/433 passed" in capsys.readouterr().out
+    assert "\n".join(_records(out)) + "\n" == GOLDEN.read_text()
+
+
+def test_designs_skips_rank_selections_of_a_long_chain():
+    # a rank-39 chain has 2^40 rank selections; the sweep must not try them
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.extend(suite_run("designs", instances=["chain:40"])), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "designs suite still sweeping chain:40 after 10 s"
+    [report] = result
+    assert report.ok and report.witness["rank_selections_checked"] == 0
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_reported_instances_reproduce_their_records(name, tmp_path):
+    expected = [line for line in GOLDEN.read_text().splitlines() if json.loads(line)["suite"] == name][:3]
+    tags = [json.loads(record)["instance"] for record in expected]
+    instances = tmp_path / "instances.txt"
+    instances.write_text("\n".join(tags) + "\n")
+    again = tmp_path / "again.jsonl"
+    rc = main(["suite", name, "--instances", str(instances), "--seed", "0", "--json", str(again)])
+    replayed = [json.loads(line) for line in _records(again)]
+    assert [r["instance"] for r in replayed] == tags
+    if name == "rank3":
+        # random lattices are drawn from the seed, not named by their tags
+        assert rc == 1
+        assert all(r["verdict"] == "error" for r in replayed)
+        assert all("unknown family DSL" in r["witness"]["exception"] for r in replayed)
+    else:
+        assert rc == 0
+        assert _records(again) == expected
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_unknown_instance_is_an_error_verdict(name, tmp_path, capsys):
+    instances = tmp_path / "instances.txt"
+    instances.write_text("no-such-family:3\n")
+    assert main(["suite", name, "--instances", str(instances)]) == 1
+    captured = capsys.readouterr()
+    assert f"ERROR {name} no-such-family:3" in captured.out
+    assert "Traceback" not in captured.err
