@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .polynomial import ExactPoly
-from .posets import Poset, _bits
+from .posets import MAX_ELEMENTS, Poset, _bits
 from .tn import RMatrix, is_geometric
 
 # size guards, chosen so every construction stays at desk scale
@@ -108,21 +108,43 @@ def _all_subspaces(n: int, q: int) -> List[FrozenSet[Tuple[int, ...]]]:
     return spaces
 
 
-def subspace_lattice(n: int, q: int) -> Poset:
-    """Linear subspaces of F_q^n under inclusion, for prime q at desk scale."""
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _check_flat_count(n: int, q: int, affine: bool) -> None:
+    """Refuse a subspace or affine lattice out of range, or one whose element
+    count, counted before enumerating, exceeds the poset cap."""
+    kind = "affine" if affine else "subspace"
+    # the range check comes first: trial division of a large q would take minutes
+    if q > MAX_SUBSPACE_PRIME or not 1 <= n <= MAX_SUBSPACE_DIM:
+        raise ValueError(f"{kind} lattice out of desk-scale range: n={n}, q={q}")
     if not _is_prime(q):
         raise ValueError(f"field order must be prime: {q}")
-    if q > MAX_SUBSPACE_PRIME or not 1 <= n <= MAX_SUBSPACE_DIM:
-        raise ValueError(f"subspace lattice out of desk-scale range: n={n}, q={q}")
+    # the cosets of a k-dimensional subspace number q^(n-k); the empty flat is the bottom
+    count = (1 if affine else 0) + sum(
+        (q ** (n - k) if affine else 1) * _gaussian_binomial(n, k, q) for k in range(n + 1)
+    )
+    if count > MAX_ELEMENTS:
+        raise ValueError(
+            f"{kind} lattice n={n}, q={q} has {count} elements, over the cap of {MAX_ELEMENTS}"
+        )
+
+
+def subspace_lattice(n: int, q: int) -> Poset:
+    """Linear subspaces of F_q^n under inclusion, for prime q at desk scale."""
+    _check_flat_count(n, q, affine=False)
     return _poset_from_sets(_all_subspaces(n, q))
 
 
 def affine_lattice(n: int, q: int) -> Poset:
     """Affine subspaces of F_q^n (all cosets), with the empty set as bottom."""
-    if not _is_prime(q):
-        raise ValueError(f"field order must be prime: {q}")
-    if q > MAX_SUBSPACE_PRIME or not 1 <= n <= MAX_SUBSPACE_DIM:
-        raise ValueError(f"affine lattice out of desk-scale range: n={n}, q={q}")
+    _check_flat_count(n, q, affine=True)
     flats: Set[FrozenSet[Tuple[int, ...]]] = {frozenset()}
     vectors = list(product(range(q), repeat=n))
     for space in _all_subspaces(n, q):
@@ -146,26 +168,24 @@ def _set_partitions(items: Tuple[int, ...]):
 
 
 def partition_lattice(n: int) -> Poset:
-    """Set partitions of {1, ..., n} ordered by refinement."""
+    """Set partitions of {1, ..., n} ordered by refinement.
+
+    Each cover merges two blocks, so the covers are emitted directly.
+    """
     if not 1 <= n <= MAX_PARTITION_GROUND:
         raise ValueError(f"partition lattice out of range: {n}")
-    parts = [
-        frozenset(frozenset(b) for b in part)
-        for part in _set_partitions(tuple(range(1, n + 1)))
-    ]
-    parts.sort(key=lambda p: (-len(p), sorted(sorted(b) for b in p)))
-    index = {p: i for i, p in enumerate(parts)}
-
-    def refines(a, b) -> bool:
-        return all(any(block <= big for big in b) for block in a)
-
+    labels = sorted(
+        (tuple(sorted(tuple(sorted(b)) for b in part)) for part in _set_partitions(tuple(range(1, n + 1)))),
+        key=lambda p: (-len(p), p),
+    )
+    index = {p: i for i, p in enumerate(labels)}
     rels = []
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            if len(a) > len(b) and refines(a, b):
-                rels.append((i, j))
-    labels = [tuple(sorted(tuple(sorted(b)) for b in p)) for p in parts]
-    return Poset(len(parts), rels, labels)
+    for i, p in enumerate(labels):
+        for a, b in combinations(range(len(p)), 2):
+            rest = [blk for k, blk in enumerate(p) if k != a and k != b]
+            merged = tuple(sorted(rest + [tuple(sorted(p[a] + p[b]))]))
+            rels.append((i, index[merged]))
+    return Poset(len(labels), rels, labels)
 
 
 # -- rank-3 point-line lattices ------------------------------------------------------------

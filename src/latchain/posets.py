@@ -3,7 +3,9 @@
 A poset is stored as a cover graph on elements 0..n-1. The full order
 relation is cached as per-element bitmasks, which keeps comparability
 queries, interval extraction and the chain-counting dynamic program fast
-for the few-thousand-element posets this library targets.
+for the few-thousand-element posets this library targets. Joins and meets
+are found by mask lookup: the join of x and y is the element whose up-set
+is the intersection of theirs.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class Poset:
         "_cover_up",
         "_least",
         "_greatest",
-        "_join",
-        "_meet",
+        "_by_up",
+        "_by_down",
         "_lattice",
         "_mobius_cache",
     )
@@ -89,21 +91,19 @@ class Poset:
             for y in succ[x]:
                 down[y] |= dx
         up = [1 << x for x in range(n)]
-        for y in range(n):
-            for x in _bits(down[y]):
-                up[x] |= 1 << y
+        for x in reversed(order):
+            for y in succ[x]:
+                up[x] |= up[y]
 
-        covers = []
+        # the transitive reduction is a subset of the input pairs
+        covers = sorted(
+            (x, y) for x, y in seen if up[x] & down[y] == (1 << x) | (1 << y)
+        )
         cover_down = [[] for _ in range(n)]
         cover_up = [[] for _ in range(n)]
-        for y in range(n):
-            strict = down[y] ^ (1 << y)
-            for x in _bits(strict):
-                between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
-                if between == 0:
-                    covers.append((x, y))
-                    cover_down[y].append(x)
-                    cover_up[x].append(y)
+        for x, y in covers:
+            cover_down[y].append(x)
+            cover_up[x].append(y)
 
         rho = [0] * n
         for x in sorted(range(n), key=lambda v: down[v].bit_count()):
@@ -114,7 +114,7 @@ class Poset:
         maximals = [x for x in range(n) if not cover_up[x]]
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "covers", tuple(sorted(covers)))
+        object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(up))
@@ -123,8 +123,8 @@ class Poset:
         object.__setattr__(self, "_cover_up", tuple(map(tuple, cover_up)))
         object.__setattr__(self, "_least", minimals[0] if len(minimals) == 1 else None)
         object.__setattr__(self, "_greatest", maximals[0] if len(maximals) == 1 else None)
-        object.__setattr__(self, "_join", None)
-        object.__setattr__(self, "_meet", None)
+        object.__setattr__(self, "_by_up", None)
+        object.__setattr__(self, "_by_down", None)
         object.__setattr__(self, "_lattice", None)
         object.__setattr__(self, "_mobius_cache", {})
 
@@ -330,53 +330,50 @@ class Poset:
 
     # -- lattice structure --------------------------------------------------------------
 
-    def _ensure_lattice_tables(self) -> bool:
-        if self._lattice is not None:
-            return self._lattice
-        n = self.n
-        join = [[-1] * n for _ in range(n)]
-        meet = [[-1] * n for _ in range(n)]
-        ok = n > 0
-        up, down = self._up, self._down
-        for x in range(n):
-            for y in range(x, n):
-                ub = up[x] & up[y]
-                j = -1
-                for z in _bits(ub):
-                    # the unique member below all upper bounds, if any
-                    if up[z] & ub == ub:
-                        j = z
-                        break
-                lb = down[x] & down[y]
-                w = -1
-                for z in _bits(lb):
-                    if down[z] & lb == lb:
-                        w = z
-                        break
-                if j < 0 or w < 0:
-                    ok = False
-                join[x][y] = join[y][x] = j
-                meet[x][y] = meet[y][x] = w
-        object.__setattr__(self, "_join", join)
-        object.__setattr__(self, "_meet", meet)
-        object.__setattr__(self, "_lattice", ok)
-        return ok
+    def join_irreducibles(self) -> Tuple[int, ...]:
+        """Elements with exactly one lower cover."""
+        return tuple(x for x in range(self.n) if len(self._cover_down[x]) == 1)
+
+    def _mask_index(self) -> None:
+        if self._by_up is None:
+            object.__setattr__(self, "_by_up", {m: x for x, m in enumerate(self._up)})
+            object.__setattr__(self, "_by_down", {m: x for x, m in enumerate(self._down)})
 
     @property
     def is_lattice(self) -> bool:
-        return self._ensure_lattice_tables()
+        """Join-irreducible test: a poset with a least element is a lattice
+        iff x join j exists for every x and every join-irreducible j.
+
+        Then the join-irreducibles j_1, ..., j_k below any y have a least
+        upper bound s <= y; by induction on rank each lower cover c of y is
+        the least upper bound of the join-irreducibles below it, so c <= s,
+        and two distinct lower covers force s = y. Hence x join y is
+        x join j_1 join ... join j_k, and meets follow from joins and the
+        least element.
+        """
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", self._lattice_test())
+        return self._lattice
+
+    def _lattice_test(self) -> bool:
+        if self._least is None:
+            return False
+        self._mask_index()
+        up, by_up = self._up, self._by_up
+        irreducible = [up[j] for j in self.join_irreducibles()]
+        return all((ux & uj) in by_up for ux in up for uj in irreducible)
 
     def join(self, x: int, y: int) -> int:
-        self._ensure_lattice_tables()
-        j = self._join[x][y]
-        if j < 0:
+        self._mask_index()
+        j = self._by_up.get(self._up[x] & self._up[y])
+        if j is None:
             raise ValueError(f"join of {x} and {y} does not exist")
         return j
 
     def meet(self, x: int, y: int) -> int:
-        self._ensure_lattice_tables()
-        w = self._meet[x][y]
-        if w < 0:
+        self._mask_index()
+        w = self._by_down.get(self._down[x] & self._down[y])
+        if w is None:
             raise ValueError(f"meet of {x} and {y} does not exist")
         return w
 

@@ -10,6 +10,7 @@ one-step recursion with t^k dividing the k-th column.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -336,44 +337,47 @@ def _is_graded(p: Poset) -> bool:
     return all(p.rho(y) == p.rho(x) + 1 for x, y in p.covers)
 
 
-def is_semimodular(p: Poset) -> bool:
-    """Graded lattice with rho(x) + rho(y) >= rho(meet) + rho(join)."""
-    _require_lattice(p)
-    if not _is_graded(p):
-        return False
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if p.rho(x) + p.rho(y) < p.rho(p.meet(x, y)) + p.rho(p.join(x, y)):
+def _covers_close(p: Poset, upward: bool) -> bool:
+    """Cover criterion: any two elements covering one z have a common upper
+    cover (upward), or any two elements covered by one z have a common lower
+    cover (downward).
+
+    In a lattice a common upper cover of x and y is x join y, so it is
+    unique; the pairs of covers of z that have one are then counted once
+    each by summing C(k, 2) over the elements w with k covers of z below w.
+    """
+    near = p._cover_up if upward else p._cover_down
+    for z in range(p.n):
+        m = len(near[z])
+        if m > 1:
+            shared = Counter(w for x in near[z] for w in near[x])
+            if sum(k * (k - 1) for k in shared.values()) != m * (m - 1):
                 return False
     return True
+
+
+def is_semimodular(p: Poset) -> bool:
+    """Graded lattice with rho(x) + rho(y) >= rho(meet) + rho(join).
+
+    Decided by the upward cover criterion (Stanley, EC1 Prop. 3.3.2).
+    """
+    _require_lattice(p)
+    return _is_graded(p) and _covers_close(p, upward=True)
 
 
 def is_modular(p: Poset) -> bool:
-    """Graded lattice with rank equality on every pair."""
+    """Graded lattice with rank equality on every pair: semimodular and
+    lower semimodular, by the cover criterion in both directions."""
     _require_lattice(p)
-    if not _is_graded(p):
-        return False
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if p.rho(x) + p.rho(y) != p.rho(p.meet(x, y)) + p.rho(p.join(x, y)):
-                return False
-    return True
+    return _is_graded(p) and _covers_close(p, upward=True) and _covers_close(p, upward=False)
 
 
 def is_atomistic(p: Poset) -> bool:
-    """Every element above the bottom is a join of atoms."""
+    """Every element above the bottom is a join of atoms: equivalently,
+    every join-irreducible is an atom."""
     _require_lattice(p)
-    bottom = p.least
-    for x in range(p.n):
-        if x == bottom:
-            continue
-        acc = bottom
-        for a in p.atoms():
-            if p.leq(a, x):
-                acc = p.join(acc, a)
-        if acc != x:
-            return False
-    return True
+    bottom = (p.least,)
+    return all(p._cover_down[j] == bottom for j in p.join_irreducibles())
 
 
 def is_geometric(p: Poset) -> bool:
@@ -473,15 +477,13 @@ def incidence_R_table(p: Poset) -> Dict[Tuple[int, int], ExactPoly]:
     """incidence_R on every comparable pair of a lattice, computed in one sweep."""
     _require_lattice(p)
     table: Dict[Tuple[int, int], ExactPoly] = {}
-    join = p._join
     rho = p._rho
     for y in range(p.n):
         dset = p.down_set(y)
         for x in dset:
-            jx = join[x]
             counts = [0] * (rho[y] + 1)
             for z in dset:
-                if jx[z] == y:
+                if p.join(x, z) == y:
                     counts[rho[z]] += 1
             table[(x, y)] = ExactPoly(counts)
     return table

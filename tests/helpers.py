@@ -1,11 +1,12 @@
 """Shared builders for the test suite: reference posets, random corpora,
-and a root-list interlacing comparator independent of the library path."""
+a root-list interlacing comparator independent of the library path, and
+the all-pairs join/meet tables that the lattice layer replaced."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
 
@@ -59,6 +60,18 @@ def nonuniform_5() -> Poset:
 def pentagon() -> Poset:
     """The five-element non-semimodular lattice (one long side, one short)."""
     return Poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+
+
+def m3() -> Poset:
+    """The five-element modular, non-distributive lattice (three atoms)."""
+    return Poset(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def with_bounds(p: Poset) -> Poset:
+    """p with a new least element and a new greatest element adjoined."""
+    n = p.n
+    rels = list(p.covers) + [(n, x) for x in range(n)] + [(x, n + 1) for x in range(n)]
+    return Poset(n + 2, rels)
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -135,3 +148,29 @@ def roots_interlace(
         if k + 1 < n and a[k + 1] > b[k]:
             return False
     return True
+
+
+# -- all-pairs lattice tables --------------------------------------------------------
+
+
+def lattice_tables_oracle(p: Poset) -> Tuple[bool, List[List[int]], List[List[int]]]:
+    """(is_lattice, join, meet) by scanning every pair; -1 marks a missing join
+    or meet. The join of x and y is the unique common upper bound below all
+    the others, found by testing each one."""
+    n = p.n
+    join = [[-1] * n for _ in range(n)]
+    meet = [[-1] * n for _ in range(n)]
+    ok = n > 0
+    up = [p.up_mask(x) for x in range(n)]
+    down = [p.down_mask(x) for x in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            ub = up[x] & up[y]
+            j = next((z for z in range(n) if ub >> z & 1 and up[z] & ub == ub), -1)
+            lb = down[x] & down[y]
+            w = next((z for z in range(n) if lb >> z & 1 and down[z] & lb == lb), -1)
+            if j < 0 or w < 0:
+                ok = False
+            join[x][y] = join[y][x] = j
+            meet[x][y] = meet[y][x] = w
+    return ok, join, meet

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -133,4 +134,33 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
     assert "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and errors[0].startswith(f"latchain {argv[0]}: error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "dsl, message",
+    [
+        # AG(4, 5): 625 points, 19500 lines, 20150 planes, 780 solids, the
+        # whole space and the empty flat; counted before any enumeration
+        ("affine:4:5", "has 41057 elements, over the cap of 5000"),
+        # the Mersenne prime 2^89 - 1: trial division would not finish
+        (f"subspace:2:{2**89 - 1}", "out of desk-scale range"),
+    ],
+)
+def test_build_out_of_range_fails_fast(dsl, message, tmp_path, capsys):
+    codes = []
+
+    def build():
+        try:
+            main(["build", dsl, "--out", str(tmp_path / "x")])
+        except SystemExit as exc:
+            codes.append(exc.code)
+
+    worker = threading.Thread(target=build, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), f"build {dsl} still running after 5 s"
+    assert codes == [2]
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and message in errors[0]
     assert not (tmp_path / "x").exists()

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from latchain import (
@@ -94,6 +96,23 @@ def test_partition_lattices():
     assert is_geometric(p4)
     with pytest.raises(ValueError):
         partition_lattice(9)
+
+
+def test_partition_lattice_8_is_certified_within_budget():
+    result = []
+
+    def certify():
+        p8 = partition_lattice(8)
+        result.append((p8.n, is_geometric(p8), p8.chain_polynomial()))
+
+    worker = threading.Thread(target=certify, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "partition_lattice(8) still being certified after 30 s"
+    [(n, geometric, chains)] = result
+    assert n == 4140 and geometric
+    # maximal chains of the partition lattice of an 8-set: 8! 7! / 2^7
+    assert chains.coefficient(1) == 4140 and chains.coefficient(8) == 1587600
 
 
 def test_paving_construction_reference_instance():

@@ -1,0 +1,108 @@
+"""Differential test of the lattice layer against the all-pairs tables.
+
+The library finds joins and meets by mask lookup, decides latticehood by the
+join-irreducible test and semimodularity, modularity and atomisticity by
+local criteria. Here every verdict and every join and meet is compared with
+the tables of ``lattice_tables_oracle`` and the pairwise rank definitions.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from latchain import (
+    Poset,
+    antichain,
+    boolean_lattice,
+    chain_poset,
+    is_atomistic,
+    is_geometric,
+    is_lattice,
+    is_modular,
+    is_semimodular,
+    partition_lattice,
+    truncated_boolean,
+)
+from helpers import lattice_tables_oracle, m3, pentagon, random_poset, with_bounds
+
+
+def _corpus():
+    named = [
+        Poset(0),
+        antichain(3),
+        chain_poset(1),
+        pentagon(),
+        m3(),
+        chain_poset(2).direct_product(pentagon()),  # a lattice that is not graded
+        partition_lattice(5).dual(),
+        partition_lattice(5).truncate(),
+        truncated_boolean(5, 1),
+        boolean_lattice(3),
+    ]
+    rng = random.Random(20261017)
+    drawn = []
+    for _ in range(300):
+        p = random_poset(rng, rng.randint(1, 12))
+        drawn += [p, with_bounds(p)]
+    return named + drawn
+
+
+CORPUS = _corpus()
+
+
+def _oracle_predicates(p: Poset, join, meet):
+    """(semimodular, modular, atomistic, geometric) from the pairwise rank
+    definitions on the tables."""
+    rho = [p.rho(x) for x in range(p.n)]
+    graded = all(rho[y] == rho[x] + 1 for x, y in p.covers)
+    pairs = [(x, y) for x in range(p.n) for y in range(x + 1, p.n)]
+    excess = [rho[x] + rho[y] - rho[meet[x][y]] - rho[join[x][y]] for x, y in pairs]
+    semimodular = graded and all(e >= 0 for e in excess)
+    modular = graded and all(e == 0 for e in excess)
+    atomistic = True
+    for x in range(p.n):
+        acc = p.least
+        for a in p.atoms():
+            if p.leq(a, x):
+                acc = join[acc][a]
+        atomistic &= acc == x
+    return semimodular, modular, atomistic, graded and semimodular and atomistic
+
+
+def test_corpus_covers_every_verdict():
+    """Lattices and non-lattices abound, and among the lattices each
+    predicate is both true and false."""
+    lattices, seen = 0, set()
+    for p in CORPUS:
+        ok, join, meet = lattice_tables_oracle(p)
+        if ok:
+            lattices += 1
+            seen.update(enumerate(_oracle_predicates(p, join, meet)))
+    assert lattices >= 100 and len(CORPUS) - lattices >= 100
+    assert seen == {(i, v) for i in range(4) for v in (True, False)}
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_lattice_layer_matches_all_pairs_tables(index):
+    p = CORPUS[index]
+    ok, join, meet = lattice_tables_oracle(p)
+    assert p.is_lattice == ok
+    for x in range(p.n):
+        for y in range(p.n):
+            for op, table in ((p.join, join), (p.meet, meet)):
+                if table[x][y] < 0:
+                    with pytest.raises(ValueError):
+                        op(x, y)
+                else:
+                    assert op(x, y) == table[x][y]
+    predicates = (is_semimodular, is_modular, is_atomistic, is_geometric)
+    if not ok:
+        for predicate in predicates:
+            with pytest.raises(ValueError, match="lattice"):
+                predicate(p)
+        return
+    assert is_lattice(p)
+    assert tuple(f(p) for f in predicates) == _oracle_predicates(p, join, meet)
+
