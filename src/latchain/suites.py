@@ -476,11 +476,13 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
     if n < 3:
         raise ValueError("need n >= 3")
     base = eulerian(n)
-    if q_eulerian(n, 1) != base:
+    weighted = q_eulerian(n, 1)
+    if weighted != base:
         raise CheckFailure({"reason": "q = 1 specialization failed"})
     found = None
     for q in range(1, q_max + 1):
-        weighted = q_eulerian(n, q)
+        if q > 1:
+            weighted = q_eulerian(n, q)
         if not interlaces(base, weighted):
             found = q
             break
@@ -491,7 +493,6 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
         "q_max": q_max,
     }
     if found is not None:
-        weighted = q_eulerian(n, found)
         iso = isolate_real_roots(weighted)
         witness["failing_poly"] = weighted.to_string()
         witness["failing_roots"] = [[str(a), str(b)] for a, b in iso.intervals]
@@ -503,14 +504,15 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
             lat = subspace_lattice(n, q)
             c = lat.proper_part().chain_polynomial()
             h = h_from_f(c, n - 1)
-            h_checks[q] = h == q_eulerian(n, q)
+            expected = q_eulerian(n, q)
+            h_checks[q] = h == expected
             if not h_checks[q]:
                 raise CheckFailure(
                     {
                         "reason": "subspace h-polynomial mismatch",
                         "q": q,
                         "h": h.to_string(),
-                        "expected": q_eulerian(n, q).to_string(),
+                        "expected": expected.to_string(),
                     }
                 )
         witness["h_polynomial_checks"] = h_checks

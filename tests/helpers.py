@@ -1,11 +1,13 @@
 """Shared builders for the test suite: reference posets, random corpora,
-a root-list interlacing comparator independent of the library path, and
-the all-pairs join/meet tables that the lattice layer replaced."""
+a root-list interlacing comparator independent of the library path, the
+all-pairs join/meet tables that the lattice layer replaced, and the
+permutation enumeration that the chain-count route of permstats replaced."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from typing import List, Sequence, Tuple
 
 from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
@@ -174,3 +176,16 @@ def lattice_tables_oracle(p: Poset) -> Tuple[bool, List[List[int]], List[List[in
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = w
     return ok, join, meet
+
+
+# -- permutation statistics by enumeration -------------------------------------------
+
+
+def perm_stats_oracle(n: int) -> List[Tuple[int, int]]:
+    """(descents, inversions) of each of the n! permutations of n letters."""
+    table = []
+    for sigma in permutations(range(1, n + 1)):
+        des = sum(1 for i in range(n - 1) if sigma[i] > sigma[i + 1])
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+        table.append((des, inv))
+    return table

@@ -1,6 +1,9 @@
 import json
 import random
 import threading
+from collections import Counter
+from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,6 @@ import pytest
 from latchain import (
     SUITE_NAMES,
     ExactPoly,
-    PermStats,
     boolean_lattice,
     brute_force_oracle,
     chain_poset,
@@ -24,7 +26,8 @@ from latchain import (
 )
 from latchain.cli import main
 from latchain.suites import random_bounded_poset, random_rank3_geometric
-from helpers import quasi_uniform_13
+from latchain.permstats import MAX_PERMUTATION_SIZE
+from helpers import perm_stats_oracle, quasi_uniform_13
 
 
 def test_eulerian_small():
@@ -32,24 +35,77 @@ def test_eulerian_small():
     assert eulerian(2) == ExactPoly((1, 1))
     assert eulerian(3) == ExactPoly((1, 4, 1))
     assert eulerian(4) == ExactPoly((1, 11, 11, 1))
-    with pytest.raises(ValueError):
-        eulerian(11)
+    for n in (0, 31):
+        with pytest.raises(ValueError):
+            eulerian(n)
 
 
 def test_q_eulerian_small():
     assert q_eulerian(3, 1) == eulerian(3)
     # the six permutations of three letters: descents/inversions (0,0),(1,1),(1,1),(1,2),(1,2),(2,3)
     assert q_eulerian(3, 2) == ExactPoly((1, 2 * 2 + 2 * 4, 8))
-    stats = PermStats.enumerate(3)
-    assert sorted(stats.table) == [(0, 0), (1, 1), (1, 1), (1, 2), (1, 2), (2, 3)]
+    assert sorted(perm_stats_oracle(3)) == [(0, 0), (1, 1), (1, 1), (1, 2), (1, 2), (2, 3)]
 
 
 def test_permstat_ranges():
     for n in (2, 3, 4, 5):
-        stats = PermStats.enumerate(n)
-        assert len(stats.table) == __import__("math").factorial(n)
-        assert all(0 <= d <= n - 1 for d, _ in stats.table)
-        assert all(0 <= i <= n * (n - 1) // 2 for _, i in stats.table)
+        table = perm_stats_oracle(n)
+        assert len(table) == factorial(n)
+        assert all(0 <= d <= n - 1 for d, _ in table)
+        assert all(0 <= i <= n * (n - 1) // 2 for _, i in table)
+
+
+def test_q_eulerian_matches_enumeration():
+    qs = (0, 1, 2, 3, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3), Fraction(13, 7))
+    for n in range(1, 9):
+        stats = Counter(perm_stats_oracle(n))
+        assert eulerian(n) == ExactPoly(
+            sum(count for (d, _), count in stats.items() if d == k) for k in range(n)
+        )
+        for q in qs:
+            coeffs = [0] * n
+            for (d, inv), count in stats.items():
+                coeffs[d] += count * Fraction(q) ** inv
+            assert q_eulerian(n, q) == ExactPoly(coeffs), (n, q)
+
+
+def test_q_eulerian_30_within_budget():
+    result = []
+
+    def compute():
+        result.append((q_eulerian(30, Fraction(17, 7)), eulerian(30)))
+
+    worker = threading.Thread(target=compute, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive(), "q_eulerian(30, 17/7) and eulerian(30) still running after 5 s"
+    [(weighted, plain)] = result
+    assert MAX_PERMUTATION_SIZE == 30
+    assert weighted.degree == 29 and sum(plain.coeffs) == factorial(30)
+
+
+def test_eulerian_recurrence_up_to_the_cap():
+    """A(n, k) = (k + 1) A(n - 1, k) + (n - k) A(n - 1, k - 1)."""
+    row = [1]
+    for n in range(2, MAX_PERMUTATION_SIZE + 1):
+        row = [
+            (k + 1) * (row[k] if k < n - 1 else 0) + (n - k) * (row[k - 1] if k else 0)
+            for k in range(n)
+        ]
+        assert eulerian(n) == ExactPoly(row), n
+
+
+def test_q_eulerian_mahonian_and_extreme_coefficients_up_to_the_cap():
+    """The coefficients sum to [n]_q!; the identity alone gives t^0, and the
+    reversal alone gives t^(n-1) with q^C(n, 2)."""
+    for q in (2, Fraction(1, 2), Fraction(17, 7)):
+        q_factorial = 1
+        for n in range(1, MAX_PERMUTATION_SIZE + 1):
+            q_factorial *= sum(q**i for i in range(n))
+            poly = q_eulerian(n, q)
+            assert sum(poly.coeffs) == q_factorial, (n, q)
+            assert poly.coefficient(0) == 1
+            assert poly.degree == n - 1 and poly.coefficient(n - 1) == q ** comb(n, 2)
 
 
 def test_brute_force_oracle():
@@ -120,8 +176,6 @@ def test_counterexample_q_normalization():
 
 
 def test_q_eulerian_rational_weight():
-    from fractions import Fraction
-
     q = Fraction(1, 2)
     assert q_eulerian(3, q) == ExactPoly((1, 2 * q + 2 * q**2, q**3))
 
