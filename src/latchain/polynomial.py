@@ -1,16 +1,20 @@
 """Exact univariate polynomial arithmetic and real-root predicates.
 
-Everything is computed over the rationals: Sturm sequences decide
-real-rootedness and root location, root isolation produces disjoint
-rational intervals, and interlacing of root multisets is decided by
-comparing isolated roots. No floating point is used anywhere.
+Everything is computed over the rationals, and no floating point is used
+anywhere. The predicates read no root locations. Real-rootedness and
+interlacing are each decided by one signed remainder sequence over the
+integers, whose sign variations at -inf and +inf give a Cauchy index
+(Sturm's theorem). Root location in an interval is decided by Descartes'
+rule of signs, which is exact on real-rooted input. Root isolation, by
+Sturm counts and bisection, produces disjoint rational intervals; it is
+used for counts on an interval and for failure witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -267,12 +271,54 @@ def squarefree_decomposition(f: ExactPoly) -> list:
 # -- Sturm sequences --------------------------------------------------------------
 
 
+def _primitive(cs: list) -> list:
+    """Divide integer coefficients by their positive content."""
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    return [c // g for c in cs]
+
+
+def _integer_coeffs(p: ExactPoly) -> list:
+    """Nonzero p times the positive rational that makes its coefficients
+    coprime integers."""
+    den = 1
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            den = lcm(den, c.denominator)
+    return _primitive([int(c * den) for c in p.coeffs])
+
+
+def _signed_remainders(p: ExactPoly, q: ExactPoly) -> list:
+    """The signed remainder sequence p, q, -rem(p, q), ... of nonzero p and q.
+
+    Each term is a positive multiple of the term of the rational sequence:
+    the remainders are integer pseudo-remainders scaled by |lc|, and every
+    term is divided by its positive content. So every sign that a Sturm
+    count reads is unchanged. The last term is gcd(p, q) up to a nonzero
+    factor.
+    """
+    a, b = _integer_coeffs(p), _integer_coeffs(q)
+    seq = [a, b]
+    while True:
+        scale, sign, db = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b)
+        r = a
+        while len(r) >= db:
+            top, shift = sign * r[-1], len(r) - db
+            r = [scale * c for c in r]
+            for j, c in enumerate(b):
+                r[shift + j] -= top * c
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return [ExactPoly(cs) for cs in seq]
+        r = _primitive([-c for c in r])
+        seq.append(r)
+        a, b = b, r
+
+
 def _sturm_chain(f: ExactPoly) -> list:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    return _signed_remainders(f, f.derivative())
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -305,6 +351,12 @@ def _variations_at_inf(chain: Sequence[ExactPoly], positive: bool) -> int:
     return _variations(signs)
 
 
+def _cauchy_index(seq: Sequence[ExactPoly]) -> int:
+    """Var(-inf) - Var(+inf): the Cauchy index of q/p over all of R for the
+    signed remainder sequence of (p, q)."""
+    return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
+
+
 def _distinct_roots_closed(s: ExactPoly, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of square-free s in the closed interval [lo, hi]."""
     if lo > hi:
@@ -327,55 +379,56 @@ def sturm_real_root_count(
 ) -> int:
     """Number of distinct real roots of p, in all of R or in a closed interval.
 
-    The count is obtained from the Sturm chain of the square-free part,
-    so repeated roots are counted once.
+    Repeated roots are counted once.
     """
     if p.is_zero:
         raise ValueError("undefined root count for the zero polynomial")
     if p.degree == 0:
         return 0
-    s = squarefree_part(p)
-    if s.degree <= 0:
-        return 0
     if interval is None:
-        chain = _sturm_chain(s)
-        return _variations_at_inf(chain, positive=False) - _variations_at_inf(
-            chain, positive=True
-        )
+        return _cauchy_index(_sturm_chain(p))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    return _distinct_roots_closed(s, lo, hi)
-
-
-def real_root_count_with_multiplicity(p: ExactPoly) -> int:
-    """Total number of real roots counted with multiplicity."""
-    if p.is_zero:
-        raise ValueError("undefined root count for the zero polynomial")
-    total = 0
-    for q, mult in squarefree_decomposition(p):
-        total += mult * sturm_real_root_count(q)
-    return total
+    return _distinct_roots_closed(squarefree_part(p), lo, hi)
 
 
 def is_real_rooted(p: ExactPoly) -> bool:
-    """True iff every complex zero of p is real (constants count as real-rooted)."""
+    """True iff every complex zero of p is real (constants count as real-rooted).
+
+    The Sturm chain of (p, p') counts the distinct real roots, and ends in
+    gcd(p, p'), so p has deg p - deg gcd(p, p') distinct complex roots.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return True
-    return real_root_count_with_multiplicity(p) == p.degree
+    chain = _sturm_chain(p)
+    return _cauchy_index(chain) == p.degree - chain[-1].degree
+
+
+def _no_positive_root(p: ExactPoly) -> bool:
+    """For real-rooted p: no root > 0. Descartes' rule is exact on real-rooted
+    input, so this holds iff the coefficients have no sign variation."""
+    return _variations([_sign(c) for c in p.coeffs]) == 0
 
 
 def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
-    """True iff every root of the real-rooted polynomial p lies in [lo, hi]."""
+    """True iff every root of the real-rooted polynomial p lies in [lo, hi].
+
+    No root exceeds hi iff p(hi + t) has no positive root, and none is
+    below lo iff p(lo - t) has none.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if not is_real_rooted(p):
         raise ValueError("not real-rooted")
     if p.degree == 0:
         return True
-    total = sturm_real_root_count(p)
-    inside = sturm_real_root_count(p, (Fraction(lo), Fraction(hi)))
-    return inside == total
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    return _no_positive_root(p.compose(ExactPoly((hi, 1)))) and _no_positive_root(
+        p.compose(ExactPoly((lo, -1)))
+    )
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -458,20 +511,6 @@ def isolate_real_roots(p: ExactPoly) -> RootIsolation:
 # -- interlacing -------------------------------------------------------------------
 
 
-def _root_profile(p: ExactPoly, intervals) -> list:
-    """Multiplicity of p in each of the given globally disjoint intervals."""
-    decomp = squarefree_decomposition(p)
-    out = []
-    for lo, hi in intervals:
-        m = 0
-        for q, mult in decomp:
-            inside = _distinct_roots_closed(q, lo, hi) - (1 if q(lo) == 0 else 0)
-            if inside:
-                m += mult
-        out.append(m)
-    return out
-
-
 def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     """True iff the zeros of g interlace those of f.
 
@@ -481,6 +520,13 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     real-rooted polynomial. Degrees may differ by at most one, otherwise
     the answer is False. Non-real-rooted or nonpositive-leading input
     raises ValueError.
+
+    With h = gcd(f, g), g interlaces f iff g/h strictly interlaces f/h,
+    that is iff every pole of (g/h)/(f/h) is simple with a positive
+    residue, iff its Cauchy index is deg(f/h). The signed remainder
+    sequence of (f, g) is h times that of (f/h, g/h) and ends in h, so it
+    gives the index and deg h at once (Fisk, "Polynomials, roots, and
+    interlacing", arXiv:math/0612833).
     """
     if f.is_zero or g.is_zero:
         return True
@@ -493,20 +539,8 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
         return False
     if m == 0:
         return True
-    product = squarefree_part(f * g)
-    intervals = _isolate_squarefree(product)
-    prof_f = _root_profile(f, intervals)
-    prof_g = _root_profile(g, intervals)
-    # interval indices increase with the root value; list roots largest first
-    order = range(len(intervals) - 1, -1, -1)
-    a = [i for i in order for _ in range(prof_f[i])]
-    b = [i for i in order for _ in range(prof_g[i])]
-    for k in range(m):
-        if b[k] > a[k]:  # beta_k > alpha_k
-            return False
-        if k + 1 < n and a[k + 1] > b[k]:  # alpha_{k+1} > beta_k
-            return False
-    return True
+    seq = _signed_remainders(f, g)
+    return _cauchy_index(seq) == n - seq[-1].degree
 
 
 def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:

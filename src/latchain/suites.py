@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -581,6 +580,9 @@ def suite_run(
         return CheckReport(name, instance, verdict, witness, ms)
 
     if jobs > 1:
+        # imported here: it costs resident memory on every `import latchain`
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_one, tasks))
     else:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite: reference posets, random corpora,
 a root-list interlacing comparator independent of the library path, the
-all-pairs join/meet tables that the lattice layer replaced, and the
+root-isolation predicates that the remainder-sequence predicates replaced,
+the all-pairs join/meet tables that the lattice layer replaced, and the
 permutation enumeration that the chain-count route of permstats replaced."""
 
 from __future__ import annotations
@@ -10,7 +11,15 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Sequence, Tuple
 
-from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
+from latchain import (
+    ExactPoly,
+    Poset,
+    boolean_lattice,
+    chain_poset,
+    squarefree_decomposition,
+    squarefree_part,
+    truncated_boolean,
+)
 
 
 def quasi_uniform_13() -> Poset:
@@ -148,6 +157,127 @@ def roots_interlace(
         if b[k] > a[k]:
             return False
         if k + 1 < n and a[k + 1] > b[k]:
+            return False
+    return True
+
+
+# -- real-root predicates by Sturm counts over the rationals and root isolation ------
+
+
+def _fraction_sturm_chain(s: ExactPoly) -> list:
+    chain = [s, s.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def _variations_at(chain: Sequence[ExactPoly], x: Fraction) -> int:
+    signs = [s for s in ((v > 0) - (v < 0) for v in (p(x) for p in chain)) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _cauchy_bound(p: ExactPoly) -> Fraction:
+    """Every real root of p has absolute value below this."""
+    lead = abs(Fraction(p.leading_coefficient))
+    return 1 + max(abs(Fraction(c)) for c in p.coeffs) / lead
+
+
+def _roots_closed(s: ExactPoly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of square-free s in the closed interval [lo, hi]."""
+    if lo > hi:
+        raise ValueError("empty interval")
+    extra = 0
+    if s(lo) == 0:
+        extra += 1
+        s = s // ExactPoly((-lo, 1))
+    if lo != hi and s(hi) == 0:
+        extra += 1
+        s = s // ExactPoly((-hi, 1))
+    if lo == hi or s.degree <= 0:
+        return extra
+    chain = _fraction_sturm_chain(s)
+    return extra + _variations_at(chain, lo) - _variations_at(chain, hi)
+
+
+def _distinct_real_roots(s: ExactPoly) -> int:
+    bound = _cauchy_bound(s)
+    return _roots_closed(s, -bound, bound)
+
+
+def real_rooted_by_sturm(p: ExactPoly) -> bool:
+    """Real roots counted with multiplicity, factor by factor of the
+    square-free decomposition, against the degree."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    total = sum(mult * _distinct_real_roots(q) for q, mult in squarefree_decomposition(p))
+    return total == p.degree
+
+
+def roots_in_interval_by_sturm(p: ExactPoly, lo, hi) -> bool:
+    """Distinct roots in [lo, hi] against distinct roots in all of R."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if not real_rooted_by_sturm(p):
+        raise ValueError("not real-rooted")
+    if p.degree == 0:
+        return True
+    s = squarefree_part(p)
+    return _roots_closed(s, Fraction(lo), Fraction(hi)) == _distinct_real_roots(s)
+
+
+def _isolate(s: ExactPoly) -> list:
+    """Disjoint intervals (a, b], increasing, one per distinct real root of square-free s."""
+    if s.degree <= 0:
+        return []
+    chain = _fraction_sturm_chain(s)
+    bound = _cauchy_bound(s)
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        count = _variations_at(chain, lo) - _variations_at(chain, hi)
+        if count == 1:
+            out.append((lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+def _root_profile(p: ExactPoly, intervals) -> list:
+    """Multiplicity of p in each of the given globally disjoint intervals (a, b]."""
+    decomp = squarefree_decomposition(p)
+    return [
+        sum(mult for q, mult in decomp if _roots_closed(q, lo, hi) - (q(lo) == 0))
+        for lo, hi in intervals
+    ]
+
+
+def interlaces_by_isolation(g: ExactPoly, f: ExactPoly) -> bool:
+    """Same contract as ``latchain.interlaces``, by isolating the roots of the
+    square-free part of f*g and comparing the sorted root multisets."""
+    if f.is_zero or g.is_zero:
+        return True
+    if not real_rooted_by_sturm(f) or not real_rooted_by_sturm(g):
+        raise ValueError("not real-rooted")
+    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+        raise ValueError("positive leading coefficients required")
+    n, m = f.degree, g.degree
+    if not (m <= n <= m + 1):
+        return False
+    if m == 0:
+        return True
+    intervals = _isolate(squarefree_part(f * g))
+    prof_f, prof_g = _root_profile(f, intervals), _root_profile(g, intervals)
+    # interval indices increase with the root value; list roots largest first
+    order = range(len(intervals) - 1, -1, -1)
+    a = [i for i in order for _ in range(prof_f[i])]
+    b = [i for i in order for _ in range(prof_g[i])]
+    for k in range(m):
+        if b[k] > a[k]:  # beta_k > alpha_k
+            return False
+        if k + 1 < n and a[k + 1] > b[k]:  # alpha_{k+1} > beta_k
             return False
     return True
 

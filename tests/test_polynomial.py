@@ -19,7 +19,13 @@ from latchain import (
     squarefree_decomposition,
     sturm_real_root_count,
 )
-from helpers import poly_from_roots, roots_interlace
+from helpers import (
+    interlaces_by_isolation,
+    poly_from_roots,
+    real_rooted_by_sturm,
+    roots_in_interval_by_sturm,
+    roots_interlace,
+)
 
 ONE_PLUS_T = ExactPoly((1, 1))
 
@@ -76,6 +82,24 @@ def test_interlaces_examples():
     assert not interlaces(ExactPoly((1,)), ONE_PLUS_T**2)
     with pytest.raises(ValueError):
         interlaces(ExactPoly((1, 0, 1)), ONE_PLUS_T)
+
+
+def test_roots_in_interval_rejects_an_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        roots_in_interval(ONE_PLUS_T, 0, -1)
+    with pytest.raises(ValueError, match="empty interval"):
+        roots_in_interval(ExactPoly((-2, 0, 1)), Fraction(1, 2), Fraction(1, 3))
+    # a constant has no root to place; a root at lo = hi is inside
+    assert roots_in_interval(ExactPoly((3,)), 0, -1)
+    assert roots_in_interval(ONE_PLUS_T**2, -1, -1)
+
+
+def test_interlaces_equal_degree_with_every_root_shared():
+    for f in (ONE_PLUS_T**3, ONE_PLUS_T * ExactPoly((-2, 0, 1)), ExactPoly((0, 1)) * ExactPoly((1, 3)) ** 2):
+        assert interlaces(f, f)
+        assert interlaces(3 * f, f) and interlaces(f, Fraction(1, 2) * f)
+    with pytest.raises(ValueError, match="real-rooted"):
+        interlaces(ExactPoly((1, 1, 1)), ExactPoly((1, 1, 1)))
 
 
 def test_damped_interlacing_examples():
@@ -269,3 +293,88 @@ def test_squarefree_decomposition_reassembles(roots):
     for q, mult in squarefree_decomposition(p):
         acc = acc * q**mult
     assert acc == p.monic()
+
+
+# -- remainder-sequence predicates against the root-isolation oracle -------------------
+
+LINEAR = st.builds(lambda a, b: ExactPoly((-a, b)), st.integers(-4, 4), st.integers(1, 3))
+IRRATIONAL = st.sampled_from([ExactPoly((-k, 0, 1)) for k in (2, 3, 5, 8)])  # t^2 - k
+NON_REAL = st.sampled_from([ExactPoly((1, 1, 1)), ExactPoly((2, 0, 1))])
+FACTOR = st.one_of(LINEAR, LINEAR, IRRATIONAL, NON_REAL)
+POSITIVE_SCALE = st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 2)])
+
+
+def _factors(data, max_size: int) -> list:
+    """Factors with multiplicity 1 or 2, so roots may repeat."""
+    return data.draw(st.lists(st.tuples(FACTOR, st.integers(1, 2)), max_size=max_size))
+
+
+def _product(factors) -> ExactPoly:
+    out = ExactPoly((1,))
+    for factor, mult in factors:
+        out = out * factor**mult
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interlaces_matches_isolation_oracle(data):
+    """Shared, repeated, irrational and non-real roots; equal degrees and gaps of one."""
+    shared = _product(_factors(data, 2))
+    f = shared * _product(_factors(data, 2))
+    g = shared * _product(_factors(data, 2))
+    gap = data.draw(st.sampled_from([0, 1]))
+    while f.degree - g.degree != gap:
+        if f.degree - g.degree > gap:
+            g = g * data.draw(LINEAR)
+        else:
+            f = f * data.draw(LINEAR)
+    f, g = data.draw(POSITIVE_SCALE) * f, data.draw(POSITIVE_SCALE) * g
+    assert _outcome(interlaces, g, f) == _outcome(interlaces_by_isolation, g, f)
+    assert _outcome(interlaces, f, g) == _outcome(interlaces_by_isolation, f, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_real_root_predicates_match_sturm_oracle(data):
+    factors = _factors(data, 4)
+    p = data.draw(POSITIVE_SCALE) * _product(factors)
+    assert is_real_rooted(p) == real_rooted_by_sturm(p)
+    roots = [Fraction(-q.coeffs[0], q.coeffs[1]) for q, _ in factors if q.degree == 1]
+    endpoint = st.one_of(
+        st.integers(-5, 5), small_fraction, *([st.sampled_from(roots)] if roots else [])
+    )
+    lo, hi = data.draw(endpoint), data.draw(endpoint)
+    if data.draw(st.integers(0, 3)):  # mostly a nonempty interval
+        lo, hi = min(lo, hi), max(lo, hi)
+    assert _outcome(roots_in_interval, p, lo, hi) == _outcome(roots_in_interval_by_sturm, p, lo, hi)
+
+
+def test_real_root_counts_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(4913)
+    linear = [ExactPoly((-a, b)) for a in range(-4, 5) for b in (1, 2, 3)]
+    others = [ExactPoly((-k, 0, 1)) for k in (2, 3, 5, 8)] + [ExactPoly((1, 1, 1)), ExactPoly((2, 0, 1))]
+    real_rooted_seen = set()
+    for _ in range(200):
+        p = ExactPoly((rng.choice([1, 2, Fraction(1, 3)]),))
+        for _ in range(rng.randint(1, 5)):
+            p = p * rng.choice(linear + others) ** rng.randint(1, 2)
+        q = sympy.Poly([sympy.Rational(str(c)) for c in reversed(p.coeffs)], t)
+        assert sturm_real_root_count(p) == q.count_roots()
+        assert is_real_rooted(p) == (len(sympy.real_roots(q)) == p.degree)
+        lo = Fraction(rng.randint(-6, 2), rng.randint(1, 3))
+        hi = lo + Fraction(rng.randint(0, 6), rng.randint(1, 2))
+        assert sturm_real_root_count(p, (lo, hi)) == q.count_roots(
+            sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+        )
+        real_rooted_seen.add(is_real_rooted(p))
+    assert real_rooted_seen == {True, False}

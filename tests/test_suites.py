@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -220,12 +223,37 @@ def test_suite_seeds_are_reproducible():
     assert [(r.instance, r.verdict) for r in a] == [(r.instance, r.verdict) for r in b]
 
 
-def test_suite_jobs_parallel_matches_serial():
+def test_suite_jobs_parallel_matches_serial(tmp_path):
     serial = suite_run("dowling", seed=0, jobs=1)
     parallel = suite_run("dowling", seed=0, jobs=4)
     assert [(r.instance, r.verdict) for r in serial] == [
         (r.instance, r.verdict) for r in parallel
     ]
+    for jobs in ("1", "2"):
+        assert main(["suite", "dowling", "--jobs", jobs, "--json", str(tmp_path / f"{jobs}.jsonl")]) == 0
+    assert _records(tmp_path / "1.jsonl") == _records(tmp_path / "2.jsonl")
+
+
+def test_import_does_not_load_the_thread_pool():
+    # the pool is needed only for --jobs > 1; importing it costs resident memory
+    code = "import sys, latchain, latchain.cli, latchain.suites; print('concurrent.futures' in sys.modules)"
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_dowling_rows_at_n_24_within_budget():
+    result = []
+    instances = ["dowling-rows:m=2:N=24", "dowling-rows:m=4:N=24"]
+    worker = threading.Thread(
+        target=lambda: result.extend(suite_run("dowling", instances=instances)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "dowling suite still certifying N = 24 after 10 s"
+    assert [(r.instance, r.verdict) for r in result] == [(tag, "pass") for tag in instances]
+    assert all(r.witness["rows"] == 24 for r in result)
 
 
 GOLDEN = Path(__file__).parent / "data" / "suites-seed0.jsonl"
