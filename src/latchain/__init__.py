@@ -11,10 +11,7 @@ from .polynomial import (
     is_real_rooted,
     is_tp2,
     isolate_real_roots,
-    poly_gcd,
     roots_in_interval,
-    squarefree_decomposition,
-    squarefree_part,
     sturm_real_root_count,
 )
 from .posets import (
@@ -37,7 +34,6 @@ from .tn import (
     incidence_R_table,
     is_atomistic,
     is_geometric,
-    is_lattice,
     is_modular,
     is_perfect_matroid_design,
     is_quasi_rank_uniform,

@@ -10,8 +10,9 @@ one --json and one --csv file; --instances needs a single suite. Every
 instance a suite reports can be fed back to it through --instances.
 
 Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
-error (missing or malformed argument, unreadable instances file, unknown
-or malformed DSL in `build`), reported on one line.
+error (missing or malformed argument, unreadable instances or d-partition
+file, unwritable output file, unknown or malformed DSL in `build`),
+reported on one line.
 Negative rational flag values need the equals form, e.g. --lo=-1/2.
 """
 
@@ -61,10 +62,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print(f"{r.verdict.upper():5s} {r.suite} {r.instance} ({r.runtime_ms} ms)")
     passed = sum(1 for r in reports if r.ok)
     print(f"{passed}/{len(reports)} passed")
-    if args.json:
-        write_jsonl(reports, args.json)
-    if args.csv:
-        write_csv(reports, args.csv)
+    try:
+        if args.json:
+            write_jsonl(reports, args.json)
+        if args.csv:
+            write_csv(reports, args.csv)
+    except OSError as exc:
+        args.parser.error(f"cannot write reports: {exc}")
     return 0 if passed == len(reports) else 1
 
 
@@ -124,15 +128,18 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     try:
         built = build_instance(args.dsl)
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         args.parser.error(f"cannot build {args.dsl!r}: {type(exc).__name__}: {exc}")
-    if isinstance(built, RMatrix):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(built.to_text())
-        print(f"wrote {built.order + 1} rank rows to {args.out}")
-    else:
-        write_poset(built, args.out)
-        print(f"wrote poset with {built.n} elements to {args.out}")
+    try:
+        if isinstance(built, RMatrix):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(built.to_text())
+            print(f"wrote {built.order + 1} rank rows to {args.out}")
+        else:
+            write_poset(built, args.out)
+            print(f"wrote poset with {built.n} elements to {args.out}")
+    except OSError as exc:
+        args.parser.error(f"cannot write --out file: {exc}")
     return 0
 
 

@@ -5,9 +5,14 @@ anywhere. The predicates read no root locations. Real-rootedness and
 interlacing are each decided by one signed remainder sequence over the
 integers, whose sign variations at -inf and +inf give a Cauchy index
 (Sturm's theorem). Root location in an interval is decided by Descartes'
-rule of signs, which is exact on real-rooted input. Root isolation, by
-Sturm counts and bisection, produces disjoint rational intervals; it is
-used for counts on an interval and for failure witnesses.
+rule of signs, which is exact on real-rooted input. Sturm counts give the
+number of distinct roots in an interval, and with bisection they isolate
+the roots in disjoint rational intervals for failure witnesses.
+
+The same remainder sequence is the only gcd: the Sturm chain of p ends in
+gcd(p, p'), which gives the square-free part of p for counts on an
+interval and isolation, and the tower of repeated gcds gives the
+multiplicity of each isolated root.
 """
 
 from __future__ import annotations
@@ -218,56 +223,6 @@ ONE = ExactPoly((1,))
 T = ExactPoly((0, 1))
 
 
-# -- gcd and square-free structure ----------------------------------------------
-
-
-def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
-
-
-def squarefree_part(f: ExactPoly) -> ExactPoly:
-    """The monic product of the distinct irreducible factors of f."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return ONE
-    return (f // poly_gcd(f, f.derivative())).monic()
-
-
-def squarefree_decomposition(f: ExactPoly) -> list:
-    """Yun's algorithm: return [(q_i, i)] with f = lc * prod q_i^i.
-
-    Each q_i is monic and square-free, the q_i are pairwise coprime, and
-    factors with q_i = 1 are omitted.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    f = f.monic()
-    if f.degree == 0:
-        return []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f // a
-    c = df // a
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        p = poly_gcd(b, d)
-        if p.degree > 0:
-            out.append((p, i))
-        b2 = b // p
-        c = d // p
-        d = c - b2.derivative()
-        b = b2
-        i += 1
-    return out
-
-
 # -- Sturm sequences --------------------------------------------------------------
 
 
@@ -321,6 +276,14 @@ def _sturm_chain(f: ExactPoly) -> list:
     return _signed_remainders(f, f.derivative())
 
 
+def _squarefree_split(p: ExactPoly) -> Tuple[ExactPoly, ExactPoly]:
+    """(s, g) for nonconstant p: g is the last term of the Sturm chain of p,
+    that is gcd(p, p') up to a nonzero factor, and s = p / g made monic is
+    the product of the distinct irreducible factors of p."""
+    g = _sturm_chain(p)[-1]
+    return (p // g).monic(), g
+
+
 def _variations(signs: Sequence[int]) -> int:
     count = 0
     prev = 0
@@ -357,23 +320,6 @@ def _cauchy_index(seq: Sequence[ExactPoly]) -> int:
     return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
 
 
-def _distinct_roots_closed(s: ExactPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of square-free s in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    extra = 0
-    if s(lo) == 0:
-        extra += 1
-        s = s // ExactPoly((-lo, 1))
-    if lo != hi and s(hi) == 0:
-        extra += 1
-        s = s // ExactPoly((-hi, 1))
-    if lo == hi or s.degree <= 0:
-        return extra
-    chain = _sturm_chain(s)
-    return extra + _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
 def sturm_real_root_count(
     p: ExactPoly, interval: Optional[Tuple[Scalar, Scalar]] = None
 ) -> int:
@@ -388,7 +334,12 @@ def sturm_real_root_count(
     if interval is None:
         return _cauchy_index(_sturm_chain(p))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    return _distinct_roots_closed(squarefree_part(p), lo, hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    # on square-free s, Var(lo) - Var(hi) counts the roots in (lo, hi]
+    s = _squarefree_split(p)[0]
+    chain = _sturm_chain(s)
+    return _variations_at(chain, lo) - _variations_at(chain, hi) + (s(lo) == 0)
 
 
 def is_real_rooted(p: ExactPoly) -> bool:
@@ -461,9 +412,8 @@ def _root_bound(p: ExactPoly) -> Fraction:
 
 
 def _isolate_squarefree(s: ExactPoly) -> list:
-    """Disjoint intervals (a, b], each holding one distinct root of square-free s."""
-    if s.degree <= 0:
-        return []
+    """Disjoint intervals (a, b], each holding one distinct root of square-free,
+    nonconstant s."""
     chain = _sturm_chain(s)
     cache = {}
 
@@ -491,20 +441,25 @@ def _isolate_squarefree(s: ExactPoly) -> list:
 
 
 def isolate_real_roots(p: ExactPoly) -> RootIsolation:
-    """Isolate the distinct real roots of p with their multiplicities."""
+    """Isolate the distinct real roots of p with their multiplicities.
+
+    The intervals isolate the roots of the square-free part s of p. The
+    multiplicities come from the gcd tower g_0 = p, g_(k+1) = gcd(g_k, g_k'):
+    a root of multiplicity m is a root of g_1, ..., g_(m-1) and of no later
+    term, so each g_k (k >= 1) with a root in an interval adds one to it.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    decomp = squarefree_decomposition(p)
-    s = squarefree_part(p)
+    if p.degree == 0:
+        return RootIsolation((), ())
+    s, g = _squarefree_split(p)
     intervals = _isolate_squarefree(s)
-    mults = []
-    for lo, hi in intervals:
-        m = 0
-        for q, mult in decomp:
-            if _distinct_roots_closed(q, lo, hi) - (1 if q(lo) == 0 else 0):
-                m = mult
-                break
-        mults.append(m)
+    mults = [1] * len(intervals)
+    while g.degree > 0:
+        s, g = _squarefree_split(g)
+        chain = _sturm_chain(s)
+        for i, (lo, hi) in enumerate(intervals):
+            mults[i] += _variations_at(chain, lo) - _variations_at(chain, hi)
     return RootIsolation(tuple(intervals), tuple(mults))
 
 
@@ -588,32 +543,26 @@ def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
 # -- f/h transforms ----------------------------------------------------------------
 
 
+def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
+    """Expand (1 + sign*t)^n * p(t / (1 + sign*t)); requires deg p <= n."""
+    if p.degree > n:
+        raise ValueError("degree exceeds the dimension parameter")
+    base = ExactPoly((1, sign))
+    out = ExactPoly()
+    for k, c in enumerate(p.coeffs):
+        if c != 0:
+            out = out + c * (base ** (n - k)).shift(k)
+    return out
+
+
 def h_from_f(f: ExactPoly, n: int) -> ExactPoly:
     """Expand (1 - t)^n * f(t / (1 - t)) exactly; requires deg f <= n."""
-    if f.degree > n:
-        raise ValueError("degree exceeds the dimension parameter")
-    one_minus_t = ExactPoly((1, -1))
-    out = ExactPoly()
-    for k, c in enumerate(f.coeffs):
-        if c != 0:
-            out = out + c * (one_minus_t ** (n - k)).shift(k)
-    if f.is_zero:
-        return ZERO
-    return out
+    return _rebase(f, n, -1)
 
 
 def f_from_h(h: ExactPoly, n: int) -> ExactPoly:
     """Inverse of :func:`h_from_f`: expand (1 + t)^n * h(t / (1 + t))."""
-    if h.degree > n:
-        raise ValueError("degree exceeds the dimension parameter")
-    one_plus_t = ExactPoly((1, 1))
-    out = ExactPoly()
-    for k, c in enumerate(h.coeffs):
-        if c != 0:
-            out = out + c * (one_plus_t ** (n - k)).shift(k)
-    if h.is_zero:
-        return ZERO
-    return out
+    return _rebase(h, n, 1)
 
 
 # -- binomial basis and the diamond product ----------------------------------------

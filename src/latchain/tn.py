@@ -323,11 +323,6 @@ def ordinal_sum_rows(r: RMatrix, s: RMatrix) -> RMatrix:
 # -- lattice predicates ----------------------------------------------------------------
 
 
-def is_lattice(p: Poset) -> bool:
-    """Every pair of elements has a join and a meet."""
-    return p.is_lattice
-
-
 def _require_lattice(p: Poset) -> None:
     if not p.is_lattice:
         raise ValueError("not a lattice")

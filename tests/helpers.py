@@ -1,8 +1,15 @@
 """Shared builders for the test suite: reference posets, random corpora,
 a root-list interlacing comparator independent of the library path, the
-root-isolation predicates that the remainder-sequence predicates replaced,
-the all-pairs join/meet tables that the lattice layer replaced, and the
-permutation enumeration that the chain-count route of permstats replaced."""
+all-pairs join/meet tables that the lattice layer replaced, and the
+permutation enumeration that the chain-count route of permstats replaced.
+
+The real-root oracles work over the rationals and share no code with the
+library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
+square-free part and Yun's square-free decomposition
+(``squarefree_part``, ``squarefree_decomposition``), Fraction Sturm
+chains, and on them ``real_rooted_by_sturm``,
+``roots_in_interval_by_sturm``, ``interlaces_by_isolation``,
+``isolate_by_sturm`` and ``root_count_by_sturm``."""
 
 from __future__ import annotations
 
@@ -11,15 +18,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List, Sequence, Tuple
 
-from latchain import (
-    ExactPoly,
-    Poset,
-    boolean_lattice,
-    chain_poset,
-    squarefree_decomposition,
-    squarefree_part,
-    truncated_boolean,
-)
+from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
+from latchain.polynomial import ONE
 
 
 def quasi_uniform_13() -> Poset:
@@ -161,6 +161,56 @@ def roots_interlace(
     return True
 
 
+# -- gcd and square-free structure over the rationals ----------------------------
+
+
+def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def squarefree_part(f: ExactPoly) -> ExactPoly:
+    """The monic product of the distinct irreducible factors of f."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if f.degree == 0:
+        return ONE
+    return (f // poly_gcd(f, f.derivative())).monic()
+
+
+def squarefree_decomposition(f: ExactPoly) -> list:
+    """Yun's algorithm: return [(q_i, i)] with f = lc * prod q_i^i.
+
+    Each q_i is monic and square-free, the q_i are pairwise coprime, and
+    factors with q_i = 1 are omitted.
+    """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    f = f.monic()
+    if f.degree == 0:
+        return []
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b = f // a
+    c = df // a
+    d = c - b.derivative()
+    out = []
+    i = 1
+    while b.degree > 0:
+        p = poly_gcd(b, d)
+        if p.degree > 0:
+            out.append((p, i))
+        b2 = b // p
+        c = d // p
+        d = c - b2.derivative()
+        b = b2
+        i += 1
+    return out
+
+
 # -- real-root predicates by Sturm counts over the rationals and root isolation ------
 
 
@@ -252,6 +302,21 @@ def _root_profile(p: ExactPoly, intervals) -> list:
         sum(mult for q, mult in decomp if _roots_closed(q, lo, hi) - (q(lo) == 0))
         for lo, hi in intervals
     ]
+
+
+def isolate_by_sturm(p: ExactPoly) -> Tuple[list, list]:
+    """Same output as ``latchain.isolate_real_roots`` as (intervals, multiplicities):
+    the roots of the square-free part isolated by Fraction Sturm chains, each
+    multiplicity read off Yun's square-free decomposition."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    intervals = _isolate(squarefree_part(p))
+    return intervals, _root_profile(p, intervals)
+
+
+def root_count_by_sturm(p: ExactPoly, lo, hi) -> int:
+    """Distinct real roots of nonzero p in the closed interval [lo, hi]."""
+    return _roots_closed(squarefree_part(p), Fraction(lo), Fraction(hi))
 
 
 def interlaces_by_isolation(g: ExactPoly, f: ExactPoly) -> bool:

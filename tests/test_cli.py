@@ -122,6 +122,9 @@ def test_usage_error_exit_code():
         ["build", "see:boolean:3", "--out", "x"],
         ["suite", "paving", "--instances", "no-such-file.txt"],
         ["suite", "all", "--instances", "f"],
+        ["build", "paving:file=/missing.txt", "--out", "x"],
+        ["build", "boolean:3", "--out", "/no/such/dir/x"],
+        ["suite", "paving", "--json", "/no/such/dir/x.jsonl"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):

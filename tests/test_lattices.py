@@ -19,7 +19,6 @@ from latchain import (
     chain_poset,
     is_atomistic,
     is_geometric,
-    is_lattice,
     is_modular,
     is_semimodular,
     partition_lattice,
@@ -103,6 +102,6 @@ def test_lattice_layer_matches_all_pairs_tables(index):
             with pytest.raises(ValueError, match="lattice"):
                 predicate(p)
         return
-    assert is_lattice(p)
+    assert p.is_lattice
     assert tuple(f(p) for f in predicates) == _oracle_predicates(p, join, meet)
 

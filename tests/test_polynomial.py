@@ -14,17 +14,19 @@ from latchain import (
     is_real_rooted,
     is_tp2,
     isolate_real_roots,
-    poly_gcd,
     roots_in_interval,
-    squarefree_decomposition,
     sturm_real_root_count,
 )
 from helpers import (
     interlaces_by_isolation,
+    isolate_by_sturm,
     poly_from_roots,
+    poly_gcd,
     real_rooted_by_sturm,
+    root_count_by_sturm,
     roots_in_interval_by_sturm,
     roots_interlace,
+    squarefree_decomposition,
 )
 
 ONE_PLUS_T = ExactPoly((1, 1))
@@ -143,6 +145,10 @@ def test_isolation_counts():
     # intervals are disjoint, increasing, and half-open
     for (a1, b1), (a2, b2) in zip(iso.intervals, iso.intervals[1:]):
         assert b1 <= a2
+    # the double root 0 ends the first interval and opens the second, which
+    # holds the simple root 1 alone
+    iso = isolate_real_roots(ExactPoly((0, 0, -1, 1)))
+    assert iso.intervals == ((-2, 0), (0, 2)) and iso.multiplicities == (2, 1)
 
 
 def test_real_rooted_fuzz_1000():
@@ -355,6 +361,33 @@ def test_real_root_predicates_match_sturm_oracle(data):
     if data.draw(st.integers(0, 3)):  # mostly a nonempty interval
         lo, hi = min(lo, hi), max(lo, hi)
     assert _outcome(roots_in_interval, p, lo, hi) == _outcome(roots_in_interval_by_sturm, p, lo, hi)
+
+
+# roots at small dyadic rationals often fall on bisection points, so a repeated
+# root often closes one isolating interval and opens the next
+DYADIC = st.builds(lambda k: ExactPoly((Fraction(-k, 2), 1)), st.integers(-4, 4))
+TOWER_FACTOR = st.one_of(
+    LINEAR, DYADIC, st.sampled_from([ExactPoly((-2, 0, 1)), ExactPoly((-5, 0, 1)), ExactPoly((1, 1, 1))])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_isolation_and_interval_counts_match_fraction_oracle(data):
+    """Multiplicities 1 to 3, irrational and non-real factors; interval
+    endpoints at roots and at isolation endpoints, some with lo == hi."""
+    factors = data.draw(st.lists(st.tuples(TOWER_FACTOR, st.integers(1, 3)), min_size=1, max_size=4))
+    p = data.draw(POSITIVE_SCALE) * _product(factors)
+    iso = isolate_real_roots(p)
+    assert (list(iso.intervals), list(iso.multiplicities)) == isolate_by_sturm(p)
+    roots = [-q.coeffs[0] / Fraction(q.coeffs[1]) for q, _ in factors if q.degree == 1]
+    ends = [x for interval in iso.intervals for x in interval]
+    endpoint = st.one_of(small_fraction, st.sampled_from(roots + ends + [0]))
+    for _ in range(4):
+        lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
+        if data.draw(st.integers(0, 3)) == 0:
+            hi = lo
+        assert sturm_real_root_count(p, (lo, hi)) == root_count_by_sturm(p, lo, hi)
 
 
 def test_real_root_counts_match_sympy():

@@ -14,7 +14,6 @@ from latchain import (
     interlaces,
     is_atomistic,
     is_geometric,
-    is_lattice,
     is_modular,
     is_perfect_matroid_design,
     is_quasi_rank_uniform,
@@ -242,13 +241,13 @@ def test_truncation_rows_resolve_with_unit_interval_roots():
 
 def test_lattice_predicates_on_boolean():
     b4 = boolean_lattice(4)
-    assert is_lattice(b4) and is_semimodular(b4) and is_modular(b4)
+    assert b4.is_lattice and is_semimodular(b4) and is_modular(b4)
     assert is_atomistic(b4) and is_geometric(b4)
 
 
 def test_pentagon_is_not_semimodular():
     n5 = pentagon()
-    assert is_lattice(n5)
+    assert n5.is_lattice
     assert not is_semimodular(n5)
     with pytest.raises(ValueError, match="lattice"):
         is_semimodular(nonuniform_5())
