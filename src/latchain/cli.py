@@ -1,13 +1,15 @@
 """Command line interface.
 
-    latchain suite <name>|all [--instances file] [--seed k] [--jobs n]
+    latchain suite <name>|all [--instances file] [--seed k]
                               [--json out.jsonl] [--csv out.csv]
     latchain poly <op> <coeffs...> [--lo r] [--hi r] [--n k] [--at r]
     latchain build <DSL> --out <path>
 
 `suite all` runs the nine suites in order and writes all their reports to
-one --json and one --csv file; --instances needs a single suite. Every
-instance a suite reports can be fed back to it through --instances.
+one --json and one --csv file; --instances needs a single suite. Both
+report files are opened before the first suite runs, so an unwritable
+path stops the command at once. Every instance a suite reports can be fed
+back to it through --instances.
 
 Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
 error (missing or malformed argument, unreadable instances or d-partition
@@ -19,6 +21,7 @@ Negative rational flag values need the equals form, e.g. --lo=-1/2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -44,6 +47,22 @@ from .tn import RMatrix
 _POLY_ARITY = {"interlaces": 2, "diamond": 2, "eulerian": 0, "q-eulerian": 0}
 
 
+def _check_writable(args: argparse.Namespace, paths: List[str]) -> None:
+    """Usage error unless every path opens for writing; a file that did not
+    exist before is removed again, one that did is left untouched."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+    except OSError as exc:
+        for path in created:
+            os.remove(path)
+        args.parser.error(f"cannot write reports: {exc}")
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     instances = None
     if args.instances:
@@ -54,10 +73,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 instances = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
         except OSError as exc:
             args.parser.error(f"cannot read --instances file: {exc}")
+    _check_writable(args, [path for path in (args.json, args.csv) if path])
     names = SUITE_NAMES if args.name == "all" else (args.name,)
     reports = []
     for name in names:
-        reports += suite_run(name, instances=instances, seed=args.seed, jobs=args.jobs)
+        reports += suite_run(name, instances=instances, seed=args.seed)
     for r in reports:
         print(f"{r.verdict.upper():5s} {r.suite} {r.instance} ({r.runtime_ms} ms)")
     passed = sum(1 for r in reports if r.ok)
@@ -151,7 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_suite.add_argument("name", choices=sorted(SUITE_NAMES) + ["all"])
     p_suite.add_argument("--instances", help="file with one DSL instance per line")
     p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--json", help="write reports as JSON lines")
     p_suite.add_argument("--csv", help="write a CSV summary")
     p_suite.set_defaults(func=_cmd_suite, parser=p_suite)

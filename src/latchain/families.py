@@ -8,6 +8,7 @@ Whitney rows, modular cuts and single-element extensions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
@@ -45,25 +46,51 @@ def truncated_boolean(n: int, k: int) -> Poset:
         raise ValueError(f"truncation steps out of range: k={k}, n={n}")
     if n > MAX_BOOLEAN_GROUND:
         raise ValueError(f"ground size out of range: {n}")
-    cut = n - k - 1
-    sets = [frozenset(c) for size in range(cut + 1) for c in combinations(range(1, n + 1), size)]
-    sets.append(frozenset(range(1, n + 1)))
-    return _poset_from_sets(sets)
+    return _paving_poset(range(1, n + 1), (), n - k)
 
 
 def _poset_from_sets(sets: Sequence[FrozenSet]) -> Poset:
-    """Inclusion order on a family of distinct sets."""
+    """Inclusion order on a family of distinct sets, listed by size.
+
+    The sets containing S are those that contain every element of S: the
+    AND of one incidence bitmask per element, so no two sets are compared.
+    """
     if len(set(sets)) != len(sets):
         raise ValueError("duplicate sets")
-    order = sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(map(repr, sets[i]))))
-    sets = [sets[i] for i in order]
-    rels = [
-        (i, j)
-        for i in range(len(sets))
-        for j in range(len(sets))
-        if len(sets[i]) < len(sets[j]) and sets[i] < sets[j]
-    ]
+    sets = sorted(sets, key=lambda s: (len(s), sorted(map(repr, s))))
+    masks: Dict[object, int] = {}
+    for i, s in enumerate(sets):
+        for e in s:
+            masks[e] = masks.get(e, 0) | 1 << i
+    everything = (1 << len(sets)) - 1
+    rels = []
+    for i, s in enumerate(sets):
+        above = everything
+        for e in s:
+            above &= masks[e]
+        rels += [(i, j) for j in _bits(above & ~(1 << i))]
     return Poset(len(sets), rels, sets)
+
+
+def _paving_poset(ground: Iterable, blocks: Iterable[FrozenSet], d: int) -> Poset:
+    """The sets of size below d, the blocks and the ground, by inclusion.
+
+    For a d-partition this is its paving lattice (Oxley, Matroid Theory,
+    section 2.1): the blocks are the hyperplanes.
+    """
+    ground = frozenset(ground)
+    small = [frozenset(c) for size in range(d) for c in combinations(sorted(ground), size)]
+    return _poset_from_sets(list(dict.fromkeys([*small, *blocks, ground])))
+
+
+def _miscovered(points: Iterable[int], blocks: Iterable[FrozenSet[int]], s: int, lam: int):
+    """The first s-subset of the points, in lexicographic order, that lies in
+    other than lam blocks, with its block count; None when there is none."""
+    counts = Counter(sub for b in blocks for sub in combinations(sorted(b), s))
+    for sub in combinations(sorted(points), s):
+        if counts[sub] != lam:
+            return sub, counts[sub]
+    return None
 
 
 # -- subspace and affine lattices ------------------------------------------------------
@@ -150,7 +177,7 @@ def affine_lattice(n: int, q: int) -> Poset:
     for space in _all_subspaces(n, q):
         for v in vectors:
             flats.add(frozenset(tuple((a + b) % q for a, b in zip(v, w)) for w in space))
-    return _poset_from_sets(sorted(flats, key=lambda s: (len(s), sorted(s))))
+    return _poset_from_sets(list(flats))
 
 
 # -- partition lattices -----------------------------------------------------------------
@@ -202,19 +229,14 @@ def linear_space_lattice(num_points: int, lines: Sequence[Iterable[int]]) -> Pos
     line_sets = [frozenset(l) for l in lines]
     if len(line_sets) < 2:
         raise ValueError("need at least two lines")
-    seen: Dict[FrozenSet[int], int] = {}
     for l in line_sets:
         if not l <= points or len(l) < 2 or l == points:
             raise ValueError(f"bad line {sorted(l)}")
-    for a, b in combinations(sorted(points), 2):
-        hits = [l for l in line_sets if a in l and b in l]
-        if len(hits) != 1:
-            raise ValueError(f"pair ({a}, {b}) lies on {len(hits)} lines")
-    sets: List[FrozenSet[int]] = [frozenset()]
-    sets += [frozenset({p}) for p in sorted(points)]
-    sets += line_sets
-    sets.append(points)
-    return _poset_from_sets(sets)
+    bad = _miscovered(points, line_sets, 2, 1)
+    if bad is not None:
+        (a, b), hits = bad
+        raise ValueError(f"pair ({a}, {b}) lies on {hits} lines")
+    return _paving_poset(points, line_sets, 2)
 
 
 def fano_lattice() -> Poset:
@@ -256,12 +278,9 @@ class Design:
         for b in self.blocks:
             if not b <= pts or len(b) != self.k:
                 raise ValueError(f"bad block {sorted(b)}")
-        for sub in combinations(sorted(pts), self.s):
-            cover = sum(1 for b in self.blocks if set(sub) <= b)
-            if cover != self.lam:
-                raise ValueError(
-                    f"{sub} lies in {cover} blocks, expected {self.lam}"
-                )
+        bad = _miscovered(pts, self.blocks, self.s, self.lam)
+        if bad is not None:
+            raise ValueError(f"{bad[0]} lies in {bad[1]} blocks, expected {self.lam}")
 
 
 def fano_design() -> Design:
@@ -289,13 +308,7 @@ def design_poset(design: Design) -> Poset:
     chain polynomial with a zero near -1.4 in that variant).
     """
     design.validate()
-    pts = frozenset(design.points)
-    sets: Set[FrozenSet[int]] = {pts}
-    for size in range(design.s):
-        for c in combinations(sorted(pts), size):
-            sets.add(frozenset(c))
-    sets.update(design.blocks)
-    return _poset_from_sets(sorted(sets, key=lambda x: (len(x), sorted(x))))
+    return _paving_poset(design.points, design.blocks, design.s)
 
 
 # -- the paving construction -----------------------------------------------------------------
@@ -317,24 +330,31 @@ def paving_construction(p: Poset, h_elements: Iterable[int], y: int, d: int) -> 
     for h in h_set:
         if not p.leq(h, y):
             raise ValueError(f"H must lie below y: element {h}")
-    if y in h_set:
-        raise ValueError("condition (i) fails: y belongs to H")
-    for h in h_set:
-        if p.rho(h) < d:
-            raise ValueError(f"condition (ii) fails: rho({h}) < {d}")
-    for a in h_set:
-        for b in h_set:
-            if a != b and p.leq(a, b):
-                raise ValueError(f"condition (iii) fails: {a} < {b} in H")
-    down_y = p.down_mask(y)
-    for x in _bits(down_y):
-        if x != y and p.rho(x) <= d - 1:
-            if not any(p.leq(x, h) for h in h_set):
-                raise ValueError(f"condition (iv) fails: element {x} below no H member")
-    keep = [x for x in _bits(down_y) if x != y and p.rho(x) <= d - 1]
+    failure = _paving_clause_failure(p, h_set, y, d)
+    if failure is not None:
+        raise ValueError(failure)
+    keep = [x for x in _bits(p.down_mask(y)) if x != y and p.rho(x) <= d - 1]
+    for x in keep:
+        if not any(p.leq(x, h) for h in h_set):
+            raise ValueError(f"condition (iv) fails: element {x} below no H member")
     keep += sorted(h_set)
     keep.append(y)
     return p.induced(keep)
+
+
+def _paving_clause_failure(p: Poset, h_set: Set[int], y: int, d: int):
+    """The message of the first of clauses (i) y not in H, (ii) rho(h) >= d
+    and (iii) H an antichain that fails; None when all three hold."""
+    if y in h_set:
+        return "condition (i) fails: y belongs to H"
+    for h in h_set:
+        if p.rho(h) < d:
+            return f"condition (ii) fails: rho({h}) < {d}"
+    for a in h_set:
+        for b in h_set:
+            if a != b and p.leq(a, b):
+                return f"condition (iii) fails: {a} < {b} in H"
+    return None
 
 
 @dataclass(frozen=True)
@@ -355,28 +375,20 @@ class DPartition:
             union |= b
         if not union <= set(self.ground):
             raise ValueError("blocks leave the ground set")
-        for sub in combinations(sorted(union), self.d):
-            cover = sum(1 for b in self.blocks if set(sub) <= b)
-            if cover != 1:
-                raise ValueError(f"{sub} lies in {cover} blocks, expected 1")
+        bad = _miscovered(union, self.blocks, self.d, 1)
+        if bad is not None:
+            raise ValueError(f"{bad[0]} lies in {bad[1]} blocks, expected 1")
 
 
 def paving_lattice_from_dpartition(dp: DPartition) -> Poset:
-    """Apply the paving construction to the Boolean algebra on the ground set."""
+    """The paving construction on the Boolean algebra of the ground set,
+    listed directly: the sets of size below d, the blocks and the ground."""
     dp.validate()
-    ground = sorted(set(dp.ground))
-    n = len(ground)
-    host = boolean_lattice(n)
-    pos = {g: i for i, g in enumerate(ground)}
-
-    def set_to_index(s: FrozenSet[int]) -> int:
-        mask = 0
-        for g in s:
-            mask |= 1 << pos[g]
-        return mask
-
-    h_idx = [set_to_index(b) for b in dp.blocks]
-    out = paving_construction(host, h_idx, (1 << n) - 1, dp.d)
+    ground = frozenset(dp.ground)
+    uncovered = ground.difference(*dp.blocks)
+    if dp.d >= 2 and uncovered:
+        raise ValueError(f"condition (iv) fails: point {min(uncovered)} lies in no block")
+    out = _paving_poset(ground, dp.blocks, dp.d)
     if not is_geometric(out):
         raise AssertionError("paving lattice failed the geometric predicate")
     return out
@@ -414,21 +426,9 @@ def generalized_dpartition_check(l: Poset, h_elements: Iterable[int], d: int) ->
     if not is_geometric(l):
         raise ValueError("host is not a geometric lattice")
     h_set = set(h_elements)
-    top = l.greatest
-    if top in h_set:
+    if _paving_clause_failure(l, h_set, l.greatest, d) is not None:
         return False
-    if any(l.rho(h) < d for h in h_set):
-        return False
-    for a in h_set:
-        for b in h_set:
-            if a != b and l.leq(a, b):
-                return False
-    for x in range(l.n):
-        if l.rho(x) == d:
-            covers = sum(1 for h in h_set if l.leq(x, h))
-            if covers != 1:
-                return False
-    return True
+    return all(sum(1 for h in h_set if l.leq(x, h)) == 1 for x in range(l.n) if l.rho(x) == d)
 
 
 def l_paving(l: Poset, h_elements: Iterable[int], d: int) -> Poset:
@@ -608,7 +608,7 @@ def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
         )
         if not blocked:
             flats.append(atom_set(x) | {e})
-    out = _poset_from_sets(sorted(set(flats), key=lambda s: (len(s), sorted(map(repr, s)))))
+    out = _poset_from_sets(list(set(flats)))
     if not is_geometric(out):
         raise AssertionError("single-element extension is not geometric")
     return out

@@ -552,7 +552,6 @@ def suite_run(
     name: str,
     instances: Optional[Sequence[str]] = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> List[CheckReport]:
     """Run one named suite; reports come back sorted by instance string.
 
@@ -562,10 +561,8 @@ def suite_run(
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     corpus, check = _SUITES[name]
-    tasks = _tasks(instances) if instances else corpus(seed)
-
-    def run_one(task: Tuple[str, Any]) -> CheckReport:
-        instance, subject = task
+    reports = []
+    for instance, subject in _tasks(instances) if instances else corpus(seed):
         start = time.monotonic()
         try:
             witness = check(subject, seed)
@@ -577,15 +574,6 @@ def suite_run(
             witness = {"exception": f"{type(exc).__name__}: {exc}"}
             verdict = "error"
         ms = int((time.monotonic() - start) * 1000)
-        return CheckReport(name, instance, verdict, witness, ms)
-
-    if jobs > 1:
-        # imported here: it costs resident memory on every `import latchain`
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(task) for task in tasks]
+        reports.append(CheckReport(name, instance, verdict, witness, ms))
     reports.sort(key=lambda r: r.instance)
     return reports

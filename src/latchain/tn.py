@@ -378,36 +378,20 @@ def is_atomistic(p: Poset) -> bool:
 def is_geometric(p: Poset) -> bool:
     """Graded, semimodular, atomistic lattice."""
     _require_lattice(p)
-    return _is_graded(p) and is_semimodular(p) and is_atomistic(p)
-
-
-def _interval_length_spread(p: Poset):
-    """Yield (x, y, shortest, longest) cover-path lengths for all x <= y."""
-    for x in range(p.n):
-        up = p.up_mask(x)
-        shortest = {x: 0}
-        longest = {x: 0}
-        for y in sorted(_bits(up), key=lambda v: (p.rho(v), v)):
-            if y == x:
-                continue
-            lens_s = [shortest[z] for z in p._cover_down[y] if up >> z & 1]
-            lens_l = [longest[z] for z in p._cover_down[y] if up >> z & 1]
-            shortest[y] = 1 + min(lens_s)
-            longest[y] = 1 + max(lens_l)
-            yield x, y, shortest[y], longest[y]
+    return _is_graded(p) and _covers_close(p, upward=True) and is_atomistic(p)
 
 
 def is_triangular(p: Poset) -> bool:
     """Interval rank-level counts depend only on the endpoint ranks.
 
     Requires a least element and graded intervals; an ungraded interval
-    raises ValueError rather than returning False.
+    raises ValueError rather than returning False. With a least element
+    every interval is graded iff every cover raises rho by one.
     """
     if p.least is None:
         raise ValueError("triangularity requires a least element")
-    for x, y, short, long_ in _interval_length_spread(p):
-        if short != long_:
-            raise ValueError(f"ungraded interval ({x}, {y})")
+    if not _is_graded(p):
+        raise ValueError("ungraded interval: a cover raises rho by more than one")
     counts: Dict[Tuple[int, int, int], int] = {}
     for x in range(p.n):
         for y in _bits(p.up_mask(x)):

@@ -1,6 +1,8 @@
 """Shared builders for the test suite: reference posets, random corpora,
 a root-list interlacing comparator independent of the library path, the
-all-pairs join/meet tables that the lattice layer replaced, and the
+all-pairs join/meet tables that the lattice layer replaced, the all-pairs
+inclusion scan that the set-family builder replaced, the cover-path
+gradedness search that the single cover scan replaced, and the
 permutation enumeration that the chain-count route of permstats replaced.
 
 The real-root oracles work over the rationals and share no code with the
@@ -16,10 +18,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
 from latchain.polynomial import ONE
+from latchain.posets import _bits
 
 
 def quasi_uniform_13() -> Poset:
@@ -371,6 +374,43 @@ def lattice_tables_oracle(p: Poset) -> Tuple[bool, List[List[int]], List[List[in
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = w
     return ok, join, meet
+
+
+# -- inclusion order by comparing every pair of sets --------------------------------
+
+
+def poset_from_sets_by_pairs(sets: Sequence[FrozenSet]) -> Poset:
+    """Inclusion order on a family of distinct sets."""
+    if len(set(sets)) != len(sets):
+        raise ValueError("duplicate sets")
+    order = sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(map(repr, sets[i]))))
+    sets = [sets[i] for i in order]
+    rels = [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(len(sets))
+        if len(sets[i]) < len(sets[j]) and sets[i] < sets[j]
+    ]
+    return Poset(len(sets), rels, sets)
+
+
+# -- gradedness by cover-path lengths ------------------------------------------------
+
+
+def interval_length_spread(p: Poset):
+    """Yield (x, y, shortest, longest) cover-path lengths for all x <= y."""
+    for x in range(p.n):
+        up = p.up_mask(x)
+        shortest = {x: 0}
+        longest = {x: 0}
+        for y in sorted(_bits(up), key=lambda v: (p.rho(v), v)):
+            if y == x:
+                continue
+            lens_s = [shortest[z] for z in p._cover_down[y] if up >> z & 1]
+            lens_l = [longest[z] for z in p._cover_down[y] if up >> z & 1]
+            shortest[y] = 1 + min(lens_s)
+            longest[y] = 1 + max(lens_l)
+            yield x, y, shortest[y], longest[y]
 
 
 # -- permutation statistics by enumeration -------------------------------------------

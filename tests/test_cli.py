@@ -167,3 +167,28 @@ def test_build_out_of_range_fails_fast(dsl, message, tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and message in errors[0]
     assert not (tmp_path / "x").exists()
+
+
+def test_unwritable_report_file_stops_before_any_suite_runs(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "all", "--json", str(tmp_path / "missing" / "r.jsonl")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict lines, no summary
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].startswith("latchain suite: error: cannot write reports")
+
+
+@pytest.mark.parametrize("existing", [None, "earlier reports\n"])
+def test_unwritable_csv_leaves_the_json_path_without_reports(existing, tmp_path, capsys):
+    json_out = tmp_path / "r.jsonl"
+    if existing is not None:
+        json_out.write_text(existing)
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "dowling", "--json", str(json_out), "--csv", str(tmp_path / "missing" / "r.csv")])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+    if existing is None:
+        assert not json_out.exists()
+    else:
+        assert json_out.read_text() == existing

@@ -3,7 +3,9 @@
 The library finds joins and meets by mask lookup, decides latticehood by the
 join-irreducible test and semimodularity, modularity and atomisticity by
 local criteria. Here every verdict and every join and meet is compared with
-the tables of ``lattice_tables_oracle`` and the pairwise rank definitions.
+the tables of ``lattice_tables_oracle`` and the pairwise rank definitions,
+and the single cover scan that decides interval gradedness is compared with
+the cover-path search of ``interval_length_spread``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from latchain import (
     is_geometric,
     is_modular,
     is_semimodular,
+    is_triangular,
     partition_lattice,
     truncated_boolean,
 )
-from helpers import lattice_tables_oracle, m3, pentagon, random_poset, with_bounds
+from latchain.tn import _is_graded
+from helpers import interval_length_spread, lattice_tables_oracle, m3, pentagon, random_poset, with_bounds
 
 
 def _corpus():
@@ -105,3 +109,22 @@ def test_lattice_layer_matches_all_pairs_tables(index):
     assert p.is_lattice
     assert tuple(f(p) for f in predicates) == _oracle_predicates(p, join, meet)
 
+
+
+def test_cover_scan_decides_interval_gradedness():
+    """With a least element, every interval is graded (all its cover paths
+    have one length) iff every cover raises rho by one; is_triangular
+    refuses exactly the posets that fail."""
+    seen = set()
+    for p in CORPUS:
+        if p.least is None:
+            continue
+        graded = all(short == long_ for _, _, short, long_ in interval_length_spread(p))
+        seen.add(graded)
+        assert _is_graded(p) == graded
+        if not graded:
+            with pytest.raises(ValueError, match="ungraded"):
+                is_triangular(p)
+        else:
+            is_triangular(p)
+    assert seen == {True, False}

@@ -1,0 +1,175 @@
+"""The set-family builder against the all-pairs inclusion scan it replaced.
+
+Every family that is listed as sets (truncated Boolean algebras, subspace
+and affine lattices, linear spaces, designs, single-element extensions and
+paving lattices of d-partitions) must give the same covers and labels as
+``poset_from_sets_by_pairs`` on an independently listed, shuffled family.
+The d-partition route is also checked, by isomorphism, against the paving
+construction on the Boolean algebra of the ground set.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from latchain import (
+    DPartition,
+    affine_lattice,
+    boolean_lattice,
+    build_instance,
+    is_geometric,
+    is_isomorphic,
+    linear_space_lattice,
+    paving_construction,
+    paving_lattice_from_dpartition,
+    subspace_lattice,
+    truncated_boolean,
+)
+from latchain.families import FANO_BLOCKS, read_dpartition, vamos_dpartition
+from latchain.suites import _designs_corpus, _see_corpus
+from helpers import poset_from_sets_by_pairs
+
+PG_2_3 = Path(__file__).parent / "data" / "pg-2-3.dpartition"
+
+
+def _assert_matches_pairs_oracle(p, family, seed=0):
+    family = list(family)
+    random.Random(seed).shuffle(family)
+    q = poset_from_sets_by_pairs(family)
+    assert p.covers == q.covers
+    assert p.labels == q.labels
+
+
+def _small_sets(ground, d):
+    return [frozenset(c) for size in range(d) for c in combinations(sorted(ground), size)]
+
+
+def _random_dpartition(rng: random.Random, n: int, d: int):
+    """Blocks on 1..n, each a proper subset, with every d-subset in exactly one."""
+    covered, blocks = set(), []
+    subsets = list(combinations(range(1, n + 1), d))
+    rng.shuffle(subsets)
+    for sub in subsets:
+        if sub in covered:
+            continue
+        block = set(sub)
+        for c in rng.sample(range(1, n + 1), n):
+            fresh = all(
+                tuple(sorted(t + (c,))) not in covered for t in combinations(sorted(block), d - 1)
+            )
+            if c not in block and len(block) < n - 1 and rng.random() < 0.4 and fresh:
+                block.add(c)
+        blocks.append(frozenset(block))
+        covered.update(combinations(sorted(block), d))
+    return blocks
+
+
+def _boolean_host_route(dp: DPartition):
+    """The paving construction on the Boolean algebra of the ground set."""
+    ground = sorted(set(dp.ground))
+    pos = {g: i for i, g in enumerate(ground)}
+    masks = [sum(1 << pos[g] for g in b) for b in dp.blocks]
+    return paving_construction(boolean_lattice(len(ground)), masks, (1 << len(ground)) - 1, dp.d)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_truncated_boolean_matches_pairs_oracle(n):
+    ground = range(1, n + 1)
+    for k in range(n):
+        family = _small_sets(ground, n - k) + [frozenset(ground)]
+        _assert_matches_pairs_oracle(truncated_boolean(n, k), family, seed=k)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (3, 5), (2, 7)])
+def test_subspace_lattice_matches_pairs_oracle(n, q):
+    p = subspace_lattice(n, q)
+    _assert_matches_pairs_oracle(p, p.labels)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 5), (2, 7)])
+def test_affine_lattice_matches_pairs_oracle(n, q):
+    p = affine_lattice(n, q)
+    _assert_matches_pairs_oracle(p, p.labels)
+
+
+def test_random_linear_spaces_match_pairs_oracle():
+    rng = random.Random(20261018)
+    for i in range(40):
+        n = rng.randint(3, 10)
+        lines = _random_dpartition(rng, n, 2)
+        points = frozenset(range(1, n + 1))
+        family = _small_sets(points, 2) + lines + [points]
+        _assert_matches_pairs_oracle(linear_space_lattice(n, lines), family, seed=i)
+
+
+@pytest.mark.parametrize("dsl", [tag for tag, _ in _designs_corpus(0)])
+def test_design_posets_match_pairs_oracle(dsl):
+    if dsl == "fano-design":
+        points, blocks, s = range(1, 8), list(FANO_BLOCKS), 2
+    else:
+        n, k = map(int, dsl.split(":")[1:])
+        points, blocks, s = range(1, n + 1), [frozenset(c) for c in combinations(range(1, n + 1), k)], k - 1
+    family = set(_small_sets(points, s)) | set(blocks) | {frozenset(points)}
+    _assert_matches_pairs_oracle(build_instance(dsl), family)
+
+
+def test_see_corpus_matches_pairs_oracle():
+    for i, (dsl, _) in enumerate(_see_corpus(0)):
+        p = build_instance(dsl)
+        _assert_matches_pairs_oracle(p, p.labels, seed=i)
+
+
+def _dpartition_corpus():
+    rng = random.Random(7)
+    ground = tuple(range(1, 7))
+    out = [
+        vamos_dpartition(),
+        DPartition(tuple(range(1, 8)), FANO_BLOCKS, 2),
+        DPartition(ground, tuple(frozenset(c) for c in combinations(ground, 3)), 3),
+        DPartition((1, 2, 3), tuple(frozenset(b) for b in ((1, 2), (1, 3), (2, 3))), 2),
+        DPartition((1, 2, 3), tuple(frozenset({i}) for i in (1, 2, 3)), 1),
+        # a 1-partition may leave ground points outside every block
+        DPartition((1, 2, 3, 4, 5), (frozenset({1, 2}), frozenset({3})), 1),
+        # ground names other than 1..n label the flats
+        DPartition((10, 20, 30, 40), tuple(frozenset(c) for c in combinations((10, 20, 30, 40), 2)), 2),
+    ]
+    for d, sizes in ((1, (3, 5, 8)), (2, (4, 6, 8, 9)), (3, (5, 6, 7, 8))):
+        for n in sizes:
+            ground = tuple(range(1, n + 1))
+            out.append(DPartition(ground, tuple(_random_dpartition(rng, n, d)), d))
+    return out
+
+
+DPARTITIONS = _dpartition_corpus()
+
+
+@pytest.mark.parametrize("index", range(len(DPARTITIONS)))
+def test_dpartition_route_matches_oracle_and_boolean_host(index):
+    dp = DPARTITIONS[index]
+    p = paving_lattice_from_dpartition(dp)
+    family = _small_sets(dp.ground, dp.d) + list(dp.blocks) + [frozenset(dp.ground)]
+    _assert_matches_pairs_oracle(p, family, seed=index)
+    assert is_isomorphic(p, _boolean_host_route(dp))
+
+
+def test_dpartition_with_uncovered_point_is_refused_like_the_boolean_host():
+    lines = tuple(frozenset(b) for b in ((1, 2), (1, 3), (1, 4), (2, 3, 4)))
+    dp = DPartition((1, 2, 3, 4, 5), lines, 2)
+    dp.validate()  # the blocks themselves form a 2-partition of their union
+    with pytest.raises(ValueError, match=r"\(iv\)"):
+        _boolean_host_route(dp)
+    with pytest.raises(ValueError, match="no block"):
+        paving_lattice_from_dpartition(dp)
+
+
+def test_projective_plane_of_order_three_from_its_file():
+    """13 points exceed the Boolean host's cap; the paving lattice has 28 flats."""
+    p = build_instance(f"paving:file={PG_2_3}")
+    assert p.n == 28 and is_geometric(p)
+    lines = read_dpartition(str(PG_2_3)).blocks
+    assert {p.labels[x] for x in p.coatoms()} == set(lines)
+    assert is_isomorphic(p, linear_space_lattice(13, lines))
