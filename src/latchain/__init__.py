@@ -49,13 +49,11 @@ from .families import (
     Design,
     DPartition,
     ModularCut,
-    WhitneyMatrix,
     affine_lattice,
     boolean_lattice,
     build_instance,
     design_poset,
     dowling_rows,
-    dowling_whitney,
     fano_design,
     fano_lattice,
     generalized_dpartition_check,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .polynomial import ExactPoly
@@ -22,6 +23,7 @@ MAX_BOOLEAN_GROUND = 12
 MAX_SUBSPACE_DIM = 4
 MAX_SUBSPACE_PRIME = 7
 MAX_PARTITION_GROUND = 8
+MAX_DOWLING_ORDER = 64
 
 
 # -- Boolean algebras -----------------------------------------------------------------
@@ -107,32 +109,34 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _all_subspaces(n: int, q: int) -> List[FrozenSet[Tuple[int, ...]]]:
-    """Every linear subspace of F_q^n as a frozenset of vectors, via echelon forms."""
-    spaces = []
-    for r in range(n + 1):
-        for pivots in combinations(range(n), r):
-            free_slots = [
-                (i, j)
-                for i in range(r)
-                for j in range(n)
-                if j > pivots[i] and j not in pivots
-            ]
+def _flats(n: int, q: int, affine: bool) -> List[FrozenSet[Tuple[int, ...]]]:
+    """Every subspace of F_q^n, or with ``affine`` every coset of one plus the
+    empty flat, as frozensets of vectors.
+
+    One reduced echelon basis per subspace of F_q^m, m = n + affine, whose
+    span grows one row at a time. The cosets of F_q^n are the slices x_0 = 1
+    of the subspaces of F_q^(n+1) with first pivot 0 (the projective
+    closure): their first row takes coefficient 1 and coordinate 0 is dropped.
+    """
+    m = n + affine
+    flats = [frozenset()] if affine else []
+    for r in range(m + 1):
+        for pivots in combinations(range(m), r):
+            if affine and pivots[:1] != (0,):
+                continue
+            free_slots = [(i, j) for i in range(r) for j in range(pivots[i] + 1, m) if j not in pivots]
             for values in product(range(q), repeat=len(free_slots)):
-                rows = [[0] * n for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = 1
+                rows = [[0] * m for _ in range(r)]
+                for i, j in enumerate(pivots):
+                    rows[i][j] = 1
                 for (i, j), v in zip(free_slots, values):
                     rows[i][j] = v
-                span = set()
-                for coeffs in product(range(q), repeat=r):
-                    vec = tuple(
-                        sum(c * rows[i][j] for i, c in enumerate(coeffs)) % q
-                        for j in range(n)
-                    )
-                    span.add(vec)
-                spaces.append(frozenset(span))
-    return spaces
+                span = [tuple(rows[0][1:])] if affine else [(0,) * n]
+                for row in rows[affine:]:
+                    row = row[affine:]
+                    span = [tuple((a + c * b) % q for a, b in zip(v, row)) for v in span for c in range(q)]
+                flats.append(frozenset(set(span)))
+    return flats
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -166,18 +170,13 @@ def _check_flat_count(n: int, q: int, affine: bool) -> None:
 def subspace_lattice(n: int, q: int) -> Poset:
     """Linear subspaces of F_q^n under inclusion, for prime q at desk scale."""
     _check_flat_count(n, q, affine=False)
-    return _poset_from_sets(_all_subspaces(n, q))
+    return _poset_from_sets(_flats(n, q, affine=False))
 
 
 def affine_lattice(n: int, q: int) -> Poset:
     """Affine subspaces of F_q^n (all cosets), with the empty set as bottom."""
     _check_flat_count(n, q, affine=True)
-    flats: Set[FrozenSet[Tuple[int, ...]]] = {frozenset()}
-    vectors = list(product(range(q), repeat=n))
-    for space in _all_subspaces(n, q):
-        for v in vectors:
-            flats.add(frozenset(tuple((a + b) % q for a, b in zip(v, w)) for w in space))
-    return _poset_from_sets(list(flats))
+    return _poset_from_sets(_flats(n, q, affine=True))
 
 
 # -- partition lattices -----------------------------------------------------------------
@@ -290,7 +289,20 @@ def fano_design() -> Design:
 
 
 def uniform_design(n: int, k: int) -> Design:
-    """The design whose blocks are all k-subsets of an n-set."""
+    """The design whose blocks are all k-subsets of an n-set.
+
+    Refused before any block is listed when its design poset would exceed
+    the poset cap: the sets of size below k - 1, the blocks, and the ground
+    unless it is the block (k = n), counted size by size until the cap is
+    passed.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"block size out of range: n={n}, k={k}")
+    count = k < n
+    for size in [*range(k - 1), k]:
+        count += comb(n, size)
+        if count > MAX_ELEMENTS:
+            raise ValueError(f"uniform design n={n}, k={k} has over {MAX_ELEMENTS} poset elements")
     blocks = tuple(frozenset(c) for c in combinations(range(1, n + 1), k))
     d = Design(tuple(range(1, n + 1)), blocks, s=k - 1, k=k, lam=n - k + 1)
     d.validate()
@@ -445,48 +457,22 @@ def l_paving(l: Poset, h_elements: Iterable[int], d: int) -> Poset:
 # -- group-labeled Whitney rows ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhitneyMatrix:
-    """Second-kind Whitney numbers W(n, i) for a group of order m.
+def dowling_rows(m: int, N: int) -> RMatrix:
+    """Rank rows of the dual group-labeled partition geometry.
 
-    Satisfies W(n, 0) = W(n, n) = 1 and
+    Row n holds the second-kind Whitney numbers W(n, i) for a group of
+    order m: W(n, 0) = W(n, n) = 1 and
     W(n, i) = W(n-1, i-1) + (1 + m*i) * W(n-1, i).
     """
-
-    m: int
-    N: int
-    table: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for n, row in enumerate(self.table):
-            if len(row) != n + 1 or row[0] != 1 or row[-1] != 1:
-                raise ValueError(f"row {n} violates the boundary conditions")
-
-    def entry(self, n: int, i: int) -> int:
-        if 0 <= i <= n <= self.N:
-            return self.table[n][i]
-        return 0
-
-
-def dowling_whitney(m: int, N: int) -> WhitneyMatrix:
     if m < 1 or N < 0:
         raise ValueError("need m >= 1 and N >= 0")
-    table: List[Tuple[int, ...]] = [(1,)]
+    if N > MAX_DOWLING_ORDER:
+        raise ValueError(f"dowling rows out of range: N={N}, over the cap of {MAX_DOWLING_ORDER}")
+    rows = [(1,)]
     for n in range(1, N + 1):
-        prev = table[-1]
-        row = []
-        for i in range(n + 1):
-            left = prev[i - 1] if 1 <= i <= n else 0
-            right = prev[i] if i <= n - 1 else 0
-            row.append(left + (1 + m * i) * right)
-        table.append(tuple(row))
-    return WhitneyMatrix(m, N, tuple(table))
-
-
-def dowling_rows(m: int, N: int) -> RMatrix:
-    """Rank rows of the dual group-labeled partition geometry."""
-    w = dowling_whitney(m, N)
-    return RMatrix(tuple(ExactPoly(w.table[n]) for n in range(N + 1)))
+        prev = (0, *rows[-1], 0)
+        rows.append(tuple(prev[i] + (1 + m * i) * prev[i + 1] for i in range(n + 1)))
+    return RMatrix.from_int_rows(rows)
 
 
 def dowling_step_operator(m: int, row: ExactPoly) -> ExactPoly:

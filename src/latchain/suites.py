@@ -249,6 +249,17 @@ def _check_rank_selections(dsl: str, seed: int) -> dict:
     return {"chain": c.to_string(), "rank_selections_checked": _rank_selection_sweep(p)}
 
 
+def _resolved(rows: RMatrix, reason: str, **context) -> ResolveOutcome:
+    """Resolve the rank rows and verify the witness against them.
+
+    ``reason`` and ``context`` make the witness of a resolution failure.
+    """
+    outcome = resolve(rows)
+    _require(outcome.ok, reason=reason, detail=outcome.describe(), **context)
+    _require(outcome.witness.verify(rows), reason="witness failed verification")
+    return outcome
+
+
 def _certify_rows(rows: RMatrix, **context) -> ResolveOutcome:
     """Resolve the rank rows, verify the witness, and certify the chain polynomials.
 
@@ -256,9 +267,7 @@ def _certify_rows(rows: RMatrix, **context) -> ResolveOutcome:
     consecutive ones must interlace. ``context`` goes into the witness of a
     resolution failure. Returns the resolve outcome.
     """
-    outcome = resolve(rows)
-    _require(outcome.ok, reason="not resolvable", detail=outcome.describe(), **context)
-    _require(outcome.witness.verify(rows), reason="witness failed verification")
+    outcome = _resolved(rows, "not resolvable", **context)
     ps = chain_polys_from_rmatrix(rows)
     for n, pn in enumerate(ps):
         _check_unit_interval_roots(pn, f"p_{n}")
@@ -374,9 +383,7 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
     left, right = pair.split("+")
     if kind == "stacked-rows":
         stacked = ordinal_sum_rows(_pool_rows(left), _pool_rows(right))
-        outcome = resolve(stacked)
-        _require(outcome.ok, reason="stacked rows not resolvable", detail=outcome.describe())
-        _require(outcome.witness.verify(stacked), reason="witness failed verification")
+        _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
     if kind != "stacked-posets":
         raise ValueError(f"unknown ordinal-sum instance {tag!r}")
@@ -390,8 +397,7 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
         got=[r.to_string() for r in rows.rows],
         predicted=[r.to_string() for r in predicted.rows],
     )
-    outcome = resolve(rows)
-    _require(outcome.ok, reason="not resolvable", detail=outcome.describe())
+    _resolved(rows, "not resolvable")
     return {"order": rows.order}
 
 

@@ -416,7 +416,33 @@ def is_perfect_matroid_design(p: Poset) -> bool:
 # -- the incidence rank function --------------------------------------------------------
 
 
-def incidence_R(p: Poset, x: int, y: int, method: str = "auto") -> ExactPoly:
+def _join_fiber(p: Poset, x: int, y: int) -> ExactPoly:
+    """Sum of t^rho(z) over z <= y with z join x = y, on a lattice."""
+    rho = p._rho
+    counts = [0] * (rho[y] + 1)
+    for z in p.down_set(y):
+        if p.join(x, z) == y:
+            counts[rho[z]] += 1
+    return ExactPoly(counts)
+
+
+def _mobius_R(p: Poset, x: int, y: int) -> ExactPoly:
+    """Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y]."""
+    if p.least is None:
+        raise ValueError("requires a least element")
+    acc = ExactPoly()
+    for w in _bits(p.up_mask(x) & p.down_mask(y)):
+        mu = p.mobius(w, y)
+        if mu == 0:
+            continue
+        counts = [0] * (p.rho(w) + 1)
+        for z in _bits(p.down_mask(w)):
+            counts[p.rho(z)] += 1
+        acc = acc + mu * ExactPoly(counts)
+    return acc
+
+
+def incidence_R(p: Poset, x: int, y: int) -> ExactPoly:
     """Monic degree-rho(y) polynomial attached to the interval [x, y].
 
     On a lattice it is the join-fiber sum of t^rho(z) over z <= y with
@@ -426,46 +452,15 @@ def incidence_R(p: Poset, x: int, y: int, method: str = "auto") -> ExactPoly:
     """
     if not p.leq(x, y):
         raise ValueError("incomparable pair")
-    if method == "auto":
-        method = "join" if p.is_lattice else "mobius"
-    if method == "join":
-        if not p.is_lattice:
-            raise ValueError("not a lattice")
-        counts = [0] * (p.rho(y) + 1)
-        for z in _bits(p.down_mask(y)):
-            if p.join(z, x) == y:
-                counts[p.rho(z)] += 1
-        return ExactPoly(counts)
-    if method == "mobius":
-        if p.least is None:
-            raise ValueError("requires a least element")
-        acc = ExactPoly()
-        for w in _bits(p.up_mask(x) & p.down_mask(y)):
-            mu = p.mobius(w, y)
-            if mu == 0:
-                continue
-            counts = [0] * (p.rho(w) + 1)
-            for z in _bits(p.down_mask(w)):
-                counts[p.rho(z)] += 1
-            acc = acc + mu * ExactPoly(counts)
-        return acc
-    raise ValueError(f"unknown method {method!r}")
+    if p.is_lattice:
+        return _join_fiber(p, x, y)
+    return _mobius_R(p, x, y)
 
 
 def incidence_R_table(p: Poset) -> Dict[Tuple[int, int], ExactPoly]:
     """incidence_R on every comparable pair of a lattice, computed in one sweep."""
     _require_lattice(p)
-    table: Dict[Tuple[int, int], ExactPoly] = {}
-    rho = p._rho
-    for y in range(p.n):
-        dset = p.down_set(y)
-        for x in dset:
-            counts = [0] * (rho[y] + 1)
-            for z in dset:
-                if p.join(x, z) == y:
-                    counts[rho[z]] += 1
-            table[(x, y)] = ExactPoly(counts)
-    return table
+    return {(x, y): _join_fiber(p, x, y) for y in range(p.n) for x in p.down_set(y)}
 
 
 def check_cover_recursion(p: Poset) -> CheckReport:

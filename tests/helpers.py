@@ -1,9 +1,11 @@
 """Shared builders for the test suite: reference posets, random corpora,
 a root-list interlacing comparator independent of the library path, the
 all-pairs join/meet tables that the lattice layer replaced, the all-pairs
-inclusion scan that the set-family builder replaced, the cover-path
-gradedness search that the single cover scan replaced, and the
-permutation enumeration that the chain-count route of permstats replaced.
+inclusion scan that the set-family builder replaced, the echelon sums
+and coset translation that the flat listing of subspace and affine
+lattices replaced, the cover-path gradedness search that the single cover
+scan replaced, and the permutation enumeration that the chain-count route
+of permstats replaced.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from typing import FrozenSet, List, Sequence, Tuple
+from itertools import combinations, permutations, product
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
 from latchain.polynomial import ONE
@@ -392,6 +394,42 @@ def poset_from_sets_by_pairs(sets: Sequence[FrozenSet]) -> Poset:
         if len(sets[i]) < len(sets[j]) and sets[i] < sets[j]
     ]
     return Poset(len(sets), rels, sets)
+
+
+# -- subspaces by summing every coefficient vector, cosets vector by vector ----------
+
+
+def subspaces_by_sums(n: int, q: int) -> List[FrozenSet[Tuple[int, ...]]]:
+    """Every linear subspace of F_q^n as a frozenset of vectors: one echelon
+    basis per subspace, spanned by summing all q^r coefficient vectors."""
+    spaces = []
+    for r in range(n + 1):
+        for pivots in combinations(range(n), r):
+            free_slots = [(i, j) for i in range(r) for j in range(n) if j > pivots[i] and j not in pivots]
+            for values in product(range(q), repeat=len(free_slots)):
+                rows = [[0] * n for _ in range(r)]
+                for i in range(r):
+                    rows[i][pivots[i]] = 1
+                for (i, j), v in zip(free_slots, values):
+                    rows[i][j] = v
+                span = set()
+                for coeffs in product(range(q), repeat=r):
+                    span.add(
+                        tuple(sum(c * rows[i][j] for i, c in enumerate(coeffs)) % q for j in range(n))
+                    )
+                spaces.append(frozenset(span))
+    return spaces
+
+
+def cosets_by_translation(n: int, q: int) -> Set[FrozenSet[Tuple[int, ...]]]:
+    """Every coset of every subspace of F_q^n, plus the empty flat: all q^n
+    translates of each subspace, with the duplicates thrown away."""
+    flats: Set[FrozenSet[Tuple[int, ...]]] = {frozenset()}
+    vectors = list(product(range(q), repeat=n))
+    for space in subspaces_by_sums(n, q):
+        for v in vectors:
+            flats.add(frozenset(tuple((a + b) % q for a, b in zip(v, w)) for w in space))
+    return flats
 
 
 # -- gradedness by cover-path lengths ------------------------------------------------

@@ -148,6 +148,10 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
         ("affine:4:5", "has 41057 elements, over the cap of 5000"),
         # the Mersenne prime 2^89 - 1: trial division would not finish
         (f"subspace:2:{2**89 - 1}", "out of desk-scale range"),
+        # 63004 sets of size below 8 and 48620 blocks, counted before any block is listed
+        ("uniform-design:18:9", "has over 5000 poset elements"),
+        # one past the row cap; N = 3000 would take minutes and gigabytes
+        ("dowling-rows:m=1:N=65", "over the cap of 64"),
     ],
 )
 def test_build_out_of_range_fails_fast(dsl, message, tmp_path, capsys):

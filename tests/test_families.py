@@ -1,4 +1,5 @@
 import threading
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,6 @@ from latchain import (
     build_instance,
     design_poset,
     dowling_rows,
-    dowling_whitney,
     fano_design,
     fano_lattice,
     generalized_dpartition_check,
@@ -36,6 +36,7 @@ from latchain import (
     uniform_design,
     vamos_lattice,
 )
+from latchain.posets import MAX_ELEMENTS
 from latchain.families import FANO_BLOCKS, dpartition_from_text, dpartition_to_text, element_with_atoms, vamos_dpartition
 from helpers import collapsed_tower_9, rank_uniform_tower_13
 
@@ -186,9 +187,22 @@ def test_design_validation_and_posets():
     assert is_isomorphic(fl, paving_lattice_from_dpartition(DPartition(tuple(range(1, 8)), FANO_BLOCKS, 2)))
 
 
-def test_uniform_design_poset_matches_dpartition_of_subsets():
-    from itertools import combinations
+def test_uniform_design_is_counted_before_its_blocks_are_listed():
+    """Refused exactly when the design poset would pass the poset cap."""
+    for n, k in [(n, k) for n in range(1, 10) for k in range(1, n + 1)] + [(13, 8), (14, 7), (18, 9)]:
+        points = range(1, n + 1)
+        family = {frozenset(c) for size in [*range(k - 1), k, n] for c in combinations(points, size)}
+        if len(family) <= MAX_ELEMENTS:
+            assert design_poset(uniform_design(n, k)).n == len(family)
+        else:
+            with pytest.raises(ValueError, match="over 5000 poset elements"):
+                uniform_design(n, k)
+    for n, k in ((3, 0), (3, 4), (0, 0)):
+        with pytest.raises(ValueError, match="block size out of range"):
+            uniform_design(n, k)
 
+
+def test_uniform_design_poset_matches_dpartition_of_subsets():
     dp = DPartition(
         tuple(range(1, 7)),
         tuple(frozenset(c) for c in combinations(range(1, 7), 3)),
@@ -218,15 +232,16 @@ def test_l_paving_on_subspace_host():
 
 
 def test_whitney_recursion():
-    w1 = dowling_whitney(1, 4)
+    w1 = dowling_rows(1, 4)
     assert w1.entry(2, 1) == 3
-    assert dowling_whitney(2, 2).entry(2, 1) == 4
+    assert dowling_rows(2, 2).entry(2, 1) == 4
     for m in (1, 2, 3):
-        w = dowling_whitney(m, 5)
+        w = dowling_rows(m, 5)
+        assert isinstance(w, RMatrix)
         for n in range(5):
             assert w.entry(n, 0) == 1 and w.entry(n, n) == 1
-        rows = dowling_rows(m, 5)
-        assert isinstance(rows, RMatrix)
+            for i in range(1, n + 1):
+                assert w.entry(n + 1, i) == w.entry(n, i - 1) + (1 + m * i) * w.entry(n, i)
 
 
 def test_dowling_rows_trivial_group_are_dual_partition_rows():

@@ -5,12 +5,16 @@ and affine lattices, linear spaces, designs, single-element extensions and
 paving lattices of d-partitions) must give the same covers and labels as
 ``poset_from_sets_by_pairs`` on an independently listed, shuffled family.
 The d-partition route is also checked, by isomorphism, against the paving
-construction on the Boolean algebra of the ground set.
+construction on the Boolean algebra of the ground set. The flats of the
+subspace and affine lattices are checked against the echelon sums and
+coset translation they replaced, and, at every size in range, against
+their defining properties.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -29,9 +33,9 @@ from latchain import (
     subspace_lattice,
     truncated_boolean,
 )
-from latchain.families import FANO_BLOCKS, read_dpartition, vamos_dpartition
+from latchain.families import FANO_BLOCKS, _check_flat_count, _flats, read_dpartition, vamos_dpartition
 from latchain.suites import _designs_corpus, _see_corpus
-from helpers import poset_from_sets_by_pairs
+from helpers import cosets_by_translation, poset_from_sets_by_pairs, subspaces_by_sums
 
 PG_2_3 = Path(__file__).parent / "data" / "pg-2-3.dpartition"
 
@@ -173,3 +177,84 @@ def test_projective_plane_of_order_three_from_its_file():
     lines = read_dpartition(str(PG_2_3)).blocks
     assert {p.labels[x] for x in p.coatoms()} == set(lines)
     assert is_isomorphic(p, linear_space_lattice(13, lines))
+
+
+# -- subspace and affine flats -------------------------------------------------------
+
+
+def _in_range(affine):
+    sizes = []
+    for n in range(1, 5):
+        for q in (2, 3, 5, 7):
+            try:
+                _check_flat_count(n, q, affine)
+            except ValueError:
+                continue
+            sizes.append((n, q))
+    return sizes
+
+
+def _q_binomial(n, k, q):
+    """[n choose k]_q by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    return _q_binomial(n - 1, k - 1, q) + q**k * _q_binomial(n - 1, k, q)
+
+
+def _own_span(flat, q):
+    """The span of a flat's own vectors, grown greedily, with its dimension.
+
+    Every vector taken lies outside the span so far, so the span of k of
+    them has q^k vectors; it equals the flat iff the flat is closed under
+    addition and scaling.
+    """
+    span, dim = {(0,) * len(next(iter(flat)))}, 0
+    for v in sorted(flat):
+        if v not in span:
+            span = {tuple((a + c * b) % q for a, b in zip(w, v)) for w in span for c in range(q)}
+            dim += 1
+    return span, dim
+
+
+# L_4(7) and AG(3, 7) take seconds on the oracle; the structural checks cover them
+_ORACLE_SKIP = {(4, 7, False), (3, 7, True)}
+
+
+@pytest.mark.parametrize(
+    "n, q, affine",
+    [(n, q, a) for a in (False, True) for n, q in _in_range(a) if (n, q, a) not in _ORACLE_SKIP],
+)
+def test_flats_match_echelon_sums_and_coset_oracle(n, q, affine):
+    flats = _flats(n, q, affine)
+    if affine:
+        assert set(flats) == cosets_by_translation(n, q)
+    else:
+        # same subspaces in the same order, down to the repr of each label
+        assert list(map(repr, flats)) == list(map(repr, subspaces_by_sums(n, q)))
+
+
+@pytest.mark.parametrize("n, q", _in_range(False))
+def test_subspaces_are_closed_and_counted(n, q):
+    spaces = _flats(n, q, affine=False)
+    assert len(set(spaces)) == len(spaces)
+    dims = Counter()
+    for space in spaces:
+        span, dim = _own_span(space, q)
+        assert span == space
+        dims[dim] += 1
+    assert dims == {k: _q_binomial(n, k, q) for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("n, q", _in_range(True))
+def test_affine_flats_are_translates_and_counted(n, q):
+    spaces = set(_flats(n, q, affine=False))
+    flats = _flats(n, q, affine=True)
+    assert len(set(flats)) == len(flats)
+    sizes = Counter(map(len, flats))
+    assert sizes == {0: 1, **{q**k: _q_binomial(n, k, q) * q ** (n - k) for k in range(n + 1)}}
+    for flat in flats:
+        if flat:
+            a = min(flat)
+            assert frozenset(tuple((x - y) % q for x, y in zip(v, a)) for v in flat) in spaces

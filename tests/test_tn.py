@@ -31,6 +31,7 @@ from latchain import (
     truncated_boolean,
     vamos_lattice,
 )
+from latchain.tn import _mobius_R
 from helpers import nonuniform_5, pentagon, quasi_uniform_13
 
 ONE_PLUS_T = ExactPoly((1, 1))
@@ -320,15 +321,13 @@ def test_incidence_methods_agree_on_lattices():
         for x in range(p.n):
             for y in range(p.n):
                 if p.leq(x, y):
-                    assert incidence_R(p, x, y, "join") == incidence_R(p, x, y, "mobius")
+                    assert incidence_R(p, x, y) == _mobius_R(p, x, y)
 
 
-def test_incidence_join_path_rejects_non_lattices():
+def test_incidence_on_non_lattices_by_mobius_inversion():
     two_tops = nonuniform_5()  # elements 3 and 4 are incomparable maxima over shared atoms
-    with pytest.raises(ValueError, match="lattice"):
-        incidence_R(two_tops, 0, 4, "join")
-    # the general path still works on any poset with a bottom
-    assert incidence_R(two_tops, 0, 4, "mobius") == ExactPoly.monomial(2)
+    assert not two_tops.is_lattice
+    assert incidence_R(two_tops, 0, 4) == ExactPoly.monomial(2)
 
 
 def test_incidence_divisibility_bounds():
