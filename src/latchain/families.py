@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .polynomial import ExactPoly
-from .posets import MAX_ELEMENTS, Poset, _bits
+from .posets import MAX_ELEMENTS, Poset, _bits, chain_poset
 from .tn import RMatrix, is_geometric
 
 # size guards, chosen so every construction stays at desk scale
@@ -629,6 +629,23 @@ def truncated_extension_coatoms(E: Iterable, X: Iterable, e) -> Set[FrozenSet]:
 # -- instance DSL -------------------------------------------------------------------------------------
 
 
+def _int_fields(parts: List[str], count: int) -> List[int]:
+    """The integer fields after the head of a split DSL string; exactly ``count``."""
+    if len(parts) != count + 1:
+        raise ValueError(f"{parts[0]} takes {count} field(s), got {len(parts) - 1}")
+    return [int(field) for field in parts[1:]]
+
+
+def _keyed_fields(parts: List[str], keys: Sequence[str]) -> Dict[str, str]:
+    """The ``key=value`` fields after the head of a split DSL string; each key exactly once."""
+    pairs = [field.partition("=") for field in parts[1:]]
+    kv = {key: value for key, sep, value in pairs if sep}
+    if len(pairs) != len(keys) or sorted(kv) != sorted(keys):
+        expected = ":".join(f"{key}=..." for key in keys)
+        raise ValueError(f"{parts[0]} takes the fields {expected}, got {':'.join(parts[1:])!r}")
+    return kv
+
+
 def build_instance(dsl: str):
     """Build a poset or rank-row matrix from a family DSL string.
 
@@ -636,43 +653,45 @@ def build_instance(dsl: str):
     "partition:5", "chain:4", "vamos", "fano-design", "uniform-design:5:3",
     "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
     "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
+    A wrong number of fields or an unknown, missing or repeated key is a
+    ValueError.
     """
     parts = dsl.split(":")
     head = parts[0]
     if head == "boolean":
-        return boolean_lattice(int(parts[1]))
+        return boolean_lattice(*_int_fields(parts, 1))
     if head == "trunc-boolean":
-        return truncated_boolean(int(parts[1]), int(parts[2]))
+        return truncated_boolean(*_int_fields(parts, 2))
     if head == "subspace":
-        return subspace_lattice(int(parts[1]), int(parts[2]))
+        return subspace_lattice(*_int_fields(parts, 2))
     if head == "affine":
-        return affine_lattice(int(parts[1]), int(parts[2]))
+        return affine_lattice(*_int_fields(parts, 2))
     if head == "partition":
-        return partition_lattice(int(parts[1]))
+        return partition_lattice(*_int_fields(parts, 1))
     if head == "chain":
-        from .posets import chain_poset
-
-        return chain_poset(int(parts[1]))
+        return chain_poset(*_int_fields(parts, 1))
     if head == "vamos":
+        _int_fields(parts, 0)
         return vamos_lattice()
     if head == "fano-design":
+        _int_fields(parts, 0)
         return design_poset(fano_design())
     if head == "uniform-design":
-        return design_poset(uniform_design(int(parts[1]), int(parts[2])))
+        return design_poset(uniform_design(*_int_fields(parts, 2)))
     if head == "fano-lattice":
+        _int_fields(parts, 0)
         return fano_lattice()
     if head == "dowling-rows":
-        kv = dict(item.split("=") for item in parts[1:])
+        kv = _keyed_fields(parts, ("m", "N"))
         return dowling_rows(int(kv["m"]), int(kv["N"]))
     if head == "paving":
-        kv = dict(item.split("=") for item in parts[1:])
+        kv = _keyed_fields(parts, ("file",))
         return paving_lattice_from_dpartition(read_dpartition(kv["file"]))
     if head == "see":
-        host_spec = ":".join(p for p in parts[1:] if not p.startswith("cut="))
-        cut_spec = next((p[len("cut=") :] for p in parts[1:] if p.startswith("cut=")), None)
-        if cut_spec is None:
+        if not parts[-1].startswith("cut="):
             raise ValueError("a see: instance needs a cut=... part")
-        host = build_instance(host_spec)
+        host = build_instance(":".join(parts[1:-1]))
+        cut_spec = parts[-1][len("cut=") :]
         if cut_spec == "none":
             mc = ModularCut(host, frozenset())
         else:

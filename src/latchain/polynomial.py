@@ -61,10 +61,6 @@ class ExactPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Scalar) -> "ExactPoly":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, k: int, c: Scalar = 1) -> "ExactPoly":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
@@ -203,13 +199,6 @@ class ExactPoly:
             return self
         inv = Fraction(1, 1) / Fraction(lead)
         return ExactPoly(c * inv for c in self.coeffs)
-
-    def compose(self, inner: "ExactPoly") -> "ExactPoly":
-        """Exact polynomial composition self(inner(t)) by Horner."""
-        out = ExactPoly()
-        for c in reversed(self.coeffs):
-            out = out * inner + ExactPoly.constant(c)
-        return out
 
     def __call__(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
@@ -356,18 +345,39 @@ def is_real_rooted(p: ExactPoly) -> bool:
     return _cauchy_index(chain) == p.degree - chain[-1].degree
 
 
-def _no_positive_root(p: ExactPoly) -> bool:
-    """For real-rooted p: no root > 0. Descartes' rule is exact on real-rooted
-    input, so this holds iff the coefficients have no sign variation."""
-    return _variations([_sign(c) for c in p.coeffs]) == 0
+def _no_positive_root(coeffs: Sequence[Scalar]) -> bool:
+    """For the coefficients of a real-rooted polynomial: no root > 0.
+    Descartes' rule is exact on real-rooted input, so this holds iff the
+    coefficients have no sign variation."""
+    return _variations([_sign(c) for c in coeffs]) == 0
 
 
-def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
-    """True iff every root of the real-rooted polynomial p lies in [lo, hi].
+def _taylor_shift(coeffs: Sequence[Scalar], a: Scalar) -> list:
+    """Coefficients of p(a + t) from those of p(t), lowest degree first.
+
+    Repeated synthetic division by (t - a) in place, O(d^2) scalar steps;
+    the arithmetic stays in ints when a and the coefficients are ints.
+    """
+    cs = list(coeffs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
+
+def _roots_within(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
+    """For nonzero real-rooted p and lo <= hi: every root lies in [lo, hi].
 
     No root exceeds hi iff p(hi + t) has no positive root, and none is
     below lo iff p(lo - t) has none.
     """
+    return _no_positive_root(_taylor_shift(p.coeffs, _norm(hi))) and _no_positive_root(
+        [-c if k % 2 else c for k, c in enumerate(_taylor_shift(p.coeffs, _norm(lo)))]
+    )
+
+
+def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
+    """True iff every root of the real-rooted polynomial p lies in [lo, hi]."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if not is_real_rooted(p):
@@ -377,9 +387,7 @@ def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    return _no_positive_root(p.compose(ExactPoly((hi, 1)))) and _no_positive_root(
-        p.compose(ExactPoly((lo, -1)))
-    )
+    return _roots_within(p, lo, hi)
 
 
 # -- root isolation ----------------------------------------------------------------

@@ -10,7 +10,7 @@ is the intersection of theirs.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, binomial_basis_poly
 
@@ -223,6 +223,32 @@ class Poset:
 
     def chain_counts(self) -> Tuple[int, ...]:
         return tuple(self.chain_polynomial().coeffs)
+
+    def flag_f_vector(self) -> Dict[int, int]:
+        """Flag f-vector alpha(U): chains counted by their set U of quasi-ranks.
+
+        Keys are quasi-rank bitmasks (bit r for rank r) and values the
+        number of chains whose quasi-ranks form exactly U; the empty chain
+        gives alpha(0) = 1 and masks of no chain are absent. Quasi-rank
+        strictly increases along every chain, so for any rank set S the
+        chain polynomial of ``rank_selected(S)`` is the sum of
+        alpha(T) t^|T| over T within S (Stanley, Enumerative Combinatorics
+        I, section 3.13), graded or not. One dynamic program over a linear
+        extension: ends[x][U] counts the chains with maximum x and rank set
+        U, and extends each chain below x by x.
+        """
+        alpha = {0: 1}
+        ends = [None] * self.n
+        for x in self._topo_order():
+            bit = 1 << self._rho[x]
+            vec = {bit: 1}
+            for y in _bits(self._down[x] ^ (1 << x)):
+                for mask, c in ends[y].items():
+                    vec[mask | bit] = vec.get(mask | bit, 0) + c
+            ends[x] = vec
+            for mask, c in vec.items():
+                alpha[mask] = alpha.get(mask, 0) + c
+        return alpha
 
     def quasi_rank_generating_polynomial(self) -> ExactPoly:
         """sum over elements of t^rho(x); requires a least element."""

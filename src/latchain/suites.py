@@ -33,12 +33,12 @@ from .families import (
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
+    _roots_within,
     diamond_product,
     h_from_f,
     interlaces,
     is_real_rooted,
     isolate_real_roots,
-    roots_in_interval,
 )
 from .posets import Poset, chain_poset, is_isomorphic
 from .reports import CheckReport
@@ -74,7 +74,7 @@ def _check_unit_interval_roots(c: ExactPoly, tag: str) -> None:
     """Exact verdict: real-rooted with every root in [-1, 0]."""
     if not is_real_rooted(c):
         raise CheckFailure({"reason": f"{tag} is not real-rooted", "poly": c.to_string()})
-    if not roots_in_interval(c, -1, 0):
+    if not _roots_within(c, -1, 0):
         iso = isolate_real_roots(c)
         raise CheckFailure(
             {
@@ -223,22 +223,26 @@ _SWEEP_MAX_RANK = 6  # a sweep covers 2^(rank + 1) rank selections
 def _rank_selection_sweep(p: Poset) -> int:
     """Check [-1,0]-rootedness of every nonempty rank selection; returns count.
 
-    Posets above _SWEEP_MAX_ELEMENTS elements or quasi-rank _SWEEP_MAX_RANK
-    are not swept and count 0.
+    The chain polynomial of the selection S sums alpha(T) t^|T| over the
+    rank sets T within S of the flag f-vector alpha, so no subposet is
+    built. Every rank up to the top is taken, so each selection is
+    nonempty unless the poset is. The empty poset and posets above
+    _SWEEP_MAX_ELEMENTS elements or quasi-rank _SWEEP_MAX_RANK are not
+    swept and count 0.
     """
     top = p.quasi_rank
-    if p.n > _SWEEP_MAX_ELEMENTS or top > _SWEEP_MAX_RANK:
+    if p.n == 0 or p.n > _SWEEP_MAX_ELEMENTS or top > _SWEEP_MAX_RANK:
         return 0
-    checked = 0
-    for mask in range(1, 1 << (top + 1)):
-        ranks = {r for r in range(top + 1) if mask >> r & 1}
-        sub = p.rank_selected(ranks)
-        if sub.n == 0:
-            continue
-        c = sub.chain_polynomial()
-        _check_unit_interval_roots(c, f"rank selection {sorted(ranks)}")
-        checked += 1
-    return checked
+    alpha = p.flag_f_vector()
+    selections = range(1, 1 << (top + 1))
+    for mask in selections:
+        coeffs = [0] * (mask.bit_count() + 1)
+        for ranks, count in alpha.items():
+            if ranks | mask == mask:
+                coeffs[ranks.bit_count()] += count
+        selected = [r for r in range(top + 1) if mask >> r & 1]
+        _check_unit_interval_roots(ExactPoly(coeffs), f"rank selection {selected}")
+    return len(selections)
 
 
 def _check_rank_selections(dsl: str, seed: int) -> dict:

@@ -13,18 +13,42 @@ square-free part and Yun's square-free decomposition
 (``squarefree_part``, ``squarefree_decomposition``), Fraction Sturm
 chains, and on them ``real_rooted_by_sturm``,
 ``roots_in_interval_by_sturm``, ``interlaces_by_isolation``,
-``isolate_by_sturm`` and ``root_count_by_sturm``."""
+``isolate_by_sturm`` and ``root_count_by_sturm``. ``taylor_shift_by_compose``
+is the Horner composition that root location used before its in-place
+Taylor shift."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from latchain import ExactPoly, Poset, boolean_lattice, chain_poset, truncated_boolean
+import pytest
+
+from latchain import ExactPoly, Poset, boolean_lattice, brute_force_oracle, chain_poset, truncated_boolean
 from latchain.polynomial import ONE
 from latchain.posets import _bits
+
+
+def run_cli(argv: Sequence[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python -m latchain.cli *argv`` in a child process.
+
+    The child is killed once ``timeout`` seconds pass and the test fails,
+    so a runaway command never keeps running beside later tests.
+    """
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "latchain.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"latchain {' '.join(argv)} still running after {timeout} s")
 
 
 def quasi_uniform_13() -> Poset:
@@ -137,6 +161,30 @@ def bounded_corpus() -> List[Poset]:
     rng = random.Random(99)
     corpus += [random_bounded(rng, rng.randint(0, 5)) for _ in range(10)]
     return corpus
+
+
+def flag_sum(alpha, ranks) -> ExactPoly:
+    """sum of alpha(T) t^|T| over the rank bitmasks T within the set ``ranks``."""
+    mask = sum(1 << r for r in set(ranks))
+    coeffs = [0] * (mask.bit_count() + 1)
+    for chain_ranks, count in alpha.items():
+        if chain_ranks & ~mask == 0:
+            coeffs[chain_ranks.bit_count()] += count
+    return ExactPoly(coeffs)
+
+
+def assert_flags_give_rank_selections(p: Poset) -> None:
+    """The flag f-vector of p, summed over the subsets of each nonempty rank
+    set S, is the chain polynomial of the subposet ``p.rank_selected(S)``;
+    summed over all rank sets, it is the brute-force chain count (n <= 20)."""
+    alpha = p.flag_f_vector()
+    assert alpha[0] == 1 and all(alpha.values())
+    top = p.quasi_rank
+    for mask in range(1, 1 << (top + 1)):
+        ranks = [r for r in range(top + 1) if mask >> r & 1]
+        assert flag_sum(alpha, ranks) == p.rank_selected(ranks).chain_polynomial(), ranks
+    if p.n <= 20:
+        assert tuple(flag_sum(alpha, range(top + 1)).coeffs) == brute_force_oracle(p)
 
 
 # -- exact interlacing comparator on known roots --------------------------------
@@ -279,6 +327,16 @@ def roots_in_interval_by_sturm(p: ExactPoly, lo, hi) -> bool:
         return True
     s = squarefree_part(p)
     return _roots_closed(s, Fraction(lo), Fraction(hi)) == _distinct_real_roots(s)
+
+
+def taylor_shift_by_compose(p: ExactPoly, a, sign: int = 1) -> ExactPoly:
+    """p(a + sign * t) by Horner composition, one ExactPoly per step: the
+    composition that the in-place Taylor shift of root location replaced."""
+    inner = ExactPoly((a, sign))
+    out = ExactPoly()
+    for c in reversed(p.coeffs):
+        out = out * inner + ExactPoly((c,))
+    return out
 
 
 def _isolate(s: ExactPoly) -> list:

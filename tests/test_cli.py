@@ -1,10 +1,10 @@
 import json
-import threading
 
 import pytest
 
 from latchain import poset_from_text
 from latchain.cli import main
+from helpers import run_cli
 
 
 def test_poly_commands(capsys):
@@ -125,6 +125,14 @@ def test_usage_error_exit_code():
         ["build", "paving:file=/missing.txt", "--out", "x"],
         ["build", "boolean:3", "--out", "/no/such/dir/x"],
         ["suite", "paving", "--json", "/no/such/dir/x.jsonl"],
+        # extra, missing, unknown and repeated DSL fields
+        ["build", "boolean:3:4", "--out", "x"],
+        ["build", "trunc-boolean:5", "--out", "x"],
+        ["build", "vamos:1", "--out", "x"],
+        ["build", "dowling-rows:N=3:m=2:x=1", "--out", "x"],
+        ["build", "dowling-rows:m=2:m=3:N=4", "--out", "x"],
+        ["build", "dowling-rows:m=2:3", "--out", "x"],
+        ["build", "see:boolean:3:cut=1:cut=2", "--out", "x"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
@@ -154,21 +162,10 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
         ("dowling-rows:m=1:N=65", "over the cap of 64"),
     ],
 )
-def test_build_out_of_range_fails_fast(dsl, message, tmp_path, capsys):
-    codes = []
-
-    def build():
-        try:
-            main(["build", dsl, "--out", str(tmp_path / "x")])
-        except SystemExit as exc:
-            codes.append(exc.code)
-
-    worker = threading.Thread(target=build, daemon=True)
-    worker.start()
-    worker.join(timeout=5)
-    assert not worker.is_alive(), f"build {dsl} still running after 5 s"
-    assert codes == [2]
-    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+def test_build_out_of_range_fails_fast(dsl, message, tmp_path):
+    out = run_cli(["build", dsl, "--out", str(tmp_path / "x")], timeout=5)
+    assert out.returncode == 2
+    errors = [line for line in out.stderr.splitlines() if ": error: " in line]
     assert len(errors) == 1 and message in errors[0]
     assert not (tmp_path / "x").exists()
 

@@ -371,6 +371,27 @@ def test_dsl_round_trips(tmp_path):
     assert rt.d == 3 and len(rt.blocks) == 41
 
 
+@pytest.mark.parametrize(
+    "dsl, message",
+    [
+        ("boolean:3:4", "boolean takes 1 field(s), got 2"),
+        ("boolean", "boolean takes 1 field(s), got 0"),
+        ("uniform-design:5", "uniform-design takes 2 field(s), got 1"),
+        ("fano-lattice:0", "fano-lattice takes 0 field(s), got 1"),
+        ("dowling-rows:N=3:m=2:x=1", "dowling-rows takes the fields m=...:N=..."),
+        ("dowling-rows:m=2", "dowling-rows takes the fields m=...:N=..."),
+        ("dowling-rows:m=2:m=3:N=4", "dowling-rows takes the fields m=...:N=..."),
+        ("paving:path=blocks.txt", "paving takes the fields file=..."),
+        ("see:boolean:3:4:cut=1", "boolean takes 1 field(s), got 2"),
+        ("see:cut=1:boolean:3", "a see: instance needs a cut=... part"),
+    ],
+)
+def test_dsl_refuses_wrong_fields(dsl, message):
+    with pytest.raises(ValueError) as err:
+        build_instance(dsl)
+    assert message in str(err.value)
+
+
 def test_linear_space_validation():
     with pytest.raises(ValueError, match="lies on"):
         linear_space_lattice(4, [(1, 2, 3), (1, 2, 4), (3, 4), (1, 4)])

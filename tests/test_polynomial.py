@@ -17,6 +17,7 @@ from latchain import (
     roots_in_interval,
     sturm_real_root_count,
 )
+from latchain.polynomial import _roots_within, _taylor_shift
 from helpers import (
     interlaces_by_isolation,
     isolate_by_sturm,
@@ -27,6 +28,7 @@ from helpers import (
     roots_in_interval_by_sturm,
     roots_interlace,
     squarefree_decomposition,
+    taylor_shift_by_compose,
 )
 
 ONE_PLUS_T = ExactPoly((1, 1))
@@ -388,6 +390,32 @@ def test_isolation_and_interval_counts_match_fraction_oracle(data):
         if data.draw(st.integers(0, 3)) == 0:
             hi = lo
         assert sturm_real_root_count(p, (lo, hi)) == root_count_by_sturm(p, lo, hi)
+
+
+REAL_FACTOR = st.one_of(LINEAR, DYADIC, IRRATIONAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_roots_within_matches_compose_and_sturm_oracles(data):
+    """Real-rooted p with irrational and repeated roots; integer and rational
+    endpoints, endpoints at roots, and lo == hi."""
+    factors = data.draw(st.lists(st.tuples(REAL_FACTOR, st.integers(1, 3)), max_size=4))
+    p = data.draw(POSITIVE_SCALE) * _product(factors)
+    roots = [-q.coeffs[0] / Fraction(q.coeffs[1]) for q, _ in factors if q.degree == 1]
+    endpoint = st.one_of(st.integers(-5, 5), small_fraction, st.sampled_from(roots + [0]))
+    lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
+    if data.draw(st.integers(0, 3)) == 0:
+        hi = lo
+    for a in (lo, hi):
+        assert ExactPoly(_taylor_shift(p.coeffs, a)) == taylor_shift_by_compose(p, a)
+    # Descartes: no positive root iff the nonzero coefficients share one sign
+    by_compose = all(
+        len({c > 0 for c in shifted.coeffs if c}) <= 1
+        for shifted in (taylor_shift_by_compose(p, hi), taylor_shift_by_compose(p, lo, -1))
+    )
+    assert _roots_within(p, lo, hi) == by_compose == roots_in_interval_by_sturm(p, lo, hi)
+    assert roots_in_interval(p, lo, hi) == by_compose
 
 
 def test_real_root_counts_match_sympy():

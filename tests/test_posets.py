@@ -15,7 +15,9 @@ from latchain import (
     truncated_boolean,
 )
 from helpers import (
+    assert_flags_give_rank_selections,
     bounded_corpus,
+    pentagon,
     quasi_uniform_13,
     random_poset,
     small_corpus,
@@ -63,6 +65,28 @@ def test_rank_selection_and_truncation():
     assert is_isomorphic(b3.truncate(), truncated_boolean(3, 1))
     empty = b3.rank_selected({9})
     assert empty.n == 0 and empty.chain_polynomial() == ExactPoly((1,))
+
+
+def test_flag_f_vector_gives_every_rank_selection():
+    """Graded, quasi-rank uniform and non-graded posets (the pentagon and
+    random ones): each selection's sum against its built subposet, and the
+    whole sum against the brute-force chain walker."""
+    for p in small_corpus() + bounded_corpus():
+        assert_flags_give_rank_selections(p)
+
+
+def test_flag_f_vector_examples():
+    # B_2: the empty chain, 1 bottom, 2 atoms, 1 top, then chains by rank set
+    assert boolean_lattice(2).flag_f_vector() == {
+        0b000: 1, 0b001: 1, 0b010: 2, 0b100: 1, 0b011: 2, 0b101: 1, 0b110: 2, 0b111: 2
+    }
+    # pentagon: the long side's middle elements have quasi-ranks 1 and 2
+    assert pentagon().flag_f_vector() == {
+        0b0000: 1, 0b0001: 1, 0b0010: 2, 0b0100: 1, 0b1000: 1,
+        0b0011: 2, 0b0101: 1, 0b1001: 1, 0b0110: 1, 0b1010: 2, 0b1100: 1,
+        0b0111: 1, 0b1011: 2, 0b1101: 1, 0b1110: 1, 0b1111: 1,
+    }
+    assert Poset(0).flag_f_vector() == {0: 1}
 
 
 def test_dual():

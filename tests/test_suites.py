@@ -14,8 +14,10 @@ import pytest
 from latchain import (
     SUITE_NAMES,
     ExactPoly,
+    Poset,
     boolean_lattice,
     brute_force_oracle,
+    build_instance,
     chain_poset,
     counterexample_search,
     eulerian,
@@ -28,9 +30,15 @@ from latchain import (
     write_jsonl,
 )
 from latchain.cli import main
-from latchain.suites import random_bounded_poset, random_rank3_geometric
+from latchain.suites import (
+    _SUITES,
+    CheckFailure,
+    _rank_selection_sweep,
+    random_bounded_poset,
+    random_rank3_geometric,
+)
 from latchain.permstats import MAX_PERMUTATION_SIZE
-from helpers import perm_stats_oracle, quasi_uniform_13
+from helpers import assert_flags_give_rank_selections, perm_stats_oracle, quasi_uniform_13, run_cli
 
 
 def test_eulerian_small():
@@ -232,20 +240,24 @@ def test_import_does_not_load_the_thread_pool():
     assert out.stdout.strip() == "False"
 
 
-def test_dowling_rows_at_n_24_within_budget():
-    result = []
+def _records_of(argv, timeout, tmp_path):
+    """Run ``latchain *argv --json`` in a killable child; its JSON records."""
+    out = tmp_path / "records.jsonl"
+    done = run_cli([*argv, "--json", str(out)], timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_dowling_rows_at_n_24_within_budget(tmp_path):
     instances = ["dowling-rows:m=2:N=24", "dowling-rows:m=4:N=24"]
-    worker = threading.Thread(
-        target=lambda: result.extend(suite_run("dowling", instances=instances)), daemon=True
-    )
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive(), "dowling suite still certifying N = 24 after 10 s"
-    assert [(r.instance, r.verdict) for r in result] == [(tag, "pass") for tag in instances]
-    assert all(r.witness["rows"] == 24 for r in result)
+    (tmp_path / "instances.txt").write_text("\n".join(instances) + "\n")
+    records = _records_of(["suite", "dowling", "--instances", str(tmp_path / "instances.txt")], 10, tmp_path)
+    assert [(r["instance"], r["verdict"]) for r in records] == [(tag, "pass") for tag in instances]
+    assert all(r["witness"]["rows"] == 24 for r in records)
 
 
-GOLDEN = Path(__file__).parent / "data" / "suites-seed0.jsonl"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "suites-seed0.jsonl"
 
 
 def _records(path):
@@ -258,24 +270,63 @@ def _records(path):
     return out
 
 
-def test_suite_all_matches_golden_records(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suite_all_matches_golden_records(seed, tmp_path, capsys):
     out = tmp_path / "all.jsonl"
-    assert main(["suite", "all", "--seed", "0", "--json", str(out)]) == 0
+    assert main(["suite", "all", "--seed", str(seed), "--json", str(out)]) == 0
     assert "433/433 passed" in capsys.readouterr().out
-    assert "\n".join(_records(out)) + "\n" == GOLDEN.read_text()
+    assert "\n".join(_records(out)) + "\n" == (DATA / f"suites-seed{seed}.jsonl").read_text()
 
 
-def test_designs_skips_rank_selections_of_a_long_chain():
+def test_designs_skips_rank_selections_of_a_long_chain(tmp_path):
     # a rank-39 chain has 2^40 rank selections; the sweep must not try them
-    result = []
-    worker = threading.Thread(
-        target=lambda: result.extend(suite_run("designs", instances=["chain:40"])), daemon=True
-    )
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive(), "designs suite still sweeping chain:40 after 10 s"
-    [report] = result
-    assert report.ok and report.witness["rank_selections_checked"] == 0
+    (tmp_path / "instances.txt").write_text("chain:40\n")
+    [record] = _records_of(["suite", "designs", "--instances", str(tmp_path / "instances.txt")], 10, tmp_path)
+    assert record["verdict"] == "pass" and record["witness"]["rank_selections_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "p, witness",
+    [
+        # a two-element chain beside a point: 1 + 3t + t^2 has roots (-3 +- sqrt 5) / 2
+        (
+            Poset(3, [(0, 1)]),
+            {
+                "reason": "rank selection [0, 1] has a root outside [-1, 0]",
+                "poly": "1 3 1",
+                "root_intervals": [["-4", "-2"], ["-2", "0"]],
+            },
+        ),
+        # chains 0 < 1 < 2 and 0 < 3 beside the point 4; ranks 0 and 1 give 1 + 4t + 2t^2
+        (
+            Poset(5, [(0, 1), (1, 2), (0, 3)]),
+            {
+                "reason": "rank selection [0, 1] has a root outside [-1, 0]",
+                "poly": "1 4 2",
+                "root_intervals": [["-3", "-3/2"], ["-3/2", "0"]],
+            },
+        ),
+    ],
+)
+def test_rank_selection_sweep_failure_witnesses(p, witness):
+    with pytest.raises(CheckFailure) as err:
+        _rank_selection_sweep(p)
+    assert err.value.witness == witness
+
+
+def test_rank_selection_sweep_counts():
+    assert _rank_selection_sweep(Poset(0)) == 0
+    assert _rank_selection_sweep(chain_poset(1)) == 1
+    assert _rank_selection_sweep(boolean_lattice(3)) == 15
+    assert _rank_selection_sweep(chain_poset(7)) == 127  # quasi-rank 6, the cap
+    assert _rank_selection_sweep(chain_poset(8)) == 0
+
+
+@pytest.mark.parametrize("name", ["paving", "designs"])
+def test_flag_f_vector_gives_the_rank_selections_of_the_corpus(name):
+    corpus, _ = _SUITES[name]
+    for tag, _ in corpus(0):
+        assert_flags_give_rank_selections(build_instance(tag))
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
