@@ -712,22 +712,26 @@ def dpartition_to_text(dp: DPartition) -> str:
 
 
 def dpartition_from_text(text: str) -> DPartition:
-    d = None
-    ground: List[int] = []
+    """Parse the d-partition text format; bad lines are ValueErrors naming the line."""
+    d = ground = None
     blocks: List[FrozenSet[int]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        if toks[0] == "dpartition":
-            d = int(toks[1])
-        elif toks[0] == "ground":
-            ground = [int(t) for t in toks[1:]]
-        elif toks[0] == "block":
-            blocks.append(frozenset(int(t) for t in toks[1:]))
+        kind, *values = line.split()
+        if kind not in ("dpartition", "ground", "block"):
+            raise ValueError(f"line {lineno}: unknown directive {kind!r}")
+        if not values:
+            raise ValueError(f"line {lineno}: {kind} needs a value")
+        if (kind == "dpartition" and d is not None) or (kind == "ground" and ground is not None):
+            raise ValueError(f"line {lineno}: duplicate {kind} line")
+        if kind == "dpartition":
+            d = int(values[0])
+        elif kind == "ground":
+            ground = [int(t) for t in values]
         else:
-            raise ValueError(f"unknown directive {toks[0]!r}")
+            blocks.append(frozenset(int(t) for t in values))
     if d is None or not ground or not blocks:
         raise ValueError("incomplete d-partition file")
     dp = DPartition(tuple(ground), tuple(blocks), d)

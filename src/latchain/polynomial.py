@@ -61,10 +61,10 @@ class ExactPoly:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def monomial(cls, k: int, c: Scalar = 1) -> "ExactPoly":
+    def monomial(cls, k: int) -> "ExactPoly":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        return cls((0,) * k + (c,))
+        return cls((0,) * k + (1,))
 
     @classmethod
     def from_string(cls, text: str) -> "ExactPoly":
@@ -365,29 +365,24 @@ def _taylor_shift(coeffs: Sequence[Scalar], a: Scalar) -> list:
     return cs
 
 
-def _roots_within(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
-    """For nonzero real-rooted p and lo <= hi: every root lies in [lo, hi].
+def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
+    """True iff every root of the real-rooted polynomial p lies in [lo, hi].
 
     No root exceeds hi iff p(hi + t) has no positive root, and none is
     below lo iff p(lo - t) has none.
     """
-    return _no_positive_root(_taylor_shift(p.coeffs, _norm(hi))) and _no_positive_root(
-        [-c if k % 2 else c for k, c in enumerate(_taylor_shift(p.coeffs, _norm(lo)))]
-    )
-
-
-def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
-    """True iff every root of the real-rooted polynomial p lies in [lo, hi]."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     if not is_real_rooted(p):
         raise ValueError("not real-rooted")
     if p.degree == 0:
         return True
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _norm(Fraction(lo)), _norm(Fraction(hi))
     if lo > hi:
         raise ValueError("empty interval")
-    return _roots_within(p, lo, hi)
+    return _no_positive_root(_taylor_shift(p.coeffs, hi)) and _no_positive_root(
+        [-c if k % 2 else c for k, c in enumerate(_taylor_shift(p.coeffs, lo))]
+    )
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -490,20 +485,22 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     sequence of (f, g) is h times that of (f/h, g/h) and ends in h, so it
     gives the index and deg h at once (Fisk, "Polynomials, roots, and
     interlacing", arXiv:math/0612833).
+
+    That index also proves f/h and g/h real-rooted, so f and g are
+    real-rooted iff h is: only h is checked before answering True.
     """
     if f.is_zero or g.is_zero:
         return True
+    n, m = f.degree, g.degree
+    if f.leading_coefficient > 0 and g.leading_coefficient > 0 and m <= n <= m + 1:
+        seq = _signed_remainders(f, g)
+        if _cauchy_index(seq) == n - seq[-1].degree and is_real_rooted(seq[-1]):
+            return True
     if not is_real_rooted(f) or not is_real_rooted(g):
         raise ValueError("not real-rooted")
     if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
         raise ValueError("positive leading coefficients required")
-    n, m = f.degree, g.degree
-    if not (m <= n <= m + 1):
-        return False
-    if m == 0:
-        return True
-    seq = _signed_remainders(f, g)
-    return _cauchy_index(seq) == n - seq[-1].degree
+    return False
 
 
 def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:

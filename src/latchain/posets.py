@@ -221,9 +221,6 @@ class Poset:
                 totals[j + 1] += c
         return ExactPoly(totals)
 
-    def chain_counts(self) -> Tuple[int, ...]:
-        return tuple(self.chain_polynomial().coeffs)
-
     def flag_f_vector(self) -> Dict[int, int]:
         """Flag f-vector alpha(U): chains counted by their set U of quasi-ranks.
 
@@ -261,8 +258,8 @@ class Poset:
 
     # -- induced subposets ---------------------------------------------------------
 
-    def induced(self, keep: Iterable[int], relabel=None) -> "Poset":
-        """Subposet on the given elements with the inherited order."""
+    def induced(self, keep: Iterable[int]) -> "Poset":
+        """Subposet on the given elements with the inherited order and labels."""
         keep = sorted(set(keep))
         index = {x: i for i, x in enumerate(keep)}
         keep_mask = 0
@@ -272,12 +269,7 @@ class Poset:
         for x in keep:
             for y in _bits(self._up[x] & keep_mask & ~(1 << x)):
                 rels.append((index[x], index[y]))
-        if relabel is not None:
-            labels = [relabel(x) for x in keep]
-        elif self.labels is not None:
-            labels = [self.labels[x] for x in keep]
-        else:
-            labels = None
+        labels = None if self.labels is None else [self.labels[x] for x in keep]
         return Poset(len(keep), rels, labels)
 
     def rank_selected(self, ranks: Iterable[int]) -> "Poset":
@@ -575,6 +567,8 @@ def poset_from_text(text: str) -> Poset:
             continue
         parts = line.split(None, 2)
         kind = parts[0]
+        if len(parts) == 1 and kind in ("poset", "label"):
+            raise ValueError(f"line {lineno}: {kind} needs a value")
         if kind == "poset":
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate poset header")

@@ -17,30 +17,25 @@ import time
 from itertools import combinations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-# design_poset, dowling_rows, fano_design, uniform_design and chain_poset are used
-# only through build_instance; they stay importable from this module.
 from .families import (
+    _keyed_fields,
     boolean_lattice,
     build_instance,
-    design_poset,
-    dowling_rows,
     dowling_step_operator,
-    fano_design,
     linear_space_lattice,
     truncated_boolean,
-    uniform_design,
 )
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
-    _roots_within,
     diamond_product,
     h_from_f,
     interlaces,
     is_real_rooted,
     isolate_real_roots,
+    roots_in_interval,
 )
-from .posets import Poset, chain_poset, is_isomorphic
+from .posets import Poset, is_isomorphic
 from .reports import CheckReport
 from .tn import (
     RMatrix,
@@ -72,9 +67,11 @@ def _require(cond: bool, **witness) -> None:
 
 def _check_unit_interval_roots(c: ExactPoly, tag: str) -> None:
     """Exact verdict: real-rooted with every root in [-1, 0]."""
-    if not is_real_rooted(c):
-        raise CheckFailure({"reason": f"{tag} is not real-rooted", "poly": c.to_string()})
-    if not _roots_within(c, -1, 0):
+    try:
+        inside = roots_in_interval(c, -1, 0)
+    except ValueError:  # c is never zero, so c is not real-rooted
+        raise CheckFailure({"reason": f"{tag} is not real-rooted", "poly": c.to_string()}) from None
+    if not inside:
         iso = isolate_real_roots(c)
         raise CheckFailure(
             {
@@ -153,9 +150,9 @@ def random_rank3_geometric(rng: random.Random) -> Poset:
     return linear_space_lattice(n, lines)
 
 
-def random_bounded_poset(rng: random.Random, max_mid: int = 5) -> Poset:
-    """Random bounded poset: a staircase of up to max_mid middle elements."""
-    mid = rng.randint(0, max_mid)
+def random_bounded_poset(rng: random.Random) -> Poset:
+    """Random bounded poset: a staircase of up to five middle elements."""
+    mid = rng.randint(0, 5)
     n = mid + 2
     rels = []
     for i in range(1, mid + 1):
@@ -178,12 +175,12 @@ def _tasks(tags: Iterable[str]) -> List[Tuple[str, Any]]:
     return [(tag, tag) for tag in tags]
 
 
-def _params(tag: str, head: str) -> Dict[str, int]:
-    """Integer parameters of an instance tag ``head:key=value:...``."""
-    first, *items = tag.split(":")
-    if first != head:
+def _params(tag: str, head: str, keys: Sequence[str]) -> Dict[str, int]:
+    """Integer fields of an instance tag ``head:key=value:...``; each key exactly once."""
+    parts = tag.split(":")
+    if parts[0] != head:
         raise ValueError(f"expected a {head}:... instance, got {tag!r}")
-    return {key: int(value) for key, value in (item.split("=") for item in items)}
+    return {key: int(value) for key, value in _keyed_fields(parts, keys).items()}
 
 
 def _rank3_corpus(seed: int) -> List[Tuple[str, Any]]:
@@ -292,7 +289,7 @@ def _check_dowling(dsl: str, seed: int) -> dict:
     rows = build_instance(dsl)
     if not isinstance(rows, RMatrix):
         raise CheckFailure({"reason": "instance is not a row matrix"})
-    m = _params(dsl, "dowling-rows")["m"]
+    m = _params(dsl, "dowling-rows", ("m", "N"))["m"]
     for n in range(1, rows.order + 1):
         stepped = dowling_step_operator(m, rows.rows[n - 1])
         _require(
@@ -383,14 +380,16 @@ def _ordinal_sum_corpus(seed: int) -> List[Tuple[str, Any]]:
 def _check_ordinal_sum(tag: str, seed: int) -> dict:
     """``stacked-rows:seed=S:i=II:L+R`` stacks two row-pool matrices;
     ``stacked-posets:seed=S:i=II:L+R`` the rank rows of an ordinal sum."""
-    kind, _, _, pair = tag.split(":", 3)
-    left, right = pair.split("+")
+    fields = tag.split(":", 3)
+    kind = fields[0]
+    if kind not in ("stacked-rows", "stacked-posets"):
+        raise ValueError(f"unknown ordinal-sum instance {tag!r}")
+    _params(":".join(fields[:-1]), kind, ("seed", "i"))
+    left, right = fields[-1].split("+")
     if kind == "stacked-rows":
         stacked = ordinal_sum_rows(_pool_rows(left), _pool_rows(right))
         _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
-    if kind != "stacked-posets":
-        raise ValueError(f"unknown ordinal-sum instance {tag!r}")
     lp, rp = build_instance(left), build_instance(right)
     summed = lp.ordinal_sum(rp)
     rows = rank_matrix(summed)
@@ -454,7 +453,7 @@ def _diamond_corpus(seed: int) -> List[Tuple[str, Any]]:
 def _check_diamond(tag: str, seed: int) -> dict:
     """``product-pair:seed=S:i=II``: the p polynomial of a product of two random
     bounded posets is the diamond product of theirs."""
-    params = _params(tag, "product-pair")
+    params = _params(tag, "product-pair", ("seed", "i"))
     local = random.Random(params["seed"] * 1000003 + params["i"])
     lp = random_bounded_poset(local)
     rp = random_bounded_poset(local)
@@ -533,7 +532,7 @@ def _counterexample_corpus(seed: int) -> List[Tuple[str, Any]]:
 
 
 def _check_counterexample(tag: str, seed: int) -> dict:
-    params = _params(tag, "counterexample")
+    params = _params(tag, "counterexample", ("n", "qmax"))
     witness = counterexample_search(params["n"], params["qmax"])
     _require(
         witness["first_failing_q"] is not None,

@@ -133,11 +133,16 @@ def test_usage_error_exit_code():
         ["build", "dowling-rows:m=2:m=3:N=4", "--out", "x"],
         ["build", "dowling-rows:m=2:3", "--out", "x"],
         ["build", "see:boolean:3:cut=1:cut=2", "--out", "x"],
+        # a d-partition file with two ground lines
+        ["build", "paving:file=two-grounds", "--out", "x"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f").write_text("boolean:3\n")
+    (tmp_path / "two-grounds").write_text(
+        "dpartition 2\nground 1 2 3 4\nground 1 2 3\nblock 1 2\nblock 1 3\nblock 2 3\n"
+    )
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -372,6 +372,23 @@ def test_dsl_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dpartition 2\ndpartition 3\n", "line 2: duplicate dpartition line"),
+        ("dpartition 2\nground 1 2 3\n# note\nground 1 2\n", "line 4: duplicate ground line"),
+        ("dpartition\n", "line 1: dpartition needs a value"),
+        ("dpartition 2\nground\n", "line 2: ground needs a value"),
+        ("dpartition 2\nground 1 2 3\nblock\n", "line 3: block needs a value"),
+        ("dpartition 2\nline 1 2\n", "line 2: unknown directive 'line'"),
+    ],
+)
+def test_dpartition_text_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        dpartition_from_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "dsl, message",
     [
         ("boolean:3:4", "boolean takes 1 field(s), got 2"),

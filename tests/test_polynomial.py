@@ -17,7 +17,7 @@ from latchain import (
     roots_in_interval,
     sturm_real_root_count,
 )
-from latchain.polynomial import _roots_within, _taylor_shift
+from latchain.polynomial import _taylor_shift
 from helpers import (
     interlaces_by_isolation,
     isolate_by_sturm,
@@ -310,6 +310,7 @@ IRRATIONAL = st.sampled_from([ExactPoly((-k, 0, 1)) for k in (2, 3, 5, 8)])  # t
 NON_REAL = st.sampled_from([ExactPoly((1, 1, 1)), ExactPoly((2, 0, 1))])
 FACTOR = st.one_of(LINEAR, LINEAR, IRRATIONAL, NON_REAL)
 POSITIVE_SCALE = st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 2)])
+SIGNED_SCALE = st.one_of(POSITIVE_SCALE, POSITIVE_SCALE.map(lambda c: -c))
 
 
 def _factors(data, max_size: int) -> list:
@@ -334,17 +335,18 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_interlaces_matches_isolation_oracle(data):
-    """Shared, repeated, irrational and non-real roots; equal degrees and gaps of one."""
+    """Shared, repeated, irrational and non-real roots; degree gaps of 0 to 2 and
+    leading coefficients of either sign, so every guard and its order is reached."""
     shared = _product(_factors(data, 2))
     f = shared * _product(_factors(data, 2))
     g = shared * _product(_factors(data, 2))
-    gap = data.draw(st.sampled_from([0, 1]))
+    gap = data.draw(st.sampled_from([0, 1, 2]))
     while f.degree - g.degree != gap:
         if f.degree - g.degree > gap:
             g = g * data.draw(LINEAR)
         else:
             f = f * data.draw(LINEAR)
-    f, g = data.draw(POSITIVE_SCALE) * f, data.draw(POSITIVE_SCALE) * g
+    f, g = data.draw(SIGNED_SCALE) * f, data.draw(SIGNED_SCALE) * g
     assert _outcome(interlaces, g, f) == _outcome(interlaces_by_isolation, g, f)
     assert _outcome(interlaces, f, g) == _outcome(interlaces_by_isolation, f, g)
 
@@ -397,7 +399,7 @@ REAL_FACTOR = st.one_of(LINEAR, DYADIC, IRRATIONAL)
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_roots_within_matches_compose_and_sturm_oracles(data):
+def test_roots_in_interval_matches_compose_and_sturm_oracles(data):
     """Real-rooted p with irrational and repeated roots; integer and rational
     endpoints, endpoints at roots, and lo == hi."""
     factors = data.draw(st.lists(st.tuples(REAL_FACTOR, st.integers(1, 3)), max_size=4))
@@ -414,8 +416,7 @@ def test_roots_within_matches_compose_and_sturm_oracles(data):
         len({c > 0 for c in shifted.coeffs if c}) <= 1
         for shifted in (taylor_shift_by_compose(p, hi), taylor_shift_by_compose(p, lo, -1))
     )
-    assert _roots_within(p, lo, hi) == by_compose == roots_in_interval_by_sturm(p, lo, hi)
-    assert roots_in_interval(p, lo, hi) == by_compose
+    assert roots_in_interval(p, lo, hi) == by_compose == roots_in_interval_by_sturm(p, lo, hi)
 
 
 def test_real_root_counts_match_sympy():

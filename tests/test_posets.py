@@ -224,6 +224,20 @@ def test_text_format_round_trip(tmp_path):
         poset_from_text("poset 2\ncover 0 7\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("poset\n", "line 1: poset needs a value"),
+        ("poset 2\nlabel\n", "line 2: label needs a value"),
+        ("poset 2\n\nposet 2\n", "line 3: duplicate poset header"),
+    ],
+)
+def test_poset_text_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        poset_from_text(text)
+    assert str(err.value) == message
+
+
 def test_isomorphism_negative_cases():
     assert not is_isomorphic(boolean_lattice(2), chain_poset(4))
     a = Poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -33,6 +33,7 @@ from latchain.cli import main
 from latchain.suites import (
     _SUITES,
     CheckFailure,
+    _check_unit_interval_roots,
     _rank_selection_sweep,
     random_bounded_poset,
     random_rank3_geometric,
@@ -314,6 +315,15 @@ def test_rank_selection_sweep_failure_witnesses(p, witness):
     assert err.value.witness == witness
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (0, 1, 1, 1)])
+def test_unit_interval_check_names_a_polynomial_that_is_not_real_rooted(coeffs):
+    # 1 + t + t^2 has no real root; the chain polynomials of rank rows carry a factor t
+    c = ExactPoly(coeffs)
+    with pytest.raises(CheckFailure) as err:
+        _check_unit_interval_roots(c, "p_2")
+    assert err.value.witness == {"reason": "p_2 is not real-rooted", "poly": c.to_string()}
+
+
 def test_rank_selection_sweep_counts():
     assert _rank_selection_sweep(Poset(0)) == 0
     assert _rank_selection_sweep(chain_poset(1)) == 1
@@ -347,6 +357,21 @@ def test_reported_instances_reproduce_their_records(name, tmp_path):
     else:
         assert rc == 0
         assert _records(again) == expected
+
+
+@pytest.mark.parametrize(
+    "name, instance, fields",
+    [
+        ("counterexample", "counterexample:n=3:qmax=10:n=4", "n=...:qmax=..."),
+        ("counterexample", "counterexample:n=3", "n=...:qmax=..."),
+        ("diamond", "product-pair:seed=1:i=2:junk=3", "seed=...:i=..."),
+        ("ordinal-sum", "stacked-rows:garbage:more:boolean-rows:3+chain-rows:4", "seed=...:i=..."),
+    ],
+)
+def test_repeated_unknown_or_missing_fields_are_error_verdicts(name, instance, fields):
+    [report] = suite_run(name, instances=[instance])
+    assert report.verdict == "error"
+    assert f"takes the fields {fields}, got " in report.witness["exception"]
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
