@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .polynomial import ExactPoly
-from .posets import MAX_ELEMENTS, Poset, _bits, chain_poset
+from .posets import MAX_ELEMENTS, Poset, _bits, _line_int, chain_poset
 from .tn import RMatrix, is_geometric
 
 # size guards, chosen so every construction stays at desk scale
@@ -727,11 +727,13 @@ def dpartition_from_text(text: str) -> DPartition:
         if (kind == "dpartition" and d is not None) or (kind == "ground" and ground is not None):
             raise ValueError(f"line {lineno}: duplicate {kind} line")
         if kind == "dpartition":
-            d = int(values[0])
+            if len(values) != 1:
+                raise ValueError(f"line {lineno}: dpartition takes one value")
+            d = _line_int(lineno, values[0])
         elif kind == "ground":
-            ground = [int(t) for t in values]
+            ground = [_line_int(lineno, t) for t in values]
         else:
-            blocks.append(frozenset(int(t) for t in values))
+            blocks.append(frozenset(_line_int(lineno, t) for t in values))
     if d is None or not ground or not blocks:
         raise ValueError("incomplete d-partition file")
     dp = DPartition(tuple(ground), tuple(blocks), d)

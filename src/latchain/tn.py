@@ -82,13 +82,10 @@ def is_quasi_rank_uniform(p: Poset) -> Tuple[bool, Optional[RMatrix]]:
     """
     if p.least is None:
         raise ValueError("quasi-rank uniformity requires a least element")
+    levels = p._level_masks()
     profiles: Dict[int, Tuple[int, ...]] = {}
-    for x in range(p.n):
-        r = p.rho(x)
-        counts = [0] * (r + 1)
-        for z in _bits(p.down_mask(x)):
-            counts[p.rho(z)] += 1
-        profile = tuple(counts)
+    for r, down in zip(p._rho, p._down):
+        profile = tuple([(down & level).bit_count() for level in levels[: r + 1]])
         if profiles.setdefault(r, profile) != profile:
             return False, None
     rows = tuple(ExactPoly(profiles[r]) for r in range(p.quasi_rank + 1))
@@ -386,21 +383,22 @@ def is_triangular(p: Poset) -> bool:
 
     Requires a least element and graded intervals; an ungraded interval
     raises ValueError rather than returning False. With a least element
-    every interval is graded iff every cover raises rho by one.
+    every interval is graded iff every cover raises rho by one. Then the
+    levels rho(x) and rho(y) of [x, y] are {x} and {y}, and every level
+    between them is nonempty, so only the levels in between are counted.
     """
     if p.least is None:
         raise ValueError("triangularity requires a least element")
     if not _is_graded(p):
         raise ValueError("ungraded interval: a cover raises rho by more than one")
+    rho, down, levels = p._rho, p._down, p._level_masks()
     counts: Dict[Tuple[int, int, int], int] = {}
-    for x in range(p.n):
-        for y in _bits(p.up_mask(x)):
-            level: Dict[int, int] = {}
-            for z in _bits(p.up_mask(x) & p.down_mask(y)):
-                level[p.rho(z)] = level.get(p.rho(z), 0) + 1
-            for j, c in level.items():
-                key = (p.rho(x), j, p.rho(y))
-                if counts.setdefault(key, c) != c:
+    for rx, up in zip(rho, p._up):
+        for y in _bits(up):
+            ry, interval = rho[y], up & down[y]
+            for j in range(rx + 1, ry):
+                c = (interval & levels[j]).bit_count()
+                if counts.setdefault((rx, j, ry), c) != c:
                     return False
     return True
 
@@ -430,15 +428,14 @@ def _mobius_R(p: Poset, x: int, y: int) -> ExactPoly:
     """Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y]."""
     if p.least is None:
         raise ValueError("requires a least element")
+    levels = p._level_masks()
     acc = ExactPoly()
     for w in _bits(p.up_mask(x) & p.down_mask(y)):
         mu = p.mobius(w, y)
         if mu == 0:
             continue
-        counts = [0] * (p.rho(w) + 1)
-        for z in _bits(p.down_mask(w)):
-            counts[p.rho(z)] += 1
-        acc = acc + mu * ExactPoly(counts)
+        down = p.down_mask(w)
+        acc = acc + mu * ExactPoly((down & level).bit_count() for level in levels[: p.rho(w) + 1])
     return acc
 
 

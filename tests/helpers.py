@@ -4,8 +4,10 @@ all-pairs join/meet tables that the lattice layer replaced, the all-pairs
 inclusion scan that the set-family builder replaced, the echelon sums
 and coset translation that the flat listing of subspace and affine
 lattices replaced, the cover-path gradedness search that the single cover
-scan replaced, and the permutation enumeration that the chain-count route
-of permstats replaced.
+scan replaced, the permutation enumeration that the chain-count route
+of permstats replaced, and the per-coefficient chain-counting program and
+per-element rank-profile walks that packed chain counts and level-mask
+popcounts replaced.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
@@ -488,6 +490,74 @@ def cosets_by_translation(n: int, q: int) -> Set[FrozenSet[Tuple[int, ...]]]:
         for v in vectors:
             flats.add(frozenset(tuple((a + b) % q for a, b in zip(v, w)) for w in space))
     return flats
+
+
+# -- chain counts coefficient by coefficient, rank profiles element by element ----------
+
+
+def chain_polynomial_by_dp(p: Poset) -> ExactPoly:
+    """Chains by size from one list of counts per element: ends[x][j] counts
+    the (j+1)-element chains with maximum x, summed over y < x one
+    coefficient at a time."""
+    ends = [None] * p.n
+    totals = [1, 0]
+    for x in sorted(range(p.n), key=lambda v: (p.rho(v), v)):
+        vec = [1]
+        for y in _bits(p.down_mask(x) ^ (1 << x)):
+            other = ends[y]
+            while len(vec) < len(other) + 1:
+                vec.append(0)
+            for j, c in enumerate(other):
+                vec[j + 1] += c
+        ends[x] = vec
+        while len(totals) < len(vec) + 1:
+            totals.append(0)
+        for j, c in enumerate(vec):
+            totals[j + 1] += c
+    return ExactPoly(totals)
+
+
+def rank_profile_by_walk(p: Poset, mask: int) -> List[int]:
+    """Number of elements of each quasi-rank among the bits of ``mask``,
+    up to the highest rank present."""
+    counts: List[int] = []
+    for z in _bits(mask):
+        r = p.rho(z)
+        counts += [0] * (r + 1 - len(counts))
+        counts[r] += 1
+    return counts
+
+
+def quasi_rank_rows_by_walk(p: Poset):
+    """The rows of R(P) as coefficient tuples, or None when some two
+    down-sets with tops of equal quasi-rank differ in profile."""
+    profiles = {}
+    for x in range(p.n):
+        profile = tuple(rank_profile_by_walk(p, p.down_mask(x)))
+        if profiles.setdefault(p.rho(x), profile) != profile:
+            return None
+    return tuple(profiles[r] for r in range(p.quasi_rank + 1))
+
+
+def triangular_by_walk(p: Poset) -> bool:
+    """Every interval [x, y]'s count of each quasi-rank present in it
+    depends only on (rho x, that rank, rho y)."""
+    counts = {}
+    for x in range(p.n):
+        for y in _bits(p.up_mask(x)):
+            profile = rank_profile_by_walk(p, p.up_mask(x) & p.down_mask(y))
+            for j, c in enumerate(profile):
+                if c and counts.setdefault((p.rho(x), j, p.rho(y)), c) != c:
+                    return False
+    return True
+
+
+def mobius_R_by_walk(p: Poset, x: int, y: int) -> ExactPoly:
+    """Mobius inversion over [x, y] of w -> sum_{z <= w} t^rho(z)."""
+    acc = ExactPoly()
+    for w in _bits(p.up_mask(x) & p.down_mask(y)):
+        acc = acc + p.mobius(w, y) * ExactPoly(rank_profile_by_walk(p, p.down_mask(w)))
+    return acc
 
 
 # -- gradedness by cover-path lengths ------------------------------------------------

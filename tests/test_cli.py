@@ -135,6 +135,8 @@ def test_usage_error_exit_code():
         ["build", "see:boolean:3:cut=1:cut=2", "--out", "x"],
         # a d-partition file with two ground lines
         ["build", "paving:file=two-grounds", "--out", "x"],
+        # a d-partition file with a non-integer ground point
+        ["build", "paving:file=bad-point", "--out", "x"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
@@ -143,6 +145,7 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
     (tmp_path / "two-grounds").write_text(
         "dpartition 2\nground 1 2 3 4\nground 1 2 3\nblock 1 2\nblock 1 3\nblock 2 3\n"
     )
+    (tmp_path / "bad-point").write_text("dpartition 2\nground 1 2 x\nblock 1 2\n")
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -380,6 +380,10 @@ def test_dsl_round_trips(tmp_path):
         ("dpartition 2\nground\n", "line 2: ground needs a value"),
         ("dpartition 2\nground 1 2 3\nblock\n", "line 3: block needs a value"),
         ("dpartition 2\nline 1 2\n", "line 2: unknown directive 'line'"),
+        ("dpartition 2 5\nground 1 2 3\n", "line 1: dpartition takes one value"),
+        ("dpartition q\n", "line 1: not an integer: 'q'"),
+        ("dpartition 2\nground 1 x 3\n", "line 2: not an integer: 'x'"),
+        ("dpartition 2\nground 1 2 3\nblock 1 2.0\n", "line 3: not an integer: '2.0'"),
     ],
 )
 def test_dpartition_text_errors_name_the_line(text, message):

@@ -1,10 +1,13 @@
 import random
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latchain import (
     ExactPoly,
     Poset,
+    antichain,
     boolean_lattice,
     brute_force_oracle,
     chain_poset,
@@ -17,8 +20,10 @@ from latchain import (
 from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
+    chain_polynomial_by_dp,
     pentagon,
     quasi_uniform_13,
+    random_bounded,
     random_poset,
     small_corpus,
 )
@@ -41,6 +46,45 @@ def test_chain_polynomial_against_oracle_corpus():
     for p in small_corpus():
         if p.n <= 12:
             assert tuple(p.chain_polynomial().coeffs) == brute_force_oracle(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 60), st.booleans())
+def test_packed_chain_counts_match_the_coefficient_dp(rng, n, bounded):
+    p = random_bounded(rng, max(n - 2, 0)) if bounded else random_poset(rng, n)
+    assert p.chain_polynomial() == chain_polynomial_by_dp(p)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 63, 64, 65, 200])
+def test_chain_counts_fill_the_packing_bound_on_chains(k):
+    # every subset of a k-chain is a chain: 2^k in all, the product of (1 + 1) per level
+    assert chain_poset(k).chain_polynomial() == ONE_PLUS_T**k
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 63, 64, 255])
+def test_chain_counts_fill_the_packing_bound_on_antichains(k):
+    # the empty chain and k singletons: k + 1, the bound of one level of size k
+    assert antichain(k).chain_polynomial() == ExactPoly((1, k))
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 4), (12, 12)])
+def test_chain_counts_of_a_product_of_chains(a, b):
+    p = chain_poset(a).direct_product(chain_poset(b))
+    assert p.chain_polynomial() == chain_polynomial_by_dp(p)
+    if p.n <= 12:
+        assert tuple(p.chain_polynomial().coeffs) == brute_force_oracle(p)
+
+
+def test_chain_counts_of_b12_from_its_flag_counts():
+    """A chain of B_n with rank set r_1 < ... < r_j is counted by the
+    multinomial n! / (r_1! (r_2 - r_1)! ... (n - r_j)!)."""
+    n = 12
+    coeffs = [0] * (n + 2)
+    for mask in range(1 << (n + 1)):
+        ranks = [r for r in range(n + 1) if mask >> r & 1]
+        steps = [b - a for a, b in zip([0] + ranks, ranks + [n])]
+        coeffs[len(ranks)] += factorial(n) // prod(map(factorial, steps))
+    assert boolean_lattice(n).chain_polynomial() == ExactPoly(coeffs)
 
 
 def test_rank_polynomial_of_reference_poset():
@@ -230,6 +274,12 @@ def test_text_format_round_trip(tmp_path):
         ("poset\n", "line 1: poset needs a value"),
         ("poset 2\nlabel\n", "line 2: label needs a value"),
         ("poset 2\n\nposet 2\n", "line 3: duplicate poset header"),
+        ("poset 2 7\ncover 0 1\n", "line 1: poset takes one value"),
+        ("poset 3\ncover 0 1 2\n", "line 2: cover needs two indices"),
+        ("poset 3\ncover 0\n", "line 2: cover needs two indices"),
+        ("poset x\n", "line 1: not an integer: 'x'"),
+        ("poset 2\ncover 0 q\n", "line 2: not an integer: 'q'"),
+        ("poset 2\n# note\nlabel z a\n", "line 3: not an integer: 'z'"),
     ],
 )
 def test_poset_text_errors_name_the_line(text, message):

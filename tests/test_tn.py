@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latchain import (
     ExactPoly,
@@ -31,8 +34,19 @@ from latchain import (
     truncated_boolean,
     vamos_lattice,
 )
-from latchain.tn import _mobius_R
-from helpers import nonuniform_5, pentagon, quasi_uniform_13
+from latchain.tn import _is_graded, _mobius_R
+from helpers import (
+    mobius_R_by_walk,
+    nonuniform_5,
+    pentagon,
+    quasi_rank_rows_by_walk,
+    quasi_uniform_13,
+    random_bounded,
+    random_poset,
+    rank_uniform_tower_13,
+    triangular_by_walk,
+    with_bounds,
+)
 
 ONE_PLUS_T = ExactPoly((1, 1))
 
@@ -268,6 +282,50 @@ def test_triangular_examples():
     assert not is_triangular(vamos_lattice())
     with pytest.raises(ValueError, match="ungraded"):
         is_triangular(quasi_uniform_13())
+
+
+def assert_profiles_match_the_walks(p, rng: random.Random) -> None:
+    """Level-mask popcounts against the element-by-element walks: R(P) and
+    its verdict, triangularity where defined, and Mobius inversion on up to
+    twenty comparable pairs of a non-lattice."""
+    ok, rmat = is_quasi_rank_uniform(p)
+    rows = quasi_rank_rows_by_walk(p)
+    assert ok == (rows is not None)
+    if ok:
+        assert tuple(r.coeffs for r in rmat.rows) == rows
+    if _is_graded(p):
+        assert is_triangular(p) == triangular_by_walk(p)
+    if not p.is_lattice:
+        pairs = [(x, y) for y in range(p.n) for x in p.down_set(y)]
+        for x, y in rng.sample(pairs, min(20, len(pairs))):
+            assert incidence_R(p, x, y) == mobius_R_by_walk(p, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 58), st.booleans())
+def test_rank_profiles_match_the_walk_oracles(rng, n, bounded):
+    p = random_bounded(rng, n) if bounded else with_bounds(random_poset(rng, n))
+    assert_profiles_match_the_walks(p, rng)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        boolean_lattice(5),
+        subspace_lattice(3, 2),
+        affine_lattice(2, 3),
+        truncated_boolean(5, 2),
+        partition_lattice(5),
+        partition_lattice(5).dual(),
+        vamos_lattice(),
+        quasi_uniform_13(),
+        rank_uniform_tower_13(),
+        nonuniform_5(),
+        pentagon(),
+    ],
+)
+def test_rank_profiles_match_the_walk_oracles_on_families(p):
+    assert_profiles_match_the_walks(p, random.Random(0))
 
 
 def test_perfect_matroid_design_equivalence():
