@@ -529,13 +529,12 @@ def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:
 def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
     """True iff all entries and all 2x2 minors of the matrix are nonnegative."""
     mat = [list(r) for r in rows]
-    for r in mat:
-        if any(c < 0 for c in r):
-            return False
     nr = len(mat)
     nc = len(mat[0]) if mat else 0
     if any(len(r) != nc for r in mat):
         raise ValueError("ragged matrix")
+    if any(c < 0 for r in mat for c in r):
+        return False
     for i in range(nr):
         for j in range(i + 1, nr):
             for k in range(nc):

@@ -5,14 +5,16 @@ relation is cached as per-element bitmasks, which keeps comparability
 queries, interval extraction and the chain-counting dynamic program fast
 for the few-thousand-element posets this library targets. Joins and meets
 are found by mask lookup: the join of x and y is the element whose up-set
-is the intersection of theirs. Chain counting packs each element's counts
-by chain size into one integer, so the dynamic program makes one integer
-addition per comparable pair, and rank profiles are popcounts of a down-set
-mask against one mask per quasi-rank level.
+is the intersection of theirs. One chain-counting program packs each
+element's counts into one integer of k-byte fields, so it makes one integer
+addition per comparable pair: an element of quasi-rank r moves a chain one
+field for the chain polynomial and 2^r fields for the flag f-vector. Rank
+profiles are popcounts of a down-set mask against one mask per level.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, binomial_basis_poly
@@ -61,6 +63,9 @@ class Poset:
     ):
         if n < 0 or n > MAX_ELEMENTS:
             raise ValueError(f"element count out of range: {n}")
+        labels = None if labels is None else tuple(labels)
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
         succ = [set() for _ in range(n)]
         indeg = [0] * n
         seen = set()
@@ -120,7 +125,7 @@ class Poset:
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "covers", tuple(covers))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_rho", tuple(rho))
@@ -195,9 +200,6 @@ class Poset:
     def label_of(self, x: int):
         return self.labels[x] if self.labels is not None else x
 
-    def _topo_order(self) -> list:
-        return sorted(range(self.n), key=lambda x: (self._rho[x], x))
-
     # -- chain enumeration -------------------------------------------------------
 
     def _level_masks(self) -> list:
@@ -207,63 +209,52 @@ class Poset:
             levels[r] |= 1 << x
         return levels
 
-    def chain_polynomial(self) -> ExactPoly:
-        """Generating polynomial of chains by size, sum_k c_k t^k.
+    def _chain_fields(self, offsets: Sequence[int]) -> list:
+        """Field i counts the chains whose elements z sum offsets[rho z] to i.
 
-        Dynamic program over a linear extension: the number of j-element
-        chains with maximum x equals the sum over y < x of the number of
-        (j-1)-element chains with maximum y. Each element's counts are
-        packed into one integer, count j in bits [j*w, (j+1)*w), so a step
-        is one addition per y < x and one shift. A chain meets each
-        quasi-rank level at most once, so even the sum of all counts is at
-        most the product of (level size + 1), and w is that product's bit
-        length: no field can carry into the next.
+        Dynamic program over a linear extension: the chains with maximum x
+        are x alone and those with maximum y < x, moved offsets[rho x]
+        fields. Each element's counts are packed into one integer of k-byte
+        fields, so a step is one addition per y < x and one shift. No field
+        can carry, whatever the offsets: all fields together count every
+        chain, and a chain meets each quasi-rank level at most once, so the
+        sum is at most the product of (level size + 1), which fits in 8k
+        bits. The total is cut into fields through its bytes, in linear time.
         """
-        bound = 1
-        for level in self._level_masks():
-            bound *= level.bit_count() + 1
-        w = bound.bit_length()
-        ends = [0] * self.n  # field j of ends[x]: j-element chains with max x
+        bound = prod(level.bit_count() + 1 for level in self._level_masks())
+        k = (bound.bit_length() + 7) // 8
+        shifts = [8 * k * offset for offset in offsets]
+        ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
-        for x in self._topo_order():
+        for x in sorted(range(self.n), key=self._rho.__getitem__):  # stable: by (rho, x)
             vec = 1
             for y in _bits(self._down[x] ^ (1 << x)):
                 vec += ends[y]
-            vec <<= w
+            vec <<= shifts[self._rho[x]]
             ends[x] = vec
             total += vec
-        field = (1 << w) - 1
-        counts = []
-        while total:
-            counts.append(total & field)
-            total >>= w
-        return ExactPoly(counts)
+        data = total.to_bytes((total.bit_length() + 7) // 8, "little")
+        return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
+
+    def chain_polynomial(self) -> ExactPoly:
+        """Generating polynomial of chains by size: each element moves a chain one field."""
+        return ExactPoly(self._chain_fields([1] * (self.quasi_rank + 1)))
 
     def flag_f_vector(self) -> Dict[int, int]:
         """Flag f-vector alpha(U): chains counted by their set U of quasi-ranks.
 
         Keys are quasi-rank bitmasks (bit r for rank r) and values the
         number of chains whose quasi-ranks form exactly U; the empty chain
-        gives alpha(0) = 1 and masks of no chain are absent. Quasi-rank
-        strictly increases along every chain, so for any rank set S the
-        chain polynomial of ``rank_selected(S)`` is the sum of
-        alpha(T) t^|T| over T within S (Stanley, Enumerative Combinatorics
-        I, section 3.13), graded or not. One dynamic program over a linear
-        extension: ends[x][U] counts the chains with maximum x and rank set
-        U, and extends each chain below x by x.
+        gives alpha(0) = 1. An element of quasi-rank r moves a chain 2^r
+        fields, from U to U | 2^r, as r lies above every rank in U. A longest
+        chain up to an element of rank r has ranks 0, ..., r, so no count is
+        zero: a nonempty poset of quasi-rank R gets all 2^(R+1) keys, the
+        empty one {0: 1}. Quasi-rank strictly increases along every chain, so
+        for any rank set S the chain polynomial of ``rank_selected(S)`` is
+        the sum of alpha(T) t^|T| over T within S (Stanley, Enumerative
+        Combinatorics I, section 3.13), graded or not.
         """
-        alpha = {0: 1}
-        ends = [None] * self.n
-        for x in self._topo_order():
-            bit = 1 << self._rho[x]
-            vec = {bit: 1}
-            for y in _bits(self._down[x] ^ (1 << x)):
-                for mask, c in ends[y].items():
-                    vec[mask | bit] = vec.get(mask | bit, 0) + c
-            ends[x] = vec
-            for mask, c in vec.items():
-                alpha[mask] = alpha.get(mask, 0) + c
-        return alpha
+        return dict(enumerate(self._chain_fields([1 << r for r in range(self.quasi_rank + 1)])))
 
     def quasi_rank_generating_polynomial(self) -> ExactPoly:
         """sum over elements of t^rho(x); requires a least element."""
@@ -585,8 +576,8 @@ def _line_int(lineno: int, token: str) -> int:
 def poset_from_text(text: str) -> Poset:
     """Parse the poset text format; rejects cycles and bad indices."""
     n = None
-    rels = []
-    labels = {}
+    covers = []  # (line, x, y)
+    labels = {}  # index: (line, name)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -602,23 +593,31 @@ def poset_from_text(text: str) -> Poset:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: poset takes one value")
             n = _line_int(lineno, parts[1])
+            if not 0 <= n <= MAX_ELEMENTS:
+                raise ValueError(f"line {lineno}: element count out of range: {n}")
         elif kind == "cover":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: cover needs two indices")
-            rels.append((_line_int(lineno, parts[1]), _line_int(lineno, parts[2])))
+            covers.append((lineno, _line_int(lineno, parts[1]), _line_int(lineno, parts[2])))
         elif kind == "label":
-            rest = parts[2] if len(parts) > 2 else ""
-            labels[_line_int(lineno, parts[1])] = rest
+            i = _line_int(lineno, parts[1])
+            if i in labels:
+                raise ValueError(f"line {lineno}: duplicate label {i}")
+            labels[i] = (lineno, parts[2] if len(parts) > 2 else "")
         else:
             raise ValueError(f"line {lineno}: unknown directive {kind!r}")
     if n is None:
         raise ValueError("missing poset header")
-    label_list = None
-    if labels:
-        if any(not (0 <= i < n) for i in labels):
-            raise ValueError("label index out of range")
-        label_list = [labels.get(i, str(i)) for i in range(n)]
-    return Poset(n, rels, label_list)
+    for lineno, x, y in covers:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"line {lineno}: relation index out of range: ({x}, {y})")
+        if x == y:
+            raise ValueError(f"line {lineno}: reflexive relation pair ({x}, {y})")
+    for i, (lineno, _) in labels.items():
+        if not 0 <= i < n:
+            raise ValueError(f"line {lineno}: label index out of range: {i}")
+    label_list = [labels[i][1] if i in labels else str(i) for i in range(n)] if labels else None
+    return Poset(n, [(x, y) for _, x, y in covers], label_list)
 
 
 def read_poset(path: str) -> Poset:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, Scalar
-from .posets import Poset, _bits
+from .posets import Poset, _bits, _line_int
 from .reports import CheckReport
 
 
@@ -61,8 +61,8 @@ class RMatrix:
     @classmethod
     def from_text(cls, text: str) -> "RMatrix":
         rows = [
-            [int(tok) for tok in line.split()]
-            for line in text.splitlines()
+            [_line_int(lineno, tok) for tok in line.split()]
+            for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip()
         ]
         return cls.from_int_rows(rows)

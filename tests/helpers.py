@@ -5,9 +5,9 @@ inclusion scan that the set-family builder replaced, the echelon sums
 and coset translation that the flat listing of subspace and affine
 lattices replaced, the cover-path gradedness search that the single cover
 scan replaced, the permutation enumeration that the chain-count route
-of permstats replaced, and the per-coefficient chain-counting program and
-per-element rank-profile walks that packed chain counts and level-mask
-popcounts replaced.
+of permstats replaced, the per-coefficient chain-counting program, the
+per-rank-set flag f-vector program and the per-element rank-profile walks
+that packed chain counts and level-mask popcounts replaced.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
@@ -515,6 +515,24 @@ def chain_polynomial_by_dp(p: Poset) -> ExactPoly:
         for j, c in enumerate(vec):
             totals[j + 1] += c
     return ExactPoly(totals)
+
+
+def flag_f_vector_by_dicts(p: Poset) -> dict:
+    """Chains by rank set from one dict per element: ends[x][U] counts the
+    chains with maximum x and quasi-rank set U, and each chain below x gains
+    the bit of rho(x)."""
+    alpha = {0: 1}
+    ends = [None] * p.n
+    for x in sorted(range(p.n), key=lambda v: (p.rho(v), v)):
+        bit = 1 << p.rho(x)
+        vec = {bit: 1}
+        for y in _bits(p.down_mask(x) ^ (1 << x)):
+            for mask, c in ends[y].items():
+                vec[mask | bit] = vec.get(mask | bit, 0) + c
+        ends[x] = vec
+        for mask, c in vec.items():
+            alpha[mask] = alpha.get(mask, 0) + c
+    return alpha
 
 
 def rank_profile_by_walk(p: Poset, mask: int) -> List[int]:

@@ -122,6 +122,9 @@ def test_tp2_examples():
     # triangular multiplier matrix with lambda = (1, 2, 3)
     assert is_tp2([[1, 2, 3], [0, 2, 3], [0, 0, 3]])
     assert not is_tp2([[1, -1], [0, 1]])
+    # the shape is checked before any entry decides the verdict
+    with pytest.raises(ValueError, match="ragged matrix"):
+        is_tp2([[1, -1], [3]])
 
 
 def test_h_from_f_examples():

@@ -21,6 +21,7 @@ from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
     chain_polynomial_by_dp,
+    flag_f_vector_by_dicts,
     pentagon,
     quasi_uniform_13,
     random_bounded,
@@ -55,16 +56,33 @@ def test_packed_chain_counts_match_the_coefficient_dp(rng, n, bounded):
     assert p.chain_polynomial() == chain_polynomial_by_dp(p)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 63, 64, 65, 200])
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 24), st.booleans())
+def test_packed_flag_counts_match_the_rank_set_dicts(rng, n, bounded):
+    p = random_bounded(rng, max(n - 2, 0)) if bounded else random_poset(rng, n)
+    alpha = p.flag_f_vector()
+    assert alpha == flag_f_vector_by_dicts(p)
+    # every rank set occurs: subsets of a longest chain up to its top's rank
+    assert len(alpha) == (1 << (p.quasi_rank + 1) if p.n else 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 63, 64, 65, 200])
 def test_chain_counts_fill_the_packing_bound_on_chains(k):
-    # every subset of a k-chain is a chain: 2^k in all, the product of (1 + 1) per level
+    # every subset of a k-chain is a chain: 2^k in all, the product of (1 + 1) per level;
+    # the bound has 8 bits at k = 7 and 9 at k = 8, one field byte and two
     assert chain_poset(k).chain_polynomial() == ONE_PLUS_T**k
+    if k <= 8:
+        # rank r is element r, so each rank set is the one chain on its elements
+        assert chain_poset(k).flag_f_vector() == {mask: 1 for mask in range(1 << k)}
 
 
-@pytest.mark.parametrize("k", [0, 1, 7, 63, 64, 255])
+@pytest.mark.parametrize("k", [0, 1, 7, 63, 64, 254, 255, 256])
 def test_chain_counts_fill_the_packing_bound_on_antichains(k):
-    # the empty chain and k singletons: k + 1, the bound of one level of size k
+    # the empty chain and k singletons: k + 1, the bound of one level of size k;
+    # 255 fits one field byte at k = 254, 256 needs two at k = 255, and at
+    # k = 256 the count of singletons itself needs the second byte
     assert antichain(k).chain_polynomial() == ExactPoly((1, k))
+    assert antichain(k).flag_f_vector() == ({0: 1, 1: k} if k else {0: 1})
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 4), (12, 12)])
@@ -77,14 +95,20 @@ def test_chain_counts_of_a_product_of_chains(a, b):
 
 def test_chain_counts_of_b12_from_its_flag_counts():
     """A chain of B_n with rank set r_1 < ... < r_j is counted by the
-    multinomial n! / (r_1! (r_2 - r_1)! ... (n - r_j)!)."""
-    n = 12
-    coeffs = [0] * (n + 2)
-    for mask in range(1 << (n + 1)):
-        ranks = [r for r in range(n + 1) if mask >> r & 1]
-        steps = [b - a for a, b in zip([0] + ranks, ranks + [n])]
-        coeffs[len(ranks)] += factorial(n) // prod(map(factorial, steps))
-    assert boolean_lattice(n).chain_polynomial() == ExactPoly(coeffs)
+    multinomial n! / (r_1! (r_2 - r_1)! ... (n - r_j)!): the chain counts
+    of B_12 and every flag count of B_8."""
+
+    def flag_counts(n):
+        for mask in range(1 << (n + 1)):
+            ranks = [r for r in range(n + 1) if mask >> r & 1]
+            steps = [b - a for a, b in zip([0] + ranks, ranks + [n])]
+            yield mask, len(ranks), factorial(n) // prod(map(factorial, steps))
+
+    coeffs = [0] * 14
+    for _, size, count in flag_counts(12):
+        coeffs[size] += count
+    assert boolean_lattice(12).chain_polynomial() == ExactPoly(coeffs)
+    assert boolean_lattice(8).flag_f_vector() == {mask: count for mask, _, count in flag_counts(8)}
 
 
 def test_rank_polynomial_of_reference_poset():
@@ -256,6 +280,13 @@ def test_cycle_rejection_and_bad_index():
         Poset(2, [(1, 1)])
 
 
+def test_label_count_must_match_the_element_count():
+    with pytest.raises(ValueError, match="^expected 3 labels, got 1$"):
+        Poset(3, [(0, 1)], labels=["a"])
+    # a generator is counted after it is read
+    assert Poset(2, [(0, 1)], labels=(c for c in "ab")).labels == ("a", "b")
+
+
 def test_text_format_round_trip(tmp_path):
     p = boolean_lattice(2)
     text = poset_to_text(p)
@@ -266,6 +297,8 @@ def test_text_format_round_trip(tmp_path):
         poset_from_text("poset 2\ncover 0 1\ncover 1 0\n")
     with pytest.raises(ValueError):
         poset_from_text("poset 2\ncover 0 7\n")
+    # indices are checked after the loop, so the header may follow the covers
+    assert poset_from_text("cover 0 1\nposet 2\n").covers == ((0, 1),)
 
 
 @pytest.mark.parametrize(
@@ -280,6 +313,13 @@ def test_text_format_round_trip(tmp_path):
         ("poset x\n", "line 1: not an integer: 'x'"),
         ("poset 2\ncover 0 q\n", "line 2: not an integer: 'q'"),
         ("poset 2\n# note\nlabel z a\n", "line 3: not an integer: 'z'"),
+        ("poset -1\n", "line 1: element count out of range: -1"),
+        ("poset 5001\n", "line 1: element count out of range: 5001"),
+        ("poset 2\ncover 0 7\n", "line 2: relation index out of range: (0, 7)"),
+        ("cover 0 1\ncover -1 0\nposet 2\n", "line 2: relation index out of range: (-1, 0)"),
+        ("poset 2\ncover 0 1\n\ncover 1 1\n", "line 4: reflexive relation pair (1, 1)"),
+        ("poset 2\nlabel 0 a\nlabel 5 a\n", "line 3: label index out of range: 5"),
+        ("poset 2\nlabel 0 a\nlabel 0 b\n", "line 3: duplicate label 0"),
     ],
 )
 def test_poset_text_errors_name_the_line(text, message):

@@ -114,6 +114,8 @@ def test_resolve_reports_zero_pivot_divisibility():
 def test_witness_and_matrix_serialization():
     rows = rank_matrix(boolean_lattice(3))
     assert RMatrix.from_text(rows.to_text()).rows == rows.rows
+    with pytest.raises(ValueError, match="^line 2: not an integer: 'x'$"):
+        RMatrix.from_text("1\n1 x\n")
     assert rows.to_text().splitlines()[3] == "1 3 3 1"
     witness = resolve(rows).witness
     dump = witness.to_report_text()
