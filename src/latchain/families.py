@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .polynomial import ExactPoly
-from .posets import MAX_ELEMENTS, Poset, _bits, _line_int, chain_poset
+from .posets import MAX_ELEMENTS, Poset, _bits, _line_int, _minimal_members, chain_poset
 from .tn import RMatrix, is_geometric
 
 # size guards, chosen so every construction stays at desk scale
@@ -56,21 +56,35 @@ def _poset_from_sets(sets: Sequence[FrozenSet]) -> Poset:
 
     The sets containing S are those that contain every element of S: the
     AND of one incidence bitmask per element, so no two sets are compared.
+    Size strictly increases along inclusion, so only the covers are passed
+    on: the minimal sets strictly above each set, peeled size by size.
     """
     if len(set(sets)) != len(sets):
         raise ValueError("duplicate sets")
-    sets = sorted(sets, key=lambda s: (len(s), sorted(map(repr, s))))
+    # sets of one size ordered by their sorted element reprs; each distinct
+    # element's repr is made once and compared as its rank among them all
+    name = {e: repr(e) for e in set().union(*sets)}
+    rank = {r: i for i, r in enumerate(sorted(set(name.values())))}
+    key = {e: rank[r] for e, r in name.items()}
+    sets = sorted(sets, key=lambda s: (len(s), sorted(map(key.__getitem__, s))))
     masks: Dict[object, int] = {}
     for i, s in enumerate(sets):
         for e in s:
             masks[e] = masks.get(e, 0) | 1 << i
     everything = (1 << len(sets)) - 1
-    rels = []
+    level = {size: r for r, size in enumerate(sorted({len(s) for s in sets}))}
+    up, levels = [], [0] * len(level)
     for i, s in enumerate(sets):
         above = everything
         for e in s:
             above &= masks[e]
-        rels += [(i, j) for j in _bits(above & ~(1 << i))]
+        up.append(above)
+        levels[level[len(s)]] |= 1 << i
+    rels = [
+        (i, j)
+        for i, s in enumerate(sets)
+        for j in _minimal_members(up[i] ^ (1 << i), up, levels, level[len(s)])
+    ]
     return Poset(len(sets), rels, sets)
 
 

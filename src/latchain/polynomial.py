@@ -474,10 +474,10 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
 
     Written g interlaces f when, sorting both root multisets decreasingly,
     beta_k <= alpha_k <= beta_{k-1} holds throughout (alpha from f, beta
-    from g). The zero polynomial interlaces and is interlaced by every
-    real-rooted polynomial. Degrees may differ by at most one, otherwise
-    the answer is False. Non-real-rooted or nonpositive-leading input
-    raises ValueError.
+    from g). Degrees may differ by at most one, otherwise the answer is
+    False. Non-real-rooted or nonpositive-leading input raises ValueError,
+    also beside the zero polynomial, which interlaces and is interlaced by
+    itself and every other input that passes these checks.
 
     With h = gcd(f, g), g interlaces f iff g/h strictly interlaces f/h,
     that is iff every pole of (g/h)/(f/h) is simple with a positive
@@ -489,18 +489,18 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     That index also proves f/h and g/h real-rooted, so f and g are
     real-rooted iff h is: only h is checked before answering True.
     """
-    if f.is_zero or g.is_zero:
-        return True
-    n, m = f.degree, g.degree
-    if f.leading_coefficient > 0 and g.leading_coefficient > 0 and m <= n <= m + 1:
-        seq = _signed_remainders(f, g)
-        if _cauchy_index(seq) == n - seq[-1].degree and is_real_rooted(seq[-1]):
-            return True
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    nonzero = [p for p in (f, g) if not p.is_zero]
+    if len(nonzero) == 2:
+        n, m = f.degree, g.degree
+        if f.leading_coefficient > 0 and g.leading_coefficient > 0 and m <= n <= m + 1:
+            seq = _signed_remainders(f, g)
+            if _cauchy_index(seq) == n - seq[-1].degree and is_real_rooted(seq[-1]):
+                return True
+    if not all(map(is_real_rooted, nonzero)):
         raise ValueError("not real-rooted")
-    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+    if any(p.leading_coefficient <= 0 for p in nonzero):
         raise ValueError("positive leading coefficients required")
-    return False
+    return len(nonzero) < 2
 
 
 def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:

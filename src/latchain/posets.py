@@ -29,13 +29,33 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _minimal_members(mask: int, up: Sequence[int], levels: Sequence[int], r: int):
+    """Yield the minimal elements of ``mask``, lowest level first.
+
+    ``up[y]`` is the up-set mask of y and ``levels[r]`` the mask of level r,
+    where the level strictly increases along the order and every member of
+    ``mask`` lies above level r. The members on the lowest level met are
+    minimal; removing their up-sets leaves the members above none of them,
+    so repeating finds the rest, one mask step each. On a strict up-set this
+    lists the upper covers: one row of the transitive reduction (Aho, Garey
+    & Ullman, SIAM J. Comput. 1972).
+    """
+    while mask:
+        r += 1
+        for y in _bits(mask & levels[r]):
+            yield y
+            mask &= ~up[y]
+
+
 class Poset:
     """Immutable finite poset given by its cover relation.
 
     ``relations`` may be any acyclic set of pairs (x, y) meaning x < y;
     the transitive reduction is computed on construction, so redundant
-    pairs are harmless. ``labels`` are optional external names carried
-    along by the structural operations.
+    and repeated pairs are allowed, but each costs one step: a distinct
+    pair is a cover iff [x, y] has two elements, one popcount. The
+    library's builders pass covers only. ``labels`` are optional external
+    names carried along by the structural operations.
     """
 
     __slots__ = (
@@ -67,51 +87,50 @@ class Poset:
         if labels is not None and len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         succ = [set() for _ in range(n)]
-        indeg = [0] * n
-        seen = set()
         for x, y in relations:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"relation index out of range: ({x}, {y})")
             if x == y:
                 raise ValueError(f"reflexive relation pair ({x}, {y})")
-            if (x, y) in seen:
-                continue
-            seen.add((x, y))
             succ[x].add(y)
-            indeg[y] += 1
+        indeg = [0] * n
+        for ys in succ:
+            for y in ys:
+                indeg[y] += 1
 
-        # Kahn topological order; leftovers mean a cycle.
-        order = [x for x in range(n) if indeg[x] == 0]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    order.append(y)
-        if len(order) != n:
-            raise ValueError("relation contains a cycle")
-
+        # Kahn topological order, which the loop extends as it walks it;
+        # leftovers mean a cycle. An element's down-set is complete when it
+        # is reached, so it is passed on in the same walk.
+        order = [x for x in range(n) if not indeg[x]]
         down = [1 << x for x in range(n)]
         for x in order:
             dx = down[x]
             for y in succ[x]:
                 down[y] |= dx
+                indeg[y] -= 1
+                if not indeg[y]:
+                    order.append(y)
+        if len(order) != n:
+            raise ValueError("relation contains a cycle")
         up = [1 << x for x in range(n)]
         for x in reversed(order):
+            ux = up[x]
             for y in succ[x]:
-                up[x] |= up[y]
+                ux |= up[y]
+            up[x] = ux
 
-        # the transitive reduction is a subset of the input pairs
-        covers = sorted(
-            (x, y) for x, y in seen if up[x] & down[y] == (1 << x) | (1 << y)
-        )
+        # the transitive reduction is a subset of the input pairs: x < y is
+        # a cover iff x and y are all of [x, y]
+        covers = []
         cover_down = [[] for _ in range(n)]
-        cover_up = [[] for _ in range(n)]
-        for x, y in covers:
-            cover_down[y].append(x)
-            cover_up[x].append(y)
+        cover_up = []
+        for x in range(n):
+            ux = up[x]
+            above = sorted(y for y in succ[x] if (ux & down[y]).bit_count() == 2)
+            cover_up.append(above)
+            for y in above:
+                cover_down[y].append(x)
+                covers.append((x, y))
 
         # order is a linear extension, so every lower cover is ranked first
         rho = [0] * n
@@ -268,16 +287,19 @@ class Poset:
     # -- induced subposets ---------------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> "Poset":
-        """Subposet on the given elements with the inherited order and labels."""
+        """Subposet on the given elements with the inherited order and labels,
+        built from its covers, peeled by the parent's quasi-rank."""
         keep = sorted(set(keep))
         index = {x: i for i, x in enumerate(keep)}
         keep_mask = 0
         for x in keep:
             keep_mask |= 1 << x
-        rels = []
-        for x in keep:
-            for y in _bits(self._up[x] & keep_mask & ~(1 << x)):
-                rels.append((index[x], index[y]))
+        up, rho, levels = self._up, self._rho, self._level_masks()
+        rels = [
+            (index[x], index[y])
+            for x in keep
+            for y in _minimal_members((up[x] & keep_mask) ^ (1 << x), up, levels, rho[x])
+        ]
         labels = None if self.labels is None else [self.labels[x] for x in keep]
         return Poset(len(keep), rels, labels)
 

@@ -7,7 +7,8 @@ lattices replaced, the cover-path gradedness search that the single cover
 scan replaced, the permutation enumeration that the chain-count route
 of permstats replaced, the per-coefficient chain-counting program, the
 per-rank-set flag f-vector program and the per-element rank-profile walks
-that packed chain counts and level-mask popcounts replaced.
+that packed chain counts and level-mask popcounts replaced, and the
+poset constructor that filtered a set of pair tuples for covers.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
@@ -25,16 +26,18 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import FrozenSet, List, Sequence, Set, Tuple
+from unittest import mock
 
 import pytest
 
 from latchain import ExactPoly, Poset, boolean_lattice, brute_force_oracle, chain_poset, truncated_boolean
 from latchain.polynomial import ONE
-from latchain.posets import _bits
+from latchain.posets import MAX_ELEMENTS, _bits
 
 
 def run_cli(argv: Sequence[str], timeout: float) -> subprocess.CompletedProcess:
@@ -387,12 +390,13 @@ def root_count_by_sturm(p: ExactPoly, lo, hi) -> int:
 def interlaces_by_isolation(g: ExactPoly, f: ExactPoly) -> bool:
     """Same contract as ``latchain.interlaces``, by isolating the roots of the
     square-free part of f*g and comparing the sorted root multisets."""
-    if f.is_zero or g.is_zero:
-        return True
-    if not real_rooted_by_sturm(f) or not real_rooted_by_sturm(g):
+    nonzero = [p for p in (f, g) if not p.is_zero]
+    if not all(map(real_rooted_by_sturm, nonzero)):
         raise ValueError("not real-rooted")
-    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+    if any(p.leading_coefficient <= 0 for p in nonzero):
         raise ValueError("positive leading coefficients required")
+    if len(nonzero) < 2:
+        return True
     n, m = f.degree, g.degree
     if not (m <= n <= m + 1):
         return False
@@ -436,6 +440,86 @@ def lattice_tables_oracle(p: Poset) -> Tuple[bool, List[List[int]], List[List[in
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = w
     return ok, join, meet
+
+
+# -- the poset constructor that filtered a set of pair tuples ------------------------
+
+
+def poset_by_pair_filter(n: int, relations) -> dict:
+    """The fields ``Poset(n, relations)`` sets, by the constructor that kept a
+    set of pair tuples and sorted the pairs it found to be covers; raises the
+    same errors in the same order."""
+    if n < 0 or n > MAX_ELEMENTS:
+        raise ValueError(f"element count out of range: {n}")
+    succ = [set() for _ in range(n)]
+    indeg = [0] * n
+    seen = set()
+    for x, y in relations:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"relation index out of range: ({x}, {y})")
+        if x == y:
+            raise ValueError(f"reflexive relation pair ({x}, {y})")
+        if (x, y) in seen:
+            continue
+        seen.add((x, y))
+        succ[x].add(y)
+        indeg[y] += 1
+    order = [x for x in range(n) if indeg[x] == 0]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                order.append(y)
+    if len(order) != n:
+        raise ValueError("relation contains a cycle")
+    down = [1 << x for x in range(n)]
+    for x in order:
+        for y in succ[x]:
+            down[y] |= down[x]
+    up = [1 << x for x in range(n)]
+    for x in reversed(order):
+        for y in succ[x]:
+            up[x] |= up[y]
+    covers = sorted((x, y) for x, y in seen if up[x] & down[y] == (1 << x) | (1 << y))
+    cover_down = [[] for _ in range(n)]
+    cover_up = [[] for _ in range(n)]
+    for x, y in covers:
+        cover_down[y].append(x)
+        cover_up[x].append(y)
+    rho = [0] * n
+    for x in order:
+        if cover_down[x]:
+            rho[x] = 1 + max(rho[y] for y in cover_down[x])
+    minimals = [x for x in range(n) if not cover_down[x]]
+    maximals = [x for x in range(n) if not cover_up[x]]
+    return {
+        "covers": tuple(covers),
+        "_down": tuple(down),
+        "_up": tuple(up),
+        "_rho": tuple(rho),
+        "_cover_down": tuple(map(tuple, cover_down)),
+        "_cover_up": tuple(map(tuple, cover_up)),
+        "least": minimals[0] if len(minimals) == 1 else None,
+        "greatest": maximals[0] if len(maximals) == 1 else None,
+    }
+
+
+@contextmanager
+def relations_passed():
+    """Record, as a list, the relations of every Poset built inside the block."""
+    passed = []
+    init = Poset.__init__
+
+    def record(self, n, relations=(), labels=None):
+        relations = list(relations)
+        passed.append(relations)
+        init(self, n, relations, labels)
+
+    with mock.patch.object(Poset, "__init__", record):
+        yield passed
 
 
 # -- inclusion order by comparing every pair of sets --------------------------------

@@ -137,6 +137,8 @@ def test_usage_error_exit_code():
         ["build", "paving:file=two-grounds", "--out", "x"],
         # a d-partition file with a non-integer ground point
         ["build", "paving:file=bad-point", "--out", "x"],
+        # the zero polynomial beside one that is not real-rooted
+        ["poly", "interlaces", "0", "1 1 1"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):

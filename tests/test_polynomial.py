@@ -79,9 +79,21 @@ def test_interlaces_examples():
     assert interlaces(ExactPoly((1, 2)), ONE_PLUS_T * ExactPoly((1, 3)))
     assert interlaces(ONE_PLUS_T, ONE_PLUS_T**2)
     assert not interlaces(ONE_PLUS_T * ExactPoly((1, 4)), ExactPoly((1, 2)) * ExactPoly((1, 3)))
-    # zero polynomial interlaces and is interlaced by everything
+    # the zero polynomial interlaces and is interlaced by itself and by
+    # every real-rooted polynomial with a positive leading coefficient
     assert interlaces(ExactPoly(), ONE_PLUS_T)
     assert interlaces(ONE_PLUS_T, ExactPoly())
+    assert interlaces(ExactPoly(), ExactPoly())
+    # any other argument beside it still meets the guards
+    for f in (ExactPoly((1, 1, 1)), ExactPoly((1, 0, 1))):
+        with pytest.raises(ValueError, match="not real-rooted"):
+            interlaces(ExactPoly(), f)
+        with pytest.raises(ValueError, match="not real-rooted"):
+            interlaces(f, ExactPoly())
+    with pytest.raises(ValueError, match="positive leading"):
+        interlaces(ExactPoly(), -ONE_PLUS_T)
+    with pytest.raises(ValueError, match="positive leading"):
+        interlaces(ExactPoly((-3,)), ExactPoly())
     # degree gap of two is a plain False
     assert not interlaces(ExactPoly((1,)), ONE_PLUS_T**2)
     with pytest.raises(ValueError):
@@ -338,8 +350,9 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_interlaces_matches_isolation_oracle(data):
-    """Shared, repeated, irrational and non-real roots; degree gaps of 0 to 2 and
-    leading coefficients of either sign, so every guard and its order is reached."""
+    """Shared, repeated, irrational and non-real roots; degree gaps of 0 to 2,
+    leading coefficients of either sign and a zero argument, so every guard
+    and its order is reached."""
     shared = _product(_factors(data, 2))
     f = shared * _product(_factors(data, 2))
     g = shared * _product(_factors(data, 2))
@@ -350,6 +363,9 @@ def test_interlaces_matches_isolation_oracle(data):
         else:
             f = f * data.draw(LINEAR)
     f, g = data.draw(SIGNED_SCALE) * f, data.draw(SIGNED_SCALE) * g
+    zeroed = data.draw(st.sampled_from(["none", "none", "none", "f", "g"]))
+    f = ExactPoly() if zeroed == "f" else f
+    g = ExactPoly() if zeroed == "g" else g
     assert _outcome(interlaces, g, f) == _outcome(interlaces_by_isolation, g, f)
     assert _outcome(interlaces, f, g) == _outcome(interlaces_by_isolation, f, g)
 

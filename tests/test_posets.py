@@ -17,14 +17,17 @@ from latchain import (
     poset_to_text,
     truncated_boolean,
 )
+from latchain.posets import _bits
 from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
     chain_polynomial_by_dp,
     flag_f_vector_by_dicts,
     pentagon,
+    poset_by_pair_filter,
     quasi_uniform_13,
     random_bounded,
+    relations_passed,
     random_poset,
     small_corpus,
 )
@@ -278,6 +281,108 @@ def test_cycle_rejection_and_bad_index():
         Poset(2, [(0, 5)])
     with pytest.raises(ValueError):
         Poset(2, [(1, 1)])
+
+
+_FIELDS = ("covers", "_down", "_up", "_rho", "_cover_down", "_cover_up", "least", "greatest")
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _fields(p: Poset) -> dict:
+    return {name: getattr(p, name) for name in _FIELDS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constructor_matches_the_pair_filter_oracle(data):
+    """Every field against the old constructor, on relations with repeated and
+    redundant pairs in shuffled order; elements outside every pair stay isolated."""
+    n = data.draw(st.integers(0, 14))
+    name = data.draw(st.permutations(range(n)))  # a linear extension not by index
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = {(name[i], name[j]) for i, j in data.draw(st.lists(pairs, max_size=3 * n)) if i < j}
+    above = poset_by_pair_filter(n, edges)["_up"]
+    closure = sorted((x, y) for x in range(n) for y in _bits(above[x]) if y != x)
+    redundant = data.draw(st.lists(st.sampled_from(closure), max_size=2 * n)) if closure else []
+    repeated = data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=n)) if edges else []
+    relations = data.draw(st.permutations(sorted(edges) + redundant + repeated))
+    assert _fields(Poset(n, relations)) == poset_by_pair_filter(n, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constructor_errors_match_the_pair_filter_oracle(data):
+    """Out-of-range, reflexive and cyclic input in any order: the same error."""
+    n = data.draw(st.integers(-1, 6))
+    index = st.integers(-1, max(n, 0))
+    relations = data.draw(st.lists(st.tuples(index, index), max_size=12))
+
+    def fields(n, relations):
+        return _fields(Poset(n, relations))
+
+    assert _outcome(fields, n, relations) == _outcome(poset_by_pair_filter, n, relations)
+
+
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        # the first bad pair in input order wins, out of range or reflexive
+        ([(0, 1), (0, 5), (1, 1)], r"^relation index out of range: \(0, 5\)$"),
+        ([(0, 1), (1, 1), (0, 5)], r"^reflexive relation pair \(1, 1\)$"),
+        ([(-1, 0), (2, 2)], r"^relation index out of range: \(-1, 0\)$"),
+        # a cycle is reported only once every pair has passed
+        ([(0, 1), (1, 0), (2, 2)], r"^reflexive relation pair \(2, 2\)$"),
+        ([(0, 1), (1, 0), (0, 3)], r"^relation index out of range: \(0, 3\)$"),
+        ([(0, 1), (1, 2), (2, 0), (0, 2), (0, 1)], r"^relation contains a cycle$"),
+    ],
+)
+def test_constructor_error_precedence(relations, message):
+    with pytest.raises(ValueError, match=message):
+        Poset(3, relations)
+    with pytest.raises(ValueError, match=message):
+        poset_by_pair_filter(3, relations)
+
+
+def _assert_induced_by_pairs(p: Poset, q: Poset, keep) -> None:
+    """q is p restricted to keep: the poset of every comparable kept pair."""
+    keep = sorted(keep)
+    index = {x: i for i, x in enumerate(keep)}
+    pairs = [(index[x], index[y]) for x in keep for y in keep if x != y and p.leq(x, y)]
+    expected = Poset(len(keep), pairs, [p.labels[x] for x in keep])
+    assert _fields(q) == _fields(expected) and q.labels == expected.labels
+
+
+def _labelled_random_poset(rng: random.Random, n: int) -> Poset:
+    """A random poset, rarely graded, so a kept cover can lie two quasi-ranks up."""
+    p = random_poset(rng, n)
+    return Poset(n, p.covers, [f"e{x}" for x in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 24), st.data())
+def test_induced_subposets_are_built_from_their_covers(rng, n, data):
+    p = _labelled_random_poset(rng, n)
+    keep = data.draw(st.sets(st.integers(0, n - 1)))
+    x, y = data.draw(st.sampled_from([(x, y) for x in range(n) for y in p.up_set(x)]))
+    ranks = data.draw(st.sets(st.integers(0, p.quasi_rank), min_size=1))
+    top = p.quasi_rank
+    truncated = {*range(top - 1), top}  # every rank but top - 1
+    cases = [
+        (lambda: p.induced(keep), keep),
+        (p.truncate, [z for z in range(n) if p.rho(z) in truncated]),
+        (lambda: p.interval(x, y), [z for z in range(n) if p.leq(x, z) and p.leq(z, y)]),
+        (lambda: p.rank_selected(ranks), [z for z in range(n) if p.rho(z) in ranks]),
+    ]
+    for build, kept in cases:
+        with relations_passed() as passed:
+            q = build()
+        assert sorted(passed[-1]) == list(q.covers)
+        _assert_induced_by_pairs(p, q, kept)
 
 
 def test_label_count_must_match_the_element_count():

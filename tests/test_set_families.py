@@ -19,6 +19,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latchain import (
     DPartition,
@@ -33,9 +34,16 @@ from latchain import (
     subspace_lattice,
     truncated_boolean,
 )
-from latchain.families import FANO_BLOCKS, _check_flat_count, _flats, read_dpartition, vamos_dpartition
+from latchain.families import (
+    FANO_BLOCKS,
+    _check_flat_count,
+    _flats,
+    _poset_from_sets,
+    read_dpartition,
+    vamos_dpartition,
+)
 from latchain.suites import _designs_corpus, _see_corpus
-from helpers import cosets_by_translation, poset_from_sets_by_pairs, subspaces_by_sums
+from helpers import cosets_by_translation, poset_from_sets_by_pairs, relations_passed, subspaces_by_sums
 
 PG_2_3 = Path(__file__).parent / "data" / "pg-2-3.dpartition"
 
@@ -98,6 +106,28 @@ def test_subspace_lattice_matches_pairs_oracle(n, q):
 def test_affine_lattice_matches_pairs_oracle(n, q):
     p = affine_lattice(n, q)
     _assert_matches_pairs_oracle(p, p.labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_family_with_skipped_sizes_is_built_from_its_covers(rng):
+    """Sets of sizes 0, 3 and 7 only, so a cover can lie two sizes up."""
+    ground = range(1, 10)
+    family = [frozenset()]
+    family += [frozenset(rng.sample(ground, 3)) for _ in range(rng.randint(0, 8))]
+    family += [frozenset(rng.sample(ground, 7)) for _ in range(rng.randint(0, 5))]
+    family = list(dict.fromkeys(family))
+    with relations_passed() as passed:
+        p = _poset_from_sets(family)
+    assert sorted(passed[-1]) == list(p.covers)
+    _assert_matches_pairs_oracle(p, family)
+
+
+@pytest.mark.parametrize("dsl", ["trunc-boolean:7:2", "subspace:3:3", "affine:3:2", "fano-design", "vamos"])
+def test_set_families_are_built_from_their_covers(dsl):
+    with relations_passed() as passed:
+        p = build_instance(dsl)
+    assert sorted(passed[0]) == list(p.covers)
 
 
 def test_random_linear_spaces_match_pairs_oracle():
