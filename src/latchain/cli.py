@@ -71,7 +71,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         try:
             with open(args.instances, "r", encoding="utf-8") as fh:
                 instances = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             args.parser.error(f"cannot read --instances file: {exc}")
     _check_writable(args, [path for path in (args.json, args.csv) if path])
     names = SUITE_NAMES if args.name == "all" else (args.name,)

@@ -667,8 +667,8 @@ def build_instance(dsl: str):
     "partition:5", "chain:4", "vamos", "fano-design", "uniform-design:5:3",
     "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
     "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
-    A wrong number of fields or an unknown, missing or repeated key is a
-    ValueError.
+    A wrong number of fields, an unknown, missing or repeated key, or a
+    repeated cut member is a ValueError.
     """
     parts = dsl.split(":")
     head = parts[0]
@@ -710,6 +710,9 @@ def build_instance(dsl: str):
             mc = ModularCut(host, frozenset())
         else:
             atom_names = [int(tok) for tok in cut_spec.split(",")]
+            for i, name in enumerate(atom_names):
+                if name in atom_names[:i]:
+                    raise ValueError(f"repeated cut member {name}")
             mc = principal_cut(host, element_with_atoms(host, atom_names))
         names = set(map(repr, _atom_names(host).values()))
         e = 0

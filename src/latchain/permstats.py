@@ -55,5 +55,15 @@ def q_eulerian(n: int, q: Scalar) -> ExactPoly:
 
 
 def eulerian(n: int) -> ExactPoly:
-    """Descent-count generating polynomial of the symmetric group on n letters."""
-    return q_eulerian(n, 1)
+    """Descent-count generating polynomial of the symmetric group on n letters.
+
+    Computed by the recurrence A(n, k) = (k + 1) A(n - 1, k) + (n - k)
+    A(n - 1, k - 1) on the Eulerian numbers, independently of
+    :func:`q_eulerian`, which it equals at q = 1.
+    """
+    if not 1 <= n <= MAX_PERMUTATION_SIZE:
+        raise ValueError(f"permutation size out of range: {n}")
+    row = [1]
+    for m in range(2, n + 1):
+        row = [1] + [(k + 1) * row[k] + (m - k) * row[k - 1] for k in range(1, m - 1)] + [1]
+    return ExactPoly(row)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import prod
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .polynomial import ExactPoly, binomial_basis_poly
+from .polynomial import ExactPoly, from_binomial_coefficients
 
 MAX_ELEMENTS = 5000
 
@@ -72,7 +72,6 @@ class Poset:
         "_by_up",
         "_by_down",
         "_lattice",
-        "_mobius_cache",
     )
 
     def __init__(
@@ -155,7 +154,6 @@ class Poset:
         object.__setattr__(self, "_by_up", None)
         object.__setattr__(self, "_by_down", None)
         object.__setattr__(self, "_lattice", None)
-        object.__setattr__(self, "_mobius_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -428,44 +426,36 @@ class Poset:
 
     # -- incidence algebra ---------------------------------------------------------------
 
+    def _mobius_column(self, y: int, mask: int) -> Dict[int, int]:
+        """mu(w, y) for every w in ``mask``, a subset of the down-set of y
+        closed upward below y.
+
+        Taken by decreasing quasi-rank, so every z above w comes first:
+        mu(y, y) = 1 and mu(w, y) = -sum of mu(z, y) over w < z <= y.
+        """
+        up = self._up
+        mu: Dict[int, int] = {}
+        for w in sorted(_bits(mask), key=self._rho.__getitem__, reverse=True):
+            mu[w] = 1 if w == y else -sum(mu[z] for z in _bits((up[w] & mask) ^ (1 << w)))
+        return mu
+
     def mobius(self, x: int, y: int) -> int:
-        """Mobius function of the interval [x, y]."""
+        """Mobius function of the interval [x, y], read from one column."""
         if not self.leq(x, y):
             raise ValueError("mobius is undefined on incomparable pairs")
-        cache = self._mobius_cache
-        key = (x, y)
-        if key in cache:
-            return cache[key]
-        # iterative accumulation over z in [x, y), ordered by rank
-        interval = sorted(
-            _bits(self._up[x] & self._down[y]), key=lambda z: (self._rho[z], z)
-        )
-        for w in interval:
-            if (x, w) in cache:
-                continue
-            total = 0
-            for z in _bits(self._up[x] & self._down[w] & ~(1 << w)):
-                total += cache[(x, z)]
-            cache[(x, w)] = 1 if w == x else -total
-        return cache[key]
+        return self._mobius_column(y, self._up[x] & self._down[y])[x]
 
     def zeta_polynomial(self) -> ExactPoly:
         """Multichain-counting polynomial Z(n) of a bounded poset.
 
-        Z(n) counts multichains bottom = x_0 <= ... <= x_n = top, and is
-        assembled from strict chain counts of the open interval against
+        Z(n) counts multichains bottom = x_0 <= ... <= x_n = top: a strict
+        chain of j steps from bottom to top spreads over the n steps in
+        C(n, j) ways, so Z is the bottom-to-top chain polynomial read in
         the binomial basis.
         """
         if self._least is None or self._greatest is None:
             raise ValueError("zeta polynomial requires a bounded poset")
-        if self.n == 1:
-            return ExactPoly((1,))
-        w = self.proper_part().chain_polynomial().coeffs
-        out = ExactPoly()
-        for k, wk in enumerate(w):
-            if wk:
-                out = out + wk * binomial_basis_poly(k + 1)
-        return out
+        return from_binomial_coefficients(self.bounded_chain_polynomial(self._greatest).coeffs)
 
     def p_polynomial(self) -> ExactPoly:
         """Generating polynomial of bottom-to-top chains by interior size.
@@ -477,7 +467,7 @@ class Poset:
             raise ValueError("p polynomial requires a bounded poset")
         if self.n < 2:
             raise ValueError("p polynomial requires at least two elements")
-        return self.proper_part().chain_polynomial().shift(1)
+        return self.bounded_chain_polynomial(self._greatest)
 
     def bounded_chain_polynomial(self, x: int) -> ExactPoly:
         """sum_j (number of chains bottom = z_0 < ... < z_j = x) t^j."""

@@ -5,9 +5,9 @@ verdicts: real-rootedness, root location in [-1, 0], interlacing,
 resolvability, isomorphism, and polynomial identities. A suite is a
 default corpus plus one check; every instance is a string that the
 check parses itself, so any reported instance can be run again on its
-own. The one exception is the rank3 corpus of random lattices, drawn
-from the seed. Randomized corpora are seeded and the seed is recorded
-in every report.
+own. The rank3 corpus of random lattices is prebuilt from the seed; its
+tags name the seed and the draw, so they replay too. Randomized corpora
+are seeded and the seed is recorded in every report.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .families import (
     build_instance,
     dowling_step_operator,
     linear_space_lattice,
+    subspace_lattice,
     truncated_boolean,
 )
 from .permstats import eulerian, q_eulerian
@@ -183,17 +184,33 @@ def _params(tag: str, head: str, keys: Sequence[str]) -> Dict[str, int]:
     return {key: int(value) for key, value in _keyed_fields(parts, keys).items()}
 
 
+_RANK3_DRAWS = 200
+
+
 def _rank3_corpus(seed: int) -> List[Tuple[str, Any]]:
     rng = random.Random(seed)
-    return [(f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)) for i in range(200)]
+    return [(f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)) for i in range(_RANK3_DRAWS)]
 
 
 def _check_rank3(subject: Any, seed: int) -> dict:
     """Geometric, the closed form matches the chain count, and real-rooted.
 
-    The subject is a prebuilt random lattice or a family DSL string.
+    The subject is a prebuilt random lattice, a family DSL string, or a
+    ``rank3-random:seed=S:i=III`` tag, which names draw i of the corpus at
+    seed S and is replayed by drawing i + 1 lattices from seed S again.
     """
-    l = build_instance(subject) if isinstance(subject, str) else subject
+    if not isinstance(subject, str):
+        l = subject
+    elif subject.startswith("rank3-random:"):
+        params = _params(subject, "rank3-random", ("seed", "i"))
+        if not 0 <= params["i"] < _RANK3_DRAWS:
+            raise ValueError(f"draw index out of range 0..{_RANK3_DRAWS - 1}: {params['i']}")
+        seed = params["seed"]
+        rng = random.Random(seed)
+        for _ in range(params["i"] + 1):
+            l = random_rank3_geometric(rng)
+    else:
+        l = build_instance(subject)
     _require(is_geometric(l), reason="not geometric")
     c = l.chain_polynomial()
     formula = rank3_formula(l)
@@ -505,8 +522,6 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
         witness["failing_poly"] = weighted.to_string()
         witness["failing_roots"] = [[str(a), str(b)] for a, b in iso.intervals]
     if n <= 3:
-        from .families import subspace_lattice
-
         h_checks = {}
         for q in (2, 3):
             lat = subspace_lattice(n, q)

@@ -414,50 +414,45 @@ def is_perfect_matroid_design(p: Poset) -> bool:
 # -- the incidence rank function --------------------------------------------------------
 
 
-def _join_fiber(p: Poset, x: int, y: int) -> ExactPoly:
-    """Sum of t^rho(z) over z <= y with z join x = y, on a lattice."""
-    rho = p._rho
-    counts = [0] * (rho[y] + 1)
-    for z in p.down_set(y):
-        if p.join(x, z) == y:
-            counts[rho[z]] += 1
-    return ExactPoly(counts)
-
-
-def _mobius_R(p: Poset, x: int, y: int) -> ExactPoly:
-    """Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y]."""
-    if p.least is None:
-        raise ValueError("requires a least element")
-    levels = p._level_masks()
-    acc = ExactPoly()
-    for w in _bits(p.up_mask(x) & p.down_mask(y)):
-        mu = p.mobius(w, y)
-        if mu == 0:
-            continue
-        down = p.down_mask(w)
-        acc = acc + mu * ExactPoly((down & level).bit_count() for level in levels[: p.rho(w) + 1])
-    return acc
+def _incidence_column(p: Poset, y: int, mask: int, xs: Sequence[int]) -> Dict[int, ExactPoly]:
+    """R(x, y) for each x in ``xs`` from one Mobius column: the sum over w in
+    [x, y] of mu(w, y) times the level popcounts of w's down-set. ``mask``
+    is closed upward below y and holds every x."""
+    rho, down, up, levels = p._rho, p._down, p._up, p._level_masks()
+    terms = {
+        w: [m * (down[w] & level).bit_count() for level in levels[: rho[w] + 1]]
+        for w, m in p._mobius_column(y, mask).items()
+        if m
+    }
+    column = {}
+    for x in xs:
+        counts = [0] * (rho[y] + 1)
+        for w in _bits(up[x] & mask):
+            for r, c in enumerate(terms.get(w, ())):
+                counts[r] += c
+        column[x] = ExactPoly(counts)
+    return column
 
 
 def incidence_R(p: Poset, x: int, y: int) -> ExactPoly:
     """Monic degree-rho(y) polynomial attached to the interval [x, y].
 
-    On a lattice it is the join-fiber sum of t^rho(z) over z <= y with
-    z join x = y. On a general poset with a least element the same
-    element of the incidence algebra is obtained by Mobius inversion of
-    w -> sum_{z <= w} t^rho(z); the two computations agree on lattices.
+    It is the Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y],
+    defined on any poset with a least element. On a lattice it equals the
+    join-fiber sum of t^rho(z) over z <= y with z join x = y.
     """
     if not p.leq(x, y):
         raise ValueError("incomparable pair")
-    if p.is_lattice:
-        return _join_fiber(p, x, y)
-    return _mobius_R(p, x, y)
+    if p.least is None:
+        raise ValueError("requires a least element")
+    return _incidence_column(p, y, p.up_mask(x) & p.down_mask(y), (x,))[x]
 
 
 def incidence_R_table(p: Poset) -> Dict[Tuple[int, int], ExactPoly]:
-    """incidence_R on every comparable pair of a lattice, computed in one sweep."""
+    """incidence_R on every comparable pair of a lattice, one Mobius column per top."""
     _require_lattice(p)
-    return {(x, y): _join_fiber(p, x, y) for y in range(p.n) for x in p.down_set(y)}
+    columns = ((y, _incidence_column(p, y, p.down_mask(y), p.down_set(y))) for y in range(p.n))
+    return {(x, y): poly for y, column in columns for x, poly in column.items()}
 
 
 def check_cover_recursion(p: Poset) -> CheckReport:

@@ -7,8 +7,11 @@ lattices replaced, the cover-path gradedness search that the single cover
 scan replaced, the permutation enumeration that the chain-count route
 of permstats replaced, the per-coefficient chain-counting program, the
 per-rank-set flag f-vector program and the per-element rank-profile walks
-that packed chain counts and level-mask popcounts replaced, and the
-poset constructor that filtered a set of pair tuples for covers.
+that packed chain counts and level-mask popcounts replaced, the
+poset constructor that filtered a set of pair tuples for covers, the
+join-fiber formula that Mobius inversion replaced for the incidence rank
+function on lattices, and chain and multichain walks for Philip Hall's
+theorem and the zeta polynomial.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
@@ -660,6 +663,48 @@ def mobius_R_by_walk(p: Poset, x: int, y: int) -> ExactPoly:
     for w in _bits(p.up_mask(x) & p.down_mask(y)):
         acc = acc + p.mobius(w, y) * ExactPoly(rank_profile_by_walk(p, p.down_mask(w)))
     return acc
+
+
+# -- the incidence algebra by join fibers and chain walks ----------------------------
+
+
+def incidence_R_by_join_fiber(p: Poset, x: int, y: int) -> ExactPoly:
+    """Sum of t^rho(z) over z <= y with z join x = y, on a lattice."""
+    counts = [0] * (p.rho(y) + 1)
+    for z in p.down_set(y):
+        if p.join(x, z) == y:
+            counts[p.rho(z)] += 1
+    return ExactPoly(counts)
+
+
+def chain_counts_by_walk(p: Poset, x: int, y: int) -> List[int]:
+    """c[j] counts the chains x = z_0 < ... < z_j = y, by a walk up the
+    order that remembers the counts from each element it has left."""
+    memo = {}
+
+    def walk(z: int) -> List[int]:
+        if z not in memo:
+            counts = [1] if z == y else [0]
+            for w in range(p.n):
+                if w != z and p.leq(z, w) and p.leq(w, y):
+                    for j, c in enumerate(walk(w), start=1):
+                        counts += [0] * (j + 1 - len(counts))
+                        counts[j] += c
+            memo[z] = counts
+        return memo[z]
+
+    return walk(x)
+
+
+def multichains_by_walk(p: Poset, n: int) -> int:
+    """Multichains bottom = x_0 <= x_1 <= ... <= x_n = top, one step at a time."""
+
+    def walk(z: int, steps: int) -> int:
+        if steps == 0:
+            return int(z == p.greatest)
+        return sum(walk(w, steps - 1) for w in p.up_set(z))
+
+    return walk(p.least, n)
 
 
 # -- gradedness by cover-path lengths ------------------------------------------------

@@ -139,6 +139,10 @@ def test_usage_error_exit_code():
         ["build", "paving:file=bad-point", "--out", "x"],
         # the zero polynomial beside one that is not real-rooted
         ["poly", "interlaces", "0", "1 1 1"],
+        # a cut member named twice
+        ["build", "see:boolean:4:cut=1,1", "--out", "x"],
+        # an instances file that is not UTF-8
+        ["suite", "paving", "--instances", "not-utf8"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
@@ -148,6 +152,7 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
         "dpartition 2\nground 1 2 3 4\nground 1 2 3\nblock 1 2\nblock 1 3\nblock 2 3\n"
     )
     (tmp_path / "bad-point").write_text("dpartition 2\nground 1 2 x\nblock 1 2\n")
+    (tmp_path / "not-utf8").write_bytes(b"\xff\xfe")
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

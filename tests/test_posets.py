@@ -2,7 +2,7 @@ import random
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latchain import (
     ExactPoly,
@@ -21,8 +21,10 @@ from latchain.posets import _bits
 from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
+    chain_counts_by_walk,
     chain_polynomial_by_dp,
     flag_f_vector_by_dicts,
+    multichains_by_walk,
     pentagon,
     poset_by_pair_filter,
     quasi_uniform_13,
@@ -30,6 +32,7 @@ from helpers import (
     relations_passed,
     random_poset,
     small_corpus,
+    with_bounds,
 )
 
 ONE_PLUS_T = ExactPoly((1, 1))
@@ -212,6 +215,25 @@ def test_mobius_zeta_inverse():
                 if p.leq(x, y):
                     total = sum(p.mobius(x, z) for z in p.up_set(x) if p.leq(z, y))
                     assert total == (1 if x == y else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 25), st.booleans())
+def test_mobius_is_philip_halls_alternating_chain_count(rng, n, bounded):
+    """mu(x, y) = sum_j (-1)^j c_j, with c_j the chains x = z_0 < ... < z_j = y."""
+    p = with_bounds(random_poset(rng, n - 2)) if bounded and n >= 2 else random_poset(rng, n)
+    assume(not p.is_lattice)
+    for y in range(p.n):
+        for x in p.down_set(y):
+            counts = chain_counts_by_walk(p, x, y)
+            assert p.mobius(x, y) == sum((-1) ** j * c for j, c in enumerate(counts))
+
+
+def test_zeta_polynomial_counts_multichains():
+    for p in bounded_corpus() + [chain_poset(1)]:
+        z = p.zeta_polynomial()
+        for n in range(5):
+            assert z(n) == multichains_by_walk(p, n)
 
 
 def test_zeta_polynomial():

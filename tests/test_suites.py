@@ -177,6 +177,18 @@ def test_counterexample_search_finds_failures():
     assert res4["first_failing_q"] is not None
 
 
+def test_counterexample_q_one_check_compares_independent_computations(monkeypatch):
+    import latchain.suites as suites
+
+    def off_at_one(n, q):
+        return q_eulerian(n, q) + (ExactPoly.monomial(1) if q == 1 else ExactPoly())
+
+    monkeypatch.setattr(suites, "q_eulerian", off_at_one)
+    with pytest.raises(CheckFailure) as err:
+        counterexample_search(3, 4)
+    assert err.value.witness == {"reason": "q = 1 specialization failed"}
+
+
 def test_counterexample_q_normalization():
     """q^{-3} A_3(t; q) approaches t^2: top coefficient has q-degree 3, others lag."""
     # A_3(t;q) = 1 + (2q + 2q^2) t + q^3 t^2
@@ -349,14 +361,25 @@ def test_reported_instances_reproduce_their_records(name, tmp_path):
     rc = main(["suite", name, "--instances", str(instances), "--seed", "0", "--json", str(again)])
     replayed = [json.loads(line) for line in _records(again)]
     assert [r["instance"] for r in replayed] == tags
-    if name == "rank3":
-        # random lattices are drawn from the seed, not named by their tags
-        assert rc == 1
-        assert all(r["verdict"] == "error" for r in replayed)
-        assert all("unknown family DSL" in r["witness"]["exception"] for r in replayed)
-    else:
-        assert rc == 0
-        assert _records(again) == expected
+    assert rc == 0
+    assert _records(again) == expected
+
+
+def test_rank3_tags_draw_their_lattice_again():
+    tags = ["rank3-random:seed=0:i=000", "rank3-random:seed=0:i=005", "rank3-random:seed=0:i=199"]
+    golden = {json.loads(line)["instance"]: json.loads(line) for line in GOLDEN.read_text().splitlines()}
+    for report in suite_run("rank3", instances=tags, seed=0):
+        assert (report.verdict, report.witness) == (golden[report.instance]["verdict"], golden[report.instance]["witness"])
+    for report in suite_run("rank3", instances=["rank3-random:seed=0:i=-1", "rank3-random:seed=0:i=200"]):
+        assert report.verdict == "error" and "draw index out of range 0..199" in report.witness["exception"]
+
+
+@pytest.mark.parametrize("cut", ["1,1", "1,2,2"])
+def test_see_repeated_cut_member_is_an_error_verdict(cut):
+    # the cut is a set; counting the repeated member twice once gave a false product mismatch
+    [report] = suite_run("see", instances=[f"see:boolean:4:cut={cut}"])
+    assert report.verdict == "error"
+    assert "repeated cut member" in report.witness["exception"]
 
 
 @pytest.mark.parametrize(

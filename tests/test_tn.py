@@ -34,8 +34,9 @@ from latchain import (
     truncated_boolean,
     vamos_lattice,
 )
-from latchain.tn import _is_graded, _mobius_R
+from latchain.tn import _is_graded
 from helpers import (
+    incidence_R_by_join_fiber,
     mobius_R_by_walk,
     nonuniform_5,
     pentagon,
@@ -381,7 +382,20 @@ def test_incidence_methods_agree_on_lattices():
         for x in range(p.n):
             for y in range(p.n):
                 if p.leq(x, y):
-                    assert incidence_R(p, x, y) == _mobius_R(p, x, y)
+                    assert incidence_R(p, x, y) == incidence_R_by_join_fiber(p, x, y)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [boolean_lattice(4), subspace_lattice(3, 2), partition_lattice(5), truncated_boolean(5, 2), vamos_lattice()],
+)
+def test_incidence_R_matches_the_join_fiber_oracle(p):
+    table = incidence_R_table(p)
+    for y in range(p.n):
+        for x in p.down_set(y):
+            expected = incidence_R_by_join_fiber(p, x, y)
+            assert incidence_R(p, x, y) == expected
+            assert table[(x, y)] == expected
 
 
 def test_incidence_on_non_lattices_by_mobius_inversion():
