@@ -1,13 +1,17 @@
 """Exact univariate polynomial arithmetic and real-root predicates.
 
 Everything is computed over the rationals, and no floating point is used
-anywhere. The predicates read no root locations. Real-rootedness and
-interlacing are each decided by one signed remainder sequence over the
-integers, whose sign variations at -inf and +inf give a Cauchy index
-(Sturm's theorem). Root location in an interval is decided by Descartes'
-rule of signs, which is exact on real-rooted input. Sturm counts give the
-number of distinct roots in an interval, and with bisection they isolate
-the roots in disjoint rational intervals for failure witnesses.
+anywhere. The predicates read no root locations. Each one turns its input
+into one representation, the primitive integer multiple of the
+polynomial as a list of ints, lowest degree first, and works on such
+lists to the verdict. Real-rootedness and interlacing are each decided by
+one signed remainder sequence of such lists, whose sign variations at
+-inf and +inf give a Cauchy index (Sturm's theorem), read off each term's
+last entry and length. Root location in an interval is decided by
+Descartes' rule of signs on two Taylor shifts of the same list, which is
+exact on real-rooted input. Sturm counts give the number of distinct
+roots in an interval, and with bisection they isolate the roots in
+disjoint rational intervals for failure witnesses.
 
 The same remainder sequence is the only gcd: the Sturm chain of p ends in
 gcd(p, p'), which gives the square-free part of p for counts on an
@@ -30,6 +34,8 @@ MINUS_INF = float("-inf")
 
 def _norm(c: Scalar) -> Scalar:
     """Collapse integral Fractions to int; reject inexact coefficient types."""
+    if type(c) is int:
+        return c
     if isinstance(c, bool):
         raise TypeError("bool is not a polynomial coefficient")
     if isinstance(c, int):
@@ -217,32 +223,30 @@ T = ExactPoly((0, 1))
 
 def _primitive(cs: list) -> list:
     """Divide integer coefficients by their positive content."""
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    return [c // g for c in cs]
+    g = gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
 
 
-def _integer_coeffs(p: ExactPoly) -> list:
-    """Nonzero p times the positive rational that makes its coefficients
+def _integer_coeffs(coeffs: Sequence[Scalar]) -> list:
+    """Nonzero coefficients times the positive rational that makes them
     coprime integers."""
-    den = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    return _primitive([int(c * den) for c in p.coeffs])
+    cs = list(coeffs)
+    if not all(type(c) is int for c in cs):
+        den = lcm(*(c.denominator for c in cs))
+        cs = [int(c * den) for c in cs]
+    return _primitive(cs)
 
 
-def _signed_remainders(p: ExactPoly, q: ExactPoly) -> list:
-    """The signed remainder sequence p, q, -rem(p, q), ... of nonzero p and q.
+def _signed_remainders(a: list, b: list) -> list:
+    """The signed remainder sequence a, b, -rem(a, b), ... of nonzero
+    integer coefficient lists, lowest degree first.
 
     Each term is a positive multiple of the term of the rational sequence:
     the remainders are integer pseudo-remainders scaled by |lc|, and every
-    term is divided by its positive content. So every sign that a Sturm
-    count reads is unchanged. The last term is gcd(p, q) up to a nonzero
-    factor.
+    remainder is divided by its positive content. So every sign that a
+    Sturm count reads is unchanged. The last term is gcd(a, b) up to a
+    nonzero factor.
     """
-    a, b = _integer_coeffs(p), _integer_coeffs(q)
     seq = [a, b]
     while True:
         scale, sign, db = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b)
@@ -255,22 +259,39 @@ def _signed_remainders(p: ExactPoly, q: ExactPoly) -> list:
             while r and r[-1] == 0:
                 r.pop()
         if not r:
-            return [ExactPoly(cs) for cs in seq]
+            return seq
         r = _primitive([-c for c in r])
         seq.append(r)
         a, b = b, r
 
 
-def _sturm_chain(f: ExactPoly) -> list:
-    return _signed_remainders(f, f.derivative())
+def _sturm_chain(cs: list) -> list:
+    """The signed remainder sequence of the coefficient list cs of a
+    nonconstant polynomial and of its derivative."""
+    return _signed_remainders(cs, _primitive([k * c for k, c in enumerate(cs)][1:]))
 
 
-def _squarefree_split(p: ExactPoly) -> Tuple[ExactPoly, ExactPoly]:
-    """(s, g) for nonconstant p: g is the last term of the Sturm chain of p,
-    that is gcd(p, p') up to a nonzero factor, and s = p / g made monic is
-    the product of the distinct irreducible factors of p."""
-    g = _sturm_chain(p)[-1]
-    return (p // g).monic(), g
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer lists where b divides a over the rationals and b is
+    primitive, so the quotient has integer coefficients (Gauss's lemma)."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        q = quo[i] = r[i + db] // lead
+        for j, c in enumerate(b):
+            r[i + j] -= q * c
+    return quo
+
+
+def _squarefree_split(cs: list) -> Tuple[list, list]:
+    """(s, g) for the coefficient list cs of a nonconstant polynomial p: g is
+    the last term of its Sturm chain, that is gcd(p, p') up to a nonzero
+    factor, and s = p / g is a nonzero multiple of the product of the
+    distinct irreducible factors of p. Negating s negates every term of its
+    Sturm chain, which changes no sign variation count."""
+    g = _sturm_chain(cs)[-1]
+    return _exact_quotient(cs, g), g
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -289,24 +310,40 @@ def _sign(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations_at(chain: Sequence[ExactPoly], x: Scalar) -> int:
-    return _variations([_sign(p(x)) for p in chain])
+def _sign_at(cs: Sequence[int], x: Fraction) -> int:
+    """Sign at x of the polynomial with integer coefficient list cs, by
+    Horner's rule."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return _sign(acc)
 
 
-def _variations_at_inf(chain: Sequence[ExactPoly], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        s = _sign(p.leading_coefficient)
-        if not positive and p.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _variations_at(chain: Sequence[list], x: Fraction) -> int:
+    return _variations([_sign_at(cs, x) for cs in chain])
 
 
-def _cauchy_index(seq: Sequence[ExactPoly]) -> int:
-    """Var(-inf) - Var(+inf): the Cauchy index of q/p over all of R for the
-    signed remainder sequence of (p, q)."""
-    return _variations_at_inf(seq, positive=False) - _variations_at_inf(seq, positive=True)
+def _cauchy_index(seq: Sequence[list]) -> int:
+    """Var(-inf) - Var(+inf): the Cauchy index of b/a over all of R for the
+    signed remainder sequence of (a, b).
+
+    Near +inf each term has the sign of its last entry; near -inf that sign
+    flips for odd degree, so a pair of neighbours changes sign at -inf iff
+    it changes at +inf xor their lengths differ in parity.
+    """
+    index = 0
+    for a, b in zip(seq, seq[1:]):
+        at_plus = (a[-1] > 0) != (b[-1] > 0)
+        index += (at_plus != ((len(a) ^ len(b)) & 1)) - at_plus
+    return index
+
+
+def _real_rooted(cs: list) -> bool:
+    """is_real_rooted on the integer coefficient list of a nonzero polynomial."""
+    if len(cs) == 1:
+        return True
+    chain = _sturm_chain(cs)
+    return _cauchy_index(chain) == len(cs) - len(chain[-1])
 
 
 def sturm_real_root_count(
@@ -320,15 +357,16 @@ def sturm_real_root_count(
         raise ValueError("undefined root count for the zero polynomial")
     if p.degree == 0:
         return 0
+    cs = _integer_coeffs(p.coeffs)
     if interval is None:
-        return _cauchy_index(_sturm_chain(p))
+        return _cauchy_index(_sturm_chain(cs))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo > hi:
         raise ValueError("empty interval")
     # on square-free s, Var(lo) - Var(hi) counts the roots in (lo, hi]
-    s = _squarefree_split(p)[0]
+    s = _squarefree_split(cs)[0]
     chain = _sturm_chain(s)
-    return _variations_at(chain, lo) - _variations_at(chain, hi) + (s(lo) == 0)
+    return _variations_at(chain, lo) - _variations_at(chain, hi) + (_sign_at(s, lo) == 0)
 
 
 def is_real_rooted(p: ExactPoly) -> bool:
@@ -339,10 +377,7 @@ def is_real_rooted(p: ExactPoly) -> bool:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
-    chain = _sturm_chain(p)
-    return _cauchy_index(chain) == p.degree - chain[-1].degree
+    return _real_rooted(_integer_coeffs(p.coeffs))
 
 
 def _no_positive_root(coeffs: Sequence[Scalar]) -> bool:
@@ -359,6 +394,8 @@ def _taylor_shift(coeffs: Sequence[Scalar], a: Scalar) -> list:
     the arithmetic stays in ints when a and the coefficients are ints.
     """
     cs = list(coeffs)
+    if a == 0:
+        return cs
     for i in range(len(cs) - 1):
         for j in range(len(cs) - 2, i - 1, -1):
             cs[j] += a * cs[j + 1]
@@ -369,19 +406,22 @@ def roots_in_interval(p: ExactPoly, lo: Scalar, hi: Scalar) -> bool:
     """True iff every root of the real-rooted polynomial p lies in [lo, hi].
 
     No root exceeds hi iff p(hi + t) has no positive root, and none is
-    below lo iff p(lo - t) has none.
+    below lo iff p(lo - t) has none. Both shifts start from the primitive
+    integer multiple of p that the real-rootedness check builds, whose
+    coefficient signs are those of p.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if not is_real_rooted(p):
+    cs = _integer_coeffs(p.coeffs)
+    if not _real_rooted(cs):
         raise ValueError("not real-rooted")
-    if p.degree == 0:
+    if len(cs) == 1:
         return True
     lo, hi = _norm(Fraction(lo)), _norm(Fraction(hi))
     if lo > hi:
         raise ValueError("empty interval")
-    return _no_positive_root(_taylor_shift(p.coeffs, hi)) and _no_positive_root(
-        [-c if k % 2 else c for k, c in enumerate(_taylor_shift(p.coeffs, lo))]
+    return _no_positive_root(_taylor_shift(cs, hi)) and _no_positive_root(
+        [-c if k % 2 else c for k, c in enumerate(_taylor_shift(cs, lo))]
     )
 
 
@@ -408,15 +448,14 @@ class RootIsolation:
         return sum(self.multiplicities)
 
 
-def _root_bound(p: ExactPoly) -> Fraction:
+def _root_bound(cs: Sequence[int]) -> Fraction:
     """Cauchy bound: every real root has absolute value < the returned value."""
-    lead = abs(Fraction(p.leading_coefficient))
-    return 1 + max(abs(Fraction(c)) for c in p.coeffs) / lead
+    return 1 + Fraction(max(map(abs, cs)), abs(cs[-1]))
 
 
-def _isolate_squarefree(s: ExactPoly) -> list:
-    """Disjoint intervals (a, b], each holding one distinct root of square-free,
-    nonconstant s."""
+def _isolate_squarefree(s: list) -> list:
+    """Disjoint intervals (a, b], each holding one distinct root of the
+    square-free, nonconstant polynomial with coefficient list s."""
     chain = _sturm_chain(s)
     cache = {}
 
@@ -455,10 +494,10 @@ def isolate_real_roots(p: ExactPoly) -> RootIsolation:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return RootIsolation((), ())
-    s, g = _squarefree_split(p)
+    s, g = _squarefree_split(_integer_coeffs(p.coeffs))
     intervals = _isolate_squarefree(s)
     mults = [1] * len(intervals)
-    while g.degree > 0:
+    while len(g) > 1:
         s, g = _squarefree_split(g)
         chain = _sturm_chain(s)
         for i, (lo, hi) in enumerate(intervals):
@@ -493,8 +532,9 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     if len(nonzero) == 2:
         n, m = f.degree, g.degree
         if f.leading_coefficient > 0 and g.leading_coefficient > 0 and m <= n <= m + 1:
-            seq = _signed_remainders(f, g)
-            if _cauchy_index(seq) == n - seq[-1].degree and is_real_rooted(seq[-1]):
+            seq = _signed_remainders(_integer_coeffs(f.coeffs), _integer_coeffs(g.coeffs))
+            h = seq[-1]
+            if _cauchy_index(seq) == len(seq[0]) - len(h) and _real_rooted(h):
                 return True
     if not all(map(is_real_rooted, nonzero)):
         raise ValueError("not real-rooted")
@@ -548,15 +588,22 @@ def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
 
 
 def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
-    """Expand (1 + sign*t)^n * p(t / (1 + sign*t)); requires deg p <= n."""
+    """Expand (1 + sign*t)^n * p(t / (1 + sign*t)); requires deg p <= n.
+
+    That is the sum of c_k * t^k * (1 + sign*t)^(n - k), so c_k adds
+    c_k * C(n - k, j) * sign^j to the coefficient of t^(k + j), with the
+    binomials from the multiplicative recurrence.
+    """
     if p.degree > n:
         raise ValueError("degree exceeds the dimension parameter")
-    base = ExactPoly((1, sign))
-    out = ExactPoly()
+    out = [0] * (n + 1)
     for k, c in enumerate(p.coeffs):
         if c != 0:
-            out = out + c * (base ** (n - k)).shift(k)
-    return out
+            m, binom = n - k, 1
+            for j in range(m + 1):
+                out[k + j] += c * binom
+                binom = binom * (m - j) // (j + 1) * sign
+    return ExactPoly(out)
 
 
 def h_from_f(f: ExactPoly, n: int) -> ExactPoly:

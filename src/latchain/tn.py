@@ -35,6 +35,8 @@ class RMatrix:
     rows: Tuple[ExactPoly, ...]
 
     def __post_init__(self):
+        if not self.rows:
+            raise ValueError("rank-count matrix has no rows")
         for n, row in enumerate(self.rows):
             if row.degree != n or row.leading_coefficient != 1:
                 raise ValueError(f"row {n} is not monic of degree {n}")
@@ -66,9 +68,6 @@ class RMatrix:
             if line.strip()
         ]
         return cls.from_int_rows(rows)
-
-    def truncated(self, order: int) -> "RMatrix":
-        return RMatrix(self.rows[: order + 1])
 
 
 # -- quasi-rank uniformity -------------------------------------------------------

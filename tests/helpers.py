@@ -21,7 +21,8 @@ chains, and on them ``real_rooted_by_sturm``,
 ``roots_in_interval_by_sturm``, ``interlaces_by_isolation``,
 ``isolate_by_sturm`` and ``root_count_by_sturm``. ``taylor_shift_by_compose``
 is the Horner composition that root location used before its in-place
-Taylor shift."""
+Taylor shift. ``rebase_by_powers`` is the f/h transform by powers of
+(1 +/- t) that the binomial expansion replaced."""
 
 from __future__ import annotations
 
@@ -344,6 +345,19 @@ def taylor_shift_by_compose(p: ExactPoly, a, sign: int = 1) -> ExactPoly:
     out = ExactPoly()
     for c in reversed(p.coeffs):
         out = out * inner + ExactPoly((c,))
+    return out
+
+
+def rebase_by_powers(p: ExactPoly, n: int, sign: int) -> ExactPoly:
+    """(1 + sign*t)^n * p(t / (1 + sign*t)) as the sum of c_k * t^k times a
+    power of (1 + sign*t), one power by repeated squaring per coefficient."""
+    if p.degree > n:
+        raise ValueError("degree exceeds the dimension parameter")
+    base = ExactPoly((1, sign))
+    out = ExactPoly()
+    for k, c in enumerate(p.coeffs):
+        if c != 0:
+            out = out + c * (base ** (n - k)).shift(k)
     return out
 
 

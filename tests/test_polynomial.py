@@ -24,6 +24,7 @@ from helpers import (
     poly_from_roots,
     poly_gcd,
     real_rooted_by_sturm,
+    rebase_by_powers,
     root_count_by_sturm,
     roots_in_interval_by_sturm,
     roots_interlace,
@@ -39,6 +40,16 @@ def test_string_round_trip():
     assert p.to_string() == "1 4 5 2"
     assert ExactPoly.from_string("1/2 -3").coeffs == (Fraction(1, 2), -3)
     assert ExactPoly().to_string() == "0"
+
+
+def test_coefficient_types():
+    # a bool is refused although bool subclasses int; integral Fractions collapse
+    with pytest.raises(TypeError, match="bool"):
+        ExactPoly((True,))
+    with pytest.raises(TypeError, match="exact coefficient required"):
+        ExactPoly((0.5,))
+    assert ExactPoly((Fraction(4, 2),)).coeffs == (2,)  # Fraction(2) == 2 too, so check the type
+    assert type(ExactPoly((Fraction(4, 2),)).coeffs[0]) is int
 
 
 def test_arithmetic_basics():
@@ -145,6 +156,8 @@ def test_h_from_f_examples():
     assert h_from_f(ExactPoly((1, 4, 5, 2)), 3) == ONE_PLUS_T
     with pytest.raises(ValueError):
         h_from_f(ExactPoly((1, 1, 1)), 1)
+    # the zero polynomial maps to zero at every dimension
+    assert h_from_f(ExactPoly(), 5).is_zero and f_from_h(ExactPoly(), 0).is_zero
 
 
 def test_diamond_product_examples():
@@ -301,11 +314,17 @@ def test_tp2_matrices_preserve_interlacing_sequences(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(small_fraction, min_size=0, max_size=5), st.integers(min_value=0, max_value=8))
+@given(st.lists(small_fraction, min_size=0, max_size=5), st.integers(min_value=0, max_value=36))
 def test_h_f_round_trip(coeffs, extra):
     f = ExactPoly(coeffs)
     n = (f.degree if not f.is_zero else 0) + extra
-    assert f_from_h(h_from_f(f, n), n) == f
+    h = h_from_f(f, n)
+    assert h == rebase_by_powers(f, n, -1)
+    assert f_from_h(f, n) == rebase_by_powers(f, n, 1)
+    assert f_from_h(h, n) == f
+    if not f.is_zero:
+        with pytest.raises(ValueError, match="^degree exceeds the dimension parameter$"):
+            h_from_f(f, f.degree - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,6 +455,56 @@ def test_roots_in_interval_matches_compose_and_sturm_oracles(data):
         for shifted in (taylor_shift_by_compose(p, hi), taylor_shift_by_compose(p, lo, -1))
     )
     assert roots_in_interval(p, lo, hi) == by_compose == roots_in_interval_by_sturm(p, lo, hi)
+
+
+# roots k + a/q with large prime q, so coefficients carry large coprime
+# denominators and nearby roots need many bisection steps to separate
+BIG_PRIMES = (10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+BIG_ROOT = st.sampled_from(BIG_PRIMES).flatmap(
+    lambda q: st.builds(lambda k, a: k + Fraction(a, q), st.integers(-3, 3), st.integers(0, q - 1))
+)
+BIG_SCALE = st.builds(
+    Fraction, st.integers(-(10**12), 10**12).filter(bool), st.sampled_from(BIG_PRIMES)
+)
+NAMED = st.sampled_from([ExactPoly((1, 1, 1)), ExactPoly((-2, 0, 1))])  # t^2 + t + 1, t^2 - 2
+BIG_FACTOR = st.one_of(BIG_ROOT.map(lambda r: ExactPoly((-r, 1))), LINEAR, NAMED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_lists_match_fraction_oracles(data):
+    """Every predicate on the integer-list representation against the
+    Fraction oracles: large coprime denominators, t^2 + t + 1 and t^2 - 2,
+    multiplicities 1 to 3, degrees 0 and 1, leading coefficients of either
+    sign, interval endpoints at simple and repeated roots."""
+    factors = data.draw(st.lists(st.tuples(BIG_FACTOR, st.integers(1, 3)), max_size=3))
+    p = data.draw(BIG_SCALE) * _product(factors)
+    assert is_real_rooted(p) == real_rooted_by_sturm(p)
+    iso = isolate_real_roots(p)
+    intervals, mults = isolate_by_sturm(p)
+    assert (list(iso.intervals), list(iso.multiplicities)) == (intervals, mults)
+    assert sturm_real_root_count(p) == len(intervals)
+    roots = [-q.coeffs[0] / Fraction(q.coeffs[1]) for q, _ in factors if q.degree == 1]
+    endpoint = st.one_of(small_fraction, BIG_ROOT, st.sampled_from(roots + [0]))
+    for _ in range(3):
+        lo, hi = sorted((data.draw(endpoint), data.draw(endpoint)))
+        if data.draw(st.integers(0, 3)) == 0:
+            hi = lo
+        assert sturm_real_root_count(p, (lo, hi)) == root_count_by_sturm(p, lo, hi)
+        assert _outcome(roots_in_interval, p, lo, hi) == _outcome(roots_in_interval_by_sturm, p, lo, hi)
+
+    # g interlaces f by construction: alternate sorted distinct roots between
+    # them, then multiply both by a shared factor and scale each
+    distinct = sorted(set(data.draw(st.lists(BIG_ROOT, min_size=1, max_size=6))))
+    f = poly_from_roots(distinct[::2])
+    g = poly_from_roots(distinct[1::2])
+    shared = _product(data.draw(st.lists(st.tuples(BIG_FACTOR, st.integers(1, 2)), max_size=2)))
+    scale = st.one_of(BIG_SCALE.map(abs), BIG_SCALE.map(abs), BIG_SCALE)  # mostly positive
+    f, g = data.draw(scale) * shared * f, data.draw(scale) * shared * g
+    if data.draw(st.booleans()):  # replace a root of f by another drawn root
+        f = f * ExactPoly((-data.draw(BIG_ROOT), 1)) // ExactPoly((-distinct[0], 1))
+    for a, b in ((g, f), (f, g), (p, f), (g, p)):
+        assert _outcome(interlaces, a, b) == _outcome(interlaces_by_isolation, a, b)
 
 
 def test_real_root_counts_match_sympy():

@@ -117,6 +117,10 @@ def test_witness_and_matrix_serialization():
     assert RMatrix.from_text(rows.to_text()).rows == rows.rows
     with pytest.raises(ValueError, match="^line 2: not an integer: 'x'$"):
         RMatrix.from_text("1\n1 x\n")
+    # a matrix with no row 0 is refused before resolve or the chain polynomials see it
+    for text in ("", "\n\n"):
+        with pytest.raises(ValueError, match="^rank-count matrix has no rows$"):
+            RMatrix.from_text(text)
     assert rows.to_text().splitlines()[3] == "1 3 3 1"
     witness = resolve(rows).witness
     dump = witness.to_report_text()
