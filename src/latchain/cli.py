@@ -15,7 +15,9 @@ Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
 error (missing or malformed argument, unreadable instances or d-partition
 file, unwritable output file, unknown or malformed DSL in `build`),
 reported on one line.
-Negative rational flag values need the equals form, e.g. --lo=-1/2.
+Numbers, in coefficient lists and flag values, are integers or p/q with
+an optional sign and nothing else (no 1e9, 1_0 or 0.5). Negative flag
+values need the equals form, e.g. --lo=-1/2.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .families import build_instance
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
+    _rational,
     diamond_product,
     f_from_h,
     h_from_f,
@@ -106,12 +108,12 @@ def _poly_result(args: argparse.Namespace) -> str:
         if args.lo is not None or args.hi is not None:
             if args.lo is None or args.hi is None:
                 raise ValueError("needs both --lo and --hi, or neither")
-            interval = (Fraction(args.lo), Fraction(args.hi))
+            interval = (_rational(args.lo), _rational(args.hi))
         return str(sturm_real_root_count(ps[0], interval))
     if op == "roots-in-interval":
         if args.lo is None or args.hi is None:
             raise ValueError("needs --lo and --hi")
-        return "true" if roots_in_interval(ps[0], Fraction(args.lo), Fraction(args.hi)) else "false"
+        return "true" if roots_in_interval(ps[0], _rational(args.lo), _rational(args.hi)) else "false"
     if op == "interlaces":
         return "true" if interlaces(ps[0], ps[1]) else "false"
     if op == "diamond":
@@ -127,14 +129,14 @@ def _poly_result(args: argparse.Namespace) -> str:
     if op == "eval":
         if args.at is None:
             raise ValueError("needs --at")
-        return str(ps[0](Fraction(args.at)))
+        return str(ps[0](_rational(args.at)))
     if op == "eulerian":
         if args.n is None:
             raise ValueError("needs --n")
         return eulerian(args.n).to_string()
     if args.n is None or args.at is None:  # q-eulerian
         raise ValueError("needs --n and --at <q>")
-    return q_eulerian(args.n, Fraction(args.at)).to_string()
+    return q_eulerian(args.n, _rational(args.at)).to_string()
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:

@@ -668,9 +668,38 @@ def build_instance(dsl: str):
     "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
     "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
     A wrong number of fields, an unknown, missing or repeated key, or a
-    repeated cut member is a ValueError.
+    repeated cut member is a ValueError. "see:" forms nest to any depth,
+    e.g. "see:see:boolean:3:cut=1:cut=2": one loop peels the leading see
+    heads and the trailing cut parts, and the cuts are applied innermost
+    first.
     """
     parts = dsl.split(":")
+    cuts = []
+    while parts[0] == "see":
+        if not parts[-1].startswith("cut="):
+            raise ValueError("a see: instance needs a cut=... part")
+        cuts.append(parts[-1][len("cut=") :])
+        parts = parts[1:-1] or [""]
+    host = _build_family(parts)
+    for cut_spec in reversed(cuts):
+        if cut_spec == "none":
+            mc = ModularCut(host, frozenset())
+        else:
+            atom_names = [int(tok) for tok in cut_spec.split(",")]
+            for i, name in enumerate(atom_names):
+                if name in atom_names[:i]:
+                    raise ValueError(f"repeated cut member {name}")
+            mc = principal_cut(host, element_with_atoms(host, atom_names))
+        names = set(map(repr, _atom_names(host).values()))
+        e = 0
+        while repr(e) in names:
+            e += 1
+        host = single_element_extension(host, mc, e)
+    return host
+
+
+def _build_family(parts: List[str]):
+    """Every form of :func:`build_instance` but see:, from its fields."""
     head = parts[0]
     if head == "boolean":
         return boolean_lattice(*_int_fields(parts, 1))
@@ -701,25 +730,7 @@ def build_instance(dsl: str):
     if head == "paving":
         kv = _keyed_fields(parts, ("file",))
         return paving_lattice_from_dpartition(read_dpartition(kv["file"]))
-    if head == "see":
-        if not parts[-1].startswith("cut="):
-            raise ValueError("a see: instance needs a cut=... part")
-        host = build_instance(":".join(parts[1:-1]))
-        cut_spec = parts[-1][len("cut=") :]
-        if cut_spec == "none":
-            mc = ModularCut(host, frozenset())
-        else:
-            atom_names = [int(tok) for tok in cut_spec.split(",")]
-            for i, name in enumerate(atom_names):
-                if name in atom_names[:i]:
-                    raise ValueError(f"repeated cut member {name}")
-            mc = principal_cut(host, element_with_atoms(host, atom_names))
-        names = set(map(repr, _atom_names(host).values()))
-        e = 0
-        while repr(e) in names:
-            e += 1
-        return single_element_extension(host, mc, e)
-    raise ValueError(f"unknown family DSL: {dsl!r}")
+    raise ValueError(f"unknown family DSL: {':'.join(parts)!r}")
 
 
 def dpartition_to_text(dp: DPartition) -> str:

@@ -21,15 +21,30 @@ multiplicity of each isolated root.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from itertools import combinations
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
 # degree of the zero polynomial
 MINUS_INF = float("-inf")
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _rational(token: str) -> Fraction:
+    """The number written by an integer or "p/q" token.
+
+    Anything else, such as "1e9", "1_0", ".5" or "0.5", is a ValueError,
+    and a zero denominator a ZeroDivisionError.
+    """
+    if not _RATIONAL.fullmatch(token):
+        raise ValueError(f"invalid number {token!r}: write an integer or p/q")
+    return Fraction(token)
 
 
 def _norm(c: Scalar) -> Scalar:
@@ -76,9 +91,9 @@ class ExactPoly:
     def from_string(cls, text: str) -> "ExactPoly":
         """Parse an ASCII coefficient list, lowest degree first, e.g. "1 4 5 2".
 
-        Rational entries are written "p/q".
+        Each entry is an integer or a rational "p/q", see :func:`_rational`.
         """
-        return cls(Fraction(tok) for tok in text.split())
+        return cls(map(_rational, text.split()))
 
     def to_string(self) -> str:
         """Inverse of :meth:`from_string`; the zero polynomial prints as "0"."""
@@ -164,47 +179,11 @@ class ExactPoly:
             k >>= 1
         return result
 
-    def __divmod__(self, other: "ExactPoly"):
-        """Exact division with remainder over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = Fraction(c) / lead
-            quo[i - d] = q
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] -= q * oc
-        return ExactPoly(quo), ExactPoly(rem)
-
-    def __floordiv__(self, other: "ExactPoly") -> "ExactPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "ExactPoly") -> "ExactPoly":
-        return divmod(self, other)[1]
-
     def shift(self, k: int) -> "ExactPoly":
         """Multiply by t^k."""
         if self.is_zero:
             return self
         return ExactPoly((0,) * k + self.coeffs)
-
-    def derivative(self) -> "ExactPoly":
-        return ExactPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def monic(self) -> "ExactPoly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        inv = Fraction(1, 1) / Fraction(lead)
-        return ExactPoly(c * inv for c in self.coeffs)
 
     def __call__(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
@@ -566,22 +545,43 @@ def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:
 # -- matrix positivity -------------------------------------------------------------
 
 
-def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """True iff all entries and all 2x2 minors of the matrix are nonnegative."""
+def _det(mat: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over the rationals."""
+    m = [[Fraction(c) for c in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            for cc in range(c + 1, len(m)):
+                m[r][cc] -= factor * m[c][cc]
+    return det
+
+
+def _minors_nonnegative(rows: Iterable[Sequence[Scalar]], order: int) -> bool:
+    """True iff every minor of the matrix of order at most ``order`` is
+    nonnegative; a ragged matrix is a ValueError before any entry is read."""
     mat = [list(r) for r in rows]
-    nr = len(mat)
     nc = len(mat[0]) if mat else 0
     if any(len(r) != nc for r in mat):
         raise ValueError("ragged matrix")
-    if any(c < 0 for r in mat for c in r):
-        return False
-    for i in range(nr):
-        for j in range(i + 1, nr):
-            for k in range(nc):
-                for l in range(k + 1, nc):
-                    if mat[i][k] * mat[j][l] - mat[i][l] * mat[j][k] < 0:
-                        return False
-    return True
+    return all(
+        _det([[mat[i][j] for j in cols] for i in rows_idx]) >= 0
+        for k in range(1, order + 1)
+        for rows_idx in combinations(range(len(mat)), k)
+        for cols in combinations(range(nc), k)
+    )
+
+
+def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
+    """True iff all entries and all 2x2 minors of the matrix are nonnegative."""
+    return _minors_nonnegative(rows, 2)
 
 
 # -- f/h transforms ----------------------------------------------------------------
@@ -636,28 +636,19 @@ def from_binomial_coefficients(cs: Sequence[Scalar]) -> ExactPoly:
     return out
 
 
-def to_binomial_coefficients(p: ExactPoly) -> list:
-    """Coefficients of p in the binomial basis, via finite differences."""
-    if p.is_zero:
-        return []
-    d = p.degree
-    vals = [p(j) for j in range(d + 1)]
-    out = []
-    for _ in range(d + 1):
-        out.append(vals[0])
-        vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    return out
-
-
 def diamond_product(f: ExactPoly, g: ExactPoly) -> ExactPoly:
     """Multiply f and g through the binomial basis.
 
     Writing E for the linear map sending C(t, k) to t^k, this returns
     E(E^{-1}(f) * E^{-1}(g)). It is the operation that turns products of
-    zeta polynomials back into chain-generating data.
+    zeta polynomials back into chain-generating data. By
+    C(t, i) * C(t, j) = sum_k C(k, i) * C(i, k - j) * C(t, k), the term
+    f_i * g_j adds f_i * g_j * C(k, i) * C(i, k - j) to the coefficient of
+    t^k for max(i, j) <= k <= i + j.
     """
-    if f.is_zero or g.is_zero:
-        return ZERO
-    zf = from_binomial_coefficients(f.coeffs)
-    zg = from_binomial_coefficients(g.coeffs)
-    return ExactPoly(to_binomial_coefficients(zf * zg))
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            for k in range(max(i, j), i + j + 1):
+                out[k] += a * b * comb(k, i) * comb(i, k - j)
+    return ExactPoly(out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomial import ExactPoly, Scalar
+from .polynomial import ExactPoly, Scalar, _minors_nonnegative
 from .posets import Poset, _bits, _line_int
 from .reports import CheckReport
 
@@ -236,38 +236,7 @@ def is_totally_nonnegative(r: RMatrix) -> bool:
         raise ValueError("minor enumeration is capped at order 8")
     size = N + 1
     mat = [[r.entry(n, k) if k <= n else 0 for k in range(size)] for n in range(size)]
-    from itertools import combinations
-
-    def det(rows_idx, cols_idx):
-        sub = [[Fraction(mat[i][j]) for j in cols_idx] for i in rows_idx]
-        m = len(sub)
-        sign = 1
-        for c in range(m):
-            piv = None
-            for rr in range(c, m):
-                if sub[rr][c] != 0:
-                    piv = rr
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                sub[c], sub[piv] = sub[piv], sub[c]
-                sign = -sign
-            for rr in range(c + 1, m):
-                factor = sub[rr][c] / sub[c][c]
-                for cc in range(c, m):
-                    sub[rr][cc] -= factor * sub[c][cc]
-        out = Fraction(sign)
-        for c in range(m):
-            out *= sub[c][c]
-        return out
-
-    for k in range(1, size + 1):
-        for rows_idx in combinations(range(size), k):
-            for cols_idx in combinations(range(size), k):
-                if det(rows_idx, cols_idx) < 0:
-                    return False
-    return True
+    return _minors_nonnegative(mat, size)
 
 
 # -- chain polynomials from the rank matrix ------------------------------------------

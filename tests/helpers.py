@@ -14,15 +14,18 @@ function on lattices, and chain and multichain walks for Philip Hall's
 theorem and the zeta polynomial.
 
 The real-root oracles work over the rationals and share no code with the
-library's integer remainder sequence: Euclid's gcd (``poly_gcd``), the
-square-free part and Yun's square-free decomposition
-(``squarefree_part``, ``squarefree_decomposition``), Fraction Sturm
+library's integer remainder sequence: long division (``poly_divmod``),
+Euclid's gcd (``poly_gcd``), the square-free part and Yun's square-free
+decomposition (``squarefree_part``, ``squarefree_decomposition``), Fraction Sturm
 chains, and on them ``real_rooted_by_sturm``,
 ``roots_in_interval_by_sturm``, ``interlaces_by_isolation``,
 ``isolate_by_sturm`` and ``root_count_by_sturm``. ``taylor_shift_by_compose``
 is the Horner composition that root location used before its in-place
 Taylor shift. ``rebase_by_powers`` is the f/h transform by powers of
-(1 +/- t) that the binomial expansion replaced."""
+(1 +/- t) that the binomial expansion replaced. ``tp2_by_cross_products``
+is the 2x2 minor loop that the shared minor test replaced, and
+``diamond_by_basis`` the diamond product through the binomial basis
+that one bilinear formula replaced."""
 
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from unittest import mock
 import pytest
 
 from latchain import ExactPoly, Poset, boolean_lattice, brute_force_oracle, chain_poset, truncated_boolean
-from latchain.polynomial import ONE
+from latchain.polynomial import ONE, from_binomial_coefficients
 from latchain.posets import MAX_ELEMENTS, _bits
 
 
@@ -223,15 +226,42 @@ def roots_interlace(
     return True
 
 
-# -- gcd and square-free structure over the rationals ----------------------------
+# -- long division, gcd and square-free structure over the rationals --------------
+
+
+def poly_divmod(a: ExactPoly, b: ExactPoly) -> Tuple[ExactPoly, ExactPoly]:
+    """Quotient and remainder of a by b, by long division over the rationals."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    d, lead = b.degree, Fraction(b.leading_coefficient)
+    quo = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = quo[i - d] = rem[i] / lead
+        for j, c in enumerate(b.coeffs):
+            rem[i - d + j] -= q * c
+    return ExactPoly(quo), ExactPoly(rem)
+
+
+def poly_quotient(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    return poly_divmod(a, b)[0]
+
+
+def derivative(p: ExactPoly) -> ExactPoly:
+    return ExactPoly(k * c for k, c in enumerate(p.coeffs) if k > 0)
+
+
+def monic(p: ExactPoly) -> ExactPoly:
+    """p divided by its leading coefficient; the zero polynomial stays zero."""
+    return p * (1 / Fraction(p.leading_coefficient)) if not p.is_zero else p
 
 
 def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
     """Monic gcd by the Euclidean algorithm over the rationals."""
     a, b = f, g
     while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+        a, b = b, poly_divmod(a, b)[1]
+    return monic(a)
 
 
 def squarefree_part(f: ExactPoly) -> ExactPoly:
@@ -240,7 +270,7 @@ def squarefree_part(f: ExactPoly) -> ExactPoly:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return ONE
-    return (f // poly_gcd(f, f.derivative())).monic()
+    return monic(poly_quotient(f, poly_gcd(f, derivative(f))))
 
 
 def squarefree_decomposition(f: ExactPoly) -> list:
@@ -251,23 +281,23 @@ def squarefree_decomposition(f: ExactPoly) -> list:
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    f = f.monic()
+    f = monic(f)
     if f.degree == 0:
         return []
-    df = f.derivative()
+    df = derivative(f)
     a = poly_gcd(f, df)
-    b = f // a
-    c = df // a
-    d = c - b.derivative()
+    b = poly_quotient(f, a)
+    c = poly_quotient(df, a)
+    d = c - derivative(b)
     out = []
     i = 1
     while b.degree > 0:
         p = poly_gcd(b, d)
         if p.degree > 0:
             out.append((p, i))
-        b2 = b // p
-        c = d // p
-        d = c - b2.derivative()
+        b2 = poly_quotient(b, p)
+        c = poly_quotient(d, p)
+        d = c - derivative(b2)
         b = b2
         i += 1
     return out
@@ -277,9 +307,9 @@ def squarefree_decomposition(f: ExactPoly) -> list:
 
 
 def _fraction_sturm_chain(s: ExactPoly) -> list:
-    chain = [s, s.derivative()]
+    chain = [s, derivative(s)]
     while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
     chain.pop()
     return chain
 
@@ -302,10 +332,10 @@ def _roots_closed(s: ExactPoly, lo: Fraction, hi: Fraction) -> int:
     extra = 0
     if s(lo) == 0:
         extra += 1
-        s = s // ExactPoly((-lo, 1))
+        s = poly_quotient(s, ExactPoly((-lo, 1)))
     if lo != hi and s(hi) == 0:
         extra += 1
-        s = s // ExactPoly((-hi, 1))
+        s = poly_quotient(s, ExactPoly((-hi, 1)))
     if lo == hi or s.degree <= 0:
         return extra
     chain = _fraction_sturm_chain(s)
@@ -431,6 +461,38 @@ def interlaces_by_isolation(g: ExactPoly, f: ExactPoly) -> bool:
         if k + 1 < n and a[k + 1] > b[k]:  # alpha_{k+1} > beta_k
             return False
     return True
+
+
+# -- the cross-product TP2 test and the diamond product through the binomial basis --
+
+
+def tp2_by_cross_products(rows) -> bool:
+    """All entries and all 2x2 minors nonnegative, each minor as one cross product."""
+    mat = [list(r) for r in rows]
+    nc = len(mat[0]) if mat else 0
+    if any(len(r) != nc for r in mat):
+        raise ValueError("ragged matrix")
+    if any(c < 0 for r in mat for c in r):
+        return False
+    for i, j in combinations(range(len(mat)), 2):
+        for k, l in combinations(range(nc), 2):
+            if mat[i][k] * mat[j][l] - mat[i][l] * mat[j][k] < 0:
+                return False
+    return True
+
+
+def diamond_by_basis(f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    """E(E^-1(f) * E^-1(g)), E sending C(t, k) to t^k: the product taken in
+    the power basis, read back in the binomial basis by finite differences."""
+    if f.is_zero or g.is_zero:
+        return ExactPoly()
+    z = from_binomial_coefficients(f.coeffs) * from_binomial_coefficients(g.coeffs)
+    values = [z(j) for j in range(z.degree + 1)]
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return ExactPoly(out)
 
 
 # -- all-pairs lattice tables --------------------------------------------------------

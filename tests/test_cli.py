@@ -35,6 +35,18 @@ def test_poly_commands(capsys):
 def test_poly_rational_parsing(capsys):
     assert main(["poly", "eval", "1/2 1/3", "--at", "3"]) == 0
     assert capsys.readouterr().out.strip() == "3/2"
+    assert main(["poly", "eval", "1/2 -3", "--at=-1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["poly", "sturm-count", "+1 4 5 2", "--lo=-1", "--hi", "+0/5"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_huge_exponent_token_is_refused_at_once():
+    # Fraction would expand 1e10000000 into a 33-million-bit integer first
+    out = run_cli(["poly", "real-rooted", "1e10000000"], timeout=5)
+    assert out.returncode == 2
+    errors = [line for line in out.stderr.splitlines() if ": error: " in line]
+    assert errors == ["latchain poly: error: real-rooted: invalid number '1e10000000': write an integer or p/q"]
 
 
 def test_build_poset(tmp_path, capsys):
@@ -117,6 +129,12 @@ def test_usage_error_exit_code():
         ["poly", "q-eulerian", "--n", "3"],
         ["poly", "real-rooted"],
         ["poly", "real-rooted", "1_x"],
+        # only integers and p/q: no exponent, underscore, decimal point or zero denominator
+        ["poly", "real-rooted", "1e1000000"],
+        ["poly", "real-rooted", "1 1/0"],
+        ["poly", "eval", "1 2", "--at=-2E3"],
+        ["poly", "sturm-count", "1 2", "--lo", "0.5", "--hi", "1"],
+        ["poly", "q-eulerian", "--n", "3", "--at", "1_0"],
         ["poly", "interlaces", "1 0 1", "1 2"],
         ["build", "boolean", "--out", "x"],
         ["build", "see:boolean:3", "--out", "x"],

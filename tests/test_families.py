@@ -1,3 +1,4 @@
+import sys
 import threading
 from itertools import combinations
 
@@ -411,6 +412,17 @@ def test_dsl_refuses_wrong_fields(dsl, message):
     with pytest.raises(ValueError) as err:
         build_instance(dsl)
     assert message in str(err.value)
+
+
+def test_see_nests_deeper_than_the_recursion_limit():
+    """Each see: level adds a parallel copy of atom 1, so B_3 keeps its 8
+    flats; the levels are peeled in a loop, not by recursion."""
+    depth = sys.getrecursionlimit() + 200
+    assert build_instance("see:" * depth + "boolean:3" + ":cut=1" * depth).n == 8
+    # cuts apply innermost first: cut=none adds the coloop 0, which the outer cut names
+    assert build_instance("see:see:boolean:3:cut=none:cut=0").n == 16
+    with pytest.raises(ValueError, match=r"^no element with atom set \['0'\]$"):
+        build_instance("see:see:boolean:3:cut=0:cut=none")
 
 
 def test_linear_space_validation():

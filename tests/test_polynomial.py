@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,14 @@ from latchain import (
 )
 from latchain.polynomial import _taylor_shift
 from helpers import (
+    diamond_by_basis,
     interlaces_by_isolation,
     isolate_by_sturm,
+    monic,
+    poly_divmod,
     poly_from_roots,
     poly_gcd,
+    poly_quotient,
     real_rooted_by_sturm,
     rebase_by_powers,
     root_count_by_sturm,
@@ -30,6 +35,7 @@ from helpers import (
     roots_interlace,
     squarefree_decomposition,
     taylor_shift_by_compose,
+    tp2_by_cross_products,
 )
 
 ONE_PLUS_T = ExactPoly((1, 1))
@@ -40,6 +46,14 @@ def test_string_round_trip():
     assert p.to_string() == "1 4 5 2"
     assert ExactPoly.from_string("1/2 -3").coeffs == (Fraction(1, 2), -3)
     assert ExactPoly().to_string() == "0"
+    with pytest.raises(ZeroDivisionError):
+        ExactPoly.from_string("1/0")
+
+
+@pytest.mark.parametrize("token", ["1e1000000", "1_0", ".5", "-2E3", "0.5", "1/-2", "1/2/3", "+-1", "\u0661", "inf"])
+def test_from_string_takes_only_integers_and_p_over_q(token):
+    with pytest.raises(ValueError, match=re.escape(f"invalid number {token!r}: write an integer or p/q")):
+        ExactPoly.from_string("1 " + token)
 
 
 def test_coefficient_types():
@@ -59,7 +73,7 @@ def test_arithmetic_basics():
     assert (p + q).coeffs == (1, 3, 1)
     assert (p - p).is_zero
     assert p(Fraction(1, 2)) == 2
-    quo, rem = divmod(q, p)
+    quo, rem = poly_divmod(q, p)
     assert quo * p + rem == q
     assert poly_gcd(ONE_PLUS_T**2 * ExactPoly((1, 2)), ONE_PLUS_T * ExactPoly((1, 3))) == ONE_PLUS_T
 
@@ -166,6 +180,31 @@ def test_diamond_product_examples():
     assert diamond_product(ExactPoly((1,)), ExactPoly((1, 4, 5, 2))) == ExactPoly((1, 4, 5, 2))
 
 
+COEFF = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COEFF, max_size=7), st.lists(COEFF, max_size=7))
+def test_diamond_product_matches_basis_round_trip(f, g):
+    """The bilinear formula against E(E^-1(f) * E^-1(g)), zero polynomial included."""
+    f, g = ExactPoly(f), ExactPoly(g)
+    assert diamond_product(f, g) == diamond_by_basis(f, g)
+    assert diamond_product(f, ExactPoly()).is_zero and diamond_product(ExactPoly(), g).is_zero
+
+
+ENTRY = st.one_of(st.integers(-6, 9), st.fractions(min_value=-3, max_value=5, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(ENTRY, min_size=0, max_size=4), min_size=0, max_size=4))
+def test_tp2_matches_cross_products(rows):
+    """The shared minor test against the cross-product loop, on negative,
+    rational and ragged matrices; both refuse a ragged one."""
+    assert _outcome(is_tp2, rows) == _outcome(tp2_by_cross_products, rows)
+    nonneg = [[abs(c) for c in r] for r in rows]
+    assert _outcome(is_tp2, nonneg) == _outcome(tp2_by_cross_products, nonneg)
+
+
 def test_isolation_counts():
     p = ONE_PLUS_T**2 * ExactPoly((1, 2))
     iso = isolate_real_roots(p)
@@ -210,13 +249,6 @@ small_fraction = st.fractions(
 def test_interlaces_matches_root_comparator(g_roots, f_roots):
     g, f = poly_from_roots(g_roots), poly_from_roots(f_roots)
     assert interlaces(g, f) == roots_interlace(g_roots, f_roots)
-
-
-def _interleaved(h_offsets, f_offsets):
-    """h roots at 10, 20, ...; f roots shifted into the surrounding gaps."""
-    h_roots = [Fraction(10 * (j + 1)) for j in range(len(h_offsets))]
-    f_roots = [Fraction(10 * j) + off for j, off in enumerate(f_offsets)]
-    return h_roots, f_roots
 
 
 @settings(max_examples=120, deadline=None)
@@ -334,7 +366,7 @@ def test_squarefree_decomposition_reassembles(roots):
     acc = ExactPoly((1,))
     for q, mult in squarefree_decomposition(p):
         acc = acc * q**mult
-    assert acc == p.monic()
+    assert acc == monic(p)
 
 
 # -- remainder-sequence predicates against the root-isolation oracle -------------------
@@ -502,7 +534,7 @@ def test_integer_lists_match_fraction_oracles(data):
     scale = st.one_of(BIG_SCALE.map(abs), BIG_SCALE.map(abs), BIG_SCALE)  # mostly positive
     f, g = data.draw(scale) * shared * f, data.draw(scale) * shared * g
     if data.draw(st.booleans()):  # replace a root of f by another drawn root
-        f = f * ExactPoly((-data.draw(BIG_ROOT), 1)) // ExactPoly((-distinct[0], 1))
+        f = poly_quotient(f * ExactPoly((-data.draw(BIG_ROOT), 1)), ExactPoly((-distinct[0], 1)))
     for a, b in ((g, f), (f, g), (p, f), (g, p)):
         assert _outcome(interlaces, a, b) == _outcome(interlaces_by_isolation, a, b)
 

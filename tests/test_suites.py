@@ -382,6 +382,12 @@ def test_see_repeated_cut_member_is_an_error_verdict(cut):
     assert "repeated cut member" in report.witness["exception"]
 
 
+def test_see_nested_deeper_than_the_recursion_limit_is_checked():
+    depth = sys.getrecursionlimit() + 200
+    [report] = suite_run("see", instances=["see:" * depth + "boolean:3" + ":cut=1" * depth])
+    assert report.verdict == "pass"
+
+
 @pytest.mark.parametrize(
     "name, instance, fields",
     [
