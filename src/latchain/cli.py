@@ -15,9 +15,10 @@ Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
 error (missing or malformed argument, unreadable instances or d-partition
 file, unwritable output file, unknown or malformed DSL in `build`),
 reported on one line.
-Numbers, in coefficient lists and flag values, are integers or p/q with
-an optional sign and nothing else (no 1e9, 1_0 or 0.5). Negative flag
-values need the equals form, e.g. --lo=-1/2.
+Integers are ASCII [+-]?[0-9]+ everywhere: DSL fields, cut members, suite
+tags, text formats, --seed and --n. Coefficient lists, --lo, --hi and --at
+also take p/q. Nothing else is a number (no 1e9, 1_0, 0.5, 1/0 or non-ASCII
+digits). Negative flag values need the equals form, e.g. --lo=-1/2.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .families import build_instance
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
+    _integer,
     _rational,
     diamond_product,
     f_from_h,
@@ -47,6 +49,13 @@ from .tn import RMatrix
 
 # polynomial arguments each poly op takes; the others take one
 _POLY_ARITY = {"interlaces": 2, "diamond": 2, "eulerian": 0, "q-eulerian": 0}
+
+
+def _int_flag(token: str) -> int:  # --seed and --n, refused in argparse's own words for int flags
+    try:
+        return _integer(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def _check_writable(args: argparse.Namespace, paths: List[str]) -> None:
@@ -101,6 +110,8 @@ def _poly_result(args: argparse.Namespace) -> str:
     if len(args.coeffs) != arity:
         raise ValueError(f"needs {arity} coefficient list(s), got {len(args.coeffs)}")
     ps = [ExactPoly.from_string(text) for text in args.coeffs]
+    if op in ("h-from-f", "f-from-h", "eulerian") and args.n is None:
+        raise ValueError("needs --n")
     if op == "real-rooted":
         return "true" if is_real_rooted(ps[0]) else "false"
     if op == "sturm-count":
@@ -119,20 +130,14 @@ def _poly_result(args: argparse.Namespace) -> str:
     if op == "diamond":
         return diamond_product(ps[0], ps[1]).to_string()
     if op == "h-from-f":
-        if args.n is None:
-            raise ValueError("needs --n")
         return h_from_f(ps[0], args.n).to_string()
     if op == "f-from-h":
-        if args.n is None:
-            raise ValueError("needs --n")
         return f_from_h(ps[0], args.n).to_string()
     if op == "eval":
         if args.at is None:
             raise ValueError("needs --at")
         return str(ps[0](_rational(args.at)))
     if op == "eulerian":
-        if args.n is None:
-            raise ValueError("needs --n")
         return eulerian(args.n).to_string()
     if args.n is None or args.at is None:  # q-eulerian
         raise ValueError("needs --n and --at <q>")
@@ -172,7 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_suite = sub.add_parser("suite", help="run a verification suite, or all of them")
     p_suite.add_argument("name", choices=sorted(SUITE_NAMES) + ["all"])
     p_suite.add_argument("--instances", help="file with one DSL instance per line")
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=_int_flag, default=0)
     p_suite.add_argument("--json", help="write reports as JSON lines")
     p_suite.add_argument("--csv", help="write a CSV summary")
     p_suite.set_defaults(func=_cmd_suite, parser=p_suite)
@@ -196,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_poly.add_argument("coeffs", nargs="*", help='coefficient lists, e.g. "1 4 5 2"')
     p_poly.add_argument("--lo")
     p_poly.add_argument("--hi")
-    p_poly.add_argument("--n", type=int)
+    p_poly.add_argument("--n", type=_int_flag)
     p_poly.add_argument("--at")
     p_poly.set_defaults(func=_cmd_poly, parser=p_poly)
 

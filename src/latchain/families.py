@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
-from .polynomial import ExactPoly
+from .polynomial import ExactPoly, _integer
 from .posets import MAX_ELEMENTS, Poset, _bits, _line_int, _minimal_members, chain_poset
 from .tn import RMatrix, is_geometric
 
@@ -647,17 +647,53 @@ def _int_fields(parts: List[str], count: int) -> List[int]:
     """The integer fields after the head of a split DSL string; exactly ``count``."""
     if len(parts) != count + 1:
         raise ValueError(f"{parts[0]} takes {count} field(s), got {len(parts) - 1}")
-    return [int(field) for field in parts[1:]]
+    return [_integer(field) for field in parts[1:]]
 
 
-def _keyed_fields(parts: List[str], keys: Sequence[str]) -> Dict[str, str]:
-    """The ``key=value`` fields after the head of a split DSL string; each key exactly once."""
+def _keyed_fields(parts: List[str], keys: Sequence[str]) -> Dict[str, Union[int, str]]:
+    """The ``key=value`` fields of a split DSL string, each key once; ``file`` a path, the rest integers."""
     pairs = [field.partition("=") for field in parts[1:]]
     kv = {key: value for key, sep, value in pairs if sep}
     if len(pairs) != len(keys) or sorted(kv) != sorted(keys):
         expected = ":".join(f"{key}=..." for key in keys)
         raise ValueError(f"{parts[0]} takes the fields {expected}, got {':'.join(parts[1:])!r}")
-    return kv
+    return {key: value if key == "file" else _integer(value) for key, value in kv.items()}
+
+
+# each non-see head: its integer field count or key=value keys, and a builder finding its function per call
+_FAMILIES: Dict[str, Tuple[Union[int, Tuple[str, ...]], Callable]] = {
+    "boolean": (1, lambda n: boolean_lattice(n)),
+    "trunc-boolean": (2, lambda n, k: truncated_boolean(n, k)),
+    "subspace": (2, lambda n, q: subspace_lattice(n, q)),
+    "affine": (2, lambda n, q: affine_lattice(n, q)),
+    "partition": (1, lambda n: partition_lattice(n)),
+    "chain": (1, lambda k: chain_poset(k)),
+    "vamos": (0, lambda: vamos_lattice()),
+    "fano-design": (0, lambda: design_poset(fano_design())),
+    "uniform-design": (2, lambda n, k: design_poset(uniform_design(n, k))),
+    "fano-lattice": (0, lambda: fano_lattice()),
+    "dowling-rows": (("m", "N"), lambda m, N: dowling_rows(m, N)),
+    "paving": (("file",), lambda file: paving_lattice_from_dpartition(read_dpartition(file))),
+}
+
+
+def _see_fields(dsl: str) -> Iterator:
+    """Yield the split fields of a DSL string's host, then the atom names of its see: cuts,
+    innermost first (None for cut=none), each read when reached: host errors come first."""
+    parts = dsl.split(":")
+    cuts = []
+    while parts[0] == "see":
+        if not parts[-1].startswith("cut="):
+            raise ValueError("a see: instance needs a cut=... part")
+        cuts.append(parts[-1][len("cut=") :])
+        parts = parts[1:-1] or [""]
+    yield parts
+    for cut_spec in reversed(cuts):
+        atom_names = None if cut_spec == "none" else [_integer(tok) for tok in cut_spec.split(",")]
+        for i, name in enumerate(atom_names or ()):
+            if name in atom_names[:i]:
+                raise ValueError(f"repeated cut member {name}")
+        yield atom_names
 
 
 def build_instance(dsl: str):
@@ -667,28 +703,23 @@ def build_instance(dsl: str):
     "partition:5", "chain:4", "vamos", "fano-design", "uniform-design:5:3",
     "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
     "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
-    A wrong number of fields, an unknown, missing or repeated key, or a
-    repeated cut member is a ValueError. "see:" forms nest to any depth,
-    e.g. "see:see:boolean:3:cut=1:cut=2": one loop peels the leading see
-    heads and the trailing cut parts, and the cuts are applied innermost
-    first.
+    A wrong number of fields, an unknown, missing or repeated key, an integer
+    other than ASCII [+-]?[0-9]+, or a repeated cut member is a ValueError.
+    "see:" forms nest to any depth, e.g. "see:see:boolean:3:cut=1:cut=2",
+    and the cuts are applied innermost first.
     """
-    parts = dsl.split(":")
-    cuts = []
-    while parts[0] == "see":
-        if not parts[-1].startswith("cut="):
-            raise ValueError("a see: instance needs a cut=... part")
-        cuts.append(parts[-1][len("cut=") :])
-        parts = parts[1:-1] or [""]
-    host = _build_family(parts)
-    for cut_spec in reversed(cuts):
-        if cut_spec == "none":
+    layers = _see_fields(dsl)
+    parts = next(layers)
+    if parts[0] not in _FAMILIES:
+        raise ValueError(f"unknown family DSL: {':'.join(parts)!r}")
+    spec, build = _FAMILIES[parts[0]]
+    host = build(*_int_fields(parts, spec)) if isinstance(spec, int) else build(**_keyed_fields(parts, spec))
+    for atom_names in layers:
+        if not isinstance(host, Poset):
+            raise ValueError("a see: instance extends a lattice, not rank rows")
+        if atom_names is None:
             mc = ModularCut(host, frozenset())
         else:
-            atom_names = [int(tok) for tok in cut_spec.split(",")]
-            for i, name in enumerate(atom_names):
-                if name in atom_names[:i]:
-                    raise ValueError(f"repeated cut member {name}")
             mc = principal_cut(host, element_with_atoms(host, atom_names))
         names = set(map(repr, _atom_names(host).values()))
         e = 0
@@ -696,41 +727,6 @@ def build_instance(dsl: str):
             e += 1
         host = single_element_extension(host, mc, e)
     return host
-
-
-def _build_family(parts: List[str]):
-    """Every form of :func:`build_instance` but see:, from its fields."""
-    head = parts[0]
-    if head == "boolean":
-        return boolean_lattice(*_int_fields(parts, 1))
-    if head == "trunc-boolean":
-        return truncated_boolean(*_int_fields(parts, 2))
-    if head == "subspace":
-        return subspace_lattice(*_int_fields(parts, 2))
-    if head == "affine":
-        return affine_lattice(*_int_fields(parts, 2))
-    if head == "partition":
-        return partition_lattice(*_int_fields(parts, 1))
-    if head == "chain":
-        return chain_poset(*_int_fields(parts, 1))
-    if head == "vamos":
-        _int_fields(parts, 0)
-        return vamos_lattice()
-    if head == "fano-design":
-        _int_fields(parts, 0)
-        return design_poset(fano_design())
-    if head == "uniform-design":
-        return design_poset(uniform_design(*_int_fields(parts, 2)))
-    if head == "fano-lattice":
-        _int_fields(parts, 0)
-        return fano_lattice()
-    if head == "dowling-rows":
-        kv = _keyed_fields(parts, ("m", "N"))
-        return dowling_rows(int(kv["m"]), int(kv["N"]))
-    if head == "paving":
-        kv = _keyed_fields(parts, ("file",))
-        return paving_lattice_from_dpartition(read_dpartition(kv["file"]))
-    raise ValueError(f"unknown family DSL: {':'.join(parts)!r}")
 
 
 def dpartition_to_text(dp: DPartition) -> str:

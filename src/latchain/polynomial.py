@@ -37,14 +37,20 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rational(token: str) -> Fraction:
-    """The number written by an integer or "p/q" token.
-
-    Anything else, such as "1e9", "1_0", ".5" or "0.5", is a ValueError,
-    and a zero denominator a ZeroDivisionError.
-    """
+    """The number written by an integer or "p/q" token; anything else, such as
+    "1e9", "1_0", ".5", "0.5" or "1/0", is a ValueError."""
     if not _RATIONAL.fullmatch(token):
         raise ValueError(f"invalid number {token!r}: write an integer or p/q")
+    if re.search("/0+$", token):
+        raise ValueError(f"invalid number {token!r}: zero denominator")
     return Fraction(token)
+
+
+def _integer(token: str) -> int:
+    """The integer an ASCII [+-]?[0-9]+ token writes; else a ValueError in int()'s own words."""
+    if not _RATIONAL.fullmatch(token) or "/" in token:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
+    return int(token)
 
 
 def _norm(c: Scalar) -> Scalar:

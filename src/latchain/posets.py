@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import prod
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .polynomial import ExactPoly, from_binomial_coefficients
+from .polynomial import ExactPoly, _integer, from_binomial_coefficients
 
 MAX_ELEMENTS = 5000
 
@@ -580,7 +580,7 @@ def poset_to_text(p: Poset) -> str:
 def _line_int(lineno: int, token: str) -> int:
     """Parse an integer field of a text-format line; a bad one names the line."""
     try:
-        return int(token)
+        return _integer(token)
     except ValueError:
         raise ValueError(f"line {lineno}: not an integer: {token!r}") from None
 

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .families import (
     _keyed_fields,
+    _see_fields,
     boolean_lattice,
     build_instance,
     dowling_step_operator,
@@ -181,7 +182,7 @@ def _params(tag: str, head: str, keys: Sequence[str]) -> Dict[str, int]:
     parts = tag.split(":")
     if parts[0] != head:
         raise ValueError(f"expected a {head}:... instance, got {tag!r}")
-    return {key: int(value) for key, value in _keyed_fields(parts, keys).items()}
+    return _keyed_fields(parts, keys)
 
 
 _RANK3_DRAWS = 200
@@ -382,6 +383,8 @@ def _pool_rows(tag: str) -> RMatrix:
     head, _, args = tag.partition(":")
     if head == "dowling-rows":
         return build_instance(tag)
+    if head not in _ROW_FAMILIES:
+        raise ValueError(f"unknown row family {head!r}; known: {', '.join(_ROW_FAMILIES)}, dowling-rows")
     return rank_matrix(build_instance(f"{_ROW_FAMILIES[head]}:{args}"))
 
 
@@ -402,12 +405,16 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
     if kind not in ("stacked-rows", "stacked-posets"):
         raise ValueError(f"unknown ordinal-sum instance {tag!r}")
     _params(":".join(fields[:-1]), kind, ("seed", "i"))
+    if fields[-1].count("+") != 1:
+        raise ValueError(f"{kind} takes two instances joined by one '+', got {fields[-1]!r}")
     left, right = fields[-1].split("+")
     if kind == "stacked-rows":
         stacked = ordinal_sum_rows(_pool_rows(left), _pool_rows(right))
         _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
     lp, rp = build_instance(left), build_instance(right)
+    if not isinstance(lp, Poset) or not isinstance(rp, Poset):
+        raise ValueError(f"stacked-posets takes two posets, got {fields[-1]!r}")
     summed = lp.ordinal_sum(rp)
     rows = rank_matrix(summed)
     predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))
@@ -442,13 +449,9 @@ def _check_see(dsl: str, seed: int) -> dict:
     c = ext.chain_polynomial()
     _check_unit_interval_roots(c, "chain polynomial")
     witness = {"chain": c.to_string(), "elements": ext.n}
-    parts = dsl.split(":")
-    if not parts[-1].startswith("cut="):
-        return witness
-    cut = parts[-1][len("cut=") :]
-    if parts[1] == "boolean" and cut != "none":
-        ground = int(parts[2])
-        members = [int(tok) for tok in cut.split(",")]
+    host, *cuts = _see_fields(dsl)
+    if host[0] == "boolean" and len(cuts) == 1 and cuts[0] is not None:
+        ground, members = len(ext.atoms()) - 1, cuts[0]  # a cut of 2 or more atoms adds one
         if 2 <= len(members) < ground:
             product = truncated_boolean(len(members) + 1, 1).direct_product(
                 boolean_lattice(ground - len(members))

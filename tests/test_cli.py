@@ -161,6 +161,10 @@ def test_usage_error_exit_code():
         ["build", "see:boolean:4:cut=1,1", "--out", "x"],
         # an instances file that is not UTF-8
         ["suite", "paving", "--instances", "not-utf8"],
+        # integers int() takes but the grammar refuses
+        ["suite", "diamond", "--seed", "1_0"],
+        ["poly", "eulerian", "--n", "٣"],
+        ["build", "boolean:٣", "--out", "x"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):

@@ -385,6 +385,7 @@ def test_dsl_round_trips(tmp_path):
         ("dpartition q\n", "line 1: not an integer: 'q'"),
         ("dpartition 2\nground 1 x 3\n", "line 2: not an integer: 'x'"),
         ("dpartition 2\nground 1 2 3\nblock 1 2.0\n", "line 3: not an integer: '2.0'"),
+        ("dpartition ２\n", "line 1: not an integer: '２'"),
     ],
 )
 def test_dpartition_text_errors_name_the_line(text, message):
@@ -406,6 +407,14 @@ def test_dpartition_text_errors_name_the_line(text, message):
         ("paving:path=blocks.txt", "paving takes the fields file=..."),
         ("see:boolean:3:4:cut=1", "boolean takes 1 field(s), got 2"),
         ("see:cut=1:boolean:3", "a see: instance needs a cut=... part"),
+        # integers int() takes but the grammar refuses, in fields and cut members
+        ("boolean:٣", "invalid literal for int() with base 10: '٣'"),
+        ("boolean: 3", "invalid literal for int() with base 10: ' 3'"),
+        ("dowling-rows:m=1_0:N=2", "invalid literal for int() with base 10: '1_0'"),
+        ("see:boolean:3:cut=1_0", "invalid literal for int() with base 10: '1_0'"),
+        # the host's fields are read before any cut member
+        ("see:boolean:3:4:cut=1_0", "boolean takes 1 field(s), got 2"),
+        ("see:dowling-rows:m=1:N=2:cut=none", "a see: instance extends a lattice, not rank rows"),
     ],
 )
 def test_dsl_refuses_wrong_fields(dsl, message):

@@ -440,6 +440,9 @@ def test_text_format_round_trip(tmp_path):
         ("poset x\n", "line 1: not an integer: 'x'"),
         ("poset 2\ncover 0 q\n", "line 2: not an integer: 'q'"),
         ("poset 2\n# note\nlabel z a\n", "line 3: not an integer: 'z'"),
+        # int() takes other digits and underscores; the integer grammar does not
+        ("poset ٣\n", "line 1: not an integer: '٣'"),
+        ("poset 2\ncover 0 1_0\n", "line 2: not an integer: '1_0'"),
         ("poset -1\n", "line 1: element count out of range: -1"),
         ("poset 5001\n", "line 1: element count out of range: 5001"),
         ("poset 2\ncover 0 7\n", "line 2: relation index out of range: (0, 7)"),

@@ -403,6 +403,27 @@ def test_repeated_unknown_or_missing_fields_are_error_verdicts(name, instance, f
     assert f"takes the fields {fields}, got " in report.witness["exception"]
 
 
+@pytest.mark.parametrize(
+    "instance, suite, message",
+    [
+        ("counterexample:n=٣:qmax=+8", "counterexample", "invalid literal for int() with base 10: '٣'"),
+        ("product-pair:seed=1_0:i=00", "diamond", "invalid literal for int() with base 10: '1_0'"),
+        ("stacked-rows:seed=1:i=00:boolean-rows:3", "ordinal-sum",
+         "stacked-rows takes two instances joined by one '+', got 'boolean-rows:3'"),
+        ("stacked-posets:seed=1:i=00:chain:2+chain:2+chain:2", "ordinal-sum",
+         "stacked-posets takes two instances joined by one '+', got 'chain:2+chain:2+chain:2'"),
+        ("stacked-rows:seed=1:i=00:foo-rows:3+chain-rows:2", "ordinal-sum",
+         "unknown row family 'foo-rows'; known: boolean-rows, chain-rows, trunc-rows, dowling-rows"),
+        ("stacked-posets:seed=1:i=00:dowling-rows:m=1:N=2+chain:2", "ordinal-sum",
+         "stacked-posets takes two posets, got 'dowling-rows:m=1:N=2+chain:2'"),
+    ],
+)
+def test_malformed_tags_get_an_error_verdict_naming_the_rule(instance, suite, message):
+    [report] = suite_run(suite, instances=[instance])
+    assert report.verdict == "error"
+    assert report.witness == {"exception": f"ValueError: {message}"}
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_unknown_instance_is_an_error_verdict(name, tmp_path, capsys):
     instances = tmp_path / "instances.txt"

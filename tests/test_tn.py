@@ -117,6 +117,8 @@ def test_witness_and_matrix_serialization():
     assert RMatrix.from_text(rows.to_text()).rows == rows.rows
     with pytest.raises(ValueError, match="^line 2: not an integer: 'x'$"):
         RMatrix.from_text("1\n1 x\n")
+    with pytest.raises(ValueError, match="^line 2: not an integer: '٣'$"):
+        RMatrix.from_text("1\n1 ٣\n")
     # a matrix with no row 0 is refused before resolve or the chain polynomials see it
     for text in ("", "\n\n"):
         with pytest.raises(ValueError, match="^rank-count matrix has no rows$"):
