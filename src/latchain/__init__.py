@@ -52,6 +52,7 @@ from .families import (
     affine_lattice,
     boolean_lattice,
     build_instance,
+    build_rows,
     design_poset,
     dowling_rows,
     fano_design,

@@ -9,7 +9,9 @@
 one --json and one --csv file; --instances needs a single suite. Both
 report files are opened before the first suite runs, so an unwritable
 path stops the command at once. Every instance a suite reports can be fed
-back to it through --instances.
+back to it through --instances. `build` writes a rank-row head
+(boolean-rows, chain-rows, trunc-rows, dowling-rows) as rank rows, read by
+families.build_rows, and any other DSL as a poset, read by build_instance.
 
 Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
 error (missing or malformed argument, unreadable instances or d-partition
@@ -28,7 +30,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .families import build_instance
+from .families import _ROWS, build_instance, build_rows
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
@@ -45,10 +47,6 @@ from .polynomial import (
 from .posets import write_poset
 from .reports import write_csv, write_jsonl
 from .suites import SUITE_NAMES, suite_run
-from .tn import RMatrix
-
-# polynomial arguments each poly op takes; the others take one
-_POLY_ARITY = {"interlaces": 2, "diamond": 2, "eulerian": 0, "q-eulerian": 0}
 
 
 def _int_flag(token: str) -> int:  # --seed and --n, refused in argparse's own words for int flags
@@ -103,45 +101,42 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if passed == len(reports) else 1
 
 
+def _interval(args: argparse.Namespace):
+    """--lo and --hi as rationals, or None when neither is given."""
+    if args.lo is None and args.hi is None:
+        return None
+    if args.lo is None or args.hi is None:
+        raise ValueError("needs both --lo and --hi, or neither")
+    return _rational(args.lo), _rational(args.hi)
+
+
+# each poly op: its number of coefficient lists, the flags it needs as its usage error names them,
+# and what it prints (a verdict as true or false)
+_POLY_OPS = {
+    "real-rooted": (1, (), lambda a, ps: str(is_real_rooted(ps[0])).lower()),
+    "sturm-count": (1, (), lambda a, ps: str(sturm_real_root_count(ps[0], _interval(a)))),
+    "roots-in-interval": (
+        1, ("--lo", "--hi"), lambda a, ps: str(roots_in_interval(ps[0], *_interval(a))).lower()
+    ),
+    "interlaces": (2, (), lambda a, ps: str(interlaces(ps[0], ps[1])).lower()),
+    "diamond": (2, (), lambda a, ps: diamond_product(ps[0], ps[1]).to_string()),
+    "h-from-f": (1, ("--n",), lambda a, ps: h_from_f(ps[0], a.n).to_string()),
+    "f-from-h": (1, ("--n",), lambda a, ps: f_from_h(ps[0], a.n).to_string()),
+    "eval": (1, ("--at",), lambda a, ps: str(ps[0](_rational(a.at)))),
+    "eulerian": (0, ("--n",), lambda a, ps: eulerian(a.n).to_string()),
+    "q-eulerian": (0, ("--n", "--at <q>"), lambda a, ps: q_eulerian(a.n, _rational(a.at)).to_string()),
+}
+
+
 def _poly_result(args: argparse.Namespace) -> str:
     """What a poly op prints; a ValueError describes a usage error."""
-    op = args.op
-    arity = _POLY_ARITY.get(op, 1)
+    arity, flags, result = _POLY_OPS[args.op]
     if len(args.coeffs) != arity:
         raise ValueError(f"needs {arity} coefficient list(s), got {len(args.coeffs)}")
     ps = [ExactPoly.from_string(text) for text in args.coeffs]
-    if op in ("h-from-f", "f-from-h", "eulerian") and args.n is None:
-        raise ValueError("needs --n")
-    if op == "real-rooted":
-        return "true" if is_real_rooted(ps[0]) else "false"
-    if op == "sturm-count":
-        interval = None
-        if args.lo is not None or args.hi is not None:
-            if args.lo is None or args.hi is None:
-                raise ValueError("needs both --lo and --hi, or neither")
-            interval = (_rational(args.lo), _rational(args.hi))
-        return str(sturm_real_root_count(ps[0], interval))
-    if op == "roots-in-interval":
-        if args.lo is None or args.hi is None:
-            raise ValueError("needs --lo and --hi")
-        return "true" if roots_in_interval(ps[0], _rational(args.lo), _rational(args.hi)) else "false"
-    if op == "interlaces":
-        return "true" if interlaces(ps[0], ps[1]) else "false"
-    if op == "diamond":
-        return diamond_product(ps[0], ps[1]).to_string()
-    if op == "h-from-f":
-        return h_from_f(ps[0], args.n).to_string()
-    if op == "f-from-h":
-        return f_from_h(ps[0], args.n).to_string()
-    if op == "eval":
-        if args.at is None:
-            raise ValueError("needs --at")
-        return str(ps[0](_rational(args.at)))
-    if op == "eulerian":
-        return eulerian(args.n).to_string()
-    if args.n is None or args.at is None:  # q-eulerian
-        raise ValueError("needs --n and --at <q>")
-    return q_eulerian(args.n, _rational(args.at)).to_string()
+    if any(getattr(args, flag.split()[0].lstrip("-")) is None for flag in flags):
+        raise ValueError("needs " + " and ".join(flags))
+    return result(args, ps)
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
@@ -153,12 +148,13 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    rows = args.dsl.partition(":")[0] in _ROWS
     try:
-        built = build_instance(args.dsl)
+        built = build_rows(args.dsl) if rows else build_instance(args.dsl)
     except (ValueError, LookupError, OSError) as exc:
         args.parser.error(f"cannot build {args.dsl!r}: {type(exc).__name__}: {exc}")
     try:
-        if isinstance(built, RMatrix):
+        if rows:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(built.to_text())
             print(f"wrote {built.order + 1} rank rows to {args.out}")
@@ -183,21 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_suite.set_defaults(func=_cmd_suite, parser=p_suite)
 
     p_poly = sub.add_parser("poly", help="exact polynomial operations")
-    p_poly.add_argument(
-        "op",
-        choices=[
-            "real-rooted",
-            "sturm-count",
-            "roots-in-interval",
-            "interlaces",
-            "diamond",
-            "h-from-f",
-            "f-from-h",
-            "eval",
-            "eulerian",
-            "q-eulerian",
-        ],
-    )
+    p_poly.add_argument("op", choices=list(_POLY_OPS))
     p_poly.add_argument("coeffs", nargs="*", help='coefficient lists, e.g. "1 4 5 2"')
     p_poly.add_argument("--lo")
     p_poly.add_argument("--hi")

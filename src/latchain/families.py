@@ -16,7 +16,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence
 
 from .polynomial import ExactPoly, _integer
 from .posets import MAX_ELEMENTS, Poset, _bits, _line_int, _minimal_members, chain_poset
-from .tn import RMatrix, is_geometric
+from .tn import RMatrix, is_geometric, rank_matrix
 
 # size guards, chosen so every construction stays at desk scale
 MAX_BOOLEAN_GROUND = 12
@@ -660,7 +660,7 @@ def _keyed_fields(parts: List[str], keys: Sequence[str]) -> Dict[str, Union[int,
     return {key: value if key == "file" else _integer(value) for key, value in kv.items()}
 
 
-# each non-see head: its integer field count or key=value keys, and a builder finding its function per call
+# each poset head but see: its integer field count or key=value keys, and a builder finding its function
 _FAMILIES: Dict[str, Tuple[Union[int, Tuple[str, ...]], Callable]] = {
     "boolean": (1, lambda n: boolean_lattice(n)),
     "trunc-boolean": (2, lambda n, k: truncated_boolean(n, k)),
@@ -672,9 +672,22 @@ _FAMILIES: Dict[str, Tuple[Union[int, Tuple[str, ...]], Callable]] = {
     "fano-design": (0, lambda: design_poset(fano_design())),
     "uniform-design": (2, lambda n, k: design_poset(uniform_design(n, k))),
     "fano-lattice": (0, lambda: fano_lattice()),
-    "dowling-rows": (("m", "N"), lambda m, N: dowling_rows(m, N)),
     "paving": (("file",), lambda file: paving_lattice_from_dpartition(read_dpartition(file))),
 }
+
+# each rank-row head, read as a poset head is; the first three are the rank rows of a poset family
+_ROWS: Dict[str, Tuple[Union[int, Tuple[str, ...]], Callable]] = {
+    "boolean-rows": (1, lambda n: rank_matrix(boolean_lattice(n))),
+    "chain-rows": (1, lambda k: rank_matrix(chain_poset(k))),
+    "trunc-rows": (2, lambda n, k: rank_matrix(truncated_boolean(n, k))),
+    "dowling-rows": (("m", "N"), lambda m, N: dowling_rows(m, N)),
+}
+
+
+def _read(table: dict, parts: List[str]):
+    """Build the instance of a split DSL string whose head is in ``table``."""
+    spec, build = table[parts[0]]
+    return build(*_int_fields(parts, spec)) if isinstance(spec, int) else build(**_keyed_fields(parts, spec))
 
 
 def _see_fields(dsl: str) -> Iterator:
@@ -696,27 +709,26 @@ def _see_fields(dsl: str) -> Iterator:
         yield atom_names
 
 
-def build_instance(dsl: str):
-    """Build a poset or rank-row matrix from a family DSL string.
+def build_instance(dsl: str) -> Poset:
+    """Build a poset from a family DSL string.
 
     Forms: "boolean:4", "trunc-boolean:5:1", "subspace:3:2", "affine:2:3",
     "partition:5", "chain:4", "vamos", "fano-design", "uniform-design:5:3",
-    "fano-lattice", "dowling-rows:m=2:N=6", "paving:file=blocks.txt",
-    "see:boolean:4:cut=1,2" (cut=none for the empty cut, atoms by name).
-    A wrong number of fields, an unknown, missing or repeated key, an integer
-    other than ASCII [+-]?[0-9]+, or a repeated cut member is a ValueError.
-    "see:" forms nest to any depth, e.g. "see:see:boolean:3:cut=1:cut=2",
-    and the cuts are applied innermost first.
+    "fano-lattice", "paving:file=blocks.txt", "see:boolean:4:cut=1,2"
+    (cut=none for the empty cut, atoms by name). A wrong number of fields,
+    an unknown, missing or repeated key, an integer other than ASCII
+    [+-]?[0-9]+, a repeated cut member, or a rank-row head (read by
+    build_rows) is a ValueError. "see:" forms nest to any depth, e.g.
+    "see:see:boolean:3:cut=1:cut=2", and the cuts are applied innermost first.
     """
     layers = _see_fields(dsl)
     parts = next(layers)
+    if parts[0] in _ROWS:
+        raise ValueError(f"{parts[0]} builds rank rows, not a poset")
     if parts[0] not in _FAMILIES:
         raise ValueError(f"unknown family DSL: {':'.join(parts)!r}")
-    spec, build = _FAMILIES[parts[0]]
-    host = build(*_int_fields(parts, spec)) if isinstance(spec, int) else build(**_keyed_fields(parts, spec))
+    host = _read(_FAMILIES, parts)
     for atom_names in layers:
-        if not isinstance(host, Poset):
-            raise ValueError("a see: instance extends a lattice, not rank rows")
         if atom_names is None:
             mc = ModularCut(host, frozenset())
         else:
@@ -727,6 +739,17 @@ def build_instance(dsl: str):
             e += 1
         host = single_element_extension(host, mc, e)
     return host
+
+
+def build_rows(tag: str) -> RMatrix:
+    """Build a rank-row matrix from a row DSL string: "boolean-rows:3",
+    "chain-rows:4" and "trunc-rows:5:2" are the rank rows of boolean:3,
+    chain:4 and trunc-boolean:5:2; "dowling-rows:m=2:N=6" the Whitney rows.
+    Fields are read as build_instance reads them."""
+    parts = tag.split(":")
+    if parts[0] not in _ROWS:
+        raise ValueError(f"unknown row family {parts[0]!r}; known: {', '.join(_ROWS)}")
+    return _read(_ROWS, parts)
 
 
 def dpartition_to_text(dp: DPartition) -> str:

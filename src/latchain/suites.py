@@ -13,8 +13,10 @@ are seeded and the seed is recorded in every report.
 from __future__ import annotations
 
 import random
+import re
 import time
 from itertools import combinations
+from math import comb, factorial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .families import (
@@ -22,7 +24,8 @@ from .families import (
     _see_fields,
     boolean_lattice,
     build_instance,
-    dowling_step_operator,
+    build_rows,
+    dowling_rows,
     linear_space_lattice,
     subspace_lattice,
     truncated_boolean,
@@ -304,18 +307,21 @@ def _dowling_corpus(seed: int) -> List[Tuple[str, Any]]:
 
 
 def _check_dowling(dsl: str, seed: int) -> dict:
-    rows = build_instance(dsl)
-    if not isinstance(rows, RMatrix):
-        raise CheckFailure({"reason": "instance is not a row matrix"})
-    m = _params(dsl, "dowling-rows", ("m", "N"))["m"]
-    for n in range(1, rows.order + 1):
-        stepped = dowling_step_operator(m, rows.rows[n - 1])
+    """``dowling-rows:m=M:N=N``: row n of dowling_rows(M, N) holds the Whitney numbers
+    W(n, k) = sum_j (-1)^(k-j) C(k, j) (1 + M j)^n / (M^k k!), j = 0..k; the rows are certified."""
+    params = _params(dsl, "dowling-rows", ("m", "N"))
+    rows, m = dowling_rows(**params), params["m"]
+    for n, row in enumerate(rows.rows):
+        expected = ExactPoly(
+            sum((-1) ** (k - j) * comb(k, j) * (1 + m * j) ** n for j in range(k + 1)) // (m**k * factorial(k))
+            for k in range(n + 1)
+        )
         _require(
-            stepped == rows.rows[n],
-            reason="operator identity fails",
+            row == expected,
+            reason="rows disagree with the closed form of the Whitney numbers",
             row=n,
-            expected=rows.rows[n].to_string(),
-            got=stepped.to_string(),
+            expected=expected.to_string(),
+            got=row.to_string(),
         )
     outcome = _certify_rows(rows)
     return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
@@ -375,19 +381,6 @@ _BOUNDED_POOL = (
     "trunc-boolean:5:2",
 )
 
-# row-pool heads name the rank rows of the family build_instance builds
-_ROW_FAMILIES = {"boolean-rows": "boolean", "chain-rows": "chain", "trunc-rows": "trunc-boolean"}
-
-
-def _pool_rows(tag: str) -> RMatrix:
-    head, _, args = tag.partition(":")
-    if head == "dowling-rows":
-        return build_instance(tag)
-    if head not in _ROW_FAMILIES:
-        raise ValueError(f"unknown row family {head!r}; known: {', '.join(_ROW_FAMILIES)}, dowling-rows")
-    return rank_matrix(build_instance(f"{_ROW_FAMILIES[head]}:{args}"))
-
-
 def _ordinal_sum_corpus(seed: int) -> List[Tuple[str, Any]]:
     rng = random.Random(seed)
     tags = []
@@ -405,16 +398,14 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
     if kind not in ("stacked-rows", "stacked-posets"):
         raise ValueError(f"unknown ordinal-sum instance {tag!r}")
     _params(":".join(fields[:-1]), kind, ("seed", "i"))
-    if fields[-1].count("+") != 1:
+    summands = re.split(r"\+(?=[A-Za-z])", fields[-1])  # a '+' before a digit is a sign
+    if len(summands) != 2:
         raise ValueError(f"{kind} takes two instances joined by one '+', got {fields[-1]!r}")
-    left, right = fields[-1].split("+")
     if kind == "stacked-rows":
-        stacked = ordinal_sum_rows(_pool_rows(left), _pool_rows(right))
+        stacked = ordinal_sum_rows(*map(build_rows, summands))
         _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
-    lp, rp = build_instance(left), build_instance(right)
-    if not isinstance(lp, Poset) or not isinstance(rp, Poset):
-        raise ValueError(f"stacked-posets takes two posets, got {fields[-1]!r}")
+    lp, rp = map(build_instance, summands)
     summed = lp.ordinal_sum(rp)
     rows = rank_matrix(summed)
     predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latchain import poset_from_text
+from latchain import boolean_lattice, chain_poset, poset_from_text, rank_matrix, truncated_boolean
 from latchain.cli import main
 from helpers import run_cli
 
@@ -64,6 +64,17 @@ def test_build_rows(tmp_path, capsys):
     rows = [line.split() for line in out.read_text().splitlines()]
     assert rows[0] == ["1"]
     assert rows[2] == ["1", "4", "1"]
+
+
+@pytest.mark.parametrize(
+    "dsl, poset",
+    [("boolean-rows:3", boolean_lattice(3)), ("chain-rows:4", chain_poset(4)),
+     ("trunc-rows:5:2", truncated_boolean(5, 2))],
+)
+def test_build_writes_the_rank_rows_of_a_row_head(dsl, poset, tmp_path, capsys):
+    out = tmp_path / "rows.txt"
+    assert main(["build", dsl, "--out", str(out)]) == 0
+    assert out.read_text() == rank_matrix(poset).to_text()
 
 
 def test_suite_command_with_outputs(tmp_path, capsys):

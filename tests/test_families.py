@@ -13,6 +13,8 @@ from latchain import (
     affine_lattice,
     boolean_lattice,
     build_instance,
+    build_rows,
+    chain_poset,
     design_poset,
     dowling_rows,
     fano_design,
@@ -29,6 +31,7 @@ from latchain import (
     paving_construction,
     paving_lattice_from_dpartition,
     principal_cut,
+    rank_matrix,
     roots_in_interval,
     single_element_extension,
     subspace_lattice,
@@ -358,7 +361,10 @@ def test_dsl_round_trips(tmp_path):
     assert build_instance("vamos").n == 79
     assert build_instance("fano-design").n == 16
     assert build_instance("fano-lattice").n == 16
-    assert isinstance(build_instance("dowling-rows:m=3:N=4"), RMatrix)
+    assert build_rows("dowling-rows:m=3:N=4") == dowling_rows(3, 4)
+    assert build_rows("boolean-rows:3") == rank_matrix(boolean_lattice(3))
+    assert build_rows("chain-rows:4") == rank_matrix(chain_poset(4))
+    assert build_rows("trunc-rows:5:2") == rank_matrix(truncated_boolean(5, 2))
     assert build_instance("see:boolean:4:cut=1,2").n == 20  # tau(B_3) x B_2
     assert build_instance("see:boolean:3:cut=none").n == 16
     assert build_instance("see:trunc-boolean:4:1:cut=1,2").n == 15
@@ -414,13 +420,32 @@ def test_dpartition_text_errors_name_the_line(text, message):
         ("see:boolean:3:cut=1_0", "invalid literal for int() with base 10: '1_0'"),
         # the host's fields are read before any cut member
         ("see:boolean:3:4:cut=1_0", "boolean takes 1 field(s), got 2"),
-        ("see:dowling-rows:m=1:N=2:cut=none", "a see: instance extends a lattice, not rank rows"),
+        ("see:dowling-rows:m=1:N=2:cut=none", "dowling-rows builds rank rows, not a poset"),
     ],
 )
 def test_dsl_refuses_wrong_fields(dsl, message):
+    reader = build_rows if dsl.startswith("dowling-rows") else build_instance
     with pytest.raises(ValueError) as err:
-        build_instance(dsl)
+        reader(dsl)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "reader, dsl, message",
+    [
+        (build_instance, "dowling-rows:m=1:N=2", "dowling-rows builds rank rows, not a poset"),
+        (build_instance, "boolean-rows:3", "boolean-rows builds rank rows, not a poset"),
+        (build_instance, "see:chain-rows:2:cut=none", "chain-rows builds rank rows, not a poset"),
+        (build_rows, "boolean:3",
+         "unknown row family 'boolean'; known: boolean-rows, chain-rows, trunc-rows, dowling-rows"),
+        (build_rows, "trunc-rows:5", "trunc-rows takes 2 field(s), got 1"),
+        (build_rows, "chain-rows:1_0", "invalid literal for int() with base 10: '1_0'"),
+    ],
+)
+def test_each_reader_refuses_the_other_kind(reader, dsl, message):
+    with pytest.raises(ValueError) as err:
+        reader(dsl)
+    assert str(err.value) == message
 
 
 def test_see_nests_deeper_than_the_recursion_limit():

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latchain import ExactPoly, RMatrix, build_instance, poset_from_text
+from latchain import ExactPoly, RMatrix, build_instance, build_rows, poset_from_text
 from latchain.cli import _int_flag
 from latchain.families import dpartition_from_text
 from latchain.polynomial import _integer
@@ -59,11 +59,14 @@ def lines(*rows):
     return [item for row in rows for item in [*row, "\n"]]
 
 
-# hosts whose atoms are named 1, 2, 3, ... come first, so that many see: cuts are accepted
+# hosts whose atoms are named 1, 2, 3, ... come first, so that many see: cuts are accepted;
+# a rank-row head is read by build_rows, and refused by build_instance under see:
 HOSTS = [["boolean:", 3], ["trunc-boolean:", 4, ":", 1], ["dowling-rows:m=", 2, ":N=", 3], ["boolean:", 0],
          ["boolean:", 99], ["subspace:", 2, ":", 2], ["affine:", 2, ":", 2], ["partition:", 3], ["chain:", 4],
          ["chain:", -1], ["uniform-design:", 4, ":", 2], ["vamos"], ["fano-lattice:", 1],
-         ["dowling-rows:N=", 3, ":m=", -1], ["paving:file=no-such-blocks.txt"], ["octonion:", 3]]
+         ["dowling-rows:N=", 3, ":m=", -1], ["paving:file=no-such-blocks.txt"], ["octonion:", 3],
+         ["boolean-rows:", 3], ["chain-rows:", 2], ["trunc-rows:", 4, ":", 1], ["trunc-rows:", 2]]
+ROW_HEADS = ("boolean-rows:", "chain-rows:", "trunc-rows:", "dowling-rows:")
 
 
 @st.composite
@@ -93,11 +96,12 @@ ROWS = [lines([1], [1, " ", 1], [1, " ", 2, " ", 1]), lines([1], [1, " ", 1], [1
 TAG_KEYS = {"rank3-random": ("seed", "i"), "product-pair": ("seed", "i"), "counterexample": ("n", "qmax"),
             "dowling-rows": ("m", "N")}
 TAGS = [[head, f":{keys[0]}=", 3, f":{keys[1]}=", 5] for head, keys in TAG_KEYS.items()]
-# summands are DSL strings, read as the DSL fuzzed above; a signed integer in
-# one would add a '+' to the tag, which the one-'+' rule refuses
+# summands are DSL strings, read as the DSL fuzzed above; a '+' that signs one
+# of their integers is not the '+' that joins them
 SUMMANDS = {
-    "stacked-rows": ["boolean-rows:2", "chain-rows:3", "trunc-rows:3:1", "dowling-rows:m=1:N=2"],
-    "stacked-posets": ["boolean:2", "chain:2", "trunc-boolean:3:1"],
+    "stacked-rows": [["boolean-rows:", 2], ["chain-rows:", 3], ["trunc-rows:", 3, ":", 1],
+                     ["dowling-rows:m=", 1, ":N=", 2]],
+    "stacked-posets": [["boolean:", 2], ["chain:", 2], ["trunc-boolean:", 3, ":", 1]],
 }
 
 
@@ -105,10 +109,10 @@ SUMMANDS = {
 def stacked_items(draw):
     """An ordinal-sum tag, most often with two summands of its own kind."""
     kind = draw(st.sampled_from(list(SUMMANDS)))
-    pool = [s for k, summands in SUMMANDS.items() for s in summands * (2 if k == kind else 1)] + ["foo-rows:1"]
+    pool = [s for k, summands in SUMMANDS.items() for s in summands * (2 if k == kind else 1)] + [["foo-rows:", 1]]
     count = draw(st.sampled_from([2, 2, 2, 1, 3]))
     summands = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
-    return [kind, ":seed=", 1, ":i=", 2, ":" + "+".join(summands)]
+    return [kind, ":seed=", 1, ":i=", 2, ":", *summands[0], *(x for s in summands[1:] for x in ["+", *s])]
 
 
 def shape(built):
@@ -156,6 +160,7 @@ def test_every_reader_keeps_one_number_grammar(text, token, dsl, poset, dpartiti
     for reader in (poset_from_text, dpartition_from_text, RMatrix.from_text, ExactPoly.from_string):
         read(reader, text)
     read(build_instance, text, (ValueError, OSError) if "paving" in text else ValueError)
+    read(build_rows, text)
     read(lambda t: _check_ordinal_sum(t, 0), text, (ValueError, CheckFailure))
 
     # the integer rule itself, and the integer flags that use it
@@ -168,7 +173,8 @@ def test_every_reader_keeps_one_number_grammar(text, token, dsl, poset, dpartiti
             _int_flag(token)
 
     # the DSL: host fields, key=value fields and see: cut members
-    check_integer_reader(build_instance, dsl, (ValueError, OSError) if "paving" in dsl[0] else ValueError)
+    reader = build_rows if dsl[0].startswith(ROW_HEADS) else build_instance
+    check_integer_reader(reader, dsl, (ValueError, OSError) if "paving" in dsl[0] else ValueError)
 
     # the text formats; a label name is free text after its index
     check_integer_reader(poset_from_text, poset)

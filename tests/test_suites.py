@@ -15,6 +15,7 @@ from latchain import (
     SUITE_NAMES,
     ExactPoly,
     Poset,
+    RMatrix,
     boolean_lattice,
     brute_force_oracle,
     build_instance,
@@ -29,6 +30,7 @@ from latchain import (
     write_csv,
     write_jsonl,
 )
+from latchain import suites
 from latchain.cli import main
 from latchain.suites import (
     _SUITES,
@@ -415,13 +417,51 @@ def test_repeated_unknown_or_missing_fields_are_error_verdicts(name, instance, f
         ("stacked-rows:seed=1:i=00:foo-rows:3+chain-rows:2", "ordinal-sum",
          "unknown row family 'foo-rows'; known: boolean-rows, chain-rows, trunc-rows, dowling-rows"),
         ("stacked-posets:seed=1:i=00:dowling-rows:m=1:N=2+chain:2", "ordinal-sum",
-         "stacked-posets takes two posets, got 'dowling-rows:m=1:N=2+chain:2'"),
+         "dowling-rows builds rank rows, not a poset"),
+        ("dowling-rows:m=1:N=2", "rank3", "dowling-rows builds rank rows, not a poset"),
+        ("dowling-rows:m=1:N=2", "paving", "dowling-rows builds rank rows, not a poset"),
+        ("dowling-rows:m=1:N=2", "designs", "dowling-rows builds rank rows, not a poset"),
+        ("dowling-rows:m=1:N=2", "triangular", "dowling-rows builds rank rows, not a poset"),
+        ("dowling-rows:m=1:N=2", "see", "dowling-rows builds rank rows, not a poset"),
+        ("boolean:3", "dowling", "expected a dowling-rows:... instance, got 'boolean:3'"),
     ],
 )
 def test_malformed_tags_get_an_error_verdict_naming_the_rule(instance, suite, message):
     [report] = suite_run(suite, instances=[instance])
     assert report.verdict == "error"
     assert report.witness == {"exception": f"ValueError: {message}"}
+
+
+def test_a_signed_summand_integer_is_not_a_summand_boundary():
+    plain, signed = suite_run("ordinal-sum", instances=[
+        "stacked-rows:seed=1:i=00:boolean-rows:2+chain-rows:3",
+        "stacked-rows:seed=1:i=00:boolean-rows:+2+chain-rows:+3",
+    ])
+    assert plain.verdict == signed.verdict == "pass"
+    assert plain.witness == signed.witness == {"order": 5}
+
+
+def _mutated_dowling_rows(m, N):
+    """dowling_rows with the weight 1 + m*i of W(n-1, i) replaced by 1 + m*i + i*(i - 1):
+    right in rows 0 to 2, wrong from W(3, 2) on."""
+    rows = [(1,)]
+    for n in range(1, N + 1):
+        prev = (0, *rows[-1], 0)
+        rows.append(tuple(prev[i] + (1 + m * i + i * (i - 1)) * prev[i + 1] for i in range(n + 1)))
+    return RMatrix.from_int_rows(rows)
+
+
+def test_dowling_check_fails_on_mutated_rows(monkeypatch):
+    monkeypatch.setattr(suites, "dowling_rows", _mutated_dowling_rows)
+    [report] = suite_run("dowling", instances=["dowling-rows:m=1:N=4"])
+    assert report.verdict == "fail"
+    # W(3, k) for the trivial group are the Stirling numbers S(4, k + 1)
+    assert report.witness == {
+        "reason": "rows disagree with the closed form of the Whitney numbers",
+        "row": 3,
+        "expected": ExactPoly((1, 7, 6, 1)).to_string(),
+        "got": ExactPoly((1, 7, 8, 1)).to_string(),
+    }
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
