@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import comb
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
@@ -508,22 +508,21 @@ class ModularCut:
 
 
 def modular_cut_validate(mc: ModularCut) -> bool:
+    """Whether the members are up-closed and hold the meet of every modular
+    pair of members; the pair scan is quadratic in the number of members."""
     l = mc.host
     if not is_geometric(l):
         raise ValueError("host is not a geometric lattice")
     mem = mc.members
     if any(not 0 <= x < l.n for x in mem):
         raise ValueError("cut member out of range")
-    for x in mem:
-        for y in _bits(l.up_mask(x)):
-            if y not in mem:
-                return False
-    for x in mem:
-        for y in mem:
-            if x < y:
-                j, w = l.join(x, y), l.meet(x, y)
-                if l.rho(x) + l.rho(y) == l.rho(j) + l.rho(w) and w not in mem:
-                    return False
+    mask = sum(1 << x for x in mem)
+    if any(l.up_mask(x) & ~mask for x in mem):
+        return False
+    for x, y in combinations(mem, 2):
+        w = l.meet(x, y)
+        if w not in mem and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):
+            return False
     return True
 
 
@@ -532,83 +531,61 @@ def principal_cut(l: Poset, x: int) -> ModularCut:
     return ModularCut(l, frozenset(_bits(l.up_mask(x))))
 
 
-def all_modular_cuts(l: Poset) -> List[ModularCut]:
-    """Every modular cut, by filtering the up-closed subsets; exponential, keep small."""
-    if l.n > 16:
-        raise ValueError("modular cut enumeration is capped at 16 elements")
-    cuts = []
-    for mask in range(1 << l.n):
-        members = frozenset(x for x in range(l.n) if mask >> x & 1)
-        if any(l.up_mask(x) & ~mask for x in members):
-            continue
-        mc = ModularCut(l, members)
-        if modular_cut_validate(mc):
-            cuts.append(mc)
-    return cuts
-
-
 def _atom_names(l: Poset) -> Dict[int, object]:
     """Display names for atoms: unwrap singleton frozenset labels, else indices."""
     names: Dict[int, object] = {}
     for a in l.atoms():
         lab = l.label_of(a)
-        if isinstance(lab, frozenset) and len(lab) == 1:
-            names[a] = next(iter(lab))
-        else:
-            names[a] = a
+        names[a] = next(iter(lab)) if isinstance(lab, frozenset) and len(lab) == 1 else a
     if len(set(map(repr, names.values()))) != len(names):
         names = {a: a for a in l.atoms()}
     return names
 
 
-def element_with_atoms(l: Poset, atom_names: Iterable) -> int:
-    """Index of the element whose atom set carries exactly the given names."""
-    want = frozenset(atom_names)
+def _atom_sets(l: Poset) -> Iterator[FrozenSet]:
+    """The names of the atoms under each element, in element order."""
     names = _atom_names(l)
-    for x in range(l.n):
-        mine = frozenset(names[a] for a in l.atoms() if l.leq(a, x))
-        if mine == want and (x != l.least or not want):
+    atoms = sum(1 << a for a in names)
+    for down in l._down:
+        yield frozenset(names[a] for a in _bits(down & atoms))
+
+
+def _collides(e, names: Iterable) -> bool:
+    """Whether e equals an atom name or prints like one."""
+    return any(e == v or repr(e) == repr(v) for v in names)
+
+
+def element_with_atoms(l: Poset, atom_names: Iterable) -> int:
+    """Index of the first element whose atom set carries exactly the given names."""
+    want = frozenset(atom_names)
+    for x, atoms in enumerate(_atom_sets(l)):
+        if atoms == want:
             return x
     raise ValueError(f"no element with atom set {sorted(map(repr, want))}")
 
 
 def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
-    """Extend a geometric lattice by one new atom along a modular cut.
+    """Extend a geometric lattice by one new atom e along a modular cut M.
 
-    The flats of the extension, written as atom-name sets, are the flats
-    outside the cut, every cut flat with e added, and the flats X outside
-    the cut with e added when no cut flat of rank rho(X) + 1 sits above
-    X. The result is checked to be geometric.
+    The flats of the extension, written as atom-name sets: every flat X
+    outside M, and X + e when X is in M or no upper cover of X is in M.
+    The host is graded, so the covers of X are the flats of rank
+    rho(X) + 1 above it. The result is checked to be geometric.
     """
     if mc.host is not l:
         raise ValueError("modular cut belongs to a different host")
     if not modular_cut_validate(mc):
         raise ValueError("invalid modular cut")
-    names = _atom_names(l)
-    if any(repr(e) == repr(v) for v in names.values()):
+    if _collides(e, _atom_names(l).values()):
         raise ValueError(f"new atom name {e!r} collides with an existing atom")
-    atom_list = l.atoms()
-
-    def atom_set(x: int) -> FrozenSet:
-        return frozenset(names[a] for a in atom_list if l.leq(a, x))
-
     mem = mc.members
     flats: List[FrozenSet] = []
-    for x in range(l.n):
+    for x, atoms in enumerate(_atom_sets(l)):
         if x not in mem:
-            flats.append(atom_set(x))
-    for x in mem:
-        flats.append(atom_set(x) | {e})
-    for x in range(l.n):
-        if x in mem:
-            continue
-        r = l.rho(x)
-        blocked = any(
-            l.rho(y) == r + 1 and l.leq(x, y) for y in mem
-        )
-        if not blocked:
-            flats.append(atom_set(x) | {e})
-    out = _poset_from_sets(list(set(flats)))
+            flats.append(atoms)
+        if x in mem or mem.isdisjoint(l._cover_up[x]):
+            flats.append(atoms | {e})
+    out = _poset_from_sets(flats)
     if not is_geometric(out):
         raise AssertionError("single-element extension is not geometric")
     return out
@@ -733,11 +710,8 @@ def build_instance(dsl: str) -> Poset:
             mc = ModularCut(host, frozenset())
         else:
             mc = principal_cut(host, element_with_atoms(host, atom_names))
-        names = set(map(repr, _atom_names(host).values()))
-        e = 0
-        while repr(e) in names:
-            e += 1
-        host = single_element_extension(host, mc, e)
+        names = _atom_names(host).values()
+        host = single_element_extension(host, mc, next(e for e in count() if not _collides(e, names)))
     return host
 
 

@@ -420,18 +420,14 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
 
 
 def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
+    # every cut of the Boolean algebra; of its single truncation the principal
+    # cuts: elements up to size n-2, plus the top
     tags = []
     for n in range(3, 6):
-        for size in range(0, n + 1):
-            for x in combinations(range(1, n + 1), size):
-                cut = ",".join(map(str, x)) if x else "none"
-                tags.append(f"see:boolean:{n}:cut={cut}")
-        # principal cuts of the single truncation: elements up to size n-2, plus the top
-        for size in range(0, n - 1):
-            for x in combinations(range(1, n + 1), size):
-                cut = ",".join(map(str, x)) if x else "none"
-                tags.append(f"see:trunc-boolean:{n}:1:cut={cut}")
-        tags.append(f"see:trunc-boolean:{n}:1:cut={','.join(map(str, range(1, n + 1)))}")
+        for host, sizes in ((f"boolean:{n}", range(n + 1)), (f"trunc-boolean:{n}:1", [*range(n - 1), n])):
+            for size in sizes:
+                for x in combinations(range(1, n + 1), size):
+                    tags.append(f"see:{host}:cut={','.join(map(str, x)) or 'none'}")
     return _tasks(tags)
 
 

@@ -11,7 +11,12 @@ that packed chain counts and level-mask popcounts replaced, the
 poset constructor that filtered a set of pair tuples for covers, the
 join-fiber formula that Mobius inversion replaced for the incidence rank
 function on lattices, and chain and multichain walks for Philip Hall's
-theorem and the zeta polynomial.
+theorem and the zeta polynomial. For single-element extensions: the
+modular cuts by filtering every up-closed subset (``all_modular_cuts``),
+a definitional cut test over every pair of members
+(``modular_cut_by_definition``), the per-atom ``leq`` scan that atom-mask
+reads replaced (``element_by_leq_scan``), and the three flat lists that
+the one-pass extension replaced (``extension_by_flat_lists``).
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: long division (``poly_divmod``),
@@ -34,15 +39,27 @@ import random
 import subprocess
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 from unittest import mock
 
 import pytest
 
-from latchain import ExactPoly, Poset, boolean_lattice, brute_force_oracle, chain_poset, truncated_boolean
+from latchain import (
+    ExactPoly,
+    ModularCut,
+    Poset,
+    boolean_lattice,
+    brute_force_oracle,
+    chain_poset,
+    is_geometric,
+    modular_cut_validate,
+    truncated_boolean,
+)
+from latchain.families import _atom_names
 from latchain.polynomial import ONE, from_binomial_coefficients
 from latchain.posets import MAX_ELEMENTS, _bits
 
@@ -813,3 +830,79 @@ def perm_stats_oracle(n: int) -> List[Tuple[int, int]]:
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
         table.append((des, inv))
     return table
+
+
+# -- modular cuts by subset filters, extensions by flat lists ------------------------
+
+
+def up_closed_subsets(l: Poset) -> Iterator[FrozenSet[int]]:
+    """Every up-closed subset of the elements, by filtering all 2^n subsets."""
+    for mask in range(1 << l.n):
+        if not any(l.up_mask(x) & ~mask for x in _bits(mask)):
+            yield frozenset(_bits(mask))
+
+
+def all_modular_cuts(l: Poset) -> List[ModularCut]:
+    """Every modular cut: the up-closed subsets that ``modular_cut_validate``
+    accepts; exponential, so capped at 16 elements."""
+    if l.n > 16:
+        raise ValueError("modular cut enumeration is capped at 16 elements")
+    return [mc for mc in (ModularCut(l, s) for s in up_closed_subsets(l)) if modular_cut_validate(mc)]
+
+
+_cached_tables = lru_cache(maxsize=4)(lattice_tables_oracle)
+
+
+def modular_cut_by_definition(mc: ModularCut) -> bool:
+    """Whether every element above a member is a member, and the meet of every
+    modular pair of members (comparable pairs and x = y included) is a
+    member; joins and meets from the all-pairs tables."""
+    l, mem = mc.host, mc.members
+    if any(l.leq(x, y) and y not in mem for x in mem for y in range(l.n)):
+        return False
+    _, join, meet = _cached_tables(l)
+    return all(
+        meet[x][y] in mem or l.rho(x) + l.rho(y) != l.rho(join[x][y]) + l.rho(meet[x][y])
+        for x in mem
+        for y in mem
+    )
+
+
+def element_by_leq_scan(l: Poset, atom_names) -> int:
+    """The element whose atom set carries exactly the given names, each atom
+    set listed by one ``leq`` test per atom."""
+    want = frozenset(atom_names)
+    names = _atom_names(l)
+    for x in range(l.n):
+        mine = frozenset(names[a] for a in l.atoms() if l.leq(a, x))
+        if mine == want and (x != l.least or not want):
+            return x
+    raise ValueError(f"no element with atom set {sorted(map(repr, want))}")
+
+
+def extension_by_flat_lists(l: Poset, mc: ModularCut, e) -> Poset:
+    """Single-element extension from three flat lists: the flats outside the
+    cut, every cut flat with e added, and the flats X outside the cut with e
+    added when no cut flat of rank rho(X) + 1 sits above X. Inclusion order
+    by comparing every pair of flats; a name collision is caught only by repr."""
+    if mc.host is not l:
+        raise ValueError("modular cut belongs to a different host")
+    if not modular_cut_validate(mc):
+        raise ValueError("invalid modular cut")
+    names = _atom_names(l)
+    if any(repr(e) == repr(v) for v in names.values()):
+        raise ValueError(f"new atom name {e!r} collides with an existing atom")
+
+    def atom_set(x: int) -> FrozenSet:
+        return frozenset(names[a] for a in l.atoms() if l.leq(a, x))
+
+    mem = mc.members
+    flats = [atom_set(x) for x in range(l.n) if x not in mem]
+    flats += [atom_set(x) | {e} for x in mem]
+    for x in range(l.n):
+        if x not in mem and not any(l.rho(y) == l.rho(x) + 1 and l.leq(x, y) for y in mem):
+            flats.append(atom_set(x) | {e})
+    out = poset_from_sets_by_pairs(list(set(flats)))
+    if not is_geometric(out):
+        raise AssertionError("single-element extension is not geometric")
+    return out

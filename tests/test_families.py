@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -41,8 +42,23 @@ from latchain import (
     vamos_lattice,
 )
 from latchain.posets import MAX_ELEMENTS
-from latchain.families import FANO_BLOCKS, dpartition_from_text, dpartition_to_text, element_with_atoms, vamos_dpartition
-from helpers import collapsed_tower_9, rank_uniform_tower_13
+from latchain.families import (
+    FANO_BLOCKS,
+    _atom_names,
+    dpartition_from_text,
+    dpartition_to_text,
+    element_with_atoms,
+    vamos_dpartition,
+)
+from helpers import (
+    all_modular_cuts,
+    collapsed_tower_9,
+    element_by_leq_scan,
+    extension_by_flat_lists,
+    modular_cut_by_definition,
+    rank_uniform_tower_13,
+    up_closed_subsets,
+)
 
 ONE_PLUS_T = ExactPoly((1, 1))
 
@@ -257,8 +273,6 @@ def test_dowling_rows_trivial_group_are_dual_partition_rows():
 
 
 def test_modular_cuts_of_booleans_are_principal():
-    from latchain.families import all_modular_cuts
-
     for n in (2, 3, 4):
         lat = boolean_lattice(n)
         cuts = all_modular_cuts(lat)
@@ -350,6 +364,72 @@ def test_truncated_extension_coatoms():
     relabel = {1: 1, 2: 2, 3: 3, 4: 4, 5: 9}
     expect = {frozenset(relabel[v] for v in t.labels[c]) for c in t.coatoms()}
     assert fam == expect
+
+
+@pytest.mark.parametrize("dsl", ["boolean:3", "boolean:4", "trunc-boolean:4:1", "fano-lattice"])
+def test_extension_matches_the_flat_list_oracle(dsl):
+    host = build_instance(dsl)
+    cuts = all_modular_cuts(host)
+    assert len(cuts) > 2
+    for mc in cuts:
+        ext, oracle = single_element_extension(host, mc, 0), extension_by_flat_lists(host, mc, 0)
+        assert (ext.labels, ext.covers) == (oracle.labels, oracle.covers), sorted(mc.members)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("host", [boolean_lattice(4), partition_lattice(4)], ids=["B4", "Pi4"])
+def test_element_with_atoms_matches_the_leq_scan(host):
+    names = [*_atom_names(host).values(), "not an atom"]
+    found = 0
+    for size in range(len(names) + 1):
+        for want in combinations(names, size):
+            got = _outcome(element_with_atoms, host, want)
+            assert got == _outcome(element_by_leq_scan, host, want), want
+            found += isinstance(got, int)
+    assert found == host.n
+
+
+@pytest.mark.parametrize("dsl", ["boolean:3", "boolean:4", "fano-lattice"])
+def test_modular_cut_validate_matches_the_definition(dsl):
+    host = build_instance(dsl)
+    tried = accepted = 0
+    for members in up_closed_subsets(host):
+        # each up-closed subset, and each with one member taken out
+        for s in [members, *(members - {x} for x in members)]:
+            mc = ModularCut(host, s)
+            verdict = modular_cut_validate(mc)
+            assert verdict == modular_cut_by_definition(mc), sorted(s)
+            tried, accepted = tried + 1, accepted + verdict
+    assert 0 < accepted < tried
+
+
+@pytest.mark.parametrize("e", [True, 1.0, Fraction(1), 1], ids=repr)
+def test_a_new_atom_equal_to_an_existing_one_is_refused(e):
+    b3 = boolean_lattice(3)
+    with pytest.raises(ValueError, match=r"collides with an existing atom$"):
+        single_element_extension(b3, principal_cut(b3, 7), e)
+
+
+def test_extension_errors_come_in_order():
+    b3, c3 = boolean_lattice(3), chain_poset(3)
+    # each case also fails a later check (the new atom 1 collides), so the message shows which comes first
+    cases = [
+        (b3, principal_cut(boolean_lattice(3), 1), "modular cut belongs to a different host"),
+        (c3, ModularCut(c3, frozenset({5})), "host is not a geometric lattice"),
+        (b3, ModularCut(b3, frozenset({3, 8})), "cut member out of range"),
+        (b3, ModularCut(b3, frozenset({3, 5, 7})), "invalid modular cut"),
+        (b3, principal_cut(b3, 7), "new atom name 1 collides with an existing atom"),
+    ]
+    for host, mc, message in cases:
+        with pytest.raises(ValueError) as exc:
+            single_element_extension(host, mc, 1)
+        assert str(exc.value) == message
 
 
 def test_dsl_round_trips(tmp_path):
