@@ -33,12 +33,11 @@ def boolean_lattice(n: int) -> Poset:
     """Subsets of {1, ..., n} ordered by inclusion; element index is the bitmask."""
     if not 0 <= n <= MAX_BOOLEAN_GROUND:
         raise ValueError(f"ground size out of range: {n}")
-    rels = []
-    for s in range(1 << n):
-        for i in range(n):
-            if not s >> i & 1:
-                rels.append((s, s | 1 << i))
-    labels = [frozenset(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)]
+    bits = [1 << i for i in range(n)]
+    rels = [(s, s | b) for s in range(1 << n) for b in bits if not s & b]
+    labels = [frozenset()]
+    for i in range(n):  # labels[s | 2^i] = labels[s] | {i + 1} for s < 2^i
+        labels += [s | {i + 1} for s in labels]
     return Poset(1 << n, rels, labels)
 
 
@@ -196,35 +195,33 @@ def affine_lattice(n: int, q: int) -> Poset:
 # -- partition lattices -----------------------------------------------------------------
 
 
-def _set_partitions(items: Tuple[int, ...]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield [[first]] + part
+def _set_partitions(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Set partitions of {1, ..., n}, each block ascending and the blocks
+    ordered by their least elements: adding 1, ..., n in turn, each joins
+    the end of a block or opens a new last block."""
+    parts = [()]
+    for e in range(1, n + 1):
+        joined = [p[:i] + (p[i] + (e,),) + p[i + 1:] for p in parts for i in range(len(p))]
+        parts = joined + [p + ((e,),) for p in parts]
+    return parts
 
 
 def partition_lattice(n: int) -> Poset:
     """Set partitions of {1, ..., n} ordered by refinement.
 
     Each cover merges two blocks, so the covers are emitted directly.
+    Blocks are disjoint and sorted by their least elements, so the merge of
+    blocks a < b takes the slot of block a and the rest stay in order.
     """
     if not 1 <= n <= MAX_PARTITION_GROUND:
         raise ValueError(f"partition lattice out of range: {n}")
-    labels = sorted(
-        (tuple(sorted(tuple(sorted(b)) for b in part)) for part in _set_partitions(tuple(range(1, n + 1)))),
-        key=lambda p: (-len(p), p),
-    )
+    labels = sorted(_set_partitions(n), key=lambda p: (-len(p), p))
     index = {p: i for i, p in enumerate(labels)}
-    rels = []
-    for i, p in enumerate(labels):
-        for a, b in combinations(range(len(p)), 2):
-            rest = [blk for k, blk in enumerate(p) if k != a and k != b]
-            merged = tuple(sorted(rest + [tuple(sorted(p[a] + p[b]))]))
-            rels.append((i, index[merged]))
+    rels = [
+        (i, index[p[:a] + (tuple(sorted(p[a] + p[b])),) + p[a + 1:b] + p[b + 1:]])
+        for i, p in enumerate(labels)
+        for a, b in combinations(range(len(p)), 2)
+    ]
     return Poset(len(labels), rels, labels)
 
 
@@ -509,7 +506,12 @@ class ModularCut:
 
 def modular_cut_validate(mc: ModularCut) -> bool:
     """Whether the members are up-closed and hold the meet of every modular
-    pair of members; the pair scan is quadratic in the number of members."""
+    pair of members.
+
+    An up-closed set that holds the meet of all its members is the up-set
+    of that meet, a principal cut, which is always modular; only the other
+    cuts take the pair scan, quadratic in the number of members.
+    """
     l = mc.host
     if not is_geometric(l):
         raise ValueError("host is not a geometric lattice")
@@ -519,6 +521,11 @@ def modular_cut_validate(mc: ModularCut) -> bool:
     mask = sum(1 << x for x in mem)
     if any(l.up_mask(x) & ~mask for x in mem):
         return False
+    least = mask  # the members below every member: their meet, if a member
+    for x in mem:
+        least &= l.down_mask(x)
+    if least:
+        return True
     for x, y in combinations(mem, 2):
         w = l.meet(x, y)
         if w not in mem and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):

@@ -52,10 +52,15 @@ class Poset:
 
     ``relations`` may be any acyclic set of pairs (x, y) meaning x < y;
     the transitive reduction is computed on construction, so redundant
-    and repeated pairs are allowed, but each costs one step: a distinct
-    pair is a cover iff [x, y] has two elements, one popcount. The
-    library's builders pass covers only. ``labels`` are optional external
-    names carried along by the structural operations.
+    and repeated pairs are allowed. Strict up-sets are built from the top
+    of a linear extension down, and a successor y of x is a cover iff it
+    lies in no other successor's strict up-set: one OR per distinct pair.
+    When every pair goes up in index order, as the library's builders
+    pass them and ``induced`` and ``direct_product`` keep them, the index
+    order is that linear extension; otherwise (``dual``, for one) Kahn's
+    walk finds one and detects cycles. Down-sets and quasi-ranks are then
+    pushed along the covers alone. ``labels`` are optional external names
+    carried along by the structural operations.
     """
 
     __slots__ = (
@@ -86,57 +91,69 @@ class Poset:
         if labels is not None and len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         succ = [set() for _ in range(n)]
+        ordered = True  # every pair goes up in index order
         for x, y in relations:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"relation index out of range: ({x}, {y})")
-            if x == y:
-                raise ValueError(f"reflexive relation pair ({x}, {y})")
+            if x >= y:
+                if x == y:
+                    raise ValueError(f"reflexive relation pair ({x}, {y})")
+                ordered = False
             succ[x].add(y)
-        indeg = [0] * n
-        for ys in succ:
-            for y in ys:
-                indeg[y] += 1
 
-        # Kahn topological order, which the loop extends as it walks it;
-        # leftovers mean a cycle. An element's down-set is complete when it
-        # is reached, so it is passed on in the same walk.
-        order = [x for x in range(n) if not indeg[x]]
+        # a linear extension: the index order when every pair goes up in it,
+        # else Kahn's walk, where leftovers mean a cycle
+        if ordered:
+            order = range(n)
+        else:
+            indeg = [0] * n
+            for ys in succ:
+                for y in ys:
+                    indeg[y] += 1
+            order = [x for x in range(n) if not indeg[x]]
+            for x in order:
+                for y in succ[x]:
+                    indeg[y] -= 1
+                    if not indeg[y]:
+                        order.append(y)
+            if len(order) != n:
+                raise ValueError("relation contains a cycle")
+
+        # Strict up-sets from the top down. A successor y of x is a cover iff
+        # it lies in no other successor's strict up-set, so one OR per pair
+        # decides every successor; only when that union meets the successors
+        # is each tested. down[y] is still the bit of y here.
         down = [1 << x for x in range(n)]
-        for x in order:
-            dx = down[x]
-            for y in succ[x]:
-                down[y] |= dx
-                indeg[y] -= 1
-                if not indeg[y]:
-                    order.append(y)
-        if len(order) != n:
-            raise ValueError("relation contains a cycle")
-        up = [1 << x for x in range(n)]
+        above = [0] * n
+        cover_up = [()] * n
         for x in reversed(order):
-            ux = up[x]
-            for y in succ[x]:
-                ux |= up[y]
-            up[x] = ux
+            ys = succ[x]
+            if ys:
+                reach = 0
+                for y in ys:
+                    reach |= above[y]
+                bits = sum(map(down.__getitem__, ys))
+                covers_x = sorted(ys)
+                if reach & bits:
+                    covers_x = [y for y in covers_x if not reach & down[y]]
+                above[x] = reach | bits
+                cover_up[x] = covers_x
 
-        # the transitive reduction is a subset of the input pairs: x < y is
-        # a cover iff x and y are all of [x, y]
-        covers = []
-        cover_down = [[] for _ in range(n)]
-        cover_up = []
-        for x in range(n):
-            ux = up[x]
-            above = sorted(y for y in succ[x] if (ux & down[y]).bit_count() == 2)
-            cover_up.append(above)
-            for y in above:
-                cover_down[y].append(x)
-                covers.append((x, y))
-
-        # order is a linear extension, so every lower cover is ranked first
+        # down-sets and quasi-ranks pushed along the covers, in the order
         rho = [0] * n
+        cover_down = [[] for _ in range(n)]
         for x in order:
-            below = cover_down[x]
-            if below:
-                rho[x] = 1 + max(rho[y] for y in below)
+            dx, r = down[x], rho[x] + 1
+            for y in cover_up[x]:
+                down[y] |= dx
+                if rho[y] < r:
+                    rho[y] = r
+                cover_down[y].append(x)
+        if not ordered:
+            for below in cover_down:
+                below.sort()
+        covers = [(x, y) for x in range(n) for y in cover_up[x]]
+        up = [above[x] | 1 << x for x in range(n)]
 
         minimals = [x for x in range(n) if not cover_down[x]]
         maximals = [x for x in range(n) if not cover_up[x]]
@@ -241,13 +258,19 @@ class Poset:
         bound = prod(level.bit_count() + 1 for level in self._level_masks())
         k = (bound.bit_length() + 7) // 8
         shifts = [8 * k * offset for offset in offsets]
+        down, rho = self._down, self._rho
         ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
-        for x in sorted(range(self.n), key=self._rho.__getitem__):  # stable: by (rho, x)
-            vec = 1
-            for y in _bits(self._down[x] ^ (1 << x)):
-                vec += ends[y]
-            vec <<= shifts[self._rho[x]]
+        for x in sorted(range(self.n), key=rho.__getitem__):  # stable: by (rho, x)
+            below, ys = down[x] ^ (1 << x), []
+            while below:  # top bit first, so the mask shrinks as it is walked
+                y = below.bit_length() - 1
+                ys.append(y)
+                below ^= 1 << y
+            # summed from the lowest index, which on the library's builders
+            # tends to be the lowest rank and so the shortest packed integer:
+            # the running sum then grows with its terms
+            vec = sum(map(ends.__getitem__, reversed(ys)), 1) << shifts[rho[x]]
             ends[x] = vec
             total += vec
         data = total.to_bytes((total.bit_length() + 7) // 8, "little")

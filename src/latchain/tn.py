@@ -294,7 +294,8 @@ def _require_lattice(p: Poset) -> None:
 
 
 def _is_graded(p: Poset) -> bool:
-    return all(p.rho(y) == p.rho(x) + 1 for x, y in p.covers)
+    rho = p._rho
+    return all(rho[y] == rho[x] + 1 for x, y in p.covers)
 
 
 def _covers_close(p: Poset, upward: bool) -> bool:
@@ -340,10 +341,38 @@ def is_atomistic(p: Poset) -> bool:
     return all(p._cover_down[j] == bottom for j in p.join_irreducibles())
 
 
+def _has_covering_property(p: Poset) -> bool:
+    """Every atom not below x lies under some upper cover of x, for every x:
+    one mask OR per cover."""
+    atoms = sum(1 << a for a in p.atoms())
+    down = p._down
+    for x, covers in enumerate(p._cover_up):
+        reach = down[x]
+        for c in covers:
+            reach |= down[c]
+        if atoms & ~reach:
+            return False
+    return True
+
+
 def is_geometric(p: Poset) -> bool:
-    """Graded, semimodular, atomistic lattice."""
+    """Graded, semimodular, atomistic lattice.
+
+    Semimodularity of an atomistic lattice is decided by the covering
+    property: it holds iff x join a covers x for every x and every atom a
+    not below x (Stanley, EC1 section 3.3; Oxley, Matroid Theory section
+    1.7). If the lattice is semimodular, x meet a is the bottom, so
+    rho(x join a) <= rho(x) + rho(a) - 0 = rho(x) + 1. Conversely, let
+    x != y cover z. As x is a join of atoms, some atom a below x is not
+    below z, so z < z join a <= x and x = z join a; likewise y = z join b,
+    and b is not below x, else y <= x. So x join y = x join b covers x,
+    and likewise y: the upward cover criterion (EC1 Prop. 3.3.2). Last,
+    x join a covers x iff a lies under some upper cover c of x, since then
+    x < x join a <= c. The covering test runs before the atomistic one,
+    whose False verdict overrides it.
+    """
     _require_lattice(p)
-    return _is_graded(p) and _covers_close(p, upward=True) and is_atomistic(p)
+    return _is_graded(p) and _has_covering_property(p) and is_atomistic(p)
 
 
 def is_triangular(p: Poset) -> bool:

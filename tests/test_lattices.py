@@ -27,8 +27,24 @@ from latchain import (
     partition_lattice,
     truncated_boolean,
 )
+from latchain.families import _poset_from_sets
 from latchain.tn import _is_graded
 from helpers import interval_length_spread, lattice_tables_oracle, m3, pentagon, random_poset, with_bounds
+
+
+def _intersection_closed(rng: random.Random, points: int) -> Poset:
+    """Inclusion order on a random intersection-closed family over 1..points
+    that holds the empty set, every singleton and the ground set: an
+    atomistic lattice, often graded, rarely semimodular."""
+    ground = frozenset(range(1, points + 1))
+    family = {frozenset(), ground, *(frozenset({i}) for i in ground)}
+    for _ in range(rng.randint(1, 2 * points)):
+        family.add(frozenset(rng.sample(sorted(ground), rng.randint(2, points - 1))))
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            return _poset_from_sets(list(family))
+        family |= meets
 
 
 def _corpus():
@@ -49,6 +65,7 @@ def _corpus():
     for _ in range(300):
         p = random_poset(rng, rng.randint(1, 12))
         drawn += [p, with_bounds(p)]
+    drawn += [_intersection_closed(rng, rng.randint(3, 5)) for _ in range(40)]
     return named + drawn
 
 
@@ -76,15 +93,20 @@ def _oracle_predicates(p: Poset, join, meet):
 
 def test_corpus_covers_every_verdict():
     """Lattices and non-lattices abound, and among the lattices each
-    predicate is both true and false."""
-    lattices, seen = 0, set()
+    predicate is both true and false. Some graded atomistic lattice is not
+    geometric, so the covering property itself must say False."""
+    lattices, seen, covering_fails = 0, set(), False
     for p in CORPUS:
         ok, join, meet = lattice_tables_oracle(p)
         if ok:
             lattices += 1
-            seen.update(enumerate(_oracle_predicates(p, join, meet)))
+            verdicts = _oracle_predicates(p, join, meet)
+            seen.update(enumerate(verdicts))
+            _, _, atomistic, geometric = verdicts
+            covering_fails |= _is_graded(p) and atomistic and not geometric
     assert lattices >= 100 and len(CORPUS) - lattices >= 100
     assert seen == {(i, v) for i in range(4) for v in (True, False)}
+    assert covering_fails
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))

@@ -323,9 +323,12 @@ def _fields(p: Poset) -> dict:
 @given(st.data())
 def test_constructor_matches_the_pair_filter_oracle(data):
     """Every field against the old constructor, on relations with repeated and
-    redundant pairs in shuffled order; elements outside every pair stay isolated."""
+    redundant pairs in shuffled order; elements outside every pair stay isolated.
+    Half the examples name the elements by index, so every pair goes up in
+    index order; the rest by a random permutation, so most pairs do not."""
     n = data.draw(st.integers(0, 14))
-    name = data.draw(st.permutations(range(n)))  # a linear extension not by index
+    by_index = data.draw(st.booleans())
+    name = range(n) if by_index else data.draw(st.permutations(range(n)))
     pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
     edges = {(name[i], name[j]) for i, j in data.draw(st.lists(pairs, max_size=3 * n)) if i < j}
     above = poset_by_pair_filter(n, edges)["_up"]
@@ -334,6 +337,18 @@ def test_constructor_matches_the_pair_filter_oracle(data):
     repeated = data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=n)) if edges else []
     relations = data.draw(st.permutations(sorted(edges) + redundant + repeated))
     assert _fields(Poset(n, relations)) == poset_by_pair_filter(n, relations)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: truncated_boolean(5, 1), lambda: boolean_lattice(4).dual()],
+    ids=["builder", "dual"],
+)
+def test_constructor_paths_match_the_pair_filter_oracle(build):
+    """A builder passes its covers up in index order and dual() passes them
+    down, so the two take different walks to the same fields."""
+    p = build()
+    assert _fields(Poset(p.n, p.covers)) == _fields(p) == poset_by_pair_filter(p.n, p.covers)
 
 
 @settings(max_examples=300, deadline=None)
