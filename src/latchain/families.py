@@ -34,11 +34,11 @@ def boolean_lattice(n: int) -> Poset:
     if not 0 <= n <= MAX_BOOLEAN_GROUND:
         raise ValueError(f"ground size out of range: {n}")
     bits = [1 << i for i in range(n)]
-    rels = [(s, s | b) for s in range(1 << n) for b in bits if not s & b]
+    cover_up = [[s | b for b in bits if not s & b] for s in range(1 << n)]
     labels = [frozenset()]
     for i in range(n):  # labels[s | 2^i] = labels[s] | {i + 1} for s < 2^i
         labels += [s | {i + 1} for s in labels]
-    return Poset(1 << n, rels, labels)
+    return Poset._from_covers(1 << n, cover_up, range(1 << n), labels)
 
 
 def truncated_boolean(n: int, k: int) -> Poset:
@@ -55,8 +55,10 @@ def _poset_from_sets(sets: Sequence[FrozenSet]) -> Poset:
 
     The sets containing S are those that contain every element of S: the
     AND of one incidence bitmask per element, so no two sets are compared.
-    Size strictly increases along inclusion, so only the covers are passed
-    on: the minimal sets strictly above each set, peeled size by size.
+    Size strictly increases along inclusion, so the sets listed by size are
+    in a linear extension, and the poset core gets the covers and these
+    up-masks: the minimal sets strictly above each set, peeled size by size,
+    which come out ascending.
     """
     if len(set(sets)) != len(sets):
         raise ValueError("duplicate sets")
@@ -79,12 +81,11 @@ def _poset_from_sets(sets: Sequence[FrozenSet]) -> Poset:
             above &= masks[e]
         up.append(above)
         levels[level[len(s)]] |= 1 << i
-    rels = [
-        (i, j)
+    cover_up = [
+        list(_minimal_members(up[i] ^ (1 << i), up, levels, level[len(s)]))
         for i, s in enumerate(sets)
-        for j in _minimal_members(up[i] ^ (1 << i), up, levels, level[len(s)])
     ]
-    return Poset(len(sets), rels, sets)
+    return Poset._from_covers(len(sets), cover_up, range(len(sets)), sets, up)
 
 
 def _paving_poset(ground: Iterable, blocks: Iterable[FrozenSet], d: int) -> Poset:
@@ -209,20 +210,23 @@ def _set_partitions(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
 def partition_lattice(n: int) -> Poset:
     """Set partitions of {1, ..., n} ordered by refinement.
 
-    Each cover merges two blocks, so the covers are emitted directly.
-    Blocks are disjoint and sorted by their least elements, so the merge of
-    blocks a < b takes the slot of block a and the rest stay in order.
+    Each cover merges two blocks, so the covers are emitted directly, found
+    by a partition's tuple of block bitmasks. Blocks are disjoint and sorted
+    by their least elements, so the merge of blocks a < b, one OR, takes
+    the slot of block a and the rest stay in order.
     """
     if not 1 <= n <= MAX_PARTITION_GROUND:
         raise ValueError(f"partition lattice out of range: {n}")
     labels = sorted(_set_partitions(n), key=lambda p: (-len(p), p))
-    index = {p: i for i, p in enumerate(labels)}
-    rels = [
-        (i, index[p[:a] + (tuple(sorted(p[a] + p[b])),) + p[a + 1:b] + p[b + 1:]])
-        for i, p in enumerate(labels)
-        for a, b in combinations(range(len(p)), 2)
+    block_mask = {b: sum([1 << e for e in b]) for b in {b for p in labels for b in p}}
+    masks = [tuple(map(block_mask.__getitem__, p)) for p in labels]
+    index = {m: i for i, m in enumerate(masks)}
+    pairs = [list(combinations(range(k), 2)) for k in range(n + 1)]
+    cover_up = [
+        sorted([index[m[:a] + (m[a] | m[b],) + m[a + 1:b] + m[b + 1:]] for a, b in pairs[len(m)]])
+        for m in masks
     ]
-    return Poset(len(labels), rels, labels)
+    return Poset._from_covers(len(labels), cover_up, range(len(labels)), labels)
 
 
 # -- rank-3 point-line lattices ------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Finite posets with exact chain enumeration.
 
-A poset is stored as a cover graph on elements 0..n-1. The full order
-relation is cached as per-element bitmasks, which keeps comparability
-queries, interval extraction and the chain-counting dynamic program fast
-for the few-thousand-element posets this library targets. Joins and meets
-are found by mask lookup: the join of x and y is the element whose up-set
-is the intersection of theirs. One chain-counting program packs each
-element's counts into one integer of k-byte fields, so it makes one integer
-addition per comparable pair: an element of quasi-rank r moves a chain one
-field for the chain polynomial and 2^r fields for the flag f-vector. Rank
-profiles are popcounts of a down-set mask against one mask per level.
+A poset is stored as a cover graph on elements 0..n-1. The constructor,
+the front door, checks any acyclic relation and reduces it to covers; the
+library's builders know their covers already and hand them, with a linear
+extension, straight to the one core that derives every stored field. The
+full order relation is cached as per-element bitmasks, which keeps
+comparability queries, interval extraction and the chain-counting dynamic
+program fast for the few-thousand-element posets this library targets.
+Joins and meets are found by mask lookup: the join of x and y is the
+element whose up-set is the intersection of theirs. One chain-counting
+program packs each element's counts into one integer of k-byte fields, so
+it makes one integer addition per comparable pair: an element of
+quasi-rank r moves a chain one field for the chain polynomial and 2^r
+fields for the flag f-vector. Rank profiles are popcounts of a down-set
+mask against one mask per level.
 """
 
 from __future__ import annotations
@@ -50,17 +54,26 @@ def _minimal_members(mask: int, up: Sequence[int], levels: Sequence[int], r: int
 class Poset:
     """Immutable finite poset given by its cover relation.
 
-    ``relations`` may be any acyclic set of pairs (x, y) meaning x < y;
-    the transitive reduction is computed on construction, so redundant
-    and repeated pairs are allowed. Strict up-sets are built from the top
-    of a linear extension down, and a successor y of x is a cover iff it
-    lies in no other successor's strict up-set: one OR per distinct pair.
-    When every pair goes up in index order, as the library's builders
-    pass them and ``induced`` and ``direct_product`` keep them, the index
-    order is that linear extension; otherwise (``dual``, for one) Kahn's
-    walk finds one and detects cycles. Down-sets and quasi-ranks are then
-    pushed along the covers alone. ``labels`` are optional external names
-    carried along by the structural operations.
+    The front door, ``Poset(n, relations, labels)``, takes any acyclic set
+    of pairs (x, y) meaning x < y, so redundant and repeated pairs are
+    allowed; it checks them and computes their transitive reduction (Aho,
+    Garey & Ullman, SIAM J. Comput. 1972). Strict up-sets are built from
+    the top of a linear extension down, and a successor y of x is a cover
+    iff it lies in no other successor's strict up-set: one OR per distinct
+    pair. When every pair goes up in index order the index order is that
+    linear extension; otherwise Kahn's walk finds one and detects cycles.
+
+    The covers then go to one core, ``_derive``, which alone derives every
+    stored field. The library's builders and structural operations know
+    their covers by construction and reach it through ``_from_covers``,
+    with no second reduction. Its rule: each ``cover_up[x]`` is ascending,
+    and ``order`` lists the elements by a key that strictly increases along
+    every cover (index order, a parent's quasi-rank, its reverse for a
+    dual, or the factors' orders combined for a product or an ordinal
+    sum), so it is a linear extension. Down-sets and quasi-ranks are
+    pushed along the covers in that order, up-sets in the reverse order.
+    ``labels`` are optional external names carried along by the structural
+    operations.
     """
 
     __slots__ = (
@@ -122,8 +135,8 @@ class Poset:
         # Strict up-sets from the top down. A successor y of x is a cover iff
         # it lies in no other successor's strict up-set, so one OR per pair
         # decides every successor; only when that union meets the successors
-        # is each tested. down[y] is still the bit of y here.
-        down = [1 << x for x in range(n)]
+        # is each tested.
+        bit = [1 << x for x in range(n)]
         above = [0] * n
         cover_up = [()] * n
         for x in reversed(order):
@@ -132,35 +145,71 @@ class Poset:
                 reach = 0
                 for y in ys:
                     reach |= above[y]
-                bits = sum(map(down.__getitem__, ys))
+                bits = sum(map(bit.__getitem__, ys))
                 covers_x = sorted(ys)
                 if reach & bits:
-                    covers_x = [y for y in covers_x if not reach & down[y]]
+                    covers_x = [y for y in covers_x if not reach & bit[y]]
                 above[x] = reach | bits
                 cover_up[x] = covers_x
+        up = [a | b for a, b in zip(above, bit)]
+        self._derive(n, cover_up, order, labels, up)
 
-        # down-sets and quasi-ranks pushed along the covers, in the order
+    @classmethod
+    def _from_covers(
+        cls,
+        n: int,
+        cover_up: Sequence[Sequence[int]],
+        order: Sequence[int],
+        labels: Optional[Sequence] = None,
+        up: Optional[Sequence[int]] = None,
+    ) -> "Poset":
+        """The poset whose upper covers of x are ``cover_up[x]``.
+
+        Only the element count is checked. Each ``cover_up[x]`` must be
+        ascending and exactly the upper covers of x, and ``order`` a linear
+        extension (see the class docstring). ``up``, when given, is every
+        element's up-set mask, self included.
+        """
+        if n > MAX_ELEMENTS:
+            raise ValueError(f"element count out of range: {n}")
+        p = object.__new__(cls)
+        p._derive(n, cover_up, order, labels, up)
+        return p
+
+    def _derive(self, n: int, cover_up, order, labels, up) -> None:
+        """Set every field from the covers: the core behind both entries."""
+        down = [1 << x for x in range(n)]
         rho = [0] * n
-        cover_down = [[] for _ in range(n)]
         for x in order:
-            dx, r = down[x], rho[x] + 1
-            for y in cover_up[x]:
-                down[y] |= dx
-                if rho[y] < r:
-                    rho[y] = r
+            ys = cover_up[x]
+            if ys:
+                dx, r = down[x], rho[x] + 1
+                for y in ys:
+                    down[y] |= dx
+                    if rho[y] < r:
+                        rho[y] = r
+        if up is None:
+            up = [1 << x for x in range(n)]
+            for x in reversed(order):
+                ys = cover_up[x]
+                if ys:
+                    ux = up[x]
+                    for y in ys:
+                        ux |= up[y]
+                    up[x] = ux
+        # by index, so every lower-cover list comes out ascending
+        cover_down = [[] for _ in range(n)]
+        for x, ys in enumerate(cover_up):
+            for y in ys:
                 cover_down[y].append(x)
-        if not ordered:
-            for below in cover_down:
-                below.sort()
-        covers = [(x, y) for x in range(n) for y in cover_up[x]]
-        up = [above[x] | 1 << x for x in range(n)]
+        covers = [(x, y) for x, ys in enumerate(cover_up) for y in ys]
 
         minimals = [x for x in range(n) if not cover_down[x]]
         maximals = [x for x in range(n) if not cover_up[x]]
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "covers", tuple(covers))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", None if labels is None else tuple(labels))
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_rho", tuple(rho))
@@ -243,6 +292,10 @@ class Poset:
             levels[r] |= 1 << x
         return levels
 
+    def _extension(self) -> list:
+        """A linear extension: the elements by quasi-rank, then index."""
+        return sorted(range(self.n), key=self._rho.__getitem__)
+
     def _chain_fields(self, offsets: Sequence[int]) -> list:
         """Field i counts the chains whose elements z sum offsets[rho z] to i.
 
@@ -261,7 +314,7 @@ class Poset:
         down, rho = self._down, self._rho
         ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
-        for x in sorted(range(self.n), key=rho.__getitem__):  # stable: by (rho, x)
+        for x in self._extension():
             below, ys = down[x] ^ (1 << x), []
             while below:  # top bit first, so the mask shrinks as it is walked
                 y = below.bit_length() - 1
@@ -309,20 +362,23 @@ class Poset:
 
     def induced(self, keep: Iterable[int]) -> "Poset":
         """Subposet on the given elements with the inherited order and labels,
-        built from its covers, peeled by the parent's quasi-rank."""
+        built from its covers, peeled by the parent's quasi-rank; that
+        quasi-rank also orders the core's walk."""
         keep = sorted(set(keep))
         index = {x: i for i, x in enumerate(keep)}
         keep_mask = 0
         for x in keep:
             keep_mask |= 1 << x
         up, rho, levels = self._up, self._rho, self._level_masks()
-        rels = [
-            (index[x], index[y])
+        cover_up = [
+            sorted(map(index.__getitem__, _minimal_members(
+                (up[x] & keep_mask) ^ (1 << x), up, levels, rho[x]
+            )))
             for x in keep
-            for y in _minimal_members((up[x] & keep_mask) ^ (1 << x), up, levels, rho[x])
         ]
+        order = sorted(range(len(keep)), key=[rho[x] for x in keep].__getitem__)
         labels = None if self.labels is None else [self.labels[x] for x in keep]
-        return Poset(len(keep), rels, labels)
+        return Poset._from_covers(len(keep), cover_up, order, labels)
 
     def rank_selected(self, ranks: Iterable[int]) -> "Poset":
         """Subposet of elements whose quasi-rank lies in the given set."""
@@ -363,40 +419,42 @@ class Poset:
     # -- structural combinators ------------------------------------------------------
 
     def dual(self) -> "Poset":
-        return Poset(self.n, ((y, x) for x, y in self.covers), self.labels)
+        """The reversed order: lower covers become upper covers and down-sets
+        up-sets, walked in the reverse of a linear extension."""
+        order = self._extension()[::-1]
+        return Poset._from_covers(self.n, self._cover_down, order, self.labels, self._down)
 
     def ordinal_sum(self, other: "Poset") -> "Poset":
         """Stack other on top of self: every element of self below all of other."""
         shift = self.n
-        rels = list(self.covers)
-        rels += [(x + shift, y + shift) for x, y in other.covers]
-        rels += [(x, y + shift) for x in self.maximal_elements() for y in other.minimal_elements()]
+        bottoms = [y + shift for y in other.minimal_elements()]
+        cover_up = [ys or bottoms for ys in self._cover_up]
+        cover_up += [[y + shift for y in ys] for ys in other._cover_up]
+        order = self._extension() + [y + shift for y in other._extension()]
         labels = None
         if self.labels is not None or other.labels is not None:
             labels = [self.label_of(x) for x in range(self.n)]
             labels += [other.label_of(y) for y in range(other.n)]
-        return Poset(self.n + other.n, rels, labels)
+        return Poset._from_covers(self.n + other.n, cover_up, order, labels)
 
     def direct_product(self, other: "Poset") -> "Poset":
-        """Componentwise order on pairs; covers change one coordinate."""
+        """Componentwise order on pairs, (x, y) at index x * other.n + y;
+        covers change one coordinate, and pairs are walked by a linear
+        extension of each factor, lexicographically."""
         m = other.n
-
-        def enc(x: int, y: int) -> int:
-            return x * m + y
-
-        rels = []
-        for x in range(self.n):
-            for y, y2 in other.covers:
-                rels.append((enc(x, y), enc(x, y2)))
-        for x, x2 in self.covers:
-            for y in range(m):
-                rels.append((enc(x, y), enc(x2, y)))
+        cover_up = [
+            sorted([x * m + y2 for y2 in ys2] + [x2 * m + y for x2 in ys])
+            for x, ys in enumerate(self._cover_up)
+            for y, ys2 in enumerate(other._cover_up)
+        ]
+        second = other._extension()
+        order = [x * m + y for x in self._extension() for y in second]
         labels = [
             (self.label_of(x), other.label_of(y))
             for x in range(self.n)
             for y in range(m)
         ]
-        return Poset(self.n * m, rels, labels)
+        return Poset._from_covers(self.n * m, cover_up, order, labels)
 
     # -- lattice structure --------------------------------------------------------------
 
@@ -672,7 +730,7 @@ def chain_poset(k: int) -> Poset:
     """Totally ordered poset on k elements."""
     if k < 0:
         raise ValueError("negative size")
-    return Poset(k, ((i, i + 1) for i in range(k - 1)))
+    return Poset._from_covers(k, [(i + 1,) if i + 1 < k else () for i in range(k)], range(k))
 
 
 def antichain(k: int) -> Poset:

@@ -605,16 +605,16 @@ def poset_by_pair_filter(n: int, relations) -> dict:
 
 @contextmanager
 def relations_passed():
-    """Record, as a list, the relations of every Poset built inside the block."""
+    """Record, as a list of pairs, the covers every Poset built inside the
+    block hands the core, through the front door or straight from a builder."""
     passed = []
-    init = Poset.__init__
+    derive = Poset._derive
 
-    def record(self, n, relations=(), labels=None):
-        relations = list(relations)
-        passed.append(relations)
-        init(self, n, relations, labels)
+    def record(self, n, cover_up, order, labels, up):
+        passed.append([(x, y) for x in range(n) for y in cover_up[x]])
+        derive(self, n, cover_up, order, labels, up)
 
-    with mock.patch.object(Poset, "__init__", record):
+    with mock.patch.object(Poset, "_derive", record):
         yield passed
 
 

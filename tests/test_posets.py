@@ -10,6 +10,7 @@ from latchain import (
     antichain,
     boolean_lattice,
     brute_force_oracle,
+    build_instance,
     chain_poset,
     diamond_product,
     is_isomorphic,
@@ -420,6 +421,85 @@ def test_induced_subposets_are_built_from_their_covers(rng, n, data):
             q = build()
         assert sorted(passed[-1]) == list(q.covers)
         _assert_induced_by_pairs(p, q, kept)
+
+
+def _assert_core_matches_both_oracles(q: Poset, relations) -> None:
+    """q came from the core: its fields are those the pair-filter oracle finds
+    from ``relations``, and the front door rebuilds them from q's covers,
+    labels included."""
+    front = Poset(q.n, q.covers, q.labels)
+    assert _fields(q) == poset_by_pair_filter(q.n, relations) == _fields(front)
+    assert front.labels == q.labels
+
+
+_BUILT_FROM_COVERS = (
+    [f"boolean:{n}" for n in range(9)]
+    + [f"partition:{n}" for n in range(1, 7)]
+    + ["chain:0", "chain:1", "chain:5", "trunc-boolean:5:0", "trunc-boolean:6:2"]
+    + ["subspace:2:2", "subspace:3:2", "subspace:2:3", "affine:2:2", "affine:3:2", "affine:2:3"]
+    + ["vamos", "fano-lattice", "fano-design", "uniform-design:5:3"]
+    + ["see:boolean:4:cut=1,2", "see:trunc-boolean:4:1:cut=1", "see:see:boolean:3:cut=none:cut=0"]
+)
+
+
+@pytest.mark.parametrize("dsl", _BUILT_FROM_COVERS)
+def test_builders_hand_the_core_what_the_front_door_derives(dsl):
+    q = build_instance(dsl)
+    _assert_core_matches_both_oracles(q, q.covers)
+
+
+def _renamed_random_poset(rng: random.Random, n: int) -> Poset:
+    """A random labelled poset under a random renaming of its elements, so
+    its index order is seldom a linear extension."""
+    p = random_poset(rng, n)
+    name = rng.sample(range(n), n)
+    return Poset(n, [(name[x], name[y]) for x, y in p.covers], [f"e{x}" for x in range(n)])
+
+
+def _comparable_pairs(p: Poset):
+    return [(x, y) for y in range(p.n) for x in _bits(p.down_mask(y)) if x != y]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 9), st.integers(0, 6), st.data())
+def test_structural_operations_hand_the_core_what_the_front_door_derives(rng, n, m, data):
+    """Each operation against the oracle fed its defining pairs, on random
+    posets, their duals, and products and sums of duals: a dual's index
+    order is not a linear extension, so neither is a product's."""
+    p, r = _renamed_random_poset(rng, n), _renamed_random_poset(rng, m)
+    for a in (p, p.dual()):
+        _assert_core_matches_both_oracles(a.dual(), [(y, x) for x, y in a.covers])
+        keep = sorted(data.draw(st.sets(st.integers(0, n), max_size=n)) - {n})
+        index = {x: i for i, x in enumerate(keep)}
+        kept = [(index[x], index[y]) for x, y in _comparable_pairs(a) if x in index and y in index]
+        _assert_core_matches_both_oracles(a.induced(keep), kept)
+        for b in (r, r.dual()):
+            product = [
+                (x * m + y, x2 * m + y2)
+                for x in range(n)
+                for x2 in a.up_set(x)
+                for y in range(m)
+                for y2 in b.up_set(y)
+                if (x, y) != (x2, y2)
+            ]
+            _assert_core_matches_both_oracles(a.direct_product(b), product)
+            stacked = list(a.covers) + [(x + n, y + n) for x, y in b.covers]
+            stacked += [(x, y + n) for x in range(n) for y in range(m)]
+            _assert_core_matches_both_oracles(a.ordinal_sum(b), stacked)
+
+
+def test_operations_refuse_results_over_the_element_cap():
+    with pytest.raises(ValueError, match="^element count out of range: 8192$"):
+        boolean_lattice(7).direct_product(boolean_lattice(6))
+    with pytest.raises(ValueError, match="^element count out of range: 5120$"):
+        boolean_lattice(12).ordinal_sum(boolean_lattice(10))
+
+
+def test_text_format_gives_labels_back_as_strings():
+    q = poset_from_text(poset_to_text(boolean_lattice(2)))
+    assert q.labels == ("frozenset()", "frozenset({1})", "frozenset({2})", "frozenset({1, 2})")
+    assert poset_from_text("poset 3\ncover 0 1\nlabel 1 a b\n").labels == ("0", "a b", "2")
+    assert poset_from_text("poset 2\ncover 0 1\n").labels is None
 
 
 def test_label_count_must_match_the_element_count():

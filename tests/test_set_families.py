@@ -108,6 +108,13 @@ def test_affine_lattice_matches_pairs_oracle(n, q):
     _assert_matches_pairs_oracle(p, p.labels)
 
 
+def test_family_over_the_element_cap_is_refused():
+    """A family of more sets than the poset cap, as a see: form over B_12 can
+    reach, is refused with the constructor's message."""
+    with pytest.raises(ValueError, match="^element count out of range: 5001$"):
+        _poset_from_sets([frozenset({i}) for i in range(5001)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_family_with_skipped_sizes_is_built_from_its_covers(rng):
