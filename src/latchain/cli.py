@@ -79,7 +79,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             args.parser.error("--instances needs a single suite, not all")
         try:
             with open(args.instances, "r", encoding="utf-8") as fh:
-                instances = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+                instances = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
         except (OSError, UnicodeDecodeError) as exc:
             args.parser.error(f"cannot read --instances file: {exc}")
     _check_writable(args, [path for path in (args.json, args.csv) if path])

@@ -562,88 +562,67 @@ class Poset:
 # -- isomorphism -----------------------------------------------------------------------
 
 
-def _refine_colors_joint(p: Poset, q: Poset):
-    """Color refinement on both posets at once, sharing one palette."""
-
-    def start(r: Poset) -> list:
-        return [
-            (r.rho(x), len(r._cover_down[x]), len(r._cover_up[x]),
-             r.down_mask(x).bit_count(), r.up_mask(x).bit_count())
-            for x in range(r.n)
+def _refine(cover_down: Sequence, cover_up: Sequence, colours: list) -> list:
+    """Refine a colouring of a cover graph until it is stable: the new colour
+    numbers the old one with the sorted colours of the lower and of the upper
+    covers. Classes only split, so when the count stops growing they are stable.
+    """
+    count = len(set(colours))
+    while True:
+        signatures = [
+            (c, tuple(sorted(map(colours.__getitem__, down))), tuple(sorted(map(colours.__getitem__, up))))
+            for c, down, up in zip(colours, cover_down, cover_up)
         ]
-
-    def step(r: Poset, colors: list) -> list:
-        return [
-            (
-                colors[x],
-                tuple(sorted(colors[y] for y in r._cover_down[x])),
-                tuple(sorted(colors[y] for y in r._cover_up[x])),
-            )
-            for x in range(r.n)
-        ]
-
-    cp, cq = start(p), start(q)
-    palette = {}
-    cp = [palette.setdefault(c, len(palette)) for c in cp]
-    cq = [palette.setdefault(c, len(palette)) for c in cq]
-    for _ in range(max(p.n, q.n)):
-        np_, nq_ = step(p, cp), step(q, cq)
         palette = {}
-        rp = [palette.setdefault(c, len(palette)) for c in np_]
-        rq = [palette.setdefault(c, len(palette)) for c in nq_]
-        if rp == cp and rq == cq:
-            break
-        cp, cq = rp, rq
-    return cp, cq
+        colours = [palette.setdefault(s, len(palette)) for s in signatures]
+        if len(palette) == count:
+            return colours
+        count = len(palette)
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
-    """Decide poset isomorphism by color refinement plus backtracking."""
-    if p.n != q.n or len(p.covers) != len(q.covers):
-        return False
-    cp, cq = _refine_colors_joint(p, q)
-    if sorted(cp) != sorted(cq):
-        return False
-    by_color = {}
-    for y, c in enumerate(cq):
-        by_color.setdefault(c, []).append(y)
-    # assign rarest colors first
-    order = sorted(range(p.n), key=lambda x: (len(by_color[cp[x]]), cp[x], x))
-    mapping = [-1] * p.n
-    used = [False] * q.n
+    """Decide poset isomorphism by individualization-refinement.
 
-    def compatible(x: int, y: int) -> bool:
-        for z in p._cover_down[x]:
-            if mapping[z] >= 0 and mapping[z] not in q._cover_down[y]:
-                return False
-        for z in p._cover_up[x]:
-            if mapping[z] >= 0 and mapping[z] not in q._cover_up[y]:
-                return False
-        # covers must also be reflected
-        for w in q._cover_down[y]:
-            if used[w] and w not in [mapping[z] for z in p._cover_down[x]]:
-                return False
-        for w in q._cover_up[y]:
-            if used[w] and w not in [mapping[z] for z in p._cover_up[x]]:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
+    (McKay & Piperno, J. Symbolic Comput. 2014.) One colouring of p and q,
+    first (quasi-rank, down-set size, up-set size), is refined at each node:
+    - refinement is isomorphism-invariant, so a node whose two colour
+      multisets differ holds no isomorphism that keeps its colours;
+    - a verified map proves True: pairing each colour's elements in index
+      order gives a bijection, and if it carries every cover of p onto a
+      cover of q (they have as many), it is an isomorphism;
+    - trying every y keeps the search complete: a node not yet discrete
+      gives the first x of p in its first shared colour a fresh colour,
+      with one child per y of q in that colour taking it too. Some child
+      keeps any isomorphism the node keeps, and each level adds a class,
+      so a branch ends within n levels at the one colour-keeping map.
+    Nodes wait on an explicit stack: no recursion grows with n.
+    """
+    n = p.n
+    if n != q.n or len(p.covers) != len(q.covers):
+        return False
+    # one colouring of the disjoint union, where element y of q is n + y
+    down = p._cover_down + tuple(tuple(n + z for z in zs) for zs in q._cover_down)
+    up = p._cover_up + tuple(tuple(n + z for z in zs) for zs in q._cover_up)
+    q_covers = set(q.covers)
+    start = [(r._rho[x], r._down[x].bit_count(), r._up[x].bit_count()) for r in (p, q) for x in range(n)]
+    stack = [(start, None, None)]
+    while stack:
+        colours, x, y = stack.pop()
+        if x is not None:  # x and y take the fresh colour -1
+            colours = [-1 if z in (x, n + y) else c for z, c in enumerate(colours)]
+        colours = _refine(down, up, colours)
+        cp, cq = colours[:n], colours[n:]
+        order_p, order_q = sorted(range(n), key=cp.__getitem__), sorted(range(n), key=cq.__getitem__)
+        if [cp[a] for a in order_p] != [cq[b] for b in order_q]:
+            continue
+        phi = dict(zip(order_p, order_q))
+        if all((phi[a], phi[b]) in q_covers for a, b in p.covers):
             return True
-        x = order[i]
-        for y in by_color[cp[x]]:
-            if used[y] or not compatible(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if backtrack(i + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
-
-    return backtrack(0)
+        # the first element of the first colour that two elements share
+        x = next((a for a, b in zip(order_p, order_p[1:]) if cp[a] == cp[b]), None)
+        if x is not None:
+            stack += [(colours, x, y) for y in reversed(order_q) if cq[y] == cp[x]]
+    return False
 
 
 # -- text format -------------------------------------------------------------------------

@@ -87,6 +87,13 @@ def _check_unit_interval_roots(c: ExactPoly, tag: str) -> None:
         )
 
 
+def _checked_chain_polynomial(p: Poset) -> ExactPoly:
+    """The chain polynomial of p, checked to be real-rooted in [-1, 0]."""
+    c = p.chain_polynomial()
+    _check_unit_interval_roots(c, "chain polynomial")
+    return c
+
+
 def brute_force_oracle(p: Poset) -> Tuple[int, ...]:
     """Chain counts by walking every totally ordered subset explicitly.
 
@@ -224,8 +231,7 @@ def _check_rank3(subject: Any, seed: int) -> dict:
         chain=c.to_string(),
         formula=formula.to_string(),
     )
-    if not is_real_rooted(c):
-        raise CheckFailure({"reason": "not real-rooted", "poly": c.to_string()})
+    _require(is_real_rooted(c), reason="not real-rooted", poly=c.to_string())
     return {"seed": seed, "chain": c.to_string()}
 
 
@@ -266,8 +272,7 @@ def _rank_selection_sweep(p: Poset) -> int:
 def _check_rank_selections(dsl: str, seed: int) -> dict:
     """The chain polynomial, and that of every rank selection, has its roots in [-1, 0]."""
     p = build_instance(dsl)
-    c = p.chain_polynomial()
-    _check_unit_interval_roots(c, "chain polynomial")
+    c = _checked_chain_polynomial(p)
     return {"chain": c.to_string(), "rank_selections_checked": _rank_selection_sweep(p)}
 
 
@@ -355,8 +360,7 @@ def _check_triangular(dsl: str, seed: int) -> dict:
     p = build_instance(dsl)
     rows, side = _rows_for_poset(p)
     _certify_rows(rows, side=side)
-    c = p.chain_polynomial()
-    _check_unit_interval_roots(c, "chain polynomial")
+    c = _checked_chain_polynomial(p)
     return {"side": side, "order": rows.order, "chain": c.to_string()}
 
 
@@ -433,8 +437,7 @@ def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
 
 def _check_see(dsl: str, seed: int) -> dict:
     ext = build_instance(dsl)  # geometricity asserted by the constructor
-    c = ext.chain_polynomial()
-    _check_unit_interval_roots(c, "chain polynomial")
+    c = _checked_chain_polynomial(ext)
     witness = {"chain": c.to_string(), "elements": ext.n}
     host, *cuts = _see_fields(dsl)
     if host[0] == "boolean" and len(cuts) == 1 and cuts[0] is not None:

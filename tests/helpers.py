@@ -30,7 +30,9 @@ Taylor shift. ``rebase_by_powers`` is the f/h transform by powers of
 (1 +/- t) that the binomial expansion replaced. ``tp2_by_cross_products``
 is the 2x2 minor loop that the shared minor test replaced, and
 ``diamond_by_basis`` the diamond product through the binomial basis
-that one bilinear formula replaced."""
+that one bilinear formula replaced. ``isomorphic_by_backtracking`` is the
+refine-once-then-backtrack isomorphism test that individualization-refinement
+replaced."""
 
 from __future__ import annotations
 
@@ -906,3 +908,83 @@ def extension_by_flat_lists(l: Poset, mc: ModularCut, e) -> Poset:
     if not is_geometric(out):
         raise AssertionError("single-element extension is not geometric")
     return out
+
+
+def isomorphic_by_backtracking(p: Poset, q: Poset) -> bool:
+    """Poset isomorphism by one joint colour refinement, then a backtracking
+    matcher that maps rarest colours first and checks each new pair against
+    the covers already mapped. It never refines after a choice and recurses
+    once per element, so it is for small posets only."""
+    if p.n != q.n or len(p.covers) != len(q.covers):
+        return False
+
+    def start(r: Poset) -> list:
+        return [
+            (r.rho(x), len(r._cover_down[x]), len(r._cover_up[x]),
+             r.down_mask(x).bit_count(), r.up_mask(x).bit_count())
+            for x in range(r.n)
+        ]
+
+    def step(r: Poset, colors: list) -> list:
+        return [
+            (
+                colors[x],
+                tuple(sorted(colors[y] for y in r._cover_down[x])),
+                tuple(sorted(colors[y] for y in r._cover_up[x])),
+            )
+            for x in range(r.n)
+        ]
+
+    cp, cq = start(p), start(q)
+    palette = {}
+    cp = [palette.setdefault(c, len(palette)) for c in cp]
+    cq = [palette.setdefault(c, len(palette)) for c in cq]
+    for _ in range(max(p.n, q.n)):
+        np_, nq_ = step(p, cp), step(q, cq)
+        palette = {}
+        rp = [palette.setdefault(c, len(palette)) for c in np_]
+        rq = [palette.setdefault(c, len(palette)) for c in nq_]
+        if rp == cp and rq == cq:
+            break
+        cp, cq = rp, rq
+    if sorted(cp) != sorted(cq):
+        return False
+    by_color = {}
+    for y, c in enumerate(cq):
+        by_color.setdefault(c, []).append(y)
+    order = sorted(range(p.n), key=lambda x: (len(by_color[cp[x]]), cp[x], x))
+    mapping = [-1] * p.n
+    used = [False] * q.n
+
+    def compatible(x: int, y: int) -> bool:
+        for z in p._cover_down[x]:
+            if mapping[z] >= 0 and mapping[z] not in q._cover_down[y]:
+                return False
+        for z in p._cover_up[x]:
+            if mapping[z] >= 0 and mapping[z] not in q._cover_up[y]:
+                return False
+        # covers must also be reflected
+        for w in q._cover_down[y]:
+            if used[w] and w not in [mapping[z] for z in p._cover_down[x]]:
+                return False
+        for w in q._cover_up[y]:
+            if used[w] and w not in [mapping[z] for z in p._cover_up[x]]:
+                return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in by_color[cp[x]]:
+            if used[y] or not compatible(x, y):
+                continue
+            mapping[x] = y
+            used[y] = True
+            if backtrack(i + 1):
+                return True
+            mapping[x] = -1
+            used[y] = False
+        return False
+
+    return backtrack(0)

@@ -108,6 +108,16 @@ def test_suite_command_with_instances_file(tmp_path, capsys):
     assert "2/2 passed" in capsys.readouterr().out
 
 
+def test_instances_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    instances = tmp_path / "instances.txt"
+    instances.write_text("# header\n\n  # indented note\n\t#tabbed\n   \n  boolean:3  \n")
+    rc = main(["suite", "rank3", "--instances", str(instances)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.splitlines()[0].startswith("PASS  rank3 boolean:3 (")
+    assert "1/1 passed" in out and "#" not in out
+
+
 def test_failing_suite_exit_code(tmp_path, capsys):
     # the Vamos lattice is not rank uniform on either side, so this check fails
     instances = tmp_path / "instances.txt"

@@ -1,4 +1,5 @@
 import random
+import threading
 from math import factorial, prod
 
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     chain_counts_by_walk,
     chain_polynomial_by_dp,
     flag_f_vector_by_dicts,
+    isomorphic_by_backtracking,
     multichains_by_walk,
     pentagon,
     poset_by_pair_filter,
@@ -558,3 +560,75 @@ def test_isomorphism_negative_cases():
     a = Poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     b = Poset(4, [(0, 1), (1, 2), (1, 3)])
     assert not is_isomorphic(a, b)
+
+
+def _relabelled(p: Poset, seed: int) -> Poset:
+    """A copy of p built through the front door under a seeded random permutation."""
+    perm = list(range(p.n))
+    random.Random(seed).shuffle(perm)
+    return Poset(p.n, [(perm[x], perm[y]) for x, y in p.covers])
+
+
+def _disjoint_union(*parts: Poset) -> Poset:
+    pairs, offset = [], 0
+    for part in parts:
+        pairs += [(offset + x, offset + y) for x, y in part.covers]
+        offset += part.n
+    return Poset(offset, pairs)
+
+
+def _cycle_incidence(k: int) -> Poset:
+    """The height-1 incidence poset of the k-cycle: each vertex below its two edges."""
+    return Poset(2 * k, [(v, k + e) for e in range(k) for v in (e, (e + 1) % k)])
+
+
+def _cycles(*lengths: int) -> Poset:
+    return _disjoint_union(*map(_cycle_incidence, lengths))
+
+
+def _with_relabelled(p: Poset, seed: int = 1):
+    return p, _relabelled(p, seed)
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        pytest.param(lambda: _with_relabelled(boolean_lattice(5)), True, id="B5-relabelled"),
+        pytest.param(lambda: _with_relabelled(build_instance("partition:5")), True, id="partition5-relabelled"),
+        pytest.param(lambda: _with_relabelled(build_instance("subspace:3:3")), True, id="subspace33-relabelled"),
+        pytest.param(lambda: _with_relabelled(build_instance("affine:3:3")), True, id="affine33-relabelled"),
+        pytest.param(lambda: (_cycles(12), _cycles(6, 6)), False, id="C12-vs-C6+C6"),
+        pytest.param(lambda: _with_relabelled(_cycles(6, 6), 2), True, id="C6+C6-relabelled"),
+        pytest.param(lambda: (boolean_lattice(10), boolean_lattice(10)), True, id="B10-self"),
+        pytest.param(lambda: (antichain(1500), antichain(1500)), True, id="antichain1500-self"),
+        # the first candidate for p's vertex 0, on the 12-cycle, lies on a 6-cycle of q
+        pytest.param(lambda: (_cycles(12, 6, 6), _cycles(6, 6, 12)), True, id="C12+C6+C6-vs-C6+C6+C12"),
+        # the colour multisets differ at once, though B8 alone would branch 8! ways
+        pytest.param(
+            lambda: (
+                _disjoint_union(boolean_lattice(8), chain_poset(3)),
+                _disjoint_union(boolean_lattice(8), Poset(3, [(0, 1), (0, 2)])),
+            ),
+            False,
+            id="B8+chain-vs-B8+vee",
+        ),
+    ],
+)
+def test_isomorphism_verdict_within_budget(pair, expected):
+    p, q = pair()
+    result = []
+    worker = threading.Thread(target=lambda: result.append(is_isomorphic(p, q)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "is_isomorphic still searching after 10 s"
+    assert result == [expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 9), st.integers(0, 2**32 - 1))
+def test_isomorphism_matches_the_backtracking_oracle(rng, n, seed):
+    """Against the old search: a relabelled copy, a relabelled dual, and an
+    independent draw of the same size."""
+    p = random_poset(rng, n)
+    for q in (_relabelled(p, seed), _relabelled(p.dual(), seed), random_poset(rng, n)):
+        assert is_isomorphic(p, q) == isomorphic_by_backtracking(p, q)
