@@ -32,7 +32,8 @@ is the 2x2 minor loop that the shared minor test replaced, and
 ``diamond_by_basis`` the diamond product through the binomial basis
 that one bilinear formula replaced. ``isomorphic_by_backtracking`` is the
 refine-once-then-backtrack isomorphism test that individualization-refinement
-replaced."""
+replaced, and ``rank_selection_sweep_by_all_masks`` the rank-selection sweep
+that certified every selection before factor ranks were skipped."""
 
 from __future__ import annotations
 
@@ -64,6 +65,7 @@ from latchain import (
 from latchain.families import _atom_names
 from latchain.polynomial import ONE, from_binomial_coefficients
 from latchain.posets import MAX_ELEMENTS, _bits
+from latchain.suites import _SWEEP_MAX_ELEMENTS, _SWEEP_MAX_RANK, _check_unit_interval_roots
 
 
 def run_cli(argv: Sequence[str], timeout: float) -> subprocess.CompletedProcess:
@@ -216,6 +218,21 @@ def assert_flags_give_rank_selections(p: Poset) -> None:
         assert flag_sum(alpha, ranks) == p.rank_selected(ranks).chain_polynomial(), ranks
     if p.n <= 20:
         assert tuple(flag_sum(alpha, range(top + 1)).coeffs) == brute_force_oracle(p)
+
+
+def rank_selection_sweep_by_all_masks(p: Poset) -> int:
+    """Certify the chain polynomial of every nonempty rank selection of p,
+    each summed from the whole flag f-vector; returns their number, 0 for
+    a poset the library does not sweep."""
+    top = p.quasi_rank
+    if p.n == 0 or p.n > _SWEEP_MAX_ELEMENTS or top > _SWEEP_MAX_RANK:
+        return 0
+    alpha = p.flag_f_vector()
+    selections = range(1, 1 << (top + 1))
+    for mask in selections:
+        ranks = [r for r in range(top + 1) if mask >> r & 1]
+        _check_unit_interval_roots(flag_sum(alpha, ranks), f"rank selection {ranks}")
+    return len(selections)
 
 
 # -- exact interlacing comparator on known roots --------------------------------

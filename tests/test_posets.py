@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latchain import (
+    DPartition,
     ExactPoly,
     Poset,
     antichain,
@@ -15,6 +16,7 @@ from latchain import (
     chain_poset,
     diamond_product,
     is_isomorphic,
+    paving_lattice_from_dpartition,
     poset_from_text,
     poset_to_text,
     truncated_boolean,
@@ -590,6 +592,17 @@ def _with_relabelled(p: Poset, seed: int = 1):
     return p, _relabelled(p, seed)
 
 
+_FANO_LINES = ({1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7}, {3, 4, 7}, {3, 5, 6})
+
+
+def _fano_paving_lattice() -> Poset:
+    """The rank-4 paving lattice on {1..7} whose hyperplanes, a 3-partition,
+    are the 7 Fano lines and their 7 complements: 1 + 7 + 21 + 14 + 1 = 44 flats."""
+    ground = frozenset(range(1, 8))
+    blocks = [frozenset(line) for line in _FANO_LINES] + [ground - line for line in _FANO_LINES]
+    return paving_lattice_from_dpartition(DPartition(tuple(sorted(ground)), tuple(blocks), 3))
+
+
 @pytest.mark.parametrize(
     "pair, expected",
     [
@@ -597,6 +610,8 @@ def _with_relabelled(p: Poset, seed: int = 1):
         pytest.param(lambda: _with_relabelled(build_instance("partition:5")), True, id="partition5-relabelled"),
         pytest.param(lambda: _with_relabelled(build_instance("subspace:3:3")), True, id="subspace33-relabelled"),
         pytest.param(lambda: _with_relabelled(build_instance("affine:3:3")), True, id="affine33-relabelled"),
+        pytest.param(lambda: _with_relabelled(_fano_paving_lattice()), True, id="fano-paving-relabelled"),
+        pytest.param(lambda: (_fano_paving_lattice(), _fano_paving_lattice().dual()), False, id="fano-paving-vs-dual"),
         pytest.param(lambda: (_cycles(12), _cycles(6, 6)), False, id="C12-vs-C6+C6"),
         pytest.param(lambda: _with_relabelled(_cycles(6, 6), 2), True, id="C6+C6-relabelled"),
         pytest.param(lambda: (boolean_lattice(10), boolean_lattice(10)), True, id="B10-self"),

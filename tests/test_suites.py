@@ -10,6 +10,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latchain import (
     SUITE_NAMES,
@@ -27,6 +28,7 @@ from latchain import (
     q_eulerian,
     rank3_formula,
     suite_run,
+    truncated_boolean,
     write_csv,
     write_jsonl,
 )
@@ -41,7 +43,14 @@ from latchain.suites import (
     random_rank3_geometric,
 )
 from latchain.permstats import MAX_PERMUTATION_SIZE
-from helpers import assert_flags_give_rank_selections, perm_stats_oracle, quasi_uniform_13, run_cli
+from helpers import (
+    assert_flags_give_rank_selections,
+    perm_stats_oracle,
+    quasi_uniform_13,
+    random_poset,
+    rank_selection_sweep_by_all_masks,
+    run_cli,
+)
 
 
 def test_eulerian_small():
@@ -189,6 +198,22 @@ def test_counterexample_q_one_check_compares_independent_computations(monkeypatc
     with pytest.raises(CheckFailure) as err:
         counterexample_search(3, 4)
     assert err.value.witness == {"reason": "q = 1 specialization failed"}
+
+
+def test_counterexample_subspace_check_names_the_mismatch(monkeypatch):
+    def off_at_three(n, q):
+        return q_eulerian(n, q) + (ExactPoly.monomial(1) if q == 3 else ExactPoly())
+
+    monkeypatch.setattr(suites, "q_eulerian", off_at_three)
+    with pytest.raises(CheckFailure) as err:
+        counterexample_search(3, 2)
+    # A_3(t; 3) = 1 + (2*3 + 2*9) t + 27 t^2 is the subspace lattice's h-polynomial
+    assert list(err.value.witness.items()) == [
+        ("reason", "subspace h-polynomial mismatch"),
+        ("q", 3),
+        ("h", "1 24 27"),
+        ("expected", "1 25 27"),
+    ]
 
 
 def test_counterexample_q_normalization():
@@ -344,6 +369,73 @@ def test_rank_selection_sweep_counts():
     assert _rank_selection_sweep(boolean_lattice(3)) == 15
     assert _rank_selection_sweep(chain_poset(7)) == 127  # quasi-rank 6, the cap
     assert _rank_selection_sweep(chain_poset(8)) == 0
+
+
+@pytest.mark.parametrize(
+    "p, count, certified",
+    [
+        (boolean_lattice(3), 15, 3),  # bottom and top are factor ranks
+        (chain_poset(7), 127, 0),  # every rank is a factor
+        (truncated_boolean(7, 1), 127, 31),
+        (Poset(4, [(0, 2), (1, 2), (2, 3)]), 7, 1),  # ranks 1 and 2 are factors, rank 0 is not
+        (Poset(2), 1, 1),
+    ],
+)
+def test_rank_selection_sweep_certifies_only_factor_free_selections(monkeypatch, p, count, certified):
+    calls = []
+    check = suites._check_unit_interval_roots
+    monkeypatch.setattr(suites, "_check_unit_interval_roots", lambda c, tag: calls.append(tag) or check(c, tag))
+    assert _rank_selection_sweep(p) == count
+    assert len(calls) == certified
+
+
+_SWEEP_SHAPES = ("no-least", "bottom-only", "top-only", "bounded", "middle-factor")
+
+
+def _sweep_shape(rng: random.Random, shape: str, n: int) -> Poset:
+    """A random poset of at most n + 2 elements in the given shape: beside
+    an isolated point (no least element), over a new bottom, under a new
+    top, between both, or stacked around one middle element that every
+    element is comparable to."""
+    point = Poset(1)
+    if shape == "middle-factor":
+        split = rng.randint(1, n - 1)
+        return random_poset(rng, split).ordinal_sum(point).ordinal_sum(random_poset(rng, n - split))
+    q = random_poset(rng, n)
+    if shape == "bounded":
+        return point.ordinal_sum(q).ordinal_sum(point)
+    loose = Poset(n + 1, q.covers)  # the isolated point n makes two minimal elements
+    if shape == "bottom-only":
+        return point.ordinal_sum(loose)
+    if shape == "top-only":
+        return loose.ordinal_sum(point)
+    return loose
+
+
+def _sweep_outcome(sweep, p: Poset):
+    """The count a sweep returns, or the witness of its first failure."""
+    try:
+        return sweep(p)
+    except CheckFailure as err:
+        return err.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_SWEEP_SHAPES), st.integers(2, 10))
+def test_rank_selection_sweep_matches_the_all_masks_oracle(rng, shape, n):
+    p = _sweep_shape(rng, shape, n)
+    assert p.n <= 12
+    assert _sweep_outcome(_rank_selection_sweep, p) == _sweep_outcome(rank_selection_sweep_by_all_masks, p)
+
+
+def test_every_sweep_shape_draws_passing_and_failing_posets():
+    rng = random.Random(23)
+    drawn = Counter()
+    for shape in _SWEEP_SHAPES:
+        for _ in range(40):
+            p = _sweep_shape(rng, shape, rng.randint(2, 10))
+            drawn[shape, isinstance(_sweep_outcome(rank_selection_sweep_by_all_masks, p), dict)] += 1
+    assert all(drawn[shape, failed] for shape in _SWEEP_SHAPES for failed in (False, True)), drawn
 
 
 @pytest.mark.parametrize("name", ["paving", "designs"])
