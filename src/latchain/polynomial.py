@@ -593,13 +593,21 @@ def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
 # -- f/h transforms ----------------------------------------------------------------
 
 
+# C(10000, 5000) has 3009 digits, so a small input's transform at the cap
+# still prints under Python's 4300-digit limit on int-to-str conversion
+MAX_TRANSFORM_DIMENSION = 10000
+
+
 def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
     """Expand (1 + sign*t)^n * p(t / (1 + sign*t)); requires deg p <= n.
 
     That is the sum of c_k * t^k * (1 + sign*t)^(n - k), so c_k adds
     c_k * C(n - k, j) * sign^j to the coefficient of t^(k + j), with the
-    binomials from the multiplicative recurrence.
+    binomials from the multiplicative recurrence. n is capped at
+    ``MAX_TRANSFORM_DIMENSION`` and refused before any work above it.
     """
+    if n > MAX_TRANSFORM_DIMENSION:
+        raise ValueError(f"dimension parameter n={n} over the cap of {MAX_TRANSFORM_DIMENSION}")
     if p.degree > n:
         raise ValueError("degree exceeds the dimension parameter")
     out = [0] * (n + 1)

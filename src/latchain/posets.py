@@ -12,13 +12,19 @@ element whose up-set is the intersection of theirs. One chain-counting
 program packs each element's counts into one integer of k-byte fields, so
 it makes one integer addition per comparable pair: an element of
 quasi-rank r moves a chain one field for the chain polynomial and 2^r
-fields for the flag f-vector. Rank profiles are popcounts of a down-set
-mask against one mask per level.
+fields for the flag f-vector. On a poset uniform by level, where every
+element of a level has as many elements of each other level below it (or
+above it), every element of a level ends (or starts) the same chains, so
+the same program runs on the levels with one multiplication and one
+addition per pair of levels (Stanley, Enumerative Combinatorics I,
+section 3.13). Rank profiles are popcounts of a down-set mask against one
+mask per level.
 """
 
 from __future__ import annotations
 
 from math import prod
+from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, _integer, from_binomial_coefficients
@@ -31,6 +37,12 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _fields(total: int, k: int) -> list:
+    """A packed integer cut into its k-byte fields, lowest first, through its bytes."""
+    data = total.to_bytes((total.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
 
 
 def _minimal_members(mask: int, up: Sequence[int], levels: Sequence[int], r: int):
@@ -285,6 +297,13 @@ class Poset:
 
     # -- chain enumeration -------------------------------------------------------
 
+    def _level_sizes(self) -> list:
+        """sizes[r] is the number of elements of quasi-rank r."""
+        sizes = [0] * (self.quasi_rank + 1)
+        for r in self._rho:
+            sizes[r] += 1
+        return sizes
+
     def _level_masks(self) -> list:
         """levels[r] is the bitmask of the elements of quasi-rank r."""
         levels = [0] * (self.quasi_rank + 1)
@@ -295,6 +314,36 @@ class Poset:
     def _extension(self) -> list:
         """A linear extension: the elements by quasi-rank, then index."""
         return sorted(range(self.n), key=self._rho.__getitem__)
+
+    def _level_counts(self, below: bool) -> Optional[list]:
+        """The poset's level counts when it is uniform by level, else None.
+
+        Below, counts[r] lists for s = 0, ..., r - 1 the number of level-s
+        elements in the down-set of an element of level r; above, for
+        s = r + 1, ..., R, in its up-set. The poset is uniform that way when
+        these numbers are the same for every element of each level. A set
+        meets its own level only at its element, so that level is left out.
+        Equal set sizes per level are a prefilter: one popcount per element,
+        stopping at the first that differs from its level's, rules out most
+        posets before any level mask is built or profile taken. Sets differ
+        soonest where they are largest, so down-sets are taken from the last
+        element and up-sets from the first: the library's builders number
+        the elements up the levels.
+        """
+        sets, rho = self._down if below else self._up, self._rho
+        sizes: Dict[int, int] = {}
+        for r, s in zip(reversed(rho), reversed(sets)) if below else zip(rho, sets):
+            c = s.bit_count()
+            if sizes.setdefault(r, c) != c:
+                return None
+        levels = self._level_masks()
+        others = [levels[:r] if below else levels[r + 1:] for r in range(len(levels))]
+        profiles: Dict[int, list] = {}
+        for r, s in zip(rho, sets):
+            profile = [(s & m).bit_count() for m in others[r]]
+            if profiles.setdefault(r, profile) != profile:
+                return None
+        return [profiles.get(r, []) for r in range(len(levels))]  # the empty poset's level is empty
 
     def _chain_fields(self, offsets: Sequence[int]) -> list:
         """Field i counts the chains whose elements z sum offsets[rho z] to i.
@@ -307,10 +356,25 @@ class Poset:
         chain, and a chain meets each quasi-rank level at most once, so the
         sum is at most the product of (level size + 1), which fits in 8k
         bits. The total is cut into fields through its bytes, in linear time.
+
+        A poset uniform by level (see ``_level_counts``) runs the same
+        program on its levels instead, one multiplication and one addition
+        per pair of levels (``_chains_by_levels``). That pays when the
+        comparable pairs outnumber twice the level pairs. An element of
+        quasi-rank r has at least r elements below it, so they number at
+        least the sum of the quasi-ranks, and uniformity is tested only when
+        that bound exceeds twice the level pairs, which no chain-like
+        poset's does: from below first, then from above (partition lattices
+        are uniform only that way).
         """
-        bound = prod(level.bit_count() + 1 for level in self._level_masks())
-        k = (bound.bit_length() + 7) // 8
+        sizes = self._level_sizes()
+        k = (prod(size + 1 for size in sizes).bit_length() + 7) // 8
         shifts = [8 * k * offset for offset in offsets]
+        if sum(self._rho) > len(sizes) * (len(sizes) - 1):
+            for from_below in (True, False):
+                counts = self._level_counts(from_below)
+                if counts is not None:
+                    return _fields(self._chains_by_levels(sizes, counts, from_below, shifts), k)
         down, rho = self._down, self._rho
         ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
@@ -326,8 +390,25 @@ class Poset:
             vec = sum(map(ends.__getitem__, reversed(ys)), 1) << shifts[rho[x]]
             ends[x] = vec
             total += vec
-        data = total.to_bytes((total.bit_length() + 7) // 8, "little")
-        return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
+        return _fields(total, k)
+
+    @staticmethod
+    def _chains_by_levels(sizes: Sequence[int], counts: list, below: bool, shifts: Sequence[int]) -> int:
+        """The packed chain total from the level counts of a uniform poset.
+
+        Below, e_r counts the chains ending at a given element of level r.
+        By induction on r every element of the level ends the same chains:
+        itself alone, and the chains ending at each of its N(r, s) elements
+        of each level s < r, moved offsets[r] fields, so
+        e_r = (1 + sum of N(r, s) e_s) << shifts[r]. Every chain has one
+        maximum, so the total is 1 + sum of |level r| e_r (Stanley,
+        Enumerative Combinatorics I, section 3.13). Above, e_r counts the
+        chains starting at an element of level r, taken from the top down.
+        """
+        e = [0] * len(sizes)
+        for r in range(len(sizes)) if below else reversed(range(len(sizes))):
+            e[r] = sum(map(mul, counts[r], e if below else e[r + 1:]), 1) << shifts[r]
+        return sum(map(mul, sizes, e), 1)
 
     def chain_polynomial(self) -> ExactPoly:
         """Generating polynomial of chains by size: each element moves a chain one field."""
@@ -353,10 +434,7 @@ class Poset:
         """sum over elements of t^rho(x); requires a least element."""
         if self._least is None:
             raise ValueError("poset has no least element")
-        counts = [0] * (self.quasi_rank + 1)
-        for r in self._rho:
-            counts[r] += 1
-        return ExactPoly(counts)
+        return ExactPoly(self._level_sizes())
 
     # -- induced subposets ---------------------------------------------------------
 

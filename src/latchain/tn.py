@@ -81,14 +81,11 @@ def is_quasi_rank_uniform(p: Poset) -> Tuple[bool, Optional[RMatrix]]:
     """
     if p.least is None:
         raise ValueError("quasi-rank uniformity requires a least element")
-    levels = p._level_masks()
-    profiles: Dict[int, Tuple[int, ...]] = {}
-    for r, down in zip(p._rho, p._down):
-        profile = tuple([(down & level).bit_count() for level in levels[: r + 1]])
-        if profiles.setdefault(r, profile) != profile:
-            return False, None
-    rows = tuple(ExactPoly(profiles[r]) for r in range(p.quasi_rank + 1))
-    return True, RMatrix(rows)
+    counts = p._level_counts(below=True)
+    if counts is None:
+        return False, None
+    # a down-set meets its top's level only at the top
+    return True, RMatrix(tuple(ExactPoly(row + [1]) for row in counts))
 
 
 def rank_matrix(p: Poset) -> RMatrix:

@@ -5,9 +5,11 @@ inclusion scan that the set-family builder replaced, the echelon sums
 and coset translation that the flat listing of subspace and affine
 lattices replaced, the cover-path gradedness search that the single cover
 scan replaced, the permutation enumeration that the chain-count route
-of permstats replaced, the per-coefficient chain-counting program, the
-per-rank-set flag f-vector program and the per-element rank-profile walks
-that packed chain counts and level-mask popcounts replaced, the
+of permstats replaced, the packed element program that the level
+quotient of uniform posets bypasses (``chain_fields_by_pairs``), the
+per-coefficient chain-counting program, the per-rank-set flag f-vector
+program and the per-element rank-profile walks that packed chain counts
+and level-mask popcounts replaced, the
 poset constructor that filtered a set of pair tuples for covers, the
 join-fiber formula that Mobius inversion replaced for the incidence rank
 function on lattices, and chain and multichain walks for Philip Hall's
@@ -45,6 +47,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import prod
 from pathlib import Path
 from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
 from unittest import mock
@@ -714,6 +717,27 @@ def chain_polynomial_by_dp(p: Poset) -> ExactPoly:
         for j, c in enumerate(vec):
             totals[j + 1] += c
     return ExactPoly(totals)
+
+
+def chain_fields_by_pairs(p: Poset, offsets: Sequence[int]) -> List[int]:
+    """Field i counts the chains whose elements z sum offsets[rho z] to i.
+
+    The packed element program on every poset: each element's counts in
+    one integer of k-byte fields, one addition per comparable pair over a
+    linear extension, with no level quotient for uniform posets."""
+    sizes = [0] * (p.quasi_rank + 1)
+    for x in range(p.n):
+        sizes[p.rho(x)] += 1
+    k = (prod(size + 1 for size in sizes).bit_length() + 7) // 8
+    shifts = [8 * k * offset for offset in offsets]
+    ends = [0] * p.n
+    total = 1
+    for x in sorted(range(p.n), key=p.rho):
+        vec = sum((ends[y] for y in _bits(p.down_mask(x) ^ (1 << x))), 1) << shifts[p.rho(x)]
+        ends[x] = vec
+        total += vec
+    data = total.to_bytes((total.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
 
 
 def flag_f_vector_by_dicts(p: Poset) -> dict:

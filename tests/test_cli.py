@@ -49,6 +49,15 @@ def test_huge_exponent_token_is_refused_at_once():
     assert errors == ["latchain poly: error: real-rooted: invalid number '1e10000000': write an integer or p/q"]
 
 
+@pytest.mark.parametrize("op", ["h-from-f", "f-from-h"])
+def test_transform_dimension_over_the_cap_is_refused_at_once(op):
+    # uncapped, n = 10^8 first allocated a list of 10^8 + 1 coefficients
+    out = run_cli(["poly", op, "1 2", "--n", "100000000"], timeout=5)
+    assert out.returncode == 2
+    errors = [line for line in out.stderr.splitlines() if ": error: " in line]
+    assert errors == [f"latchain poly: error: {op}: dimension parameter n=100000000 over the cap of 10000"]
+
+
 def test_build_poset(tmp_path, capsys):
     out = tmp_path / "poset.txt"
     assert main(["build", "boolean:3", "--out", str(out)]) == 0

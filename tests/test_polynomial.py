@@ -18,7 +18,7 @@ from latchain import (
     roots_in_interval,
     sturm_real_root_count,
 )
-from latchain.polynomial import _taylor_shift
+from latchain.polynomial import MAX_TRANSFORM_DIMENSION, _taylor_shift
 from helpers import (
     diamond_by_basis,
     interlaces_by_isolation,
@@ -172,6 +172,17 @@ def test_h_from_f_examples():
         h_from_f(ExactPoly((1, 1, 1)), 1)
     # the zero polynomial maps to zero at every dimension
     assert h_from_f(ExactPoly(), 5).is_zero and f_from_h(ExactPoly(), 0).is_zero
+
+
+def test_transforms_are_capped_at_dimension_10000():
+    h = h_from_f(ExactPoly((1, 2)), MAX_TRANSFORM_DIMENSION)
+    # (1 - t)^n + 2t(1 - t)^(n - 1): t^1 has -n + 2, the top -(-1)^n
+    assert (h.coefficient(1), h.coefficient(MAX_TRANSFORM_DIMENSION)) == (-MAX_TRANSFORM_DIMENSION + 2, -1)
+    # the largest coefficient still prints under Python's 4300-digit limit
+    assert len(str(max(map(abs, h.coeffs)))) < 4300
+    for transform in (h_from_f, f_from_h):
+        with pytest.raises(ValueError, match="^dimension parameter n=10001 over the cap of 10000$"):
+            transform(ExactPoly((1, 2)), MAX_TRANSFORM_DIMENSION + 1)
 
 
 def test_diamond_product_examples():

@@ -16,6 +16,7 @@ from latchain import (
     chain_poset,
     diamond_product,
     is_isomorphic,
+    is_quasi_rank_uniform,
     paving_lattice_from_dpartition,
     poset_from_text,
     poset_to_text,
@@ -26,12 +27,14 @@ from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
     chain_counts_by_walk,
+    chain_fields_by_pairs,
     chain_polynomial_by_dp,
     flag_f_vector_by_dicts,
     isomorphic_by_backtracking,
     multichains_by_walk,
     pentagon,
     poset_by_pair_filter,
+    quasi_rank_rows_by_walk,
     quasi_uniform_13,
     random_bounded,
     relations_passed,
@@ -647,3 +650,145 @@ def test_isomorphism_matches_the_backtracking_oracle(rng, n, seed):
     p = random_poset(rng, n)
     for q in (_relabelled(p, seed), _relabelled(p.dual(), seed), random_poset(rng, n)):
         assert is_isomorphic(p, q) == isomorphic_by_backtracking(p, q)
+
+
+# -- chain counts on the levels of a uniform poset ------------------------------------
+
+
+def _counts_by_pairs(p: Poset):
+    """The chain polynomial and the flag f-vector by one addition per comparable pair."""
+    top = p.quasi_rank
+    return (
+        ExactPoly(chain_fields_by_pairs(p, [1] * (top + 1))),
+        dict(enumerate(chain_fields_by_pairs(p, [1 << r for r in range(top + 1)]))),
+    )
+
+
+def _uniform_ways(p: Poset):
+    """Whether p is uniform by level from below and from above."""
+    return tuple(p._level_counts(below) is not None for below in (True, False))
+
+
+def _equal_sizes_other_profiles() -> Poset:
+    """Levels 0 and 1 uniform from below (each of b0, b1, b2 covers one of
+    a0, a1, a2), and at the top x over b0 and a2, y over b1 and b2: both
+    down-sets have four elements, but x's holds two of level 0, y's two of
+    level 1."""
+    return Poset(8, [(0, 3), (1, 4), (1, 5), (3, 6), (2, 6), (4, 7), (5, 7)])
+
+
+def _graded_equal_sizes_other_profiles() -> Poset:
+    """A graded near miss: b0, b1, b2 each over a0, a1, a2, and b3, b4 over
+    a3, a4, a5 and a4, a5, a6; x over b0, b1, b2 has three elements of each
+    level below it, y over b3, b4 four of level 0 and two of level 1. Its
+    dual has equal up-set sizes per level and different up-set profiles."""
+    covers = [(a, b) for b in (7, 8, 9) for a in (0, 1, 2)]
+    covers += [(a, 10) for a in (3, 4, 5)] + [(a, 11) for a in (4, 5, 6)]
+    return Poset(14, covers + [(7, 12), (8, 12), (9, 12), (10, 13), (11, 13)])
+
+
+def _uniform_but_the_top() -> Poset:
+    """B3 without its top, under two tops: one over all three coatoms, one over two."""
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (3, 5), (2, 6), (3, 6)]
+    return Poset(9, covers + [(4, 7), (5, 7), (6, 7), (4, 8), (5, 8)])
+
+
+def _uniform_from_below_only() -> Poset:
+    """Three atoms over a bottom and two rank-2 elements, over atoms 1, 2 and
+    over atoms 2, 3: every down-set alike by level, but atom 2 lies under both."""
+    return Poset(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+
+
+_UNIFORMITY_CASES = [
+    pytest.param(_equal_sizes_other_profiles, (False, False), id="equal-sizes-other-profiles"),
+    pytest.param(_graded_equal_sizes_other_profiles, (False, False), id="graded-equal-sizes"),
+    pytest.param(lambda: _graded_equal_sizes_other_profiles().dual(), (False, False), id="graded-equal-sizes-dual"),
+    pytest.param(lambda: with_bounds(_equal_sizes_other_profiles()), (False, False), id="equal-sizes-bounded"),
+    pytest.param(_uniform_but_the_top, (False, False), id="uniform-but-the-top"),
+    pytest.param(_uniform_from_below_only, (True, False), id="from-below-only"),
+    pytest.param(lambda: _uniform_from_below_only().dual(), (False, True), id="from-above-only"),
+    pytest.param(lambda: build_instance("partition:4"), (False, True), id="partition4"),
+    pytest.param(lambda: build_instance("vamos"), (False, False), id="vamos"),
+    pytest.param(lambda: boolean_lattice(3), (True, True), id="B3"),
+    # the empty poset's one level holds no element
+    pytest.param(lambda: Poset(0), (True, True), id="empty"),
+    pytest.param(lambda: Poset(1), (True, True), id="one"),
+    pytest.param(lambda: antichain(5), (True, True), id="antichain5"),
+    pytest.param(lambda: chain_poset(6), (True, True), id="chain6"),
+]
+
+
+@pytest.mark.parametrize("make, ways", _UNIFORMITY_CASES)
+def test_uniformity_cases_count_every_chain(make, ways):
+    p = make()
+    assert _uniform_ways(p) == ways
+    assert (p.chain_polynomial(), p.flag_f_vector()) == _counts_by_pairs(p)
+    if p.n <= 12:
+        assert tuple(p.chain_polynomial().coeffs) == brute_force_oracle(p)
+    if p.least is not None:
+        ok, rows = is_quasi_rank_uniform(p)
+        assert ok == ways[0]
+        assert (tuple(tuple(row.coeffs) for row in rows.rows) if ok else None) == quasi_rank_rows_by_walk(p)
+
+
+_FAMILIES = (
+    "boolean:0", "boolean:1", "boolean:3", "boolean:5", "partition:3", "partition:5",
+    "trunc-boolean:5:1", "trunc-boolean:6:2", "subspace:2:2", "subspace:3:2", "affine:2:3",
+    "vamos", "fano-lattice", "fano-design", "uniform-design:5:2", "chain:4",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_counts_match_the_pair_program_on_families(data):
+    """The family builders in range, their duals, products, ordinal sums,
+    proper parts and rank selections."""
+    p = build_instance(data.draw(st.sampled_from(_FAMILIES)))
+    other = build_instance(data.draw(st.sampled_from(("chain:2", "boolean:2", "partition:3"))))
+    shape = data.draw(st.sampled_from(("self", "dual", "product", "ordinal", "ordinal-under", "proper", "selected")))
+    if shape == "dual":
+        p = p.dual()
+    elif shape == "product":
+        p = p.direct_product(other)
+    elif shape == "ordinal":
+        p = p.ordinal_sum(other)
+    elif shape == "ordinal-under":
+        p = other.ordinal_sum(p)
+    elif shape == "proper" and p.n >= 2:
+        p = p.proper_part()
+    elif shape == "selected":
+        ranks = data.draw(st.sets(st.integers(0, p.quasi_rank), min_size=1))
+        p = p.rank_selected(ranks)
+    assert (p.chain_polynomial(), p.flag_f_vector()) == _counts_by_pairs(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 14), st.booleans(), st.booleans())
+def test_chain_counts_match_the_pair_program_on_random_posets(rng, n, bounded, dual):
+    p = random_bounded(rng, max(n - 2, 0)) if bounded else random_poset(rng, n)
+    p = p.dual() if dual else p
+    assert (p.chain_polynomial(), p.flag_f_vector()) == _counts_by_pairs(p)
+
+
+@pytest.mark.parametrize(
+    "make, by_levels",
+    [
+        (lambda: boolean_lattice(8), True),
+        (lambda: build_instance("partition:6"), True),
+        (lambda: build_instance("vamos"), False),
+        (lambda: chain_poset(300), False),
+    ],
+    ids=["B8", "partition6", "vamos", "chain300"],
+)
+def test_uniform_posets_count_chains_on_their_levels(make, by_levels, monkeypatch):
+    """Only the element program walks a linear extension: B8 (uniform from
+    below) and partition:6 (from above) never do; the Vamos lattice (neither)
+    and a chain (too few comparable pairs for the levels to pay) always do."""
+    p = make()
+    walks = []
+    extension = Poset._extension
+    monkeypatch.setattr(Poset, "_extension", lambda self: walks.append(self) or extension(self))
+    p.chain_polynomial()
+    if p.quasi_rank <= 12:  # a chain's flag f-vector has 2^300 entries
+        p.flag_f_vector()
+    assert (not walks) == by_levels
