@@ -33,7 +33,9 @@ from typing import List, Optional
 from .families import _ROWS, build_instance, build_rows
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
+    DigitLimitError,
     ExactPoly,
+    _decimals,
     _integer,
     _rational,
     diamond_product,
@@ -52,6 +54,8 @@ from .suites import SUITE_NAMES, suite_run
 def _int_flag(token: str) -> int:  # --seed and --n, refused in argparse's own words for int flags
     try:
         return _integer(token)
+    except DigitLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
@@ -74,7 +78,7 @@ def _check_writable(args: argparse.Namespace, paths: List[str]) -> None:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     instances = None
-    if args.instances:
+    if args.instances is not None:
         if args.name == "all":
             args.parser.error("--instances needs a single suite, not all")
         try:
@@ -82,6 +86,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 instances = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
         except (OSError, UnicodeDecodeError) as exc:
             args.parser.error(f"cannot read --instances file: {exc}")
+        if not instances:
+            args.parser.error(f"--instances file {args.instances} lists no instance")
     _check_writable(args, [path for path in (args.json, args.csv) if path])
     names = SUITE_NAMES if args.name == "all" else (args.name,)
     reports = []
@@ -122,7 +128,7 @@ _POLY_OPS = {
     "diamond": (2, (), lambda a, ps: diamond_product(ps[0], ps[1]).to_string()),
     "h-from-f": (1, ("--n",), lambda a, ps: h_from_f(ps[0], a.n).to_string()),
     "f-from-h": (1, ("--n",), lambda a, ps: f_from_h(ps[0], a.n).to_string()),
-    "eval": (1, ("--at",), lambda a, ps: str(ps[0](_rational(a.at)))),
+    "eval": (1, ("--at",), lambda a, ps: _decimals([ps[0](_rational(a.at))])),
     "eulerian": (0, ("--n",), lambda a, ps: eulerian(a.n).to_string()),
     "q-eulerian": (0, ("--n", "--at <q>"), lambda a, ps: q_eulerian(a.n, _rational(a.at)).to_string()),
 }
@@ -152,7 +158,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     try:
         built = build_rows(args.dsl) if rows else build_instance(args.dsl)
     except (ValueError, LookupError, OSError) as exc:
-        args.parser.error(f"cannot build {args.dsl!r}: {type(exc).__name__}: {exc}")
+        args.parser.error(f"cannot build {args.dsl!r:.200}: {type(exc).__name__}: {exc}")
     try:
         if rows:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -360,7 +360,8 @@ def paving_construction(p: Poset, h_elements: Iterable[int], y: int, d: int) -> 
     failure = _paving_clause_failure(p, h_set, y, d)
     if failure is not None:
         raise ValueError(failure)
-    keep = [x for x in _bits(p.down_mask(y)) if x != y and p.rho(x) <= d - 1]
+    # the levels are disjoint, so their sum is their union; y lies above them
+    keep = list(_bits(p.down_mask(y) & sum(p._levels[:d])))
     for x in keep:
         if not any(p.leq(x, h) for h in h_set):
             raise ValueError(f"condition (iv) fails: element {x} below no H member")
@@ -455,7 +456,8 @@ def generalized_dpartition_check(l: Poset, h_elements: Iterable[int], d: int) ->
     h_set = set(h_elements)
     if _paving_clause_failure(l, h_set, l.greatest, d) is not None:
         return False
-    return all(sum(1 for h in h_set if l.leq(x, h)) == 1 for x in range(l.n) if l.rho(x) == d)
+    rank_d = l._levels[d] if 0 <= d < len(l._levels) else 0
+    return all(sum(1 for h in h_set if l.leq(x, h)) == 1 for x in _bits(rank_d))
 
 
 def l_paving(l: Poset, h_elements: Iterable[int], d: int) -> Poset:

@@ -22,6 +22,7 @@ multiplicity of each isolated root.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,14 @@ MINUS_INF = float("-inf")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+class DigitLimitError(ValueError):
+    """A number past Python's limit on converting an int to or from decimal
+    text, refused in words that name the limit rather than the setting."""
+
+    def __init__(self):
+        super().__init__(f"number over the limit of {sys.get_int_max_str_digits()} digits")
+
+
 def _rational(token: str) -> Fraction:
     """The number written by an integer or "p/q" token; anything else, such as
     "1e9", "1_0", ".5", "0.5" or "1/0", is a ValueError."""
@@ -43,14 +52,28 @@ def _rational(token: str) -> Fraction:
         raise ValueError(f"invalid number {token!r}: write an integer or p/q")
     if re.search("/0+$", token):
         raise ValueError(f"invalid number {token!r}: zero denominator")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError:  # a well-formed token is refused only for its length
+        raise DigitLimitError() from None
 
 
 def _integer(token: str) -> int:
     """The integer an ASCII [+-]?[0-9]+ token writes; else a ValueError in int()'s own words."""
     if not _RATIONAL.fullmatch(token) or "/" in token:
         raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # a well-formed token is refused only for its length
+        raise DigitLimitError() from None
+
+
+def _decimals(xs: Iterable[Scalar]) -> str:
+    """The numbers in decimal, space-separated; one too long to print is a DigitLimitError."""
+    try:
+        return " ".join(map(str, xs))
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def _norm(c: Scalar) -> Scalar:
@@ -105,7 +128,7 @@ class ExactPoly:
         """Inverse of :meth:`from_string`; the zero polynomial prints as "0"."""
         if not self.coeffs:
             return "0"
-        return " ".join(str(c) for c in self.coeffs)
+        return _decimals(self.coeffs)
 
     # -- basic queries ---------------------------------------------------------
 

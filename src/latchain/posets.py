@@ -17,8 +17,8 @@ element of a level has as many elements of each other level below it (or
 above it), every element of a level ends (or starts) the same chains, so
 the same program runs on the levels with one multiplication and one
 addition per pair of levels (Stanley, Enumerative Combinatorics I,
-section 3.13). Rank profiles are popcounts of a down-set mask against one
-mask per level.
+section 3.13). The core stores one mask per quasi-rank level, and every
+rank profile is a popcount of a down-set mask against those masks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import prod
 from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .polynomial import ExactPoly, _integer, from_binomial_coefficients
+from .polynomial import DigitLimitError, ExactPoly, _integer, from_binomial_coefficients
 
 MAX_ELEMENTS = 5000
 
@@ -84,6 +84,8 @@ class Poset:
     dual, or the factors' orders combined for a product or an ordinal
     sum), so it is a linear extension. Down-sets and quasi-ranks are
     pushed along the covers in that order, up-sets in the reverse order.
+    Once every quasi-rank is final, the core stores one mask per level, the
+    only place levels are derived: the empty poset has one empty level.
     ``labels`` are optional external names carried along by the structural
     operations.
     """
@@ -95,6 +97,7 @@ class Poset:
         "_down",
         "_up",
         "_rho",
+        "_levels",
         "_cover_down",
         "_cover_up",
         "_least",
@@ -200,6 +203,9 @@ class Poset:
                     down[y] |= dx
                     if rho[y] < r:
                         rho[y] = r
+        levels = [0] * (max(rho, default=0) + 1)
+        for x, r in enumerate(rho):
+            levels[r] |= 1 << x
         if up is None:
             up = [1 << x for x in range(n)]
             for x in reversed(order):
@@ -225,6 +231,7 @@ class Poset:
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_rho", tuple(rho))
+        object.__setattr__(self, "_levels", tuple(levels))
         object.__setattr__(self, "_cover_down", tuple(map(tuple, cover_down)))
         object.__setattr__(self, "_cover_up", tuple(map(tuple, cover_up)))
         object.__setattr__(self, "_least", minimals[0] if len(minimals) == 1 else None)
@@ -266,7 +273,7 @@ class Poset:
 
     @property
     def quasi_rank(self) -> int:
-        return max(self._rho, default=0)
+        return len(self._levels) - 1
 
     @property
     def least(self) -> Optional[int]:
@@ -297,23 +304,9 @@ class Poset:
 
     # -- chain enumeration -------------------------------------------------------
 
-    def _level_sizes(self) -> list:
-        """sizes[r] is the number of elements of quasi-rank r."""
-        sizes = [0] * (self.quasi_rank + 1)
-        for r in self._rho:
-            sizes[r] += 1
-        return sizes
-
-    def _level_masks(self) -> list:
-        """levels[r] is the bitmask of the elements of quasi-rank r."""
-        levels = [0] * (self.quasi_rank + 1)
-        for x, r in enumerate(self._rho):
-            levels[r] |= 1 << x
-        return levels
-
     def _extension(self) -> list:
         """A linear extension: the elements by quasi-rank, then index."""
-        return sorted(range(self.n), key=self._rho.__getitem__)
+        return [x for level in self._levels for x in _bits(level)]
 
     def _level_counts(self, below: bool) -> Optional[list]:
         """The poset's level counts when it is uniform by level, else None.
@@ -325,10 +318,10 @@ class Poset:
         meets its own level only at its element, so that level is left out.
         Equal set sizes per level are a prefilter: one popcount per element,
         stopping at the first that differs from its level's, rules out most
-        posets before any level mask is built or profile taken. Sets differ
-        soonest where they are largest, so down-sets are taken from the last
-        element and up-sets from the first: the library's builders number
-        the elements up the levels.
+        posets before any profile is taken. Sets differ soonest where they
+        are largest, so down-sets are taken from the last element and
+        up-sets from the first: the library's builders number the elements
+        up the levels.
         """
         sets, rho = self._down if below else self._up, self._rho
         sizes: Dict[int, int] = {}
@@ -336,7 +329,7 @@ class Poset:
             c = s.bit_count()
             if sizes.setdefault(r, c) != c:
                 return None
-        levels = self._level_masks()
+        levels = self._levels
         others = [levels[:r] if below else levels[r + 1:] for r in range(len(levels))]
         profiles: Dict[int, list] = {}
         for r, s in zip(rho, sets):
@@ -367,7 +360,7 @@ class Poset:
         poset's does: from below first, then from above (partition lattices
         are uniform only that way).
         """
-        sizes = self._level_sizes()
+        sizes = [level.bit_count() for level in self._levels]
         k = (prod(size + 1 for size in sizes).bit_length() + 7) // 8
         shifts = [8 * k * offset for offset in offsets]
         if sum(self._rho) > len(sizes) * (len(sizes) - 1):
@@ -412,7 +405,7 @@ class Poset:
 
     def chain_polynomial(self) -> ExactPoly:
         """Generating polynomial of chains by size: each element moves a chain one field."""
-        return ExactPoly(self._chain_fields([1] * (self.quasi_rank + 1)))
+        return ExactPoly(self._chain_fields([1] * len(self._levels)))
 
     def flag_f_vector(self) -> Dict[int, int]:
         """Flag f-vector alpha(U): chains counted by their set U of quasi-ranks.
@@ -428,33 +421,33 @@ class Poset:
         the sum of alpha(T) t^|T| over T within S (Stanley, Enumerative
         Combinatorics I, section 3.13), graded or not.
         """
-        return dict(enumerate(self._chain_fields([1 << r for r in range(self.quasi_rank + 1)])))
+        return dict(enumerate(self._chain_fields([1 << r for r in range(len(self._levels))])))
 
     def quasi_rank_generating_polynomial(self) -> ExactPoly:
         """sum over elements of t^rho(x); requires a least element."""
         if self._least is None:
             raise ValueError("poset has no least element")
-        return ExactPoly(self._level_sizes())
+        return ExactPoly([level.bit_count() for level in self._levels])
 
     # -- induced subposets ---------------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> "Poset":
         """Subposet on the given elements with the inherited order and labels,
-        built from its covers, peeled by the parent's quasi-rank; that
-        quasi-rank also orders the core's walk."""
+        built from its covers, peeled by the parent's levels; the core walks
+        the kept elements level by level."""
         keep = sorted(set(keep))
         index = {x: i for i, x in enumerate(keep)}
         keep_mask = 0
         for x in keep:
             keep_mask |= 1 << x
-        up, rho, levels = self._up, self._rho, self._level_masks()
+        up, rho, levels = self._up, self._rho, self._levels
         cover_up = [
             sorted(map(index.__getitem__, _minimal_members(
                 (up[x] & keep_mask) ^ (1 << x), up, levels, rho[x]
             )))
             for x in keep
         ]
-        order = sorted(range(len(keep)), key=[rho[x] for x in keep].__getitem__)
+        order = [index[x] for level in levels for x in _bits(level & keep_mask)]
         labels = None if self.labels is None else [self.labels[x] for x in keep]
         return Poset._from_covers(len(keep), cover_up, order, labels)
 
@@ -463,7 +456,8 @@ class Poset:
         ranks = set(ranks)
         if not ranks:
             raise ValueError("empty rank set")
-        return self.induced(x for x in range(self.n) if self._rho[x] in ranks)
+        # the levels are disjoint, so their sum is their union
+        return self.induced(_bits(sum(level for r, level in enumerate(self._levels) if r in ranks)))
 
     def truncate(self) -> "Poset":
         """Drop the elements of quasi-rank one below the top."""
@@ -589,13 +583,14 @@ class Poset:
         """mu(w, y) for every w in ``mask``, a subset of the down-set of y
         closed upward below y.
 
-        Taken by decreasing quasi-rank, so every z above w comes first:
+        Taken level by level from the top, so every z above w comes first:
         mu(y, y) = 1 and mu(w, y) = -sum of mu(z, y) over w < z <= y.
         """
         up = self._up
         mu: Dict[int, int] = {}
-        for w in sorted(_bits(mask), key=self._rho.__getitem__, reverse=True):
-            mu[w] = 1 if w == y else -sum(mu[z] for z in _bits((up[w] & mask) ^ (1 << w)))
+        for level in reversed(self._levels):
+            for w in _bits(level & mask):
+                mu[w] = 1 if w == y else -sum(mu[z] for z in _bits((up[w] & mask) ^ (1 << w)))
         return mu
 
     def mobius(self, x: int, y: int) -> int:
@@ -719,8 +714,10 @@ def _line_int(lineno: int, token: str) -> int:
     """Parse an integer field of a text-format line; a bad one names the line."""
     try:
         return _integer(token)
+    except DigitLimitError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     except ValueError:
-        raise ValueError(f"line {lineno}: not an integer: {token!r}") from None
+        raise ValueError(f"line {lineno}: not an integer: {token!r:.200}") from None
 
 
 def poset_from_text(text: str) -> Poset:

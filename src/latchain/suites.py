@@ -40,7 +40,7 @@ from .polynomial import (
     isolate_real_roots,
     roots_in_interval,
 )
-from .posets import Poset, is_isomorphic
+from .posets import Poset, _bits, is_isomorphic
 from .reports import CheckReport
 from .tn import (
     RMatrix,
@@ -125,10 +125,10 @@ def rank3_formula(l: Poset) -> ExactPoly:
     """
     if l.quasi_rank != 3 or l.least is None or l.greatest is None:
         raise ValueError("expected a bounded rank-3 lattice")
-    m1 = sum(1 for x in range(l.n) if l.rho(x) == 1)
-    m2 = sum(1 for x in range(l.n) if l.rho(x) == 2)
-    e = sum(1 for x, y in l.covers if l.rho(x) == 1 and l.rho(y) == 2)
-    quad = ExactPoly((1, m1 + m2, e))
+    _, atoms, coatoms, _ = l._levels
+    # a level-1 element below a level-2 one is covered by it
+    e = sum((l.down_mask(y) & atoms).bit_count() for y in _bits(coatoms))
+    quad = ExactPoly((1, atoms.bit_count() + coatoms.bit_count(), e))
     return quad * ExactPoly((1, 1)) ** 2
 
 
@@ -266,14 +266,11 @@ def _flag_sum(alpha: Iterable[Tuple[int, int]], mask: int) -> ExactPoly:
 def _certify_rank_selections(p: Poset, alpha: Dict[int, int]) -> int:
     """The sweep of _rank_selection_sweep, from p's flag f-vector alpha."""
     top = p.quasi_rank
-    levels: List[List[int]] = [[] for _ in range(top + 1)]
-    for x in range(p.n):
-        levels[p.rho(x)].append(x)
     everything = (1 << p.n) - 1
     factors = sum(
         1 << r
-        for r, level in enumerate(levels)
-        if len(level) == 1 and p.down_mask(level[0]) | p.up_mask(level[0]) == everything
+        for r, level in enumerate(p._levels)
+        if level.bit_count() == 1 and p.down_mask(z := level.bit_length() - 1) | p.up_mask(z) == everything
     )
     free = [(ranks, count) for ranks, count in alpha.items() if not ranks & factors]
     for mask in range(1, 1 << (top + 1)):
@@ -621,14 +618,15 @@ def suite_run(
 ) -> List[CheckReport]:
     """Run one named suite; reports come back sorted by instance string.
 
-    Without ``instances`` the suite's default corpus at ``seed`` is checked.
-    A malformed or unknown instance gets an ``error`` verdict.
+    Without ``instances`` the suite's default corpus at ``seed`` is checked;
+    an empty ``instances`` checks nothing. A malformed or unknown instance
+    gets an ``error`` verdict.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     corpus, check = _SUITES[name]
     reports = []
-    for instance, subject in _tasks(instances) if instances else corpus(seed):
+    for instance, subject in corpus(seed) if instances is None else _tasks(instances):
         start = time.monotonic()
         try:
             witness = check(subject, seed)

@@ -385,7 +385,7 @@ def is_triangular(p: Poset) -> bool:
         raise ValueError("triangularity requires a least element")
     if not _is_graded(p):
         raise ValueError("ungraded interval: a cover raises rho by more than one")
-    rho, down, levels = p._rho, p._down, p._level_masks()
+    rho, down, levels = p._rho, p._down, p._levels
     counts: Dict[Tuple[int, int, int], int] = {}
     for rx, up in zip(rho, p._up):
         for y in _bits(up):
@@ -412,7 +412,7 @@ def _incidence_column(p: Poset, y: int, mask: int, xs: Sequence[int]) -> Dict[in
     """R(x, y) for each x in ``xs`` from one Mobius column: the sum over w in
     [x, y] of mu(w, y) times the level popcounts of w's down-set. ``mask``
     is closed upward below y and holds every x."""
-    rho, down, up, levels = p._rho, p._down, p._up, p._level_masks()
+    rho, down, up, levels = p._rho, p._down, p._up, p._levels
     terms = {
         w: [m * (down[w] & level).bit_count() for level in levels[: rho[w] + 1]]
         for w, m in p._mobius_column(y, mask).items()

@@ -19,6 +19,8 @@ a definitional cut test over every pair of members
 (``modular_cut_by_definition``), the per-atom ``leq`` scan that atom-mask
 reads replaced (``element_by_leq_scan``), and the three flat lists that
 the one-pass extension replaced (``extension_by_flat_lists``).
+``levels_by_rho`` groups the elements by a quasi-rank found from the
+covers alone, as the poset core's stored level masks should.
 
 The real-root oracles work over the rationals and share no code with the
 library's integer remainder sequence: long division (``poly_divmod``),
@@ -756,6 +758,22 @@ def flag_f_vector_by_dicts(p: Poset) -> dict:
         for mask, c in vec.items():
             alpha[mask] = alpha.get(mask, 0) + c
     return alpha
+
+
+def levels_by_rho(p: Poset) -> List[List[int]]:
+    """The quasi-rank levels of p, lowest first, each ascending; the empty
+    poset has one empty level. rho is found from the covers alone, by
+    raising rho(y) to rho(x) + 1 over every cover x < y until nothing
+    changes (n rounds suffice, as a chain has fewer than n covers), so no
+    linear extension or stored quasi-rank of p is read."""
+    rho = [0] * p.n
+    for _ in range(p.n):
+        for x, y in p.covers:
+            rho[y] = max(rho[y], rho[x] + 1)
+    levels: List[List[int]] = [[] for _ in range(max(rho, default=0) + 1)]
+    for x, r in enumerate(rho):
+        levels[r].append(x)
+    return levels
 
 
 def rank_profile_by_walk(p: Poset, mask: int) -> List[int]:

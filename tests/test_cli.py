@@ -127,6 +127,18 @@ def test_instances_file_skips_blank_and_comment_lines(tmp_path, capsys):
     assert "1/1 passed" in out and "#" not in out
 
 
+def test_instances_file_with_no_instance_is_refused(tmp_path, capsys):
+    instances = tmp_path / "instances.txt"
+    instances.write_text("# nothing here\n\n")
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "designs", "--instances", str(instances), "--json", str(tmp_path / "out.jsonl")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"latchain suite: error: --instances file {instances} lists no instance"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_failing_suite_exit_code(tmp_path, capsys):
     # the Vamos lattice is not rank uniform on either side, so this check fails
     instances = tmp_path / "instances.txt"
@@ -195,6 +207,16 @@ def test_usage_error_exit_code():
         ["suite", "diamond", "--seed", "1_0"],
         ["poly", "eulerian", "--n", "٣"],
         ["build", "boolean:٣", "--out", "x"],
+        # numbers past Python's 4300-digit limit, read and printed
+        ["poly", "real-rooted", "9" * 5000],
+        ["poly", "eval", "1 1", "--at", "9" * 5000],
+        ["poly", "eval", "1 1", "--at", "1/" + "9" * 5000],
+        ["poly", "eval", "0 0 1", "--at", "9" * 3000],
+        ["poly", "h-from-f", "1 " + "9" * 1400, "--n", "10000"],
+        ["build", "boolean:" + "9" * 5000, "--out", "x"],
+        ["build", "paving:file=long-ground", "--out", "x"],
+        ["suite", "diamond", "--seed", "9" * 5000],
+        ["poly", "eulerian", "--n", "9" * 5000],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
@@ -205,6 +227,7 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
     )
     (tmp_path / "bad-point").write_text("dpartition 2\nground 1 2 x\nblock 1 2\n")
     (tmp_path / "not-utf8").write_bytes(b"\xff\xfe")
+    (tmp_path / "long-ground").write_text("dpartition 2\nground 1 2 " + "9" * 5000 + "\nblock 1 2\n")
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -213,6 +236,9 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
     errors = [line for line in captured.err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and errors[0].startswith(f"latchain {argv[0]}: error: ")
     assert not (tmp_path / "x").exists()
+    if max(map(len, argv)) > 1000 or "paving:file=long-ground" in argv:  # named in one short line
+        assert errors[0].endswith("number over the limit of 4300 digits") and len(errors[0]) < 300
+        assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import random
 import threading
 from math import factorial, prod
@@ -22,7 +23,10 @@ from latchain import (
     poset_to_text,
     truncated_boolean,
 )
+from latchain import suites
 from latchain.posets import _bits
+from latchain.suites import rank3_formula
+from latchain.tn import is_triangular
 from helpers import (
     assert_flags_give_rank_selections,
     bounded_corpus,
@@ -31,6 +35,7 @@ from helpers import (
     chain_polynomial_by_dp,
     flag_f_vector_by_dicts,
     isomorphic_by_backtracking,
+    levels_by_rho,
     multichains_by_walk,
     pentagon,
     poset_by_pair_filter,
@@ -552,6 +557,9 @@ def test_text_format_round_trip(tmp_path):
         ("poset 2\ncover 0 1\n\ncover 1 1\n", "line 4: reflexive relation pair (1, 1)"),
         ("poset 2\nlabel 0 a\nlabel 5 a\n", "line 3: label index out of range: 5"),
         ("poset 2\nlabel 0 a\nlabel 0 b\n", "line 3: duplicate label 0"),
+        # past Python's 4300-digit limit: the limit is named, the token not echoed
+        pytest.param("poset " + "9" * 5000 + "\n", "line 1: number over the limit of 4300 digits", id="5000-digits"),
+        pytest.param("poset 2\ncover 0 " + "x" * 5000 + "\n", "line 2: not an integer: '" + "x" * 199, id="5000-letters"),
     ],
 )
 def test_poset_text_errors_name_the_line(text, message):
@@ -792,3 +800,185 @@ def test_uniform_posets_count_chains_on_their_levels(make, by_levels, monkeypatc
     if p.quasi_rank <= 12:  # a chain's flag f-vector has 2^300 entries
         p.flag_f_vector()
     assert (not walks) == by_levels
+
+
+# -- the stored quasi-rank levels ------------------------------------------------------
+
+
+def _shape(q: Poset):
+    return (q.n, q.covers, q.labels)
+
+
+def _or_error(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _uniform_rows(p: Poset):
+    ok, rows = is_quasi_rank_uniform(p)
+    return ok, rows and tuple(row.coeffs for row in rows.rows)
+
+
+def _edge_facts(p: Poset) -> dict:
+    return {
+        "quasi_rank": p.quasi_rank,
+        "chain_polynomial": p.chain_polynomial().coeffs,
+        "flag_f_vector": p.flag_f_vector(),
+        "dual": _shape(p.dual()),
+        "direct_product": _shape(p.direct_product(chain_poset(2))),
+        "ordinal_sum": _shape(p.ordinal_sum(chain_poset(1))),
+        "rank_selected": [_shape(p.rank_selected(ranks)) for ranks in ({0}, {1}, {0, 1}, {-1, 2})],
+        "truncate": _shape(p.truncate()),
+        "quasi_rank_generating_polynomial": _or_error(lambda: p.quasi_rank_generating_polynomial().coeffs),
+        "is_quasi_rank_uniform": _or_error(lambda: _uniform_rows(p)),
+        "is_triangular": _or_error(lambda: is_triangular(p)),
+    }
+
+
+_NO_LEAST = {
+    "quasi_rank_generating_polynomial": "ValueError: poset has no least element",
+    "is_quasi_rank_uniform": "ValueError: quasi-rank uniformity requires a least element",
+    "is_triangular": "ValueError: triangularity requires a least element",
+}
+
+_EDGE_FACTS = [
+    pytest.param(lambda: Poset(0), {
+        "quasi_rank": 0,
+        "chain_polynomial": (1,),
+        "flag_f_vector": {0: 1},
+        "dual": (0, (), None),
+        "direct_product": (0, (), ()),
+        "ordinal_sum": (1, (), None),
+        "rank_selected": [(0, (), None)] * 4,
+        "truncate": (0, (), None),
+        **_NO_LEAST,
+    }, id="empty"),
+    pytest.param(lambda: Poset(1), {
+        "quasi_rank": 0,
+        "chain_polynomial": (1, 1),
+        "flag_f_vector": {0: 1, 1: 1},
+        "dual": (1, (), None),
+        "direct_product": (2, ((0, 1),), ((0, 0), (0, 1))),
+        "ordinal_sum": (2, ((0, 1),), None),
+        "rank_selected": [(1, (), None), (0, (), None), (1, (), None), (0, (), None)],
+        "truncate": (1, (), None),
+        "quasi_rank_generating_polynomial": (1,),
+        "is_quasi_rank_uniform": (True, ((1,),)),
+        "is_triangular": True,
+    }, id="one"),
+    pytest.param(lambda: antichain(3), {
+        "quasi_rank": 0,
+        "chain_polynomial": (1, 3),
+        "flag_f_vector": {0: 1, 1: 3},
+        "dual": (3, (), None),
+        "direct_product": (6, ((0, 1), (2, 3), (4, 5)), ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))),
+        "ordinal_sum": (4, ((0, 3), (1, 3), (2, 3)), None),
+        "rank_selected": [(3, (), None), (0, (), None), (3, (), None), (0, (), None)],
+        "truncate": (3, (), None),
+        **_NO_LEAST,
+    }, id="antichain3"),
+    pytest.param(lambda: chain_poset(2), {
+        "quasi_rank": 1,
+        "chain_polynomial": (1, 2, 1),
+        "flag_f_vector": {0: 1, 1: 1, 2: 1, 3: 1},
+        "dual": (2, ((1, 0),), None),
+        "direct_product": (4, ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 0), (0, 1), (1, 0), (1, 1))),
+        "ordinal_sum": (3, ((0, 1), (1, 2)), None),
+        "rank_selected": [(1, (), None), (1, (), None), (2, ((0, 1),), None), (0, (), None)],
+        "truncate": (1, (), None),
+        "quasi_rank_generating_polynomial": (1, 1),
+        "is_quasi_rank_uniform": (True, ((1,), (1, 1))),
+        "is_triangular": True,
+    }, id="chain2"),
+]
+
+
+@pytest.mark.parametrize("make, facts", _EDGE_FACTS)
+def test_level_readers_on_edge_posets(make, facts):
+    """Every reader of the stored levels on the empty, one-element,
+    3-antichain and 2-chain posets, at the values the per-call level scans
+    gave; the empty poset's one level is empty."""
+    assert _edge_facts(make()) == facts
+
+
+def _scrambled(rng: random.Random, n: int, tag: str) -> Poset:
+    """A random poset whose index order is seldom a linear extension, each
+    element labelled by its index after ``tag``."""
+    base = random_poset(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Poset(n, [(perm[x], perm[y]) for x, y in base.covers], [f"{tag}{i}" for i in range(n)])
+
+
+def _certified_ranks(p: Poset) -> int:
+    """The union of the rank selections that the sweep certifies: every rank
+    but its factor ranks, or none when every rank is one."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "_check_unit_interval_roots", lambda poly, what: seen.append(what))
+        suites._certify_rank_selections(p, p.flag_f_vector())
+    return sum({1 << r for what in seen for r in ast.literal_eval(what[len("rank selection "):])})
+
+
+def _rank3_by_levels(p: Poset, levels) -> ExactPoly:
+    e = sum(1 for x, y in p.covers if x in levels[1] and y in levels[2])
+    return ExactPoly((1, len(levels[1]) + len(levels[2]), e)) * ExactPoly((1, 1)) ** 2
+
+
+def _assert_levels_by_rho(p: Poset, ranks) -> None:
+    """The stored levels, and what reads them, against ``levels_by_rho``."""
+    levels = levels_by_rho(p)
+    assert [list(_bits(level)) for level in p._levels] == levels
+    assert all(p.rho(x) == r for r, level in enumerate(levels) for x in level)
+    assert p.quasi_rank == len(levels) - 1
+    assert p._extension() == [x for level in levels for x in level]
+    kept = sorted(x for r, level in enumerate(levels) if r in ranks for x in level)
+    assert p.rank_selected(ranks).labels == tuple(p.labels[x] for x in kept)
+    if p.n and p.quasi_rank <= 6:
+        factors = {
+            r for r, level in enumerate(levels)
+            if len(level) == 1 and all(p.leq(x, level[0]) or p.leq(level[0], x) for x in range(p.n))
+        }
+        everything = (1 << len(levels)) - 1
+        assert _certified_ranks(p) == everything - sum(1 << r for r in factors)
+    if p.quasi_rank == 3 and p.least is not None and p.greatest is not None:
+        assert rank3_formula(p) == _rank3_by_levels(p, levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 9), st.integers(0, 4), st.data())
+def test_stored_levels_match_levels_by_rho(rng, n, m, data):
+    """Random posets, their duals, products, ordinal sums and induced
+    subposets, numbered so that the index order is seldom a linear
+    extension; the rank sets run one past each end."""
+    p, other = _scrambled(rng, n, "a"), _scrambled(rng, m, "b")
+    if data.draw(st.booleans()):
+        p = with_bounds(p)
+        p = Poset(p.n, p.covers, [f"a{i}" for i in range(p.n)])
+    shapes = ("self", "dual", "dual-dual", "product", "ordinal", "ordinal-under", "induced")
+    shape = data.draw(st.sampled_from(shapes))
+    if shape == "dual":
+        p = p.dual()
+    elif shape == "dual-dual":
+        p = p.dual().dual()
+    elif shape == "product":
+        p = p.dual().direct_product(other)
+    elif shape == "ordinal":
+        p = p.dual().ordinal_sum(other)
+    elif shape == "ordinal-under":
+        p = other.ordinal_sum(p)
+    elif shape == "induced":
+        p = p.induced(x for x in range(p.n) if rng.random() < 0.6)
+    ranks = data.draw(st.sets(st.integers(-1, len(levels_by_rho(p))), min_size=1))
+    _assert_levels_by_rho(p, ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stored_levels_match_levels_by_rho_on_the_rank3_corpus(seed):
+    l = suites.random_rank3_geometric(random.Random(seed))
+    l = Poset(l.n, l.covers, range(l.n))
+    _assert_levels_by_rho(l, {0, 2})
+    _assert_levels_by_rho(l.dual(), {1})

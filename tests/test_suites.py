@@ -236,6 +236,12 @@ def test_unknown_suite():
         suite_run("nonsense")
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_no_instances_check_nothing(name):
+    """An empty instance list is not the default corpus."""
+    assert suite_run(name, instances=[]) == []
+
+
 def test_suite_reports_have_witnesses_and_sorted_instances(tmp_path):
     reports = suite_run("dowling", seed=3)
     assert [r.instance for r in reports] == sorted(r.instance for r in reports)
