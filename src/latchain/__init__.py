@@ -3,25 +3,21 @@
 from .polynomial import (
     ExactPoly,
     RootIsolation,
-    check_damped_interlacing,
     diamond_product,
     f_from_h,
     h_from_f,
     interlaces,
     is_real_rooted,
-    is_tp2,
     isolate_real_roots,
     roots_in_interval,
     sturm_real_root_count,
 )
 from .posets import (
     Poset,
-    antichain,
     chain_poset,
     is_isomorphic,
     poset_from_text,
     poset_to_text,
-    read_poset,
     write_poset,
 )
 from .tn import (
@@ -29,21 +25,13 @@ from .tn import (
     ResolutionWitness,
     ResolveOutcome,
     chain_polys_from_rmatrix,
-    check_cover_recursion,
-    incidence_R,
-    incidence_R_table,
     is_atomistic,
     is_geometric,
-    is_modular,
-    is_perfect_matroid_design,
     is_quasi_rank_uniform,
-    is_semimodular,
     is_totally_nonnegative,
-    is_triangular,
     ordinal_sum_rows,
     rank_matrix,
     resolve,
-    subdivision_operator,
 )
 from .families import (
     Design,
@@ -57,18 +45,14 @@ from .families import (
     dowling_rows,
     fano_design,
     fano_lattice,
-    generalized_dpartition_check,
-    l_paving,
     linear_space_lattice,
     modular_cut_validate,
     partition_lattice,
-    paving_construction,
     paving_lattice_from_dpartition,
     principal_cut,
     single_element_extension,
     subspace_lattice,
     truncated_boolean,
-    truncated_extension_coatoms,
     uniform_design,
     vamos_lattice,
 )

@@ -2,8 +2,8 @@
 
 Boolean algebras and their truncations, subspace and affine lattices over
 small prime fields, partition lattices, design posets, paving lattices
-from d-partitions, the generalized paving construction, group-labeled
-Whitney rows, modular cuts and single-element extensions.
+from d-partitions, group-labeled Whitney rows, modular cuts and
+single-element extensions.
 """
 
 from __future__ import annotations
@@ -338,51 +338,7 @@ def design_poset(design: Design) -> Poset:
     return _paving_poset(design.points, design.blocks, design.s)
 
 
-# -- the paving construction -----------------------------------------------------------------
-
-
-def paving_construction(p: Poset, h_elements: Iterable[int], y: int, d: int) -> Poset:
-    """Collapse the down-set of y to quasi-rank d+1 through the antichain H.
-
-    Keeps the elements below y of quasi-rank at most d-1, adjoins H as the
-    level at quasi-rank d and y on top. The four admissibility conditions
-    are checked and reported by clause number.
-    """
-    if p.least is None:
-        raise ValueError("host must have a least element")
-    h_set = set(h_elements)
-    n = p.rho(y)
-    if not 1 <= d < n:
-        raise ValueError(f"need 1 <= d < rho(y), got d={d}, rho(y)={n}")
-    for h in h_set:
-        if not p.leq(h, y):
-            raise ValueError(f"H must lie below y: element {h}")
-    failure = _paving_clause_failure(p, h_set, y, d)
-    if failure is not None:
-        raise ValueError(failure)
-    # the levels are disjoint, so their sum is their union; y lies above them
-    keep = list(_bits(p.down_mask(y) & sum(p._levels[:d])))
-    for x in keep:
-        if not any(p.leq(x, h) for h in h_set):
-            raise ValueError(f"condition (iv) fails: element {x} below no H member")
-    keep += sorted(h_set)
-    keep.append(y)
-    return p.induced(keep)
-
-
-def _paving_clause_failure(p: Poset, h_set: Set[int], y: int, d: int):
-    """The message of the first of clauses (i) y not in H, (ii) rho(h) >= d
-    and (iii) H an antichain that fails; None when all three hold."""
-    if y in h_set:
-        return "condition (i) fails: y belongs to H"
-    for h in h_set:
-        if p.rho(h) < d:
-            return f"condition (ii) fails: rho({h}) < {d}"
-    for a in h_set:
-        for b in h_set:
-            if a != b and p.leq(a, b):
-                return f"condition (iii) fails: {a} < {b} in H"
-    return None
+# -- paving lattices from d-partitions --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -443,32 +399,6 @@ def vamos_dpartition() -> DPartition:
 
 def vamos_lattice() -> Poset:
     return paving_lattice_from_dpartition(vamos_dpartition())
-
-
-def generalized_dpartition_check(l: Poset, h_elements: Iterable[int], d: int) -> bool:
-    """Check the antichain conditions for the paving construction on a lattice.
-
-    Every rank-d element must lie below exactly one member of H; the host
-    must be geometric.
-    """
-    if not is_geometric(l):
-        raise ValueError("host is not a geometric lattice")
-    h_set = set(h_elements)
-    if _paving_clause_failure(l, h_set, l.greatest, d) is not None:
-        return False
-    rank_d = l._levels[d] if 0 <= d < len(l._levels) else 0
-    return all(sum(1 for h in h_set if l.leq(x, h)) == 1 for x in _bits(rank_d))
-
-
-def l_paving(l: Poset, h_elements: Iterable[int], d: int) -> Poset:
-    """Paving construction over a geometric host; the result must be geometric."""
-    h_list = list(h_elements)
-    if not generalized_dpartition_check(l, h_list, d):
-        raise ValueError("not a generalized d-partition of the host")
-    out = paving_construction(l, h_list, l.greatest, d)
-    if not is_geometric(out):
-        raise AssertionError("paving construction left the geometric class")
-    return out
 
 
 # -- group-labeled Whitney rows ----------------------------------------------------------------
@@ -601,32 +531,6 @@ def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
     out = _poset_from_sets(flats)
     if not is_geometric(out):
         raise AssertionError("single-element extension is not geometric")
-    return out
-
-
-def truncated_extension_coatoms(E: Iterable, X: Iterable, e) -> Set[FrozenSet]:
-    """Co-atom family of the principal extension of the Boolean algebra on E.
-
-    These are the hyperplanes that the one-step truncation removes when
-    passing from the extension to the extension of the truncated Boolean
-    algebra, expressed through the product decomposition: A + (E - X)
-    with A a co-atom of the truncated Boolean algebra on X + e, and
-    (X + e) + B with B a co-atom of the Boolean algebra on E - X.
-    """
-    E = frozenset(E)
-    X = frozenset(X)
-    if not X or not X <= E:
-        raise ValueError("X must be a nonempty subset of E")
-    if e in E:
-        raise ValueError("e must be new")
-    xe = X | {e}
-    rest = E - X
-    out: Set[FrozenSet] = set()
-    for a in combinations(sorted(xe, key=repr), len(xe) - 2):
-        out.add(frozenset(a) | rest)
-    if rest:
-        for b in combinations(sorted(rest, key=repr), len(rest) - 1):
-            out.add(xe | frozenset(b))
     return out
 
 

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -219,11 +219,6 @@ class ExactPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-ZERO = ExactPoly()
-ONE = ExactPoly((1,))
-T = ExactPoly((0, 1))
 
 
 # -- Sturm sequences --------------------------------------------------------------
@@ -551,26 +546,6 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     return len(nonzero) < 2
 
 
-def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam: Scalar) -> bool:
-    """Check that g interlaces f - lam*t*g and f - lam*t*g interlaces f.
-
-    Requires g interlacing f with deg f = deg g + 1, lam >= 0, and a
-    positive leading coefficient for f - lam*t*g; each violated
-    precondition raises its own ValueError.
-    """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
-    if f.degree != g.degree + 1:
-        raise ValueError("degree of f must exceed degree of g by one")
-    if not interlaces(g, f):
-        raise ValueError("g does not interlace f")
-    damped = f - (lam * g).shift(1)
-    if damped.is_zero or damped.leading_coefficient <= 0:
-        raise ValueError("damped polynomial must keep a positive leading coefficient")
-    return interlaces(g, damped) and interlaces(damped, f)
-
-
 # -- matrix positivity -------------------------------------------------------------
 
 
@@ -608,17 +583,16 @@ def _minors_nonnegative(rows: Iterable[Sequence[Scalar]], order: int) -> bool:
     )
 
 
-def is_tp2(rows: Sequence[Sequence[Scalar]]) -> bool:
-    """True iff all entries and all 2x2 minors of the matrix are nonnegative."""
-    return _minors_nonnegative(rows, 2)
-
-
 # -- f/h transforms ----------------------------------------------------------------
 
 
 # C(10000, 5000) has 3009 digits, so a small input's transform at the cap
 # still prints under Python's 4300-digit limit on int-to-str conversion
 MAX_TRANSFORM_DIMENSION = 10000
+# each nonzero coefficient adds one row of n + 1 binomial products, so the
+# work is their count times n + 1; at this budget the worst input, four
+# 4299-digit coefficients at n = 10000, takes a few seconds
+MAX_TRANSFORM_WORK = 50000
 
 
 def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
@@ -627,12 +601,18 @@ def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
     That is the sum of c_k * t^k * (1 + sign*t)^(n - k), so c_k adds
     c_k * C(n - k, j) * sign^j to the coefficient of t^(k + j), with the
     binomials from the multiplicative recurrence. n is capped at
-    ``MAX_TRANSFORM_DIMENSION`` and refused before any work above it.
+    ``MAX_TRANSFORM_DIMENSION``, and the nonzero coefficients times n + 1
+    at ``MAX_TRANSFORM_WORK``; either is refused before any work above it.
     """
     if n > MAX_TRANSFORM_DIMENSION:
         raise ValueError(f"dimension parameter n={n} over the cap of {MAX_TRANSFORM_DIMENSION}")
     if p.degree > n:
         raise ValueError("degree exceeds the dimension parameter")
+    work = (len(p.coeffs) - p.coeffs.count(0)) * (n + 1)
+    if work > MAX_TRANSFORM_WORK:
+        raise ValueError(
+            f"transform work of {work} (nonzero coefficients times n + 1) over the budget of {MAX_TRANSFORM_WORK}"
+        )
     out = [0] * (n + 1)
     for k, c in enumerate(p.coeffs):
         if c != 0:
@@ -653,24 +633,7 @@ def f_from_h(h: ExactPoly, n: int) -> ExactPoly:
     return _rebase(h, n, 1)
 
 
-# -- binomial basis and the diamond product ----------------------------------------
-
-
-def binomial_basis_poly(k: int) -> ExactPoly:
-    """The polynomial C(t, k) = t(t-1)...(t-k+1) / k!."""
-    out = ONE
-    for i in range(k):
-        out = out * ExactPoly((-i, 1))
-    return out * Fraction(1, factorial(k))
-
-
-def from_binomial_coefficients(cs: Sequence[Scalar]) -> ExactPoly:
-    """Expand sum_k cs[k] * C(t, k) into the power basis."""
-    out = ExactPoly()
-    for k, c in enumerate(cs):
-        if c != 0:
-            out = out + c * binomial_basis_poly(k)
-    return out
+# -- the diamond product ---------------------------------------------------------
 
 
 def diamond_product(f: ExactPoly, g: ExactPoly) -> ExactPoly:

@@ -23,11 +23,12 @@ rank profile is a popcount of a down-set mask against those masks.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .polynomial import DigitLimitError, ExactPoly, _integer, from_binomial_coefficients
+from .polynomial import DigitLimitError, ExactPoly, _integer
 
 MAX_ELEMENTS = 5000
 
@@ -251,6 +252,12 @@ class Poset:
 
     # -- order queries ---------------------------------------------------------
 
+    def _check_index(self, *xs: int) -> None:
+        """A ValueError naming the first of ``xs`` that is no element index."""
+        for x in xs:
+            if not 0 <= x < self.n:
+                raise ValueError(f"element index {x} out of range for {self.n} elements")
+
     def leq(self, x: int, y: int) -> bool:
         return bool(self._down[y] >> x & 1)
 
@@ -285,9 +292,6 @@ class Poset:
 
     def minimal_elements(self) -> Tuple[int, ...]:
         return tuple(x for x in range(self.n) if not self._cover_down[x])
-
-    def maximal_elements(self) -> Tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self._cover_up[x])
 
     def atoms(self) -> Tuple[int, ...]:
         if self._least is None:
@@ -436,6 +440,8 @@ class Poset:
         built from its covers, peeled by the parent's levels; the core walks
         the kept elements level by level."""
         keep = sorted(set(keep))
+        if keep:  # sorted, so only the ends can be out of range
+            self._check_index(keep[0], keep[-1])
         index = {x: i for i, x in enumerate(keep)}
         keep_mask = 0
         for x in keep:
@@ -465,11 +471,13 @@ class Poset:
         return self.rank_selected(set(range(0, max(top - 1, 0))) | {top})
 
     def interval(self, x: int, y: int) -> "Poset":
+        self._check_index(x, y)
         if not self.leq(x, y):
             raise ValueError("not an interval: elements are incomparable")
         return self.induced(_bits(self._up[x] & self._down[y]))
 
     def open_interval(self, x: int, y: int) -> "Poset":
+        self._check_index(x, y)
         if not self.leq(x, y):
             raise ValueError("not an interval: elements are incomparable")
         return self.induced(_bits(self._up[x] & self._down[y] & ~(1 << x) & ~(1 << y)))
@@ -479,14 +487,6 @@ class Poset:
         if self._least is None or self._greatest is None:
             raise ValueError("poset is not bounded")
         return self.open_interval(self._least, self._greatest)
-
-    def strict_down_poset(self, h: int) -> "Poset":
-        """Subposet of elements strictly below h."""
-        return self.induced(_bits(self._down[h] ^ (1 << h)))
-
-    def down_poset(self, h: int) -> "Poset":
-        """Subposet of elements weakly below h."""
-        return self.induced(_bits(self._down[h]))
 
     # -- structural combinators ------------------------------------------------------
 
@@ -577,39 +577,7 @@ class Poset:
             raise ValueError(f"meet of {x} and {y} does not exist")
         return w
 
-    # -- incidence algebra ---------------------------------------------------------------
-
-    def _mobius_column(self, y: int, mask: int) -> Dict[int, int]:
-        """mu(w, y) for every w in ``mask``, a subset of the down-set of y
-        closed upward below y.
-
-        Taken level by level from the top, so every z above w comes first:
-        mu(y, y) = 1 and mu(w, y) = -sum of mu(z, y) over w < z <= y.
-        """
-        up = self._up
-        mu: Dict[int, int] = {}
-        for level in reversed(self._levels):
-            for w in _bits(level & mask):
-                mu[w] = 1 if w == y else -sum(mu[z] for z in _bits((up[w] & mask) ^ (1 << w)))
-        return mu
-
-    def mobius(self, x: int, y: int) -> int:
-        """Mobius function of the interval [x, y], read from one column."""
-        if not self.leq(x, y):
-            raise ValueError("mobius is undefined on incomparable pairs")
-        return self._mobius_column(y, self._up[x] & self._down[y])[x]
-
-    def zeta_polynomial(self) -> ExactPoly:
-        """Multichain-counting polynomial Z(n) of a bounded poset.
-
-        Z(n) counts multichains bottom = x_0 <= ... <= x_n = top: a strict
-        chain of j steps from bottom to top spreads over the n steps in
-        C(n, j) ways, so Z is the bottom-to-top chain polynomial read in
-        the binomial basis.
-        """
-        if self._least is None or self._greatest is None:
-            raise ValueError("zeta polynomial requires a bounded poset")
-        return from_binomial_coefficients(self.bounded_chain_polynomial(self._greatest).coeffs)
+    # -- bottom-to-top chains ------------------------------------------------------------
 
     def p_polynomial(self) -> ExactPoly:
         """Generating polynomial of bottom-to-top chains by interior size.
@@ -664,10 +632,14 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
       order gives a bijection, and if it carries every cover of p onto a
       cover of q (they have as many), it is an isomorphism;
     - trying every y keeps the search complete: a node not yet discrete
-      gives the first x of p in its first shared colour a fresh colour,
+      gives the first x of p in its largest colour class a fresh colour,
       with one child per y of q in that colour taking it too. Some child
       keeps any isomorphism the node keeps, and each level adds a class,
       so a branch ends within n levels at the one colour-keeping map.
+      Which class is split does not matter for soundness; splitting the
+      largest keeps the search from failing deep and often on symmetric
+      lattices such as projective and affine planes, where the first
+      shared colour is a small class.
     Nodes wait on an explicit stack: no recursion grows with n.
     """
     n = p.n
@@ -691,10 +663,12 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
         phi = dict(zip(order_p, order_q))
         if all((phi[a], phi[b]) in q_covers for a, b in p.covers):
             return True
-        # the first element of the first colour that two elements share
-        x = next((a for a, b in zip(order_p, order_p[1:]) if cp[a] == cp[b]), None)
-        if x is not None:
-            stack += [(colours, x, y) for y in reversed(order_q) if cq[y] == cp[x]]
+        # the first element of the largest colour class, when it is shared
+        sizes = Counter(cp)
+        colour = max(sizes, key=sizes.__getitem__)
+        if sizes[colour] > 1:
+            x = cp.index(colour)
+            stack += [(colours, x, y) for y in reversed(order_q) if cq[y] == colour]
     return False
 
 
@@ -767,11 +741,6 @@ def poset_from_text(text: str) -> Poset:
     return Poset(n, [(x, y) for _, x, y in covers], label_list)
 
 
-def read_poset(path: str) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_text(fh.read())
-
-
 def write_poset(p: Poset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(poset_to_text(p))
@@ -785,7 +754,3 @@ def chain_poset(k: int) -> Poset:
     if k < 0:
         raise ValueError("negative size")
     return Poset._from_covers(k, [(i + 1,) if i + 1 < k else () for i in range(k)], range(k))
-
-
-def antichain(k: int) -> Poset:
-    return Poset(k)

@@ -264,7 +264,25 @@ def _flag_sum(alpha: Iterable[Tuple[int, int]], mask: int) -> ExactPoly:
 
 
 def _certify_rank_selections(p: Poset, alpha: Dict[int, int]) -> int:
-    """The sweep of _rank_selection_sweep, from p's flag f-vector alpha."""
+    """Check [-1,0]-rootedness of every nonempty rank selection of p, from
+    its flag f-vector alpha; returns their number.
+
+    The chain polynomial c_S of the selection S sums alpha(T) t^|T| over
+    the rank sets T within S, so no subposet is built. A factor rank r
+    holds one element z, and z is comparable to every element: adding z to
+    a chain without rank r gives a chain with rank r, one to one, so
+    alpha(U + r) = alpha(U) for every U without r and c_(S + r) =
+    (1 + t) c_S. As -1 lies in [-1, 0], S + r passes exactly when S does,
+    and a set of factor ranks alone gives a power of 1 + t. So only the
+    selections that avoid every factor rank are certified, each summed
+    from the entries of alpha that avoid them; the others are counted as
+    certified through their factor-free part. That part is a smaller mask,
+    so walking the masks upwards meets the same first failure, with the
+    same witness, as certifying every selection. The bottom and the top of
+    a bounded poset are factor ranks, so at quasi-rank R it needs
+    2^(R - 1) - 1 certifications for 2^(R + 1) - 1 selections. Every rank
+    up to the top is taken, so each selection is nonempty.
+    """
     top = p.quasi_rank
     everything = (1 << p.n) - 1
     factors = sum(
@@ -280,30 +298,6 @@ def _certify_rank_selections(p: Poset, alpha: Dict[int, int]) -> int:
     return (1 << (top + 1)) - 1
 
 
-def _rank_selection_sweep(p: Poset) -> int:
-    """Check [-1,0]-rootedness of every nonempty rank selection; returns count.
-
-    The chain polynomial c_S of the selection S sums alpha(T) t^|T| over
-    the rank sets T within S of the flag f-vector alpha, so no subposet is
-    built. A factor rank r holds one element z, and z is comparable to
-    every element: adding z to a chain without rank r gives a chain with
-    rank r, one to one, so alpha(U + r) = alpha(U) for every U without r
-    and c_(S + r) = (1 + t) c_S. As -1 lies in [-1, 0], S + r passes
-    exactly when S does, and a set of factor ranks alone gives a power of
-    1 + t. So only the selections that avoid every factor rank are
-    certified, each summed from the entries of alpha that avoid them; the
-    others are counted as certified through their factor-free part. That
-    part is a smaller mask, so walking the masks upwards meets the same
-    first failure, with the same witness, as certifying every selection.
-    The bottom and the top of a bounded poset are factor ranks, so at
-    quasi-rank R it needs 2^(R - 1) - 1 certifications for 2^(R + 1) - 1
-    selections. Every rank up to the top is taken, so each selection is
-    nonempty. An unswept poset (see _swept_flag_f_vector) counts 0.
-    """
-    alpha = _swept_flag_f_vector(p)
-    return 0 if alpha is None else _certify_rank_selections(p, alpha)
-
-
 def _check_rank_selections(dsl: str, seed: int) -> dict:
     """The chain polynomial, and that of every rank selection, has its roots in [-1, 0].
 
@@ -313,7 +307,7 @@ def _check_rank_selections(dsl: str, seed: int) -> dict:
     selections. A selection through a factor rank, held by one element
     comparable to all, has the chain polynomial of its factor-free part
     times 1 + t, so only the factor-free selections are certified (see
-    _rank_selection_sweep).
+    _certify_rank_selections).
     """
     p = build_instance(dsl)
     alpha = _swept_flag_f_vector(p)

@@ -10,14 +10,12 @@ one-step recursion with t^k dividing the k-th column.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, Scalar, _minors_nonnegative
-from .posets import Poset, _bits, _line_int
-from .reports import CheckReport
+from .posets import Poset, _line_int
 
 
 # -- the rank-count matrix -------------------------------------------------------
@@ -252,18 +250,6 @@ def chain_polys_from_rmatrix(r: RMatrix) -> List[ExactPoly]:
     return out
 
 
-def subdivision_operator(r: RMatrix, f: ExactPoly) -> ExactPoly:
-    """Linear extension of t^n -> p_n applied to f; deg f must not exceed N."""
-    if f.degree > r.order:
-        raise ValueError("degree exceeds the matrix order")
-    ps = chain_polys_from_rmatrix(r)
-    out = ExactPoly()
-    for n, c in enumerate(f.coeffs):
-        if c:
-            out = out + c * ps[n]
-    return out
-
-
 def ordinal_sum_rows(r: RMatrix, s: RMatrix) -> RMatrix:
     """Rank rows of a stacked poset: rows of r, then t^(N+1) * s-row + top row of r.
 
@@ -293,41 +279,6 @@ def _require_lattice(p: Poset) -> None:
 def _is_graded(p: Poset) -> bool:
     rho = p._rho
     return all(rho[y] == rho[x] + 1 for x, y in p.covers)
-
-
-def _covers_close(p: Poset, upward: bool) -> bool:
-    """Cover criterion: any two elements covering one z have a common upper
-    cover (upward), or any two elements covered by one z have a common lower
-    cover (downward).
-
-    In a lattice a common upper cover of x and y is x join y, so it is
-    unique; the pairs of covers of z that have one are then counted once
-    each by summing C(k, 2) over the elements w with k covers of z below w.
-    """
-    near = p._cover_up if upward else p._cover_down
-    for z in range(p.n):
-        m = len(near[z])
-        if m > 1:
-            shared = Counter(w for x in near[z] for w in near[x])
-            if sum(k * (k - 1) for k in shared.values()) != m * (m - 1):
-                return False
-    return True
-
-
-def is_semimodular(p: Poset) -> bool:
-    """Graded lattice with rho(x) + rho(y) >= rho(meet) + rho(join).
-
-    Decided by the upward cover criterion (Stanley, EC1 Prop. 3.3.2).
-    """
-    _require_lattice(p)
-    return _is_graded(p) and _covers_close(p, upward=True)
-
-
-def is_modular(p: Poset) -> bool:
-    """Graded lattice with rank equality on every pair: semimodular and
-    lower semimodular, by the cover criterion in both directions."""
-    _require_lattice(p)
-    return _is_graded(p) and _covers_close(p, upward=True) and _covers_close(p, upward=False)
 
 
 def is_atomistic(p: Poset) -> bool:
@@ -370,121 +321,3 @@ def is_geometric(p: Poset) -> bool:
     """
     _require_lattice(p)
     return _is_graded(p) and _has_covering_property(p) and is_atomistic(p)
-
-
-def is_triangular(p: Poset) -> bool:
-    """Interval rank-level counts depend only on the endpoint ranks.
-
-    Requires a least element and graded intervals; an ungraded interval
-    raises ValueError rather than returning False. With a least element
-    every interval is graded iff every cover raises rho by one. Then the
-    levels rho(x) and rho(y) of [x, y] are {x} and {y}, and every level
-    between them is nonempty, so only the levels in between are counted.
-    """
-    if p.least is None:
-        raise ValueError("triangularity requires a least element")
-    if not _is_graded(p):
-        raise ValueError("ungraded interval: a cover raises rho by more than one")
-    rho, down, levels = p._rho, p._down, p._levels
-    counts: Dict[Tuple[int, int, int], int] = {}
-    for rx, up in zip(rho, p._up):
-        for y in _bits(up):
-            ry, interval = rho[y], up & down[y]
-            for j in range(rx + 1, ry):
-                c = (interval & levels[j]).bit_count()
-                if counts.setdefault((rx, j, ry), c) != c:
-                    return False
-    return True
-
-
-def is_perfect_matroid_design(p: Poset) -> bool:
-    """Geometric lattice whose down-set rank profiles are rank uniform."""
-    if not is_geometric(p):
-        raise ValueError("not a geometric lattice")
-    ok, _ = is_quasi_rank_uniform(p)
-    return ok
-
-
-# -- the incidence rank function --------------------------------------------------------
-
-
-def _incidence_column(p: Poset, y: int, mask: int, xs: Sequence[int]) -> Dict[int, ExactPoly]:
-    """R(x, y) for each x in ``xs`` from one Mobius column: the sum over w in
-    [x, y] of mu(w, y) times the level popcounts of w's down-set. ``mask``
-    is closed upward below y and holds every x."""
-    rho, down, up, levels = p._rho, p._down, p._up, p._levels
-    terms = {
-        w: [m * (down[w] & level).bit_count() for level in levels[: rho[w] + 1]]
-        for w, m in p._mobius_column(y, mask).items()
-        if m
-    }
-    column = {}
-    for x in xs:
-        counts = [0] * (rho[y] + 1)
-        for w in _bits(up[x] & mask):
-            for r, c in enumerate(terms.get(w, ())):
-                counts[r] += c
-        column[x] = ExactPoly(counts)
-    return column
-
-
-def incidence_R(p: Poset, x: int, y: int) -> ExactPoly:
-    """Monic degree-rho(y) polynomial attached to the interval [x, y].
-
-    It is the Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y],
-    defined on any poset with a least element. On a lattice it equals the
-    join-fiber sum of t^rho(z) over z <= y with z join x = y.
-    """
-    if not p.leq(x, y):
-        raise ValueError("incomparable pair")
-    if p.least is None:
-        raise ValueError("requires a least element")
-    return _incidence_column(p, y, p.up_mask(x) & p.down_mask(y), (x,))[x]
-
-
-def incidence_R_table(p: Poset) -> Dict[Tuple[int, int], ExactPoly]:
-    """incidence_R on every comparable pair of a lattice, one Mobius column per top."""
-    _require_lattice(p)
-    columns = ((y, _incidence_column(p, y, p.down_mask(y), p.down_set(y))) for y in range(p.n))
-    return {(x, y): poly for y, column in columns for x, poly in column.items()}
-
-
-def check_cover_recursion(p: Poset) -> CheckReport:
-    """Verify the cover-step recursion of the incidence rank function.
-
-    For every x < x' <= y with x' covering x the polynomial R(x, y) must
-    equal R(x', y) minus the sum of R(x, w) over the co-covers w of y
-    with x <= w and x' not below w. Requires a semimodular lattice.
-    """
-    if not p.is_lattice or not is_semimodular(p):
-        return CheckReport(
-            suite="incidence",
-            instance=repr(p),
-            verdict="error",
-            witness={"reason": "not a semimodular lattice"},
-        )
-    table = incidence_R_table(p)
-    failures = []
-    for x, xp in p.covers:
-        for y in _bits(p.up_mask(xp)):
-            acc = table[(xp, y)]
-            for w in p._cover_down[y]:
-                if p.leq(x, w) and not p.leq(xp, w):
-                    acc = acc - table[(x, w)]
-            if acc != table[(x, y)]:
-                failures.append(
-                    {
-                        "x": x,
-                        "x_cover": xp,
-                        "y": y,
-                        "expected": table[(x, y)].to_string(),
-                        "got": acc.to_string(),
-                    }
-                )
-    verdict = "pass" if not failures else "fail"
-    return CheckReport(
-        suite="incidence",
-        instance=repr(p),
-        verdict=verdict,
-        witness={"failures": failures[:5], "failure_count": len(failures)},
-    )

@@ -37,7 +37,15 @@ is the 2x2 minor loop that the shared minor test replaced, and
 that one bilinear formula replaced. ``isomorphic_by_backtracking`` is the
 refine-once-then-backtrack isomorphism test that individualization-refinement
 replaced, and ``rank_selection_sweep_by_all_masks`` the rank-selection sweep
-that certified every selection before factor ranks were skipped."""
+that certified every selection before factor ranks were skipped.
+
+The last section holds what the library exported but only the tests ran:
+the damped interlacing and TP2 checks, the binomial basis, the Mobius
+function and zeta polynomial, the subdivision operator, the semimodular,
+modular, triangular and perfect-matroid-design predicates, the incidence
+rank function with its cover recursion, the generalized paving
+construction, the co-atoms of a truncated principal extension, and the
+rank-selection sweep on its own (``rank_selection_sweep``)."""
 
 from __future__ import annotations
 
@@ -45,32 +53,48 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import factorial, prod
 from pathlib import Path
-from typing import FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 from unittest import mock
 
 import pytest
 
 from latchain import (
+    CheckReport,
     ExactPoly,
     ModularCut,
     Poset,
+    RMatrix,
     boolean_lattice,
     brute_force_oracle,
+    chain_polys_from_rmatrix,
     chain_poset,
+    interlaces,
     is_geometric,
+    is_quasi_rank_uniform,
     modular_cut_validate,
     truncated_boolean,
 )
 from latchain.families import _atom_names
-from latchain.polynomial import ONE, from_binomial_coefficients
+from latchain.polynomial import _minors_nonnegative
 from latchain.posets import MAX_ELEMENTS, _bits
-from latchain.suites import _SWEEP_MAX_ELEMENTS, _SWEEP_MAX_RANK, _check_unit_interval_roots
+from latchain.suites import (
+    _SWEEP_MAX_ELEMENTS,
+    _SWEEP_MAX_RANK,
+    _certify_rank_selections,
+    _check_unit_interval_roots,
+    _swept_flag_f_vector,
+)
+from latchain.tn import _is_graded, _require_lattice
+
+
+ONE = ExactPoly((1,))
 
 
 def run_cli(argv: Sequence[str], timeout: float) -> subprocess.CompletedProcess:
@@ -815,7 +839,7 @@ def mobius_R_by_walk(p: Poset, x: int, y: int) -> ExactPoly:
     """Mobius inversion over [x, y] of w -> sum_{z <= w} t^rho(z)."""
     acc = ExactPoly()
     for w in _bits(p.up_mask(x) & p.down_mask(y)):
-        acc = acc + p.mobius(w, y) * ExactPoly(rank_profile_by_walk(p, p.down_mask(w)))
+        acc = acc + mobius(p, w, y) * ExactPoly(rank_profile_by_walk(p, p.down_mask(w)))
     return acc
 
 
@@ -1047,3 +1071,366 @@ def isomorphic_by_backtracking(p: Poset, q: Poset) -> bool:
         return False
 
     return backtrack(0)
+
+
+# -- predicates and constructions that only the tests run ----------------------------
+#
+# No suite, CLI command or family builder calls these, so they live here
+# rather than in the library; each behaves as it did there.
+
+
+def check_damped_interlacing(f: ExactPoly, g: ExactPoly, lam) -> bool:
+    """Check that g interlaces f - lam*t*g and f - lam*t*g interlaces f.
+
+    Requires g interlacing f with deg f = deg g + 1, lam >= 0, and a
+    positive leading coefficient for f - lam*t*g; each violated
+    precondition raises its own ValueError.
+    """
+    lam = Fraction(lam)
+    if lam < 0:
+        raise ValueError("multiplier must be nonnegative")
+    if f.degree != g.degree + 1:
+        raise ValueError("degree of f must exceed degree of g by one")
+    if not interlaces(g, f):
+        raise ValueError("g does not interlace f")
+    damped = f - (lam * g).shift(1)
+    if damped.is_zero or damped.leading_coefficient <= 0:
+        raise ValueError("damped polynomial must keep a positive leading coefficient")
+    return interlaces(g, damped) and interlaces(damped, f)
+
+
+def is_tp2(rows) -> bool:
+    """True iff all entries and all 2x2 minors of the matrix are nonnegative."""
+    return _minors_nonnegative(rows, 2)
+
+
+def binomial_basis_poly(k: int) -> ExactPoly:
+    """The polynomial C(t, k) = t(t-1)...(t-k+1) / k!."""
+    out = ONE
+    for i in range(k):
+        out = out * ExactPoly((-i, 1))
+    return out * Fraction(1, factorial(k))
+
+
+def from_binomial_coefficients(cs) -> ExactPoly:
+    """Expand sum_k cs[k] * C(t, k) into the power basis."""
+    out = ExactPoly()
+    for k, c in enumerate(cs):
+        if c != 0:
+            out = out + c * binomial_basis_poly(k)
+    return out
+
+
+def antichain(k: int) -> Poset:
+    return Poset(k)
+
+
+def strict_down_poset(p: Poset, h: int) -> Poset:
+    """Subposet of elements strictly below h."""
+    return p.induced(_bits(p.down_mask(h) ^ (1 << h)))
+
+
+def down_poset(p: Poset, h: int) -> Poset:
+    """Subposet of elements weakly below h."""
+    return p.induced(_bits(p.down_mask(h)))
+
+
+def _mobius_column(p: Poset, y: int, mask: int) -> Dict[int, int]:
+    """mu(w, y) for every w in ``mask``, a subset of the down-set of y
+    closed upward below y.
+
+    Taken level by level from the top, so every z above w comes first:
+    mu(y, y) = 1 and mu(w, y) = -sum of mu(z, y) over w < z <= y.
+    """
+    mu: Dict[int, int] = {}
+    for level in reversed(p._levels):
+        for w in _bits(level & mask):
+            mu[w] = 1 if w == y else -sum(mu[z] for z in _bits((p.up_mask(w) & mask) ^ (1 << w)))
+    return mu
+
+
+def mobius(p: Poset, x: int, y: int) -> int:
+    """Mobius function of the interval [x, y], read from one column."""
+    if not p.leq(x, y):
+        raise ValueError("mobius is undefined on incomparable pairs")
+    return _mobius_column(p, y, p.up_mask(x) & p.down_mask(y))[x]
+
+
+def zeta_polynomial(p: Poset) -> ExactPoly:
+    """Multichain-counting polynomial Z(n) of a bounded poset.
+
+    Z(n) counts multichains bottom = x_0 <= ... <= x_n = top: a strict
+    chain of j steps from bottom to top spreads over the n steps in
+    C(n, j) ways, so Z is the bottom-to-top chain polynomial read in
+    the binomial basis.
+    """
+    if p.least is None or p.greatest is None:
+        raise ValueError("zeta polynomial requires a bounded poset")
+    return from_binomial_coefficients(p.bounded_chain_polynomial(p.greatest).coeffs)
+
+
+def subdivision_operator(r: RMatrix, f: ExactPoly) -> ExactPoly:
+    """Linear extension of t^n -> p_n applied to f; deg f must not exceed N."""
+    if f.degree > r.order:
+        raise ValueError("degree exceeds the matrix order")
+    ps = chain_polys_from_rmatrix(r)
+    out = ExactPoly()
+    for n, c in enumerate(f.coeffs):
+        if c:
+            out = out + c * ps[n]
+    return out
+
+
+def _covers_close(p: Poset, upward: bool) -> bool:
+    """Cover criterion: any two elements covering one z have a common upper
+    cover (upward), or any two elements covered by one z have a common lower
+    cover (downward).
+
+    In a lattice a common upper cover of x and y is x join y, so it is
+    unique; the pairs of covers of z that have one are then counted once
+    each by summing C(k, 2) over the elements w with k covers of z below w.
+    """
+    near = p._cover_up if upward else p._cover_down
+    for z in range(p.n):
+        m = len(near[z])
+        if m > 1:
+            shared = Counter(w for x in near[z] for w in near[x])
+            if sum(k * (k - 1) for k in shared.values()) != m * (m - 1):
+                return False
+    return True
+
+
+def is_semimodular(p: Poset) -> bool:
+    """Graded lattice with rho(x) + rho(y) >= rho(meet) + rho(join).
+
+    Decided by the upward cover criterion (Stanley, EC1 Prop. 3.3.2).
+    """
+    _require_lattice(p)
+    return _is_graded(p) and _covers_close(p, upward=True)
+
+
+def is_modular(p: Poset) -> bool:
+    """Graded lattice with rank equality on every pair: semimodular and
+    lower semimodular, by the cover criterion in both directions."""
+    _require_lattice(p)
+    return _is_graded(p) and _covers_close(p, upward=True) and _covers_close(p, upward=False)
+
+
+def is_triangular(p: Poset) -> bool:
+    """Interval rank-level counts depend only on the endpoint ranks.
+
+    Requires a least element and graded intervals; an ungraded interval
+    raises ValueError rather than returning False. With a least element
+    every interval is graded iff every cover raises rho by one. Then the
+    levels rho(x) and rho(y) of [x, y] are {x} and {y}, and every level
+    between them is nonempty, so only the levels in between are counted.
+    """
+    if p.least is None:
+        raise ValueError("triangularity requires a least element")
+    if not _is_graded(p):
+        raise ValueError("ungraded interval: a cover raises rho by more than one")
+    rho, down, levels = p._rho, p._down, p._levels
+    counts: Dict[Tuple[int, int, int], int] = {}
+    for rx, up in zip(rho, p._up):
+        for y in _bits(up):
+            ry, interval = rho[y], up & down[y]
+            for j in range(rx + 1, ry):
+                c = (interval & levels[j]).bit_count()
+                if counts.setdefault((rx, j, ry), c) != c:
+                    return False
+    return True
+
+
+def is_perfect_matroid_design(p: Poset) -> bool:
+    """Geometric lattice whose down-set rank profiles are rank uniform."""
+    if not is_geometric(p):
+        raise ValueError("not a geometric lattice")
+    ok, _ = is_quasi_rank_uniform(p)
+    return ok
+
+
+def _incidence_column(p: Poset, y: int, mask: int, xs: Sequence[int]) -> Dict[int, ExactPoly]:
+    """R(x, y) for each x in ``xs`` from one Mobius column: the sum over w in
+    [x, y] of mu(w, y) times the level popcounts of w's down-set. ``mask``
+    is closed upward below y and holds every x."""
+    rho, down, up, levels = p._rho, p._down, p._up, p._levels
+    terms = {
+        w: [m * (down[w] & level).bit_count() for level in levels[: rho[w] + 1]]
+        for w, m in _mobius_column(p, y, mask).items()
+        if m
+    }
+    column = {}
+    for x in xs:
+        counts = [0] * (rho[y] + 1)
+        for w in _bits(up[x] & mask):
+            for r, c in enumerate(terms.get(w, ())):
+                counts[r] += c
+        column[x] = ExactPoly(counts)
+    return column
+
+
+def incidence_R(p: Poset, x: int, y: int) -> ExactPoly:
+    """Monic degree-rho(y) polynomial attached to the interval [x, y].
+
+    It is the Mobius inversion of w -> sum_{z <= w} t^rho(z) over [x, y],
+    defined on any poset with a least element. On a lattice it equals the
+    join-fiber sum of t^rho(z) over z <= y with z join x = y.
+    """
+    if not p.leq(x, y):
+        raise ValueError("incomparable pair")
+    if p.least is None:
+        raise ValueError("requires a least element")
+    return _incidence_column(p, y, p.up_mask(x) & p.down_mask(y), (x,))[x]
+
+
+def incidence_R_table(p: Poset) -> Dict[Tuple[int, int], ExactPoly]:
+    """incidence_R on every comparable pair of a lattice, one Mobius column per top."""
+    _require_lattice(p)
+    columns = ((y, _incidence_column(p, y, p.down_mask(y), p.down_set(y))) for y in range(p.n))
+    return {(x, y): poly for y, column in columns for x, poly in column.items()}
+
+
+def check_cover_recursion(p: Poset) -> CheckReport:
+    """Verify the cover-step recursion of the incidence rank function.
+
+    For every x < x' <= y with x' covering x the polynomial R(x, y) must
+    equal R(x', y) minus the sum of R(x, w) over the co-covers w of y
+    with x <= w and x' not below w. Requires a semimodular lattice.
+    """
+    if not p.is_lattice or not is_semimodular(p):
+        return CheckReport(
+            suite="incidence",
+            instance=repr(p),
+            verdict="error",
+            witness={"reason": "not a semimodular lattice"},
+        )
+    table = incidence_R_table(p)
+    failures = []
+    for x, xp in p.covers:
+        for y in _bits(p.up_mask(xp)):
+            acc = table[(xp, y)]
+            for w in p._cover_down[y]:
+                if p.leq(x, w) and not p.leq(xp, w):
+                    acc = acc - table[(x, w)]
+            if acc != table[(x, y)]:
+                failures.append(
+                    {
+                        "x": x,
+                        "x_cover": xp,
+                        "y": y,
+                        "expected": table[(x, y)].to_string(),
+                        "got": acc.to_string(),
+                    }
+                )
+    verdict = "pass" if not failures else "fail"
+    return CheckReport(
+        suite="incidence",
+        instance=repr(p),
+        verdict=verdict,
+        witness={"failures": failures[:5], "failure_count": len(failures)},
+    )
+
+
+def paving_construction(p: Poset, h_elements, y: int, d: int) -> Poset:
+    """Collapse the down-set of y to quasi-rank d+1 through the antichain H.
+
+    Keeps the elements below y of quasi-rank at most d-1, adjoins H as the
+    level at quasi-rank d and y on top. The four admissibility conditions
+    are checked and reported by clause number.
+    """
+    if p.least is None:
+        raise ValueError("host must have a least element")
+    h_set = set(h_elements)
+    n = p.rho(y)
+    if not 1 <= d < n:
+        raise ValueError(f"need 1 <= d < rho(y), got d={d}, rho(y)={n}")
+    for h in h_set:
+        if not p.leq(h, y):
+            raise ValueError(f"H must lie below y: element {h}")
+    failure = _paving_clause_failure(p, h_set, y, d)
+    if failure is not None:
+        raise ValueError(failure)
+    # the levels are disjoint, so their sum is their union; y lies above them
+    keep = list(_bits(p.down_mask(y) & sum(p._levels[:d])))
+    for x in keep:
+        if not any(p.leq(x, h) for h in h_set):
+            raise ValueError(f"condition (iv) fails: element {x} below no H member")
+    keep += sorted(h_set)
+    keep.append(y)
+    return p.induced(keep)
+
+
+def _paving_clause_failure(p: Poset, h_set: Set[int], y: int, d: int):
+    """The message of the first of clauses (i) y not in H, (ii) rho(h) >= d
+    and (iii) H an antichain that fails; None when all three hold."""
+    if y in h_set:
+        return "condition (i) fails: y belongs to H"
+    for h in h_set:
+        if p.rho(h) < d:
+            return f"condition (ii) fails: rho({h}) < {d}"
+    for a in h_set:
+        for b in h_set:
+            if a != b and p.leq(a, b):
+                return f"condition (iii) fails: {a} < {b} in H"
+    return None
+
+
+def generalized_dpartition_check(l: Poset, h_elements, d: int) -> bool:
+    """Check the antichain conditions for the paving construction on a lattice.
+
+    Every rank-d element must lie below exactly one member of H; the host
+    must be geometric.
+    """
+    if not is_geometric(l):
+        raise ValueError("host is not a geometric lattice")
+    h_set = set(h_elements)
+    if _paving_clause_failure(l, h_set, l.greatest, d) is not None:
+        return False
+    rank_d = l._levels[d] if 0 <= d < len(l._levels) else 0
+    return all(sum(1 for h in h_set if l.leq(x, h)) == 1 for x in _bits(rank_d))
+
+
+def l_paving(l: Poset, h_elements, d: int) -> Poset:
+    """Paving construction over a geometric host; the result must be geometric."""
+    h_list = list(h_elements)
+    if not generalized_dpartition_check(l, h_list, d):
+        raise ValueError("not a generalized d-partition of the host")
+    out = paving_construction(l, h_list, l.greatest, d)
+    if not is_geometric(out):
+        raise AssertionError("paving construction left the geometric class")
+    return out
+
+
+def truncated_extension_coatoms(E, X, e) -> Set[FrozenSet]:
+    """Co-atom family of the principal extension of the Boolean algebra on E.
+
+    These are the hyperplanes that the one-step truncation removes when
+    passing from the extension to the extension of the truncated Boolean
+    algebra, expressed through the product decomposition: A + (E - X)
+    with A a co-atom of the truncated Boolean algebra on X + e, and
+    (X + e) + B with B a co-atom of the Boolean algebra on E - X.
+    """
+    E = frozenset(E)
+    X = frozenset(X)
+    if not X or not X <= E:
+        raise ValueError("X must be a nonempty subset of E")
+    if e in E:
+        raise ValueError("e must be new")
+    xe = X | {e}
+    rest = E - X
+    out: Set[FrozenSet] = set()
+    for a in combinations(sorted(xe, key=repr), len(xe) - 2):
+        out.add(frozenset(a) | rest)
+    if rest:
+        for b in combinations(sorted(rest, key=repr), len(rest) - 1):
+            out.add(xe | frozenset(b))
+    return out
+
+
+def rank_selection_sweep(p: Poset) -> int:
+    """Check [-1,0]-rootedness of every nonempty rank selection; returns
+    their count, 0 for a poset the library does not sweep. The sweep the
+    rank-selection suites run, taken on its own (see
+    ``suites._certify_rank_selections``)."""
+    alpha = _swept_flag_f_vector(p)
+    return 0 if alpha is None else _certify_rank_selections(p, alpha)

@@ -16,16 +16,13 @@ from latchain import (
     brute_force_oracle,
     chain_polys_from_rmatrix,
     chain_poset,
-    check_cover_recursion,
     design_poset,
     fano_design,
-    incidence_R_table,
     interlaces,
     is_geometric,
     is_isomorphic,
     is_quasi_rank_uniform,
     is_real_rooted,
-    is_semimodular,
     partition_lattice,
     principal_cut,
     resolve,
@@ -39,7 +36,11 @@ from latchain import (
 from latchain.families import element_with_atoms
 from helpers import (
     bounded_corpus,
+    check_cover_recursion,
     collapsed_tower_9,
+    incidence_R_table,
+    is_semimodular,
+    paving_construction,
     quasi_uniform_13,
     random_poset,
     rank_uniform_tower_13,
@@ -71,8 +72,6 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_reference_diagrams():
     """The three hand-drawn reference diagrams are reproduced exactly."""
     ranks_ok = quasi_uniform_13().quasi_rank_generating_polynomial() == ExactPoly((1, 6, 4, 2))
-
-    from latchain import paving_construction
 
     tower = rank_uniform_tower_13()
     collapse_ok = is_isomorphic(

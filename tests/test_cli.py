@@ -217,6 +217,8 @@ def test_usage_error_exit_code():
         ["build", "paving:file=long-ground", "--out", "x"],
         ["suite", "diamond", "--seed", "9" * 5000],
         ["poly", "eulerian", "--n", "9" * 5000],
+        # five nonzero coefficients at n = 10000: over the transform work budget
+        ["poly", "f-from-h", "1 1 1 1 1", "--n", "10000"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):

@@ -20,16 +20,12 @@ from latchain import (
     dowling_rows,
     fano_design,
     fano_lattice,
-    generalized_dpartition_check,
     is_geometric,
     is_isomorphic,
     is_real_rooted,
-    is_triangular,
-    l_paving,
     linear_space_lattice,
     modular_cut_validate,
     partition_lattice,
-    paving_construction,
     paving_lattice_from_dpartition,
     principal_cut,
     rank_matrix,
@@ -37,7 +33,6 @@ from latchain import (
     single_element_extension,
     subspace_lattice,
     truncated_boolean,
-    truncated_extension_coatoms,
     uniform_design,
     vamos_lattice,
 )
@@ -55,8 +50,13 @@ from helpers import (
     collapsed_tower_9,
     element_by_leq_scan,
     extension_by_flat_lists,
+    generalized_dpartition_check,
+    is_triangular,
+    l_paving,
     modular_cut_by_definition,
+    paving_construction,
     rank_uniform_tower_13,
+    truncated_extension_coatoms,
     up_closed_subsets,
 )
 

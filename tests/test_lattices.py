@@ -16,20 +16,27 @@ import pytest
 
 from latchain import (
     Poset,
-    antichain,
     boolean_lattice,
     chain_poset,
     is_atomistic,
     is_geometric,
-    is_modular,
-    is_semimodular,
-    is_triangular,
     partition_lattice,
     truncated_boolean,
 )
 from latchain.families import _poset_from_sets
 from latchain.tn import _is_graded
-from helpers import interval_length_spread, lattice_tables_oracle, m3, pentagon, random_poset, with_bounds
+from helpers import (
+    antichain,
+    interval_length_spread,
+    is_modular,
+    is_semimodular,
+    is_triangular,
+    lattice_tables_oracle,
+    m3,
+    pentagon,
+    random_poset,
+    with_bounds,
+)
 
 
 def _intersection_closed(rng: random.Random, points: int) -> Poset:

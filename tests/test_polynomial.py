@@ -7,21 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from latchain import (
     ExactPoly,
-    check_damped_interlacing,
     diamond_product,
     f_from_h,
     h_from_f,
     interlaces,
     is_real_rooted,
-    is_tp2,
     isolate_real_roots,
     roots_in_interval,
     sturm_real_root_count,
 )
-from latchain.polynomial import MAX_TRANSFORM_DIMENSION, _taylor_shift
+from latchain.permstats import MAX_PERMUTATION_SIZE
+from latchain.polynomial import MAX_TRANSFORM_DIMENSION, MAX_TRANSFORM_WORK, _taylor_shift
 from helpers import (
+    check_damped_interlacing,
     diamond_by_basis,
     interlaces_by_isolation,
+    is_tp2,
     isolate_by_sturm,
     monic,
     poly_divmod,
@@ -183,6 +184,18 @@ def test_transforms_are_capped_at_dimension_10000():
     for transform in (h_from_f, f_from_h):
         with pytest.raises(ValueError, match="^dimension parameter n=10001 over the cap of 10000$"):
             transform(ExactPoly((1, 2)), MAX_TRANSFORM_DIMENSION + 1)
+
+
+def test_transforms_refuse_work_over_the_budget_at_once():
+    # four nonzero coefficients at n = 10000 are 40004 units of work, five 50005
+    four = ExactPoly((1, 0, 2, 0, 0, 3, 4))
+    assert h_from_f(four, MAX_TRANSFORM_DIMENSION).coefficient(0) == 1
+    five = ExactPoly((1, 0, 2, 0, 0, 3, 4, 5))
+    for transform in (h_from_f, f_from_h):
+        with pytest.raises(ValueError, match=r"^transform work of 50005 \(nonzero coefficients times n \+ 1\) "):
+            transform(five, MAX_TRANSFORM_DIMENSION)
+    # q_eulerian transforms at most n nonzero chain counts at dimension n - 1
+    assert MAX_PERMUTATION_SIZE**2 * 50 < MAX_TRANSFORM_WORK
 
 
 def test_diamond_product_examples():

@@ -29,7 +29,6 @@ from latchain import (
     is_geometric,
     is_isomorphic,
     linear_space_lattice,
-    paving_construction,
     paving_lattice_from_dpartition,
     subspace_lattice,
     truncated_boolean,
@@ -43,7 +42,13 @@ from latchain.families import (
     vamos_dpartition,
 )
 from latchain.suites import _designs_corpus, _see_corpus
-from helpers import cosets_by_translation, poset_from_sets_by_pairs, relations_passed, subspaces_by_sums
+from helpers import (
+    cosets_by_translation,
+    paving_construction,
+    poset_from_sets_by_pairs,
+    relations_passed,
+    subspaces_by_sums,
+)
 
 PG_2_3 = Path(__file__).parent / "data" / "pg-2-3.dpartition"
 

@@ -38,7 +38,6 @@ from latchain.suites import (
     _SUITES,
     CheckFailure,
     _check_unit_interval_roots,
-    _rank_selection_sweep,
     random_bounded_poset,
     random_rank3_geometric,
 )
@@ -48,6 +47,7 @@ from helpers import (
     perm_stats_oracle,
     quasi_uniform_13,
     random_poset,
+    rank_selection_sweep,
     rank_selection_sweep_by_all_masks,
     run_cli,
 )
@@ -356,7 +356,7 @@ def test_designs_skips_rank_selections_of_a_long_chain(tmp_path):
 )
 def test_rank_selection_sweep_failure_witnesses(p, witness):
     with pytest.raises(CheckFailure) as err:
-        _rank_selection_sweep(p)
+        rank_selection_sweep(p)
     assert err.value.witness == witness
 
 
@@ -370,11 +370,11 @@ def test_unit_interval_check_names_a_polynomial_that_is_not_real_rooted(coeffs):
 
 
 def test_rank_selection_sweep_counts():
-    assert _rank_selection_sweep(Poset(0)) == 0
-    assert _rank_selection_sweep(chain_poset(1)) == 1
-    assert _rank_selection_sweep(boolean_lattice(3)) == 15
-    assert _rank_selection_sweep(chain_poset(7)) == 127  # quasi-rank 6, the cap
-    assert _rank_selection_sweep(chain_poset(8)) == 0
+    assert rank_selection_sweep(Poset(0)) == 0
+    assert rank_selection_sweep(chain_poset(1)) == 1
+    assert rank_selection_sweep(boolean_lattice(3)) == 15
+    assert rank_selection_sweep(chain_poset(7)) == 127  # quasi-rank 6, the cap
+    assert rank_selection_sweep(chain_poset(8)) == 0
 
 
 @pytest.mark.parametrize(
@@ -391,7 +391,7 @@ def test_rank_selection_sweep_certifies_only_factor_free_selections(monkeypatch,
     calls = []
     check = suites._check_unit_interval_roots
     monkeypatch.setattr(suites, "_check_unit_interval_roots", lambda c, tag: calls.append(tag) or check(c, tag))
-    assert _rank_selection_sweep(p) == count
+    assert rank_selection_sweep(p) == count
     assert len(calls) == certified
 
 
@@ -431,7 +431,7 @@ def _sweep_outcome(sweep, p: Poset):
 def test_rank_selection_sweep_matches_the_all_masks_oracle(rng, shape, n):
     p = _sweep_shape(rng, shape, n)
     assert p.n <= 12
-    assert _sweep_outcome(_rank_selection_sweep, p) == _sweep_outcome(rank_selection_sweep_by_all_masks, p)
+    assert _sweep_outcome(rank_selection_sweep, p) == _sweep_outcome(rank_selection_sweep_by_all_masks, p)
 
 
 def test_every_sweep_shape_draws_passing_and_failing_posets():

@@ -10,33 +10,33 @@ from latchain import (
     boolean_lattice,
     chain_polys_from_rmatrix,
     chain_poset,
-    check_cover_recursion,
     dowling_rows,
-    incidence_R,
-    incidence_R_table,
     interlaces,
     is_atomistic,
     is_geometric,
-    is_modular,
-    is_perfect_matroid_design,
     is_quasi_rank_uniform,
     is_real_rooted,
-    is_semimodular,
     is_totally_nonnegative,
-    is_triangular,
     ordinal_sum_rows,
     partition_lattice,
     rank_matrix,
     resolve,
     roots_in_interval,
-    subdivision_operator,
     subspace_lattice,
     truncated_boolean,
     vamos_lattice,
 )
 from latchain.tn import _is_graded
 from helpers import (
+    check_cover_recursion,
+    down_poset,
+    incidence_R,
     incidence_R_by_join_fiber,
+    incidence_R_table,
+    is_modular,
+    is_perfect_matroid_design,
+    is_semimodular,
+    is_triangular,
     mobius_R_by_walk,
     nonuniform_5,
     pentagon,
@@ -45,6 +45,7 @@ from helpers import (
     random_bounded,
     random_poset,
     rank_uniform_tower_13,
+    subdivision_operator,
     triangular_by_walk,
     with_bounds,
 )
@@ -445,5 +446,5 @@ def test_interlacing_toward_truncation():
         c_trunc = trunc.chain_polynomial()
         for h in range(p.n):
             if p.rho(h) == d:
-                c_h = p.down_poset(h).chain_polynomial()
+                c_h = down_poset(p, h).chain_polynomial()
                 assert interlaces(c_h, c_trunc)
