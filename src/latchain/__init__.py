@@ -3,6 +3,7 @@
 from .polynomial import (
     ExactPoly,
     RootIsolation,
+    certify_interlacing_sequence,
     diamond_product,
     f_from_h,
     h_from_f,

@@ -17,6 +17,12 @@ The same remainder sequence is the only gcd: the Sturm chain of p ends in
 gcd(p, p'), which gives the square-free part of p for counts on an
 interval and isolation, and the tower of repeated gcds gives the
 multiplicity of each isolated root.
+
+Every sign at a rational point a/b is the sign of b^d p(a/b), computed on
+the integers a and b (``_sign_at``). On signs alone at dyadic points,
+``certify_interlacing_sequence`` proves a whole sequence real-rooted in
+[-1, 0] and consecutively interlacing, or leaves it to the remainder
+sequences.
 """
 
 from __future__ import annotations
@@ -313,17 +319,33 @@ def _sign(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(cs: Sequence[int], x: Fraction) -> int:
-    """Sign at x of the polynomial with integer coefficient list cs, by
-    Horner's rule."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
+def _sign_at(cs: Sequence[int], a: int, b: int = 1) -> int:
+    """Sign at x = a/b, b > 0, of the polynomial with nonempty integer
+    coefficient list cs.
+
+    That is the sign of b^d p(a/b), d = len(cs) - 1, which Horner's rule
+    computes on the integers a and b alone: each step multiplies by a and
+    adds the next coefficient times the next power of b, so no fraction is
+    formed and no gcd taken. A power-of-two b multiplies by a shift.
+    """
+    acc = cs[-1]
+    if b & (b - 1):
+        scale = 1
+        for c in cs[-2::-1]:
+            scale *= b
+            acc = acc * a + c * scale
+    else:
+        step = b.bit_length() - 1
+        shift = 0
+        for c in cs[-2::-1]:
+            shift += step
+            acc = acc * a + (c << shift)
     return _sign(acc)
 
 
 def _variations_at(chain: Sequence[list], x: Fraction) -> int:
-    return _variations([_sign_at(cs, x) for cs in chain])
+    a, b = x.numerator, x.denominator
+    return _variations([_sign_at(cs, a, b) for cs in chain])
 
 
 def _cauchy_index(seq: Sequence[list]) -> int:
@@ -369,7 +391,8 @@ def sturm_real_root_count(
     # on square-free s, Var(lo) - Var(hi) counts the roots in (lo, hi]
     s = _squarefree_split(cs)[0]
     chain = _sturm_chain(s)
-    return _variations_at(chain, lo) - _variations_at(chain, hi) + (_sign_at(s, lo) == 0)
+    at_lo = _sign_at(s, lo.numerator, lo.denominator)
+    return _variations_at(chain, lo) - _variations_at(chain, hi) + (at_lo == 0)
 
 
 def is_real_rooted(p: ExactPoly) -> bool:
@@ -544,6 +567,126 @@ def interlaces(g: ExactPoly, f: ExactPoly) -> bool:
     if any(p.leading_coefficient <= 0 for p in nonzero):
         raise ValueError("positive leading coefficients required")
     return len(nonzero) < 2
+
+
+# -- interlacing sequences certified by signs at dyadic points ---------------------
+
+
+# a certificate evaluates at dyadic points n / 2^k with k at most this; the
+# Dowling rows up to m = 64 at N = 64 need at most 508
+_CERTIFICATE_BITS = 512
+
+
+def _strip_endpoint_roots(p: ExactPoly) -> Optional[Tuple[list, int, int]]:
+    """(q, a, b) with p = t^a (1 + t)^b q up to a positive factor, a and b
+    at most one, and q a coefficient list with q(0) and q(-1) nonzero; None
+    when p is zero, its leading coefficient is not positive or t^2 or
+    (1 + t)^2 divides it."""
+    if p.is_zero or p.leading_coefficient <= 0:
+        return None
+    q, a, b = _integer_coeffs(p.coeffs), 0, 0
+    if q[0] == 0:
+        q, a = q[1:], 1
+    if _sign_at(q, -1) == 0:
+        q, b = _exact_quotient(q, [1, 1]), 1
+    if q[0] == 0 or _sign_at(q, -1) == 0:
+        return None
+    return q, a, b
+
+
+def _separate(g: list, f: list, lo: Tuple[int, int], hi: Tuple[int, int], s: int) -> Optional[list]:
+    """Dyadic points [u, v] within [lo, hi] around the one root of g there,
+    with f of sign s at both; None past the bit budget, or at an exact zero
+    of g where f has another sign.
+
+    A point (n, k) is n / 2^k. g has opposite nonzero signs at lo and hi;
+    bisection by the sign of g keeps that, so the root stays in [u, v],
+    and an exact zero of g closes the bracket to one point.
+    """
+    g_lo = _sign_at(g, lo[0], 1 << lo[1])
+    u, v = lo, hi
+    fu, fv = _sign_at(f, u[0], 1 << u[1]), _sign_at(f, v[0], 1 << v[1])
+    while fu != s or fv != s:
+        k = max(u[1], v[1])
+        if k >= _CERTIFICATE_BITS:
+            return None
+        mid = ((u[0] << (k - u[1])) + (v[0] << (k - v[1])), k + 1)
+        g_mid, f_mid = _sign_at(g, mid[0], 1 << mid[1]), _sign_at(f, mid[0], 1 << mid[1])
+        if g_mid == 0:
+            return [mid, mid] if f_mid == s else None
+        if g_mid == g_lo:
+            u, fu = mid, f_mid
+        else:
+            v, fv = mid, f_mid
+    return [u, v]
+
+
+def certify_interlacing_sequence(ps: Sequence[ExactPoly]) -> Optional[bool]:
+    """True when signs at dyadic points prove that every zero of every p_n
+    is real and in [-1, 0] and that p_n interlaces p_(n+1), in the sense of
+    :func:`interlaces`; None when they do not, which proves nothing. See
+    :func:`_interlacing_certificate`."""
+    return True if _interlacing_certificate(ps) is not None else None
+
+
+def _interlacing_certificate(ps: Sequence[ExactPoly]) -> Optional[list]:
+    """For each consecutive pair, the points u_1, v_1, ..., u_e, v_e below
+    as (n, k) for n / 2^k; None when no such points are found.
+
+    Each p_n is t^a (1 + t)^b q_n with a, b <= 1 and q_n nonzero at 0 and
+    -1. For a pair g = p_n, f = p_(n+1) with deg f = deg g + 1, the e
+    roots of q_g are bracketed by the previous step. Bisect each bracket,
+    by the sign of q_g, to points u_i <= v_i where q_f has one nonzero
+    sign s_i. The gaps (-1, u_1), (v_1, u_2), ..., (v_e, 0) must then show
+    sign changes of q_f, from q_f(-1) through s_1, ..., s_e to q_f(0): one
+    in every inner gap, and in an outer one none when f alone has that
+    endpoint root, else one (g alone having it fails). Then
+    deg f = deg g + 1 makes the number of sign changes deg q_f, so by the
+    intermediate value theorem q_f has one simple root in each such gap
+    and no other root, and the merged roots of f and g alternate as
+    interlacing needs; the gaps bracket q_f's roots for the next step.
+    The first polynomial may have one root besides 0 and -1, bracketed by
+    [-1, 0]. A bisection stops at _CERTIFICATE_BITS bits, so shared or
+    repeated roots, roots outside [-1, 0] and non-real roots leave the
+    sequence undecided (Fisk, arXiv:math/0612833, for the convention;
+    Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, for
+    isolation by signs).
+    """
+    certificate = []
+    prev = None
+    for p in ps:
+        stripped = _strip_endpoint_roots(p)
+        if stripped is None:
+            return None
+        f, af, bf = stripped
+        f_low, f_high = _sign_at(f, -1), _sign_at(f, 0)
+        if prev is None:
+            if len(f) > 2 or (len(f) == 2 and f_low == f_high):
+                return None
+            brackets = [((-1, 0), (0, 0))] if len(f) == 2 else []
+        else:
+            g, ag, bg, brackets = prev
+            # the roots of q_f in the gaps next to -1 and next to 0
+            low_roots, high_roots = 1 - bf + bg, 1 - af + ag
+            if len(f) + af + bf != len(g) + ag + bg + 1 or not {low_roots, high_roots} <= {0, 1}:
+                return None
+            needs = [low_roots] + [1] * len(brackets)
+            needs[-1] = high_roots if brackets else len(f) - 1
+            # s: the sign q_f must have past the next gap, from q_f(-1) on
+            points, s = [(-1, 0)], f_low
+            for (lo, hi), need in zip(brackets, needs):
+                s *= (-1) ** need
+                separated = _separate(g, f, lo, hi, s)
+                if separated is None:
+                    return None
+                points += separated
+            if f_high != s * (-1) ** needs[-1]:
+                return None
+            certificate.append(points[1:])
+            points.append((0, 0))
+            brackets = [(points[2 * i], points[2 * i + 1]) for i, need in enumerate(needs) if need]
+        prev = f, af, bf, brackets
+    return certificate
 
 
 # -- matrix positivity -------------------------------------------------------------

@@ -17,6 +17,7 @@ import re
 import time
 from itertools import combinations
 from math import comb, factorial
+from operator import mul
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .families import (
@@ -33,6 +34,7 @@ from .families import (
 from .permstats import eulerian, q_eulerian
 from .polynomial import (
     ExactPoly,
+    certify_interlacing_sequence,
     diamond_product,
     h_from_f,
     interlaces,
@@ -329,24 +331,29 @@ def _resolved(rows: RMatrix, reason: str, **context) -> ResolveOutcome:
     return outcome
 
 
-def _certify_rows(rows: RMatrix, **context) -> ResolveOutcome:
+def _certify_rows(rows: RMatrix, **context) -> Tuple[ResolveOutcome, List[ExactPoly]]:
     """Resolve the rank rows, verify the witness, and certify the chain polynomials.
 
     Every chain polynomial of the rows must have its roots in [-1, 0], and
-    consecutive ones must interlace. ``context`` goes into the witness of a
-    resolution failure. Returns the resolve outcome.
+    consecutive ones must interlace. Signs at dyadic points decide that for
+    the whole sequence at once (``certify_interlacing_sequence``); when
+    they leave it undecided, each polynomial and each pair is checked on
+    its own, and that path gives every failure witness. ``context`` goes
+    into the witness of a resolution failure. Returns the resolve outcome
+    and the chain polynomials.
     """
     outcome = _resolved(rows, "not resolvable", **context)
     ps = chain_polys_from_rmatrix(rows)
-    for n, pn in enumerate(ps):
-        _check_unit_interval_roots(pn, f"p_{n}")
-    for n in range(len(ps) - 1):
-        _require(
-            interlaces(ps[n], ps[n + 1]),
-            reason="consecutive chain polynomials fail to interlace",
-            n=n,
-        )
-    return outcome
+    if not certify_interlacing_sequence(ps):
+        for n, pn in enumerate(ps):
+            _check_unit_interval_roots(pn, f"p_{n}")
+        for n in range(len(ps) - 1):
+            _require(
+                interlaces(ps[n], ps[n + 1]),
+                reason="consecutive chain polynomials fail to interlace",
+                n=n,
+            )
+    return outcome, ps
 
 
 def _dowling_corpus(seed: int) -> List[Tuple[str, Any]]:
@@ -370,7 +377,7 @@ def _check_dowling(dsl: str, seed: int) -> dict:
             expected=expected.to_string(),
             got=row.to_string(),
         )
-    outcome = _certify_rows(rows)
+    outcome, _ = _certify_rows(rows)
     return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
 
 
@@ -387,22 +394,34 @@ def _triangular_corpus(seed: int) -> List[Tuple[str, Any]]:
     return _tasks(tags)
 
 
-def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str]:
-    """Rank rows of p, falling back to the dual when only it is uniform."""
+def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str, Poset]:
+    """Rank rows of p, falling back to the dual when only it is uniform;
+    also the side and the poset the rows belong to."""
     ok, rows = is_quasi_rank_uniform(p)
     if ok:
-        return rows, "primal"
-    ok, rows = is_quasi_rank_uniform(p.dual())
+        return rows, "primal", p
+    dual = p.dual()
+    ok, rows = is_quasi_rank_uniform(dual)
     if ok:
-        return rows, "dual"
+        return rows, "dual", dual
     raise CheckFailure({"reason": "neither the poset nor its dual is rank uniform"})
 
 
 def _check_triangular(dsl: str, seed: int) -> dict:
+    """The rank rows certify, and so does the chain polynomial read off them.
+
+    The uniform side has a least element, its one element of quasi-rank 0.
+    Every chain is C or C plus the least element for exactly one chain C of
+    elements above it, hence a factor 1 + t. Those C are the empty chain,
+    counted by p_0 = 1, and for each x of quasi-rank n >= 1 the chains with
+    maximum x, counted by p_n. So the chain polynomial is
+    (1 + t) * sum_n #(rank n) p_n, and a poset and its dual share it.
+    """
     p = build_instance(dsl)
-    rows, side = _rows_for_poset(p)
-    _certify_rows(rows, side=side)
-    c = _checked_chain_polynomial(p.chain_polynomial())
+    rows, side, uniform = _rows_for_poset(p)
+    _, ps = _certify_rows(rows, side=side)
+    sizes = uniform.quasi_rank_generating_polynomial().coeffs
+    c = _checked_chain_polynomial(ExactPoly((1, 1)) * sum(map(mul, sizes, ps), ExactPoly()))
     return {"side": side, "order": rows.order, "chain": c.to_string()}
 
 

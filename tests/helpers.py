@@ -28,7 +28,10 @@ Euclid's gcd (``poly_gcd``), the square-free part and Yun's square-free
 decomposition (``squarefree_part``, ``squarefree_decomposition``), Fraction Sturm
 chains, and on them ``real_rooted_by_sturm``,
 ``roots_in_interval_by_sturm``, ``interlaces_by_isolation``,
-``isolate_by_sturm`` and ``root_count_by_sturm``. ``taylor_shift_by_compose``
+``isolate_by_sturm`` and ``root_count_by_sturm``. ``sign_at_by_fraction_horner``
+is the Fraction Horner evaluation that signs of b^d p(a/b) in integers
+replaced, and ``verify_interlacing_certificate`` re-checks the library's
+interlacing certificate by evaluation alone. ``taylor_shift_by_compose``
 is the Horner composition that root location used before its in-place
 Taylor shift. ``rebase_by_powers`` is the f/h transform by powers of
 (1 +/- t) that the binomial expansion replaced. ``tp2_by_cross_products``
@@ -524,6 +527,78 @@ def interlaces_by_isolation(g: ExactPoly, f: ExactPoly) -> bool:
         if b[k] > a[k]:  # beta_k > alpha_k
             return False
         if k + 1 < n and a[k + 1] > b[k]:  # alpha_{k+1} > beta_k
+            return False
+    return True
+
+
+# -- signs at rational points and the interlacing certificate, by Fraction evaluation --
+
+
+def sign_at_by_fraction_horner(cs: Sequence[int], x: Fraction) -> int:
+    """Sign at x of the polynomial with coefficient list cs, by Horner's rule
+    on Fractions: the evaluation that the integer one of b^d p(a/b) replaced."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _endpoint_split(p: ExactPoly):
+    """(q, a, b) with p = t^a (1 + t)^b q, a, b <= 1, q nonzero at 0 and -1
+    and of positive leading coefficient; None otherwise."""
+    if p.is_zero or p.leading_coefficient <= 0:
+        return None
+    a = b = 0
+    if p(0) == 0:
+        p, a = poly_quotient(p, ExactPoly((0, 1))), 1
+    if p(-1) == 0:
+        p, b = poly_quotient(p, ExactPoly((1, 1))), 1
+    if p(0) == 0 or p(-1) == 0:
+        return None
+    return p, a, b
+
+
+def verify_interlacing_certificate(ps: Sequence[ExactPoly], certificate) -> bool:
+    """Re-verify, by evaluation alone, the points u_1, v_1, ..., u_e, v_e
+    (as (n, k) for n / 2^k) that ``polynomial._interlacing_certificate``
+    gives for each consecutive pair g = p_n, f = p_(n+1): True when they
+    prove every p_n real-rooted in [-1, 0] and p_n interlacing p_(n+1).
+
+    Shares no code with the library's certificate. With p = t^a (1 + t)^b q:
+    q_g changing sign across (or vanishing at) each of e = deg q_g disjoint
+    [u_i, v_i] locates every root of q_g; q_f keeping one nonzero sign at
+    u_i and v_i and changing sign across deg q_f of the gaps between them,
+    -1 and 0 locates every root of q_f. Any point of a root's interval or
+    gap then stands for it, as the intervals and gaps are disjoint and in
+    order, and the representatives, with the roots at 0 and -1, go to the
+    sorted-list comparator ``roots_interlace``. The first polynomial needs
+    at most one root besides 0 and -1, by a sign change over (-1, 0).
+    """
+    parts = [_endpoint_split(p) for p in ps]
+    if None in parts or len(certificate) != len(ps) - 1:
+        return False
+    if ps:
+        q = parts[0][0]
+        if q.degree > 1 or (q.degree == 1 and q(-1) * q(0) > 0):
+            return False
+    for (qg, ag, bg), (qf, af, bf), points in zip(parts, parts[1:], certificate):
+        if qf.degree + af + bf != qg.degree + ag + bg + 1 or len(points) != 2 * qg.degree:
+            return False
+        xs = [Fraction(n, 2**k) for n, k in points]
+        bounds = [Fraction(-1)] + xs + [Fraction(0)]
+        if any(x > y for x, y in zip(bounds, bounds[1:])):
+            return False
+        g_roots, f_roots = [0] * ag + [-1] * bg, [0] * af + [-1] * bf
+        for u, v in zip(xs[::2], xs[1::2]):
+            if not (u == v and qg(u) == 0 or qg(u) * qg(v) < 0):
+                return False
+            if not qf(u) * qf(v) > 0:
+                return False
+            g_roots.append((u + v) / 2)
+        for lo, hi in zip(bounds[::2], bounds[1::2]):
+            if qf(lo) * qf(hi) < 0:
+                f_roots.append((lo + hi) / 2)
+        if len(f_roots) != qf.degree + af + bf or not roots_interlace(g_roots, f_roots):
             return False
     return True
 

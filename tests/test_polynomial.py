@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from latchain import (
     sturm_real_root_count,
 )
 from latchain.permstats import MAX_PERMUTATION_SIZE
-from latchain.polynomial import MAX_TRANSFORM_DIMENSION, MAX_TRANSFORM_WORK, _taylor_shift
+from latchain import polynomial
+from latchain.polynomial import MAX_TRANSFORM_DIMENSION, MAX_TRANSFORM_WORK, _sign_at, _taylor_shift
 from helpers import (
     check_damped_interlacing,
     diamond_by_basis,
@@ -32,6 +34,7 @@ from helpers import (
     real_rooted_by_sturm,
     rebase_by_powers,
     root_count_by_sturm,
+    sign_at_by_fraction_horner,
     roots_in_interval_by_sturm,
     roots_interlace,
     squarefree_decomposition,
@@ -561,6 +564,60 @@ def test_integer_lists_match_fraction_oracles(data):
         f = poly_quotient(f * ExactPoly((-data.draw(BIG_ROOT), 1)), ExactPoly((-distinct[0], 1)))
     for a, b in ((g, f), (f, g), (p, f), (g, p)):
         assert _outcome(interlaces, a, b) == _outcome(interlaces_by_isolation, a, b)
+
+
+# -- signs at rational points in integers against Fraction Horner --------------------
+
+DENOMINATOR = st.one_of(st.integers(0, 200).map(lambda k: 1 << k), st.integers(1, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sign_at_matches_fraction_horner(data):
+    """Integer polynomials of degree 0 to 40; points a/b of either sign with
+    denominators up to 2^200, powers of two among them, given reduced or
+    not; and exact roots, planted as a factor b t - a."""
+    root = data.draw(st.booleans())
+    cs = data.draw(st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=40 if root else 41))
+    cs[-1] = cs[-1] or 1
+    b = data.draw(DENOMINATOR)
+    a = data.draw(st.integers(-3 * b, 3 * b))
+    if root:  # times b t - a
+        cs = [b * below - a * c for c, below in zip(cs + [0], [0] + cs)]
+    x = Fraction(a, b)
+    expected = sign_at_by_fraction_horner(cs, x)
+    assert _sign_at(cs, a, b) == _sign_at(cs, x.numerator, x.denominator) == expected
+    if root:
+        assert expected == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_isolation_matches_the_fraction_horner_path(data):
+    """Root isolation and Sturm counts on an interval, with every sign taken
+    in integers, against the same path with every sign taken by Fraction
+    Horner: irrational, non-real and repeated roots (multiplicities 1 to 3)
+    and large coprime denominators."""
+    factors = data.draw(
+        st.lists(st.tuples(st.one_of(TOWER_FACTOR, BIG_FACTOR), st.integers(1, 3)), min_size=1, max_size=4)
+    )
+    p = data.draw(POSITIVE_SCALE) * _product(factors)
+    lo, hi = sorted((data.draw(small_fraction), data.draw(small_fraction)))
+
+    def isolation_and_count():
+        iso = isolate_real_roots(p)
+        return iso.intervals, iso.multiplicities, sturm_real_root_count(p, (lo, hi))
+
+    in_integers = isolation_and_count()
+    calls = []
+
+    def by_fraction_horner(cs, a, b=1):
+        calls.append(cs)
+        return sign_at_by_fraction_horner(cs, Fraction(a, b))
+
+    with mock.patch.object(polynomial, "_sign_at", by_fraction_horner):
+        assert isolation_and_count() == in_integers
+    assert calls or p.degree == 0
 
 
 def test_real_root_counts_match_sympy():

@@ -271,6 +271,23 @@ def test_suite_failure_reporting():
     assert not outcome.ok and "divisibility" in outcome.describe()
 
 
+@pytest.mark.parametrize("tag", [tag for tag, _ in suites._triangular_corpus(0)])
+def test_triangular_chain_polynomial_from_rank_rows_matches_chain_counts(tag):
+    """(1 + t) * sum_n #(rank n) p_n, read off the certified rank rows, is the
+    chain polynomial that the poset counts, on either side."""
+    witness = suites._check_triangular(tag, 0)
+    assert witness["chain"] == build_instance(tag).chain_polynomial().to_string()
+
+
+def test_triangular_suite_counts_no_chains_beyond_the_rank_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the triangular suite counted chains again")
+
+    monkeypatch.setattr(Poset, "chain_polynomial", refuse)
+    reports = suite_run("triangular", seed=1)
+    assert reports and all(r.verdict == "pass" for r in reports)
+
+
 def test_suite_seeds_are_reproducible():
     a = suite_run("diamond", seed=7)
     b = suite_run("diamond", seed=7)
