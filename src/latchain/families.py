@@ -24,6 +24,7 @@ MAX_SUBSPACE_DIM = 4
 MAX_SUBSPACE_PRIME = 7
 MAX_PARTITION_GROUND = 8
 MAX_DOWLING_ORDER = 64
+MAX_DOWLING_GROUP = 64  # above about 80 at N = 64 the rank rows' roots lie too close to certify fast
 
 
 # -- Boolean algebras -----------------------------------------------------------------
@@ -92,11 +93,41 @@ def _paving_poset(ground: Iterable, blocks: Iterable[FrozenSet], d: int) -> Pose
     """The sets of size below d, the blocks and the ground, by inclusion.
 
     For a d-partition this is its paving lattice (Oxley, Matroid Theory,
-    section 2.1): the blocks are the hyperplanes.
+    section 2.1): the blocks are the hyperplanes. The blocks must be an
+    antichain of subsets of the ground with at least d points each, and
+    the points must print distinctly, as integers do; every caller
+    validates that first. Then the covers are known: a set of size below
+    d - 1 goes to itself plus one point, a (d - 1)-set to the blocks
+    through it or else to the ground, and a block to the ground, so no
+    two sets are compared. The elements come in the order of
+    ``_poset_from_sets``: by size, then by the sorted reprs of their
+    points. A point is a bit in that order, so the sets of one size below
+    d are the combinations of the bits, in that order already, and adding
+    a higher point gives a later set.
     """
     ground = frozenset(ground)
-    small = [frozenset(c) for size in range(d) for c in combinations(sorted(ground), size)]
-    return _poset_from_sets(list(dict.fromkeys([*small, *blocks, ground])))
+    points = sorted(ground, key=repr)
+    bit = {e: 1 << i for i, e in enumerate(points)}
+    bits = list(bit.values())
+    small = [c for size in range(d) for c in combinations(points, size)]
+    masks = [sum(map(bit.__getitem__, c)) for c in small]
+    blocks = sorted(
+        {b for b in map(frozenset, blocks) if b != ground},
+        key=lambda b: (len(b), sorted(map(repr, b))),
+    )
+    top = len(small) + len(blocks)
+    through: Dict[int, List[int]] = {}  # a (d - 1)-set's mask: the blocks through it
+    for i, b in enumerate(blocks if d else (), len(small)):
+        for c in combinations(map(bit.__getitem__, b), d - 1):
+            through.setdefault(sum(c), []).append(i)
+    index = {m: i for i, m in enumerate(masks)}
+    cover_up = [
+        through.get(m, [top]) if len(c) == d - 1 else [index[m | e] for e in bits if not m & e]
+        for c, m in zip(small, masks)
+    ]
+    cover_up += [[top]] * len(blocks) + [[]]
+    labels = [*map(frozenset, small), *blocks, ground]
+    return Poset._from_covers(top + 1, cover_up, range(top + 1), labels)
 
 
 def _miscovered(points: Iterable[int], blocks: Iterable[FrozenSet[int]], s: int, lam: int):
@@ -290,7 +321,8 @@ class Design:
         if len(pts) != len(self.points):
             raise ValueError("repeated points")
         for b in self.blocks:
-            if not b <= pts or len(b) != self.k:
+            # a block of fewer than s points would sit among the design poset's small sets
+            if not b <= pts or len(b) != self.k or self.k < self.s:
                 raise ValueError(f"bad block {sorted(b)}")
         bad = _miscovered(pts, self.blocks, self.s, self.lam)
         if bad is not None:
@@ -415,6 +447,8 @@ def dowling_rows(m: int, N: int) -> RMatrix:
         raise ValueError("need m >= 1 and N >= 0")
     if N > MAX_DOWLING_ORDER:
         raise ValueError(f"dowling rows out of range: N={N}, over the cap of {MAX_DOWLING_ORDER}")
+    if m > MAX_DOWLING_GROUP:
+        raise ValueError(f"dowling rows out of range: m={m}, over the cap of {MAX_DOWLING_GROUP}")
     rows = [(1,)]
     for n in range(1, N + 1):
         prev = (0, *rows[-1], 0)
@@ -621,8 +655,14 @@ def build_instance(dsl: str) -> Poset:
         raise ValueError(f"{parts[0]} builds rank rows, not a poset")
     if parts[0] not in _FAMILIES:
         raise ValueError(f"unknown family DSL: {':'.join(parts)!r}")
-    host = _read(_FAMILIES, parts)
-    for atom_names in layers:
+    return _extend_by_cuts(_read(_FAMILIES, parts), layers)
+
+
+def _extend_by_cuts(host: Poset, cuts: Iterable) -> Poset:
+    """Extend the host along each cut of a see: form in turn, innermost first:
+    None is the empty cut, else the atom names whose join generates a principal
+    cut. The new atom is named by the least integer that is not a name yet."""
+    for atom_names in cuts:
         if atom_names is None:
             mc = ModularCut(host, frozenset())
         else:

@@ -308,9 +308,10 @@ class Poset:
 
     # -- chain enumeration -------------------------------------------------------
 
-    def _extension(self) -> list:
-        """A linear extension: the elements by quasi-rank, then index."""
-        return [x for level in self._levels for x in _bits(level)]
+    def _extension(self, mask: int = -1) -> list:
+        """A linear extension of the elements in ``mask`` (all by default):
+        by quasi-rank, then index."""
+        return [x for level in self._levels for x in _bits(level & mask)]
 
     def _level_counts(self, below: bool) -> Optional[list]:
         """The poset's level counts when it is uniform by level, else None.
@@ -345,14 +346,12 @@ class Poset:
     def _chain_fields(self, offsets: Sequence[int]) -> list:
         """Field i counts the chains whose elements z sum offsets[rho z] to i.
 
-        Dynamic program over a linear extension: the chains with maximum x
-        are x alone and those with maximum y < x, moved offsets[rho x]
-        fields. Each element's counts are packed into one integer of k-byte
-        fields, so a step is one addition per y < x and one shift. No field
-        can carry, whatever the offsets: all fields together count every
-        chain, and a chain meets each quasi-rank level at most once, so the
-        sum is at most the product of (level size + 1), which fits in 8k
-        bits. The total is cut into fields through its bytes, in linear time.
+        The element program (``_element_chains``) runs over every element.
+        No field can carry, whatever the offsets: all fields together count
+        every chain, and a chain meets each quasi-rank level at most once,
+        so the sum is at most the product of (level size + 1), which fits in
+        8k bits. The total is cut into fields through its bytes, in linear
+        time.
 
         A poset uniform by level (see ``_level_counts``) runs the same
         program on its levels instead, one multiplication and one addition
@@ -372,11 +371,23 @@ class Poset:
                 counts = self._level_counts(from_below)
                 if counts is not None:
                     return _fields(self._chains_by_levels(sizes, counts, from_below, shifts), k)
+        return _fields(self._element_chains(self._extension(), (1 << self.n) - 1, shifts), k)
+
+    def _element_chains(self, order: Sequence[int], mask: int, shifts: Sequence[int]) -> int:
+        """The packed chain total of the subposet on ``mask``: the element program.
+
+        Dynamic program over ``order``, a linear extension of the mask's
+        elements: the chains with maximum x are x alone and those with
+        maximum y < x in the mask, moved shifts[rho x] bits. Each element's
+        counts are packed into one integer of fields, so a step is one
+        addition per y < x and one shift. The total counts the empty chain
+        too.
+        """
         down, rho = self._down, self._rho
         ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
-        for x in self._extension():
-            below, ys = down[x] ^ (1 << x), []
+        for x in order:
+            below, ys = down[x] & mask ^ (1 << x), []
             while below:  # top bit first, so the mask shrinks as it is walked
                 y = below.bit_length() - 1
                 ys.append(y)
@@ -387,7 +398,7 @@ class Poset:
             vec = sum(map(ends.__getitem__, reversed(ys)), 1) << shifts[rho[x]]
             ends[x] = vec
             total += vec
-        return _fields(total, k)
+        return total
 
     @staticmethod
     def _chains_by_levels(sizes: Sequence[int], counts: list, below: bool, shifts: Sequence[int]) -> int:
@@ -592,12 +603,25 @@ class Poset:
         return self.bounded_chain_polynomial(self._greatest)
 
     def bounded_chain_polynomial(self, x: int) -> ExactPoly:
-        """sum_j (number of chains bottom = z_0 < ... < z_j = x) t^j."""
+        """sum_j (number of chains bottom = z_0 < ... < z_j = x) t^j.
+
+        Such a chain is the bottom, a chain of the open interval (bottom, x)
+        and x, so the element program counts the chains of that interval on
+        its mask, with no subposet built. A chain meets each of the parent's
+        levels at most once, so their sizes within the mask bound the field
+        width. The level shortcut of ``_chain_fields`` is left to whole
+        posets: the interval's levels are not the parent's.
+        """
         if self._least is None:
             raise ValueError("poset has no least element")
         if x == self._least:
             return ExactPoly((1,))
-        return self.open_interval(self._least, x).chain_polynomial().shift(1)
+        self._check_index(x)
+        mask = self._down[x] ^ (1 << x) ^ (1 << self._least)
+        levels = self._levels
+        k = (prod((level & mask).bit_count() + 1 for level in levels).bit_length() + 7) // 8
+        total = self._element_chains(self._extension(mask), mask, [8 * k] * len(levels))
+        return ExactPoly(_fields(total, k)).shift(1)
 
 
 # -- isomorphism -----------------------------------------------------------------------

@@ -6,7 +6,9 @@ resolvability, isomorphism, and polynomial identities. A suite is a
 default corpus plus one check; every instance is a string that the
 check parses itself, so any reported instance can be run again on its
 own. The rank3 corpus of random lattices is prebuilt from the seed; its
-tags name the seed and the draw, so they replay too. Randomized corpora
+tags name the seed and the draw, so they replay too. The see corpus
+builds each of its hosts once and hands it over with the instance string,
+whose cuts are applied as they are on replay. Randomized corpora
 are seeded and the seed is recorded in every report.
 """
 
@@ -15,12 +17,13 @@ from __future__ import annotations
 import random
 import re
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 from operator import mul
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .families import (
+    _extend_by_cuts,
     _keyed_fields,
     _see_fields,
     boolean_lattice,
@@ -138,28 +141,36 @@ def rank3_formula(l: Poset) -> ExactPoly:
 
 
 def random_rank3_geometric(rng: random.Random) -> Poset:
-    """Random linear space on 4..9 points; every pair on exactly one line."""
+    """Random linear space on 4..9 points; every pair on exactly one line.
+
+    The pairs are taken in a shuffled order, and each pair on no line yet
+    opens a line that takes each other point, in a shuffled order, with
+    probability 0.45 when it shares a line with none of the line's points
+    and the line stays short of n - 1 points. ``met[x]`` has bit y set
+    when x and y share a line, so each test is one bit of a mask.
+    """
     n = rng.randint(4, 9)
     pairs = list(combinations(range(1, n + 1), 2))
     rng.shuffle(pairs)
-    covered = set()
+    met = [0] * (n + 1)
     lines = []
     for a, b in pairs:
-        if (a, b) in covered:
+        if met[a] >> b & 1:
             continue
-        line = {a, b}
+        line, mask = [a, b], 1 << a | 1 << b
+        shared = met[a] | met[b]  # the points that share a line with one on this line
         extras = list(range(1, n + 1))
         rng.shuffle(extras)
         for c in extras:
-            if c in line or len(line) >= n - 1:
+            if mask >> c & 1 or len(line) >= n - 1:
                 continue
-            if rng.random() < 0.45 and all(
-                tuple(sorted((c, x))) not in covered for x in line
-            ):
-                line.add(c)
+            if rng.random() < 0.45 and not shared >> c & 1:
+                line.append(c)
+                mask |= 1 << c
+                shared |= met[c]
         lines.append(frozenset(line))
-        for x, y in combinations(sorted(line), 2):
-            covered.add((x, y))
+        for x in line:
+            met[x] |= mask
     return linear_space_lattice(n, lines)
 
 
@@ -486,18 +497,31 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
 
 def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
     # every cut of the Boolean algebra; of its single truncation the principal
-    # cuts: elements up to size n-2, plus the top
-    tags = []
+    # cuts: elements up to size n-2, plus the top; each host is built once
+    tasks = []
     for n in range(3, 6):
         for host, sizes in ((f"boolean:{n}", range(n + 1)), (f"trunc-boolean:{n}:1", [*range(n - 1), n])):
+            lattice = build_instance(host)
             for size in sizes:
                 for x in combinations(range(1, n + 1), size):
-                    tags.append(f"see:{host}:cut={','.join(map(str, x)) or 'none'}")
-    return _tasks(tags)
+                    tag = f"see:{host}:cut={','.join(map(str, x)) or 'none'}"
+                    tasks.append((tag, (tag, lattice)))
+    return tasks
 
 
-def _check_see(dsl: str, seed: int) -> dict:
-    ext = build_instance(dsl)  # geometricity asserted by the constructor
+def _check_see(subject: Any, seed: int) -> dict:
+    """The extension's chain polynomial has its roots in [-1, 0], and an
+    extension of a Boolean algebra along a cut of 2 or more atoms, short of
+    all, matches its product decomposition.
+
+    The subject is a see: instance string, or such a string with its host
+    prebuilt, whose cuts are then applied as ``build_instance`` applies them.
+    """
+    if isinstance(subject, str):
+        dsl, ext = subject, build_instance(subject)  # geometricity asserted by the constructor
+    else:
+        dsl, lattice = subject
+        ext = _extend_by_cuts(lattice, islice(_see_fields(dsl), 1, None))
     c = _checked_chain_polynomial(ext.chain_polynomial())
     witness = {"chain": c.to_string(), "elements": ext.n}
     host, *cuts = _see_fields(dsl)

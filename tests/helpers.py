@@ -1,7 +1,12 @@
 """Shared builders for the test suite: reference posets, random corpora,
 a root-list interlacing comparator independent of the library path, the
 all-pairs join/meet tables that the lattice layer replaced, the all-pairs
-inclusion scan that the set-family builder replaced, the echelon sums
+inclusion scan that the set-family builder replaced, the paving lattices
+listed as sets that their emitted covers replaced (``paving_poset_by_sets``),
+the bottom-to-top chains counted on a built interval subposet that the
+element program on its mask replaced (``bounded_chain_polynomial_by_interval``),
+the covered-pair set of the rank-3 draws that one bitmask per point
+replaced (``random_rank3_lines_by_pairs``), the echelon sums
 and coset translation that the flat listing of subspace and affine
 lattices replaced, the cover-path gradedness search that the single cover
 scan replaced, the permutation enumeration that the chain-count route
@@ -84,7 +89,7 @@ from latchain import (
     modular_cut_validate,
     truncated_boolean,
 )
-from latchain.families import _atom_names
+from latchain.families import _atom_names, _poset_from_sets
 from latchain.polynomial import _minors_nonnegative
 from latchain.posets import MAX_ELEMENTS, _bits
 from latchain.suites import (
@@ -759,6 +764,15 @@ def poset_from_sets_by_pairs(sets: Sequence[FrozenSet]) -> Poset:
     return Poset(len(sets), rels, sets)
 
 
+def paving_poset_by_sets(ground, blocks, d: int) -> Poset:
+    """The sets of size below d, the blocks and the ground, by inclusion,
+    listed as sets and ordered by the set-family builder, as paving
+    lattices were built before they handed the core their covers."""
+    ground = frozenset(ground)
+    small = [frozenset(c) for size in range(d) for c in combinations(sorted(ground), size)]
+    return _poset_from_sets(list(dict.fromkeys([*small, *blocks, ground])))
+
+
 # -- subspaces by summing every coefficient vector, cosets vector by vector ----------
 
 
@@ -841,6 +855,16 @@ def chain_fields_by_pairs(p: Poset, offsets: Sequence[int]) -> List[int]:
     return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
 
 
+def bounded_chain_polynomial_by_interval(p: Poset, x: int) -> ExactPoly:
+    """sum_j (number of chains bottom = z_0 < ... < z_j = x) t^j, from the
+    chain polynomial of the open interval (bottom, x) built as a subposet."""
+    if p.least is None:
+        raise ValueError("poset has no least element")
+    if x == p.least:
+        return ExactPoly((1,))
+    return p.open_interval(p.least, x).chain_polynomial().shift(1)
+
+
 def flag_f_vector_by_dicts(p: Poset) -> dict:
     """Chains by rank set from one dict per element: ends[x][U] counts the
     chains with maximum x and quasi-rank set U, and each chain below x gains
@@ -916,6 +940,35 @@ def mobius_R_by_walk(p: Poset, x: int, y: int) -> ExactPoly:
     for w in _bits(p.up_mask(x) & p.down_mask(y)):
         acc = acc + mobius(p, w, y) * ExactPoly(rank_profile_by_walk(p, p.down_mask(w)))
     return acc
+
+
+# -- rank-3 draws by a set of covered pairs ------------------------------------------
+
+
+def random_rank3_lines_by_pairs(rng: random.Random) -> Tuple[int, List[FrozenSet[int]]]:
+    """The point count and lines of the random linear space that
+    ``suites.random_rank3_geometric`` draws, with the same calls on ``rng``,
+    keeping the pairs already on a line as a set of sorted tuples."""
+    n = rng.randint(4, 9)
+    pairs = list(combinations(range(1, n + 1), 2))
+    rng.shuffle(pairs)
+    covered = set()
+    lines = []
+    for a, b in pairs:
+        if (a, b) in covered:
+            continue
+        line = {a, b}
+        extras = list(range(1, n + 1))
+        rng.shuffle(extras)
+        for c in extras:
+            if c in line or len(line) >= n - 1:
+                continue
+            if rng.random() < 0.45 and all(tuple(sorted((c, x))) not in covered for x in line):
+                line.add(c)
+        lines.append(frozenset(line))
+        for x, y in combinations(sorted(line), 2):
+            covered.add((x, y))
+    return n, lines
 
 
 # -- the incidence algebra by join fibers and chain walks ----------------------------

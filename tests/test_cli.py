@@ -255,6 +255,9 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
         ("uniform-design:18:9", "has over 5000 poset elements"),
         # one past the row cap; N = 3000 would take minutes and gigabytes
         ("dowling-rows:m=1:N=65", "over the cap of 64"),
+        # one past the group-order cap; above about m = 80 at N = 64 the suite
+        # falls back to remainder sequences and takes minutes
+        ("dowling-rows:m=65:N=1", "m=65, over the cap of 64"),
     ],
 )
 def test_build_out_of_range_fails_fast(dsl, message, tmp_path):

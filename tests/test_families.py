@@ -39,6 +39,7 @@ from latchain import (
 from latchain.posets import MAX_ELEMENTS
 from latchain.families import (
     FANO_BLOCKS,
+    MAX_DOWLING_GROUP,
     _atom_names,
     dpartition_from_text,
     dpartition_to_text,
@@ -197,6 +198,9 @@ def test_design_validation_and_posets():
     assert fano.s == 2 and fano.k == 3 and fano.lam == 1
     with pytest.raises(ValueError):
         Design(tuple(range(1, 8)), FANO_BLOCKS[:6], 2, 3, 1).validate()
+    # no 2-set lies in a block of one point, but such a block would be a small set of the design poset
+    with pytest.raises(ValueError, match="bad block"):
+        Design((1, 2, 3), (frozenset({1}),), 2, 1, 0).validate()
     uniform_design(5, 3).validate()
 
     fl = design_poset(fano)
@@ -262,6 +266,14 @@ def test_whitney_recursion():
             assert w.entry(n, 0) == 1 and w.entry(n, n) == 1
             for i in range(1, n + 1):
                 assert w.entry(n + 1, i) == w.entry(n, i - 1) + (1 + m * i) * w.entry(n, i)
+
+
+def test_dowling_rows_cap_the_group_order():
+    """Above about m = 80 at N = 64 the rows' roots lie too close for the
+    interlacing certificate and the suite takes minutes, so m is capped."""
+    assert dowling_rows(MAX_DOWLING_GROUP, 2).entry(2, 1) == 2 + MAX_DOWLING_GROUP
+    with pytest.raises(ValueError, match="^dowling rows out of range: m=65, over the cap of 64$"):
+        dowling_rows(MAX_DOWLING_GROUP + 1, 1)
 
 
 def test_dowling_rows_trivial_group_are_dual_partition_rows():

@@ -2,6 +2,7 @@ import ast
 import random
 import threading
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +29,7 @@ from latchain.suites import rank3_formula
 from helpers import (
     antichain,
     assert_flags_give_rank_selections,
+    bounded_chain_polynomial_by_interval,
     bounded_corpus,
     chain_counts_by_walk,
     chain_fields_by_pairs,
@@ -280,6 +282,56 @@ def test_p_polynomial():
         if p.n < 2:
             continue
         assert p.chain_polynomial().shift(1) == ONE_PLUS_T**2 * p.p_polynomial()
+
+
+def _with_least(rng: random.Random, n: int, top: bool) -> Poset:
+    """A random poset under a new least element, and a new greatest one
+    with ``top``, its elements renamed so that index order is seldom a
+    linear extension; random posets are seldom graded."""
+    base = random_poset(rng, n)
+    rels = list(base.covers) + [(n, x) for x in range(n)]
+    if top:
+        rels += [(x, n + 1) for x in range(n + 1)]
+    size = n + 1 + top
+    name = rng.sample(range(size), size)
+    return Poset(size, [(name[x], name[y]) for x, y in rels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12), st.booleans(), st.booleans())
+def test_bounded_chain_polynomial_against_the_interval_subposet(rng, n, top, dual):
+    """The element program on the open interval's mask against the chain
+    polynomial of that interval built as a subposet, at every x, the least
+    element included: on renamed front-door posets, which have descending
+    pairs, and on the duals of bounded ones, walked in reversed order."""
+    p = _with_least(rng, n, top or dual)
+    if dual:
+        p = p.dual()
+    for x in range(p.n):
+        assert p.bounded_chain_polynomial(x) == bounded_chain_polynomial_by_interval(p, x)
+
+
+def test_bounded_chain_polynomial_on_the_corpus_and_uniform_lattices():
+    """Uniform lattices lose the level shortcut on intervals; their counts must not change."""
+    corpus = bounded_corpus() + [boolean_lattice(4), truncated_boolean(5, 1), build_instance("partition:4")]
+    corpus += [q.dual() for q in corpus]
+    for q in corpus:
+        for x in range(q.n):
+            assert q.bounded_chain_polynomial(x) == bounded_chain_polynomial_by_interval(q, x)
+    with pytest.raises(ValueError, match="out of range"):
+        boolean_lattice(2).bounded_chain_polynomial(4)
+    with pytest.raises(ValueError, match="out of range"):
+        boolean_lattice(2).bounded_chain_polynomial(-1)
+    with pytest.raises(ValueError, match="no least element"):
+        antichain(2).bounded_chain_polynomial(0)
+
+
+def test_diamond_check_builds_no_subposet():
+    """The diamond suite counts bottom-to-top chains on masks: it passes
+    with subposet extraction switched off."""
+    with mock.patch.object(Poset, "induced", side_effect=AssertionError("a subposet was built")):
+        for i in range(50):
+            assert suites._check_diamond(f"product-pair:seed=1:i={i:02d}", 1)
 
 
 def test_diamond_product_matches_products():

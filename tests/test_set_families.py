@@ -39,12 +39,14 @@ from latchain.families import (
     _flats,
     _poset_from_sets,
     read_dpartition,
+    uniform_design,
     vamos_dpartition,
 )
 from latchain.suites import _designs_corpus, _see_corpus
 from helpers import (
     cosets_by_translation,
     paving_construction,
+    paving_poset_by_sets,
     poset_from_sets_by_pairs,
     relations_passed,
     subspaces_by_sums,
@@ -142,6 +144,50 @@ def test_set_families_are_built_from_their_covers(dsl):
     assert sorted(passed[0]) == list(p.covers)
 
 
+def _assert_same_poset(p, q):
+    assert (p.n, p.covers, p.labels) == (q.n, q.covers, q.labels)
+    assert (p._up, p._down, p._rho, p._levels) == (q._up, q._down, q._rho, q._levels)
+
+
+def _paving_arguments(dsl):
+    """The ground, blocks and d that the builder of a paving-style DSL string hands ``_paving_poset``."""
+    head, *fields = dsl.split(":")
+    if head == "trunc-boolean":
+        n, k = map(int, fields)
+        return range(1, n + 1), (), n - k
+    if head == "uniform-design":
+        design = uniform_design(*map(int, fields))
+        return design.points, design.blocks, design.s
+    if head in ("fano-design", "fano-lattice"):
+        return range(1, 8), FANO_BLOCKS, 2
+    dp = vamos_dpartition() if head == "vamos" else read_dpartition(str(PG_2_3))
+    return dp.ground, dp.blocks, dp.d
+
+
+@pytest.mark.parametrize(
+    "dsl",
+    [
+        "uniform-design:4:1",  # d = 0: no small sets, the singletons under the ground
+        "uniform-design:3:3",  # the one block is the ground
+        "uniform-design:1:1",  # the one block is the ground, and d = 0: one element
+        "trunc-boolean:1:0",  # the empty set under the ground
+        "trunc-boolean:2:1",
+        "trunc-boolean:12:1",  # points 10, 11 and 12 print before 2
+        "trunc-boolean:11:4",
+        "uniform-design:6:4",
+        "uniform-design:5:1",
+        "fano-design",
+        "fano-lattice",
+        "vamos",
+        f"paving:file={PG_2_3}",
+    ],
+)
+def test_paving_posets_from_covers_match_the_set_listing(dsl):
+    """Every stored field, element order and labels included, as when the
+    paving lattice was listed as sets and ordered by the set-family builder."""
+    _assert_same_poset(build_instance(dsl), paving_poset_by_sets(*_paving_arguments(dsl)))
+
+
 def test_random_linear_spaces_match_pairs_oracle():
     rng = random.Random(20261018)
     for i in range(40):
@@ -149,7 +195,9 @@ def test_random_linear_spaces_match_pairs_oracle():
         lines = _random_dpartition(rng, n, 2)
         points = frozenset(range(1, n + 1))
         family = _small_sets(points, 2) + lines + [points]
-        _assert_matches_pairs_oracle(linear_space_lattice(n, lines), family, seed=i)
+        p = linear_space_lattice(n, lines)
+        _assert_matches_pairs_oracle(p, family, seed=i)
+        _assert_same_poset(p, paving_poset_by_sets(points, lines, 2))
 
 
 @pytest.mark.parametrize("dsl", [tag for tag, _ in _designs_corpus(0)])
@@ -199,6 +247,7 @@ def test_dpartition_route_matches_oracle_and_boolean_host(index):
     p = paving_lattice_from_dpartition(dp)
     family = _small_sets(dp.ground, dp.d) + list(dp.blocks) + [frozenset(dp.ground)]
     _assert_matches_pairs_oracle(p, family, seed=index)
+    _assert_same_poset(p, paving_poset_by_sets(dp.ground, dp.blocks, dp.d))
     assert is_isomorphic(p, _boolean_host_route(dp))
 
 

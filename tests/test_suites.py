@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,9 @@ from latchain.cli import main
 from latchain.suites import (
     _SUITES,
     CheckFailure,
+    _check_see,
     _check_unit_interval_roots,
+    _see_corpus,
     random_bounded_poset,
     random_rank3_geometric,
 )
@@ -47,6 +50,7 @@ from helpers import (
     perm_stats_oracle,
     quasi_uniform_13,
     random_poset,
+    random_rank3_lines_by_pairs,
     rank_selection_sweep,
     rank_selection_sweep_by_all_masks,
     run_cli,
@@ -170,6 +174,17 @@ def test_random_rank3_lattices_are_geometric():
     rng = random.Random(11)
     for _ in range(20):
         assert is_geometric(random_rank3_geometric(rng))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank3_draws_match_the_covered_pair_set(seed):
+    """One bitmask per point draws the lines that the set of covered pairs
+    drew, with the same calls on the generator: ten draws in a row agree."""
+    mine, theirs = random.Random(seed), random.Random(seed)
+    with mock.patch.object(suites, "linear_space_lattice", lambda n, lines: (n, lines)):
+        for _ in range(10):
+            assert random_rank3_geometric(mine) == random_rank3_lines_by_pairs(theirs)
+    assert mine.random() == theirs.random()
 
 
 def test_random_bounded_poset_is_bounded():
@@ -489,6 +504,23 @@ def test_rank3_tags_draw_their_lattice_again():
         assert (report.verdict, report.witness) == (golden[report.instance]["verdict"], golden[report.instance]["witness"])
     for report in suite_run("rank3", instances=["rank3-random:seed=0:i=-1", "rank3-random:seed=0:i=200"]):
         assert report.verdict == "error" and "draw index out of range 0..199" in report.witness["exception"]
+
+
+def test_see_corpus_subjects_give_the_witness_of_their_replay():
+    """A prebuilt host extended along the instance's cuts checks as the
+    instance string does when it is replayed on its own."""
+    for tag, subject in _see_corpus(0):
+        assert subject[0] == tag
+        assert _check_see(subject, 0) == _check_see(tag, 0)
+
+
+def test_see_suite_builds_each_host_once():
+    built = []
+    build = suites.build_instance
+    with mock.patch.object(suites, "build_instance", lambda dsl: built.append(dsl) or build(dsl)):
+        reports = suite_run("see", seed=0)
+    assert len(reports) == 100 and {r.verdict for r in reports} == {"pass"}
+    assert built == [f"{host}:{n}{cut}" for n in (3, 4, 5) for host, cut in (("boolean", ""), ("trunc-boolean", ":1"))]
 
 
 @pytest.mark.parametrize("cut", ["1,1", "1,2,2"])
