@@ -73,8 +73,7 @@ class Poset:
     Garey & Ullman, SIAM J. Comput. 1972). Strict up-sets are built from
     the top of a linear extension down, and a successor y of x is a cover
     iff it lies in no other successor's strict up-set: one OR per distinct
-    pair. When every pair goes up in index order the index order is that
-    linear extension; otherwise Kahn's walk finds one and detects cycles.
+    pair. Kahn's walk finds that linear extension and detects cycles.
 
     The covers then go to one core, ``_derive``, which alone derives every
     stored field. The library's builders and structural operations know
@@ -120,33 +119,26 @@ class Poset:
         if labels is not None and len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
         succ = [set() for _ in range(n)]
-        ordered = True  # every pair goes up in index order
         for x, y in relations:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"relation index out of range: ({x}, {y})")
-            if x >= y:
-                if x == y:
-                    raise ValueError(f"reflexive relation pair ({x}, {y})")
-                ordered = False
+            if x == y:
+                raise ValueError(f"reflexive relation pair ({x}, {y})")
             succ[x].add(y)
 
-        # a linear extension: the index order when every pair goes up in it,
-        # else Kahn's walk, where leftovers mean a cycle
-        if ordered:
-            order = range(n)
-        else:
-            indeg = [0] * n
-            for ys in succ:
-                for y in ys:
-                    indeg[y] += 1
-            order = [x for x in range(n) if not indeg[x]]
-            for x in order:
-                for y in succ[x]:
-                    indeg[y] -= 1
-                    if not indeg[y]:
-                        order.append(y)
-            if len(order) != n:
-                raise ValueError("relation contains a cycle")
+        # a linear extension by Kahn's walk, where leftovers mean a cycle
+        indeg = [0] * n
+        for ys in succ:
+            for y in ys:
+                indeg[y] += 1
+        order = [x for x in range(n) if not indeg[x]]
+        for x in order:
+            for y in succ[x]:
+                indeg[y] -= 1
+                if not indeg[y]:
+                    order.append(y)
+        if len(order) != n:
+            raise ValueError("relation contains a cycle")
 
         # Strict up-sets from the top down. A successor y of x is a cover iff
         # it lies in no other successor's strict up-set, so one OR per pair
@@ -343,17 +335,18 @@ class Poset:
                 return None
         return [profiles.get(r, []) for r in range(len(levels))]  # the empty poset's level is empty
 
-    def _chain_fields(self, offsets: Sequence[int]) -> list:
-        """Field i counts the chains whose elements z sum offsets[rho z] to i.
+    def _chain_fields(self, offsets: Sequence[int], mask: int = -1) -> list:
+        """Field i counts the chains of the subposet on ``mask`` (by default
+        all elements) whose elements z sum offsets[rho z] to i.
 
-        The element program (``_element_chains``) runs over every element.
+        The element program (``_element_chains``) runs over the mask.
         No field can carry, whatever the offsets: all fields together count
         every chain, and a chain meets each quasi-rank level at most once,
-        so the sum is at most the product of (level size + 1), which fits in
-        8k bits. The total is cut into fields through its bytes, in linear
-        time.
+        so the sum is at most the product of (level size in the mask + 1),
+        which fits in 8k bits. The total is cut into fields through its
+        bytes, in linear time.
 
-        A poset uniform by level (see ``_level_counts``) runs the same
+        A whole poset uniform by level (see ``_level_counts``) runs the same
         program on its levels instead, one multiplication and one addition
         per pair of levels (``_chains_by_levels``). That pays when the
         comparable pairs outnumber twice the level pairs. An element of
@@ -361,24 +354,24 @@ class Poset:
         least the sum of the quasi-ranks, and uniformity is tested only when
         that bound exceeds twice the level pairs, which no chain-like
         poset's does: from below first, then from above (partition lattices
-        are uniform only that way).
+        are uniform only that way). A proper mask's levels are not the poset's.
         """
-        sizes = [level.bit_count() for level in self._levels]
+        sizes = [(level & mask).bit_count() for level in self._levels]
         k = (prod(size + 1 for size in sizes).bit_length() + 7) // 8
         shifts = [8 * k * offset for offset in offsets]
-        if sum(self._rho) > len(sizes) * (len(sizes) - 1):
+        if mask == -1 and sum(self._rho) > len(sizes) * (len(sizes) - 1):
             for from_below in (True, False):
                 counts = self._level_counts(from_below)
                 if counts is not None:
                     return _fields(self._chains_by_levels(sizes, counts, from_below, shifts), k)
-        return _fields(self._element_chains(self._extension(), (1 << self.n) - 1, shifts), k)
+        return _fields(self._element_chains(mask, shifts), k)
 
-    def _element_chains(self, order: Sequence[int], mask: int, shifts: Sequence[int]) -> int:
+    def _element_chains(self, mask: int, shifts: Sequence[int]) -> int:
         """The packed chain total of the subposet on ``mask``: the element program.
 
-        Dynamic program over ``order``, a linear extension of the mask's
-        elements: the chains with maximum x are x alone and those with
-        maximum y < x in the mask, moved shifts[rho x] bits. Each element's
+        Dynamic program over a linear extension of the mask's elements
+        (``_extension``): the chains with maximum x are x alone and those
+        with maximum y < x in the mask, moved shifts[rho x] bits. Each element's
         counts are packed into one integer of fields, so a step is one
         addition per y < x and one shift. The total counts the empty chain
         too.
@@ -386,7 +379,7 @@ class Poset:
         down, rho = self._down, self._rho
         ends = [0] * self.n  # ends[x]: chains with maximum x, packed
         total = 1
-        for x in order:
+        for x in self._extension(mask):
             below, ys = down[x] & mask ^ (1 << x), []
             while below:  # top bit first, so the mask shrinks as it is walked
                 y = below.bit_length() - 1
@@ -606,11 +599,8 @@ class Poset:
         """sum_j (number of chains bottom = z_0 < ... < z_j = x) t^j.
 
         Such a chain is the bottom, a chain of the open interval (bottom, x)
-        and x, so the element program counts the chains of that interval on
-        its mask, with no subposet built. A chain meets each of the parent's
-        levels at most once, so their sizes within the mask bound the field
-        width. The level shortcut of ``_chain_fields`` is left to whole
-        posets: the interval's levels are not the parent's.
+        and x, so ``_chain_fields`` counts the chains of that interval on
+        its mask, with no subposet built.
         """
         if self._least is None:
             raise ValueError("poset has no least element")
@@ -618,10 +608,7 @@ class Poset:
             return ExactPoly((1,))
         self._check_index(x)
         mask = self._down[x] ^ (1 << x) ^ (1 << self._least)
-        levels = self._levels
-        k = (prod((level & mask).bit_count() + 1 for level in levels).bit_length() + 7) // 8
-        total = self._element_chains(self._extension(mask), mask, [8 * k] * len(levels))
-        return ExactPoly(_fields(total, k)).shift(1)
+        return ExactPoly(self._chain_fields([1] * len(self._levels), mask)).shift(1)
 
 
 # -- isomorphism -----------------------------------------------------------------------

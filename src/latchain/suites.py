@@ -20,7 +20,7 @@ import time
 from itertools import combinations, islice
 from math import comb, factorial
 from operator import mul
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .families import (
     _extend_by_cuts,
@@ -141,7 +141,12 @@ def rank3_formula(l: Poset) -> ExactPoly:
 
 
 def random_rank3_geometric(rng: random.Random) -> Poset:
-    """Random linear space on 4..9 points; every pair on exactly one line.
+    """Random linear space on 4..9 points; every pair on exactly one line."""
+    return linear_space_lattice(*_rank3_lines(rng))
+
+
+def _rank3_lines(rng: random.Random) -> Tuple[int, List[FrozenSet[int]]]:
+    """The point count and lines of one ``random_rank3_geometric`` draw.
 
     The pairs are taken in a shuffled order, and each pair on no line yet
     opens a line that takes each other point, in a shuffled order, with
@@ -171,7 +176,7 @@ def random_rank3_geometric(rng: random.Random) -> Poset:
         lines.append(frozenset(line))
         for x in line:
             met[x] |= mask
-    return linear_space_lattice(n, lines)
+    return n, lines
 
 
 def random_bounded_poset(rng: random.Random) -> Poset:
@@ -220,7 +225,8 @@ def _check_rank3(subject: Any, seed: int) -> dict:
 
     The subject is a prebuilt random lattice, a family DSL string, or a
     ``rank3-random:seed=S:i=III`` tag, which names draw i of the corpus at
-    seed S and is replayed by drawing i + 1 lattices from seed S again.
+    seed S and is replayed by drawing the lines of the i draws before it
+    from seed S again, then building draw i alone.
     """
     if not isinstance(subject, str):
         l = subject
@@ -230,8 +236,9 @@ def _check_rank3(subject: Any, seed: int) -> dict:
             raise ValueError(f"draw index out of range 0..{_RANK3_DRAWS - 1}: {params['i']}")
         seed = params["seed"]
         rng = random.Random(seed)
-        for _ in range(params["i"] + 1):
-            l = random_rank3_geometric(rng)
+        for _ in range(params["i"]):
+            _rank3_lines(rng)
+        l = random_rank3_geometric(rng)
     else:
         l = build_instance(subject)
     _require(is_geometric(l), reason="not geometric")

@@ -291,3 +291,33 @@ def test_unwritable_csv_leaves_the_json_path_without_reports(existing, tmp_path,
         assert not json_out.exists()
     else:
         assert json_out.read_text() == existing
+
+
+@pytest.mark.parametrize(
+    "dsl, message",
+    [
+        ("trunc-boolean:13:1", "ground size out of range: 13"),
+        ("subspace:2:1", "field order must be prime: 1"),
+        ("dowling-rows:m=0:N=2", "need m >= 1 and N >= 0"),
+    ],
+)
+def test_build_refuses_parameters_out_of_range(dsl, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["build", dsl, "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert errors == [f"latchain build: error: cannot build {dsl!r}: ValueError: {message}"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_sturm_count_without_bounds_counts_every_real_root(capsys):
+    assert main(["poly", "sturm-count", "1 0 -1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_sturm_count_refuses_an_empty_interval(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["poly", "sturm-count", "1 0 -1", "--lo", "1", "--hi", "-1"])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+    assert errors == ["latchain poly: error: sturm-count: empty interval"]

@@ -556,3 +556,27 @@ def test_linear_space_validation():
         linear_space_lattice(4, [(1, 2, 3), (1, 2, 4), (3, 4), (1, 4)])
     lat = linear_space_lattice(4, [(1, 2, 3), (1, 4), (2, 4), (3, 4)])
     assert is_geometric(lat)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dowling_rows(0, 2), "need m >= 1 and N >= 0"),
+        (lambda: subspace_lattice(2, 1), "field order must be prime: 1"),
+        (lambda: truncated_boolean(13, 1), "ground size out of range: 13"),
+        (lambda: linear_space_lattice(3, [(1, 2, 3)]), "need at least two lines"),
+        (lambda: linear_space_lattice(3, [(1, 2), (1, 3), (2, 3), (1,)]), r"bad line \[1\]"),
+        (lambda: Design((1, 1, 2), (), s=1, k=1, lam=1).validate(), "repeated points"),
+        (
+            lambda: DPartition((1, 2, 3), (frozenset({1, 2}), frozenset({3})), d=2).validate(),
+            r"block \[3\] smaller than d=2",
+        ),
+        (
+            lambda: DPartition((1, 2), (frozenset({1, 2}), frozenset({2, 3})), d=2).validate(),
+            "blocks leave the ground set",
+        ),
+    ],
+)
+def test_builders_refuse_parameters_out_of_range(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

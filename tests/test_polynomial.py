@@ -641,3 +641,10 @@ def test_real_root_counts_match_sympy():
         )
         real_rooted_seen.add(is_real_rooted(p))
     assert real_rooted_seen == {True, False}
+
+
+def test_sturm_count_refuses_the_zero_polynomial_and_an_empty_interval():
+    with pytest.raises(ValueError, match="^undefined root count for the zero polynomial$"):
+        sturm_real_root_count(ExactPoly())
+    with pytest.raises(ValueError, match="^empty interval$"):
+        sturm_real_root_count(ExactPoly((1, 0, -1)), (1, -1))

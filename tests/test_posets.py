@@ -872,7 +872,7 @@ def test_uniform_posets_count_chains_on_their_levels(make, by_levels, monkeypatc
     p = make()
     walks = []
     extension = Poset._extension
-    monkeypatch.setattr(Poset, "_extension", lambda self: walks.append(self) or extension(self))
+    monkeypatch.setattr(Poset, "_extension", lambda self, mask=-1: walks.append(self) or extension(self, mask))
     p.chain_polynomial()
     if p.quasi_rank <= 12:  # a chain's flag f-vector has 2^300 entries
         p.flag_f_vector()
@@ -1059,3 +1059,20 @@ def test_stored_levels_match_levels_by_rho_on_the_rank3_corpus(seed):
     l = Poset(l.n, l.covers, range(l.n))
     _assert_levels_by_rho(l, {0, 2})
     _assert_levels_by_rho(l.dual(), {1})
+
+
+def test_operations_refuse_posets_they_are_not_defined_on():
+    antichain = Poset(3)
+    for op in (antichain.interval, antichain.open_interval):
+        with pytest.raises(ValueError, match="^not an interval: elements are incomparable$"):
+            op(0, 1)
+    with pytest.raises(ValueError, match="^empty rank set$"):
+        boolean_lattice(3).rank_selected(())
+    for op, message in [
+        (antichain.atoms, "poset has no least element"),
+        (antichain.coatoms, "poset has no greatest element"),
+        (antichain.p_polynomial, "p polynomial requires a bounded poset"),
+        (antichain.proper_part, "poset is not bounded"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            op()

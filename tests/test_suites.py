@@ -506,6 +506,19 @@ def test_rank3_tags_draw_their_lattice_again():
         assert report.verdict == "error" and "draw index out of range 0..199" in report.witness["exception"]
 
 
+def test_rank3_replay_builds_one_lattice():
+    """A replayed tag draws the lines of the draws before it and builds only
+    its own lattice, the same one the corpus built."""
+    built = []
+    build = suites.linear_space_lattice
+    with mock.patch.object(suites, "linear_space_lattice", lambda n, lines: built.append(n) or build(n, lines)):
+        [report] = suite_run("rank3", instances=["rank3-random:seed=1:i=199"], seed=1)
+    assert len(built) == 1
+    corpus = dict(suites._rank3_corpus(1))
+    assert report.verdict == "pass"
+    assert report.witness == suites._check_rank3(corpus["rank3-random:seed=1:i=199"], 1)
+
+
 def test_see_corpus_subjects_give_the_witness_of_their_replay():
     """A prebuilt host extended along the instance's cuts checks as the
     instance string does when it is replayed on its own."""
@@ -619,3 +632,16 @@ def test_unknown_instance_is_an_error_verdict(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"ERROR {name} no-such-family:3" in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q_eulerian(31, 2), "permutation size out of range: 31"),
+        (lambda: counterexample_search(2), "need n >= 3"),
+        (lambda: rank3_formula(boolean_lattice(4)), "expected a bounded rank-3 lattice"),
+    ],
+)
+def test_checks_refuse_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,28 @@ def test_resolve_reports_zero_pivot_divisibility():
     assert not is_totally_nonnegative(rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[2]], "row 0 is not monic of degree 0"),
+        ([[1], [1, 1, 1]], "row 1 is not monic of degree 1"),
+        ([[1], [1, 2]], "row 1 is not monic of degree 1"),
+        ([[1], [-1, 1]], "row 1 has a non-integer or negative entry"),
+        ([[1], [0, 1]], "row 1 has constant term zero"),
+    ],
+)
+def test_rank_matrix_refuses_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RMatrix.from_int_rows(rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RMatrix.from_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+
+
+def test_rank_matrix_refuses_a_fraction_entry():
+    with pytest.raises(ValueError, match="^row 1 has a non-integer or negative entry$"):
+        RMatrix.from_int_rows([[1], [Fraction(1, 2), 1]])
+
+
 def test_witness_and_matrix_serialization():
     rows = rank_matrix(boolean_lattice(3))
     assert RMatrix.from_text(rows.to_text()).rows == rows.rows
@@ -162,6 +186,73 @@ def test_resolve_agrees_with_minor_oracle_fuzz():
         if outcome.ok:
             assert outcome.witness.verify(r)
         assert outcome.ok == is_totally_nonnegative(r)
+
+
+def _at(i, change):
+    """A tuple with entry i replaced by change(entry)."""
+    return lambda seq: seq[:i] + (change(seq[i]),) + seq[i + 1:]
+
+
+def _set(i, value):
+    return _at(i, lambda _: value)
+
+
+_t = ExactPoly.monomial
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        # row count: one poly row or one multiplier row too few
+        ("polys", lambda rows: rows[:-1]),
+        ("lambdas", lambda rows: rows[:-1]),
+        # row length
+        ("polys", _at(2, lambda row: row[:-1])),
+        # first entry is not the input row, last entry is not t^n
+        ("polys", _at(2, _set(0, _t(2) + _t(0)))),
+        ("polys", _at(2, _set(2, _t(2) + _t(1)))),
+        # not monic, or of the wrong degree
+        ("polys", _at(2, _set(1, 2 * _t(2) + _t(1)))),
+        ("polys", _at(2, _set(1, _t(3) + _t(1)))),
+        # a nonzero coefficient below t^k
+        ("polys", _at(2, _set(1, _t(2) + _t(1) + _t(0)))),
+        # wrong multiplier shape, or a negative multiplier
+        ("lambdas", _at(1, lambda lams: lams[:-1])),
+        ("lambdas", _at(1, _set(0, -1))),
+        # the recursion broken by a nonnegative multiplier
+        ("lambdas", _at(1, _set(0, 2))),
+    ],
+)
+def test_verify_rejects_each_broken_invariant(field, change):
+    """One invariant broken at a time on B3's witness, each failing verify."""
+    rows = rank_matrix(boolean_lattice(3))
+    witness = resolve(rows).witness
+    assert witness.verify(rows)
+    assert not dataclasses.replace(witness, **{field: change(getattr(witness, field))}).verify(rows)
+
+
+@st.composite
+def monic_rank_rows(draw):
+    """Row n: a constant term of at least one, n - 1 entries, then 1."""
+    rows = [[1]]
+    for n in range(1, draw(st.integers(0, 5)) + 1):
+        middle = draw(st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1))
+        rows.append([draw(st.integers(1, 8)), *middle, 1])
+    return RMatrix.from_int_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_rank_rows())
+def test_resolve_fails_only_on_a_zero_pivot_or_a_negative_multiplier(rows):
+    """On any monic rank matrix an obstruction is a zero-pivot divisibility
+    failure or a negative multiplier, and every certificate verifies."""
+    outcome = resolve(rows)
+    if outcome.ok:
+        assert outcome.witness.verify(rows)
+    else:
+        assert (outcome.obstruction, outcome.zero_pivot) in {
+            ("divisibility failure", True), ("negative multiplier", False)
+        }
 
 
 # -- chain polynomials from rows ------------------------------------------------
