@@ -519,25 +519,21 @@ def _atom_names(l: Poset) -> Dict[int, object]:
     return names
 
 
-def _atom_sets(l: Poset) -> Iterator[FrozenSet]:
-    """The names of the atoms under each element, in element order."""
-    names = _atom_names(l)
-    atoms = sum(1 << a for a in names)
-    for down in l._down:
-        yield frozenset(names[a] for a in _bits(down & atoms))
-
-
 def _collides(e, names: Iterable) -> bool:
     """Whether e equals an atom name or prints like one."""
     return any(e == v or repr(e) == repr(v) for v in names)
 
 
 def element_with_atoms(l: Poset, atom_names: Iterable) -> int:
-    """Index of the first element whose atom set carries exactly the given names."""
+    """Index of the first element whose atom set carries exactly the given
+    names: the first whose down-set mask meets the atoms in their mask."""
     want = frozenset(atom_names)
-    for x, atoms in enumerate(_atom_sets(l)):
-        if atoms == want:
-            return x
+    bit = {v: 1 << a for a, v in _atom_names(l).items()}
+    if all(v in bit for v in want):
+        mask, atoms = sum(map(bit.__getitem__, want)), sum(bit.values())
+        for x, down in enumerate(l._down):
+            if down & atoms == mask:
+                return x
     raise ValueError(f"no element with atom set {sorted(map(repr, want))}")
 
 
@@ -545,24 +541,50 @@ def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
     """Extend a geometric lattice by one new atom e along a modular cut M.
 
     The flats of the extension, written as atom-name sets: every flat X
-    outside M, and X + e when X is in M or no upper cover of X is in M.
-    The host is graded, so the covers of X are the flats of rank
-    rho(X) + 1 above it. The result is checked to be geometric.
+    outside M, and X + e when X is in M or in the collar, the flats outside
+    M with no upper cover in M (Oxley, Matroid Theory, section 7.2). Their
+    covers are read from the host's covers. X outside M goes to each cover
+    Y outside M, to Y + e for each cover Y in M, and to X + e in the collar.
+    X + e for X in M goes to Y + e for each cover Y. X + e in the collar
+    goes to Y + e for each cover Y in the collar, and for each other cover
+    Y to Z + e, Z the one cover of Y in M: two would be a modular pair of
+    members whose meet Y is not in M. The elements come in the order of
+    ``_poset_from_sets``: by size, then by the sorted ranks of the name
+    reprs. The result is checked to be geometric.
     """
     if mc.host is not l:
         raise ValueError("modular cut belongs to a different host")
     if not modular_cut_validate(mc):
         raise ValueError("invalid modular cut")
-    if _collides(e, _atom_names(l).values()):
+    names = _atom_names(l)
+    if _collides(e, names.values()):
         raise ValueError(f"new atom name {e!r} collides with an existing atom")
-    mem = mc.members
-    flats: List[FrozenSet] = []
-    for x, atoms in enumerate(_atom_sets(l)):
+    mem, up = mc.members, l._cover_up
+    collar = {x for x in range(l.n) if x not in mem and mem.isdisjoint(up[x])}
+    rank = {v: r for r, v in enumerate(sorted([*names.values(), e], key=repr))}
+    atoms = sum(1 << a for a in names)
+    flats = []  # (size, sorted name ranks, host element, with e, atom names)
+    for x, down in enumerate(l._down):
+        flat = frozenset(names[a] for a in _bits(down & atoms))
+        ranks = sorted(map(rank.__getitem__, flat))
         if x not in mem:
-            flats.append(atoms)
-        if x in mem or mem.isdisjoint(l._cover_up[x]):
-            flats.append(atoms | {e})
-    out = _poset_from_sets(flats)
+            flats.append((len(ranks), ranks, x, False, flat))
+        if x in mem or x in collar:
+            flats.append((len(ranks) + 1, sorted([*ranks, rank[e]]), x, True, flat | {e}))
+    flats.sort()
+    plain, plus = {}, {}
+    for i, (_, _, x, with_e, _) in enumerate(flats):
+        (plus if with_e else plain)[x] = i
+    cover_up = []
+    for _, _, x, with_e, _ in flats:
+        if not with_e:
+            ys = [plus[y] if y in mem else plain[y] for y in up[x]] + ([plus[x]] if x in collar else [])
+        elif x in mem:
+            ys = [plus[y] for y in up[x]]
+        else:
+            ys = {plus[y] if y in collar else plus[next(z for z in up[y] if z in mem)] for y in up[x]}
+        cover_up.append(sorted(ys))
+    out = Poset._from_covers(len(flats), cover_up, range(len(flats)), [f[-1] for f in flats])
     if not is_geometric(out):
         raise AssertionError("single-element extension is not geometric")
     return out

@@ -732,20 +732,24 @@ def _minors_nonnegative(rows: Iterable[Sequence[Scalar]], order: int) -> bool:
 # C(10000, 5000) has 3009 digits, so a small input's transform at the cap
 # still prints under Python's 4300-digit limit on int-to-str conversion
 MAX_TRANSFORM_DIMENSION = 10000
-# each nonzero coefficient adds one row of n + 1 binomial products, so the
-# work is their count times n + 1; at this budget the worst input, four
-# 4299-digit coefficients at n = 10000, takes a few seconds
+# each nonzero coefficient adds one row of n + 1 terms, so the work is their
+# count times n + 1; at this budget the worst input, four 4299-digit
+# coefficients at n = 10000, takes about 0.4 s
 MAX_TRANSFORM_WORK = 50000
 
 
 def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
     """Expand (1 + sign*t)^n * p(t / (1 + sign*t)); requires deg p <= n.
 
-    That is the sum of c_k * t^k * (1 + sign*t)^(n - k), so c_k adds
-    c_k * C(n - k, j) * sign^j to the coefficient of t^(k + j), with the
-    binomials from the multiplicative recurrence. n is capped at
-    ``MAX_TRANSFORM_DIMENSION``, and the nonzero coefficients times n + 1
-    at ``MAX_TRANSFORM_WORK``; either is refused before any work above it.
+    That is the sum of c_k * t^k * (1 + sign*t)^(n - k), so c_k adds the
+    term c_k * C(m, j) * sign^j, m = n - k, to the coefficient of
+    t^(k + j). Each term comes from the one before it by one small
+    product and one exact division, as C(m, j) * (m - j) / (j + 1) is
+    C(m, j + 1); rational input is first scaled to integers by the lcm of
+    its denominators, and the result divided back, as the map is linear.
+    n is capped at ``MAX_TRANSFORM_DIMENSION``, and the nonzero
+    coefficients times n + 1 at ``MAX_TRANSFORM_WORK``; either is refused
+    before any work above it.
     """
     if n > MAX_TRANSFORM_DIMENSION:
         raise ValueError(f"dimension parameter n={n} over the cap of {MAX_TRANSFORM_DIMENSION}")
@@ -756,14 +760,15 @@ def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
         raise ValueError(
             f"transform work of {work} (nonzero coefficients times n + 1) over the budget of {MAX_TRANSFORM_WORK}"
         )
+    den = lcm(*(c.denominator for c in p.coeffs))
     out = [0] * (n + 1)
     for k, c in enumerate(p.coeffs):
         if c != 0:
-            m, binom = n - k, 1
+            m, term = n - k, c.numerator * (den // c.denominator)
             for j in range(m + 1):
-                out[k + j] += c * binom
-                binom = binom * (m - j) // (j + 1) * sign
-    return ExactPoly(out)
+                out[k + j] += term
+                term = term * (m - j) // (j + 1) * sign
+    return ExactPoly(out if den == 1 else (Fraction(c, den) for c in out))
 
 
 def h_from_f(f: ExactPoly, n: int) -> ExactPoly:

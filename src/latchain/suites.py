@@ -7,8 +7,9 @@ default corpus plus one check; every instance is a string that the
 check parses itself, so any reported instance can be run again on its
 own. The rank3 corpus of random lattices is prebuilt from the seed; its
 tags name the seed and the draw, so they replay too. The see corpus
-builds each of its hosts once and hands it over with the instance string,
-whose cuts are applied as they are on replay. Randomized corpora
+builds each of its hosts and products once and hands them over with the
+instance string, whose cuts are applied as they are on replay; the
+ordinal-sum corpus builds each pool entry once. Randomized corpora
 are seeded and the seed is recorded in every report.
 """
 
@@ -220,14 +221,23 @@ def _rank3_corpus(seed: int) -> List[Tuple[str, Any]]:
     return [(f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)) for i in range(_RANK3_DRAWS)]
 
 
+def _rank3_replays(tags: Iterable[str]) -> List[Tuple[str, Any]]:
+    """Tasks for rank3 instance strings; they share one record of line draws per seed."""
+    draws: Dict[int, Tuple[random.Random, List]] = {}
+    return [(tag, (tag, draws)) for tag in tags]
+
+
 def _check_rank3(subject: Any, seed: int) -> dict:
     """Geometric, the closed form matches the chain count, and real-rooted.
 
     The subject is a prebuilt random lattice, a family DSL string, or a
     ``rank3-random:seed=S:i=III`` tag, which names draw i of the corpus at
-    seed S and is replayed by drawing the lines of the i draws before it
-    from seed S again, then building draw i alone.
+    seed S and is replayed by drawing the lines of draws 0 to i from seed S
+    again, then building draw i alone. A string may come with a dict from
+    seeds to their random source and the lines drawn from it so far, which
+    the tags of one run share, so each draw is made once.
     """
+    subject, draws = subject if isinstance(subject, tuple) else (subject, {})
     if not isinstance(subject, str):
         l = subject
     elif subject.startswith("rank3-random:"):
@@ -235,10 +245,10 @@ def _check_rank3(subject: Any, seed: int) -> dict:
         if not 0 <= params["i"] < _RANK3_DRAWS:
             raise ValueError(f"draw index out of range 0..{_RANK3_DRAWS - 1}: {params['i']}")
         seed = params["seed"]
-        rng = random.Random(seed)
-        for _ in range(params["i"]):
-            _rank3_lines(rng)
-        l = random_rank3_geometric(rng)
+        rng, lines = draws.setdefault(seed, (random.Random(seed), []))
+        while len(lines) <= params["i"]:
+            lines.append(_rank3_lines(rng))
+        l = linear_space_lattice(*lines[params["i"]])
     else:
         l = build_instance(subject)
     _require(is_geometric(l), reason="not geometric")
@@ -465,30 +475,41 @@ _BOUNDED_POOL = (
 )
 
 def _ordinal_sum_corpus(seed: int) -> List[Tuple[str, Any]]:
+    # each pool entry is built once and handed over with the tags that draw it
     rng = random.Random(seed)
-    tags = []
-    for kind, pool, count in (("stacked-rows", _ROW_POOL, 24), ("stacked-posets", _BOUNDED_POOL, 8)):
+    tasks = []
+    for kind, pool, build, count in (
+        ("stacked-rows", _ROW_POOL, build_rows, 24),
+        ("stacked-posets", _BOUNDED_POOL, build_instance, 8),
+    ):
+        built = {tag: build(tag) for tag in pool}
         for i in range(count):
-            tags.append(f"{kind}:seed={seed}:i={i:02d}:{rng.choice(pool)}+{rng.choice(pool)}")
-    return _tasks(tags)
+            left, right = rng.choice(pool), rng.choice(pool)
+            tag = f"{kind}:seed={seed}:i={i:02d}:{left}+{right}"
+            tasks.append((tag, (tag, (built[left], built[right]))))
+    return tasks
 
 
-def _check_ordinal_sum(tag: str, seed: int) -> dict:
+def _check_ordinal_sum(subject: Any, seed: int) -> dict:
     """``stacked-rows:seed=S:i=II:L+R`` stacks two row-pool matrices;
-    ``stacked-posets:seed=S:i=II:L+R`` the rank rows of an ordinal sum."""
+    ``stacked-posets:seed=S:i=II:L+R`` the rank rows of an ordinal sum.
+
+    The subject is such a string, or such a string with its two summands
+    prebuilt."""
+    tag, summands = (subject, None) if isinstance(subject, str) else subject
     fields = tag.split(":", 3)
     kind = fields[0]
     if kind not in ("stacked-rows", "stacked-posets"):
         raise ValueError(f"unknown ordinal-sum instance {tag!r}")
     _params(":".join(fields[:-1]), kind, ("seed", "i"))
-    summands = re.split(r"\+(?=[A-Za-z])", fields[-1])  # a '+' before a digit is a sign
-    if len(summands) != 2:
+    names = re.split(r"\+(?=[A-Za-z])", fields[-1])  # a '+' before a digit is a sign
+    if len(names) != 2:
         raise ValueError(f"{kind} takes two instances joined by one '+', got {fields[-1]!r}")
     if kind == "stacked-rows":
-        stacked = ordinal_sum_rows(*map(build_rows, summands))
+        stacked = ordinal_sum_rows(*summands or map(build_rows, names))
         _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
-    lp, rp = map(build_instance, summands)
+    lp, rp = summands or map(build_instance, names)
     summed = lp.ordinal_sum(rp)
     rows = rank_matrix(summed)
     predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))
@@ -504,16 +525,25 @@ def _check_ordinal_sum(tag: str, seed: int) -> dict:
 
 def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
     # every cut of the Boolean algebra; of its single truncation the principal
-    # cuts: elements up to size n-2, plus the top; each host is built once
+    # cuts: elements up to size n-2, plus the top; each host is built once, and
+    # so is each product that a Boolean cut of 2 to n-1 atoms is checked against
     tasks = []
     for n in range(3, 6):
-        for host, sizes in ((f"boolean:{n}", range(n + 1)), (f"trunc-boolean:{n}:1", [*range(n - 1), n])):
+        for host, sizes, products in (
+            (f"boolean:{n}", range(n + 1), {k: _see_product(n, k) for k in range(2, n)}),
+            (f"trunc-boolean:{n}:1", [*range(n - 1), n], {}),
+        ):
             lattice = build_instance(host)
             for size in sizes:
                 for x in combinations(range(1, n + 1), size):
                     tag = f"see:{host}:cut={','.join(map(str, x)) or 'none'}"
-                    tasks.append((tag, (tag, lattice)))
+                    tasks.append((tag, (tag, lattice, products.get(size))))
     return tasks
+
+
+def _see_product(ground: int, members: int) -> Poset:
+    """The product that extending B_ground along the cut of ``members`` atoms gives."""
+    return truncated_boolean(members + 1, 1).direct_product(boolean_lattice(ground - members))
 
 
 def _check_see(subject: Any, seed: int) -> dict:
@@ -522,12 +552,13 @@ def _check_see(subject: Any, seed: int) -> dict:
     all, matches its product decomposition.
 
     The subject is a see: instance string, or such a string with its host
-    prebuilt, whose cuts are then applied as ``build_instance`` applies them.
+    prebuilt, whose cuts are then applied as ``build_instance`` applies them,
+    and the product it is checked against prebuilt, or None.
     """
     if isinstance(subject, str):
-        dsl, ext = subject, build_instance(subject)  # geometricity asserted by the constructor
+        dsl, ext, product = subject, build_instance(subject), None  # geometricity asserted by the constructor
     else:
-        dsl, lattice = subject
+        dsl, lattice, product = subject
         ext = _extend_by_cuts(lattice, islice(_see_fields(dsl), 1, None))
     c = _checked_chain_polynomial(ext.chain_polynomial())
     witness = {"chain": c.to_string(), "elements": ext.n}
@@ -535,9 +566,8 @@ def _check_see(subject: Any, seed: int) -> dict:
     if host[0] == "boolean" and len(cuts) == 1 and cuts[0] is not None:
         ground, members = len(ext.atoms()) - 1, cuts[0]  # a cut of 2 or more atoms adds one
         if 2 <= len(members) < ground:
-            product = truncated_boolean(len(members) + 1, 1).direct_product(
-                boolean_lattice(ground - len(members))
-            )
+            if product is None:
+                product = _see_product(ground, len(members))
             _require(
                 is_isomorphic(ext, product),
                 reason="extension does not match the product decomposition",
@@ -654,6 +684,9 @@ _SUITES: Dict[str, Tuple[Callable[[int], List[Tuple[str, Any]]], Callable[[Any, 
 
 SUITE_NAMES = tuple(_SUITES)
 
+# how a suite turns instance strings into tasks, where it is not one task per string alone
+_REPLAYS: Dict[str, Callable[[Sequence[str]], List[Tuple[str, Any]]]] = {"rank3": _rank3_replays}
+
 
 def suite_run(
     name: str,
@@ -670,7 +703,7 @@ def suite_run(
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     corpus, check = _SUITES[name]
     reports = []
-    for instance, subject in corpus(seed) if instances is None else _tasks(instances):
+    for instance, subject in corpus(seed) if instances is None else _REPLAYS.get(name, _tasks)(instances):
         start = time.monotonic()
         try:
             witness = check(subject, seed)

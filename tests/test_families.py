@@ -1,7 +1,8 @@
+import inspect
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -37,10 +38,12 @@ from latchain import (
     vamos_lattice,
 )
 from latchain.posets import MAX_ELEMENTS
+from latchain import families
 from latchain.families import (
     FANO_BLOCKS,
     MAX_DOWLING_GROUP,
     _atom_names,
+    _collides,
     dpartition_from_text,
     dpartition_to_text,
     element_with_atoms,
@@ -378,14 +381,69 @@ def test_truncated_extension_coatoms():
     assert fam == expect
 
 
-@pytest.mark.parametrize("dsl", ["boolean:3", "boolean:4", "trunc-boolean:4:1", "fano-lattice"])
-def test_extension_matches_the_flat_list_oracle(dsl):
+def _oracle_misses(extend, dsl):
+    """The modular cuts of the host along which ``extend`` raises or builds other
+    labels or covers than the flat-list oracle; the new atom is named as in see:."""
     host = build_instance(dsl)
+    e = next(e for e in count() if not _collides(e, _atom_names(host).values()))
     cuts = all_modular_cuts(host)
-    assert len(cuts) > 2
+    assert len(cuts) > 2 and host.n <= 16
+    missed = []
     for mc in cuts:
-        ext, oracle = single_element_extension(host, mc, 0), extension_by_flat_lists(host, mc, 0)
-        assert (ext.labels, ext.covers) == (oracle.labels, oracle.covers), sorted(mc.members)
+        oracle = extension_by_flat_lists(host, mc, e)
+        try:
+            ext = extend(host, mc, e)
+        except Exception:
+            ext = None
+        if ext is None or (ext.labels, ext.covers) != (oracle.labels, oracle.covers):
+            missed.append(sorted(mc.members))
+    return missed
+
+
+_EXTENSION_HOSTS = [
+    "boolean:3",
+    "boolean:4",
+    "trunc-boolean:4:1",
+    "trunc-boolean:4:2",
+    "fano-lattice",
+    "partition:4",
+    "subspace:3:2",
+    "affine:2:2",
+    "see:boolean:3:cut=1,2",
+    "see:boolean:3:cut=none",
+    "see:see:boolean:2:cut=1,2:cut=1",
+]
+
+
+@pytest.mark.parametrize("dsl", _EXTENSION_HOSTS)
+def test_extension_matches_the_flat_list_oracle(dsl):
+    assert _oracle_misses(single_element_extension, dsl) == []
+
+
+def _mutant(old: str, new: str):
+    """``single_element_extension`` with one piece of its source replaced."""
+    source = inspect.getsource(families.single_element_extension)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(families))
+    exec(source.replace(old, new), namespace)
+    return namespace["single_element_extension"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the cover from a collar flat X to X + e is dropped
+        (" + ([plus[x]] if x in collar else [])", ""),
+        # a collar X + e goes to Y + e for a cover Y outside the collar too
+        ("plus[y] if y in collar else", "plus[y] if y not in mem else"),
+        # the empty cut gets no X + e elements
+        ("if x not in mem and mem.isdisjoint(up[x])", "if mem and x not in mem and mem.isdisjoint(up[x])"),
+    ],
+    ids=["no-collar-cover", "collar-to-non-collar", "empty-cut-unextended"],
+)
+def test_flat_list_oracle_catches_a_broken_cover_rule(old, new):
+    mutant = _mutant(old, new)
+    assert any(_oracle_misses(mutant, dsl) for dsl in ("boolean:3", "trunc-boolean:4:1"))
 
 
 def _outcome(f, *args):

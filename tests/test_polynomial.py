@@ -201,6 +201,38 @@ def test_transforms_refuse_work_over_the_budget_at_once():
     assert MAX_PERMUTATION_SIZE**2 * 50 < MAX_TRANSFORM_WORK
 
 
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_transforms_match_the_power_oracle(sign, rational):
+    """The term recurrence against powers of 1 +/- t, with coefficients of both
+    signs; the oracle's repeated squaring takes seconds from n = 2000 on."""
+    transform = h_from_f if sign < 0 else f_from_h
+    rng = random.Random(2 * sign + rational)
+    for n in (0, 1, 2, 3, 7, 40, 250, 600):
+        for _ in range(3):
+            degree = rng.randint(0, min(n, 6))
+            coeffs = [rng.randint(-(10**30), 10**30) for _ in range(degree + 1)]
+            if rational:
+                coeffs = [Fraction(c, rng.randint(1, 10**6)) for c in coeffs]
+            f = ExactPoly(c if rng.random() < 0.6 else 0 for c in coeffs)
+            got, expected = transform(f, n), rebase_by_powers(f, n, sign)
+            assert got == expected and list(map(type, got.coeffs)) == list(map(type, expected.coeffs)), (f, n)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [ExactPoly((7**1000, 0, -(5**1200), 3**2000, -(10**1500))), ExactPoly((Fraction(-1, 3), 0, Fraction(5, 7), 2))],
+    ids=["int", "rational"],
+)
+def test_transforms_at_the_cap_keep_their_values(f):
+    """At n = 10000, past the power oracle's reach: h = h_from_f(f, n) has
+    2^n h(1/2) = f(1), and g = f_from_h(f, n) has 2^n g(-1/2) = f(-1)."""
+    n = MAX_TRANSFORM_DIMENSION
+    h, g = h_from_f(f, n), f_from_h(f, n)
+    assert sum(c * 2 ** (n - i) for i, c in enumerate(h.coeffs)) == f(1)
+    assert sum(c * (-1) ** i * 2 ** (n - i) for i, c in enumerate(g.coeffs)) == f(-1)
+
+
 def test_diamond_product_examples():
     t = ExactPoly((0, 1))
     assert diamond_product(t, t) == ExactPoly((0, 1, 2))

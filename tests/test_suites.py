@@ -38,8 +38,10 @@ from latchain.cli import main
 from latchain.suites import (
     _SUITES,
     CheckFailure,
+    _check_ordinal_sum,
     _check_see,
     _check_unit_interval_roots,
+    _ordinal_sum_corpus,
     _see_corpus,
     random_bounded_poset,
     random_rank3_geometric,
@@ -519,6 +521,39 @@ def test_rank3_replay_builds_one_lattice():
     assert report.witness == suites._check_rank3(corpus["rank3-random:seed=1:i=199"], 1)
 
 
+def test_rank3_replay_draws_each_seed_once():
+    """The tags of one run share their seed's draws; a later run draws again."""
+    tags = [f"rank3-random:seed=1:i={i:03d}" for i in reversed(range(200))]
+    drawn = []
+    draw = suites._rank3_lines
+    with mock.patch.object(suites, "_rank3_lines", lambda rng: drawn.append(1) or draw(rng)):
+        reports = suite_run("rank3", instances=tags, seed=1)
+        assert len(drawn) == 200
+        [again] = suite_run("rank3", instances=tags[:1], seed=1)
+        assert len(drawn) == 400
+    assert {r.verdict for r in reports} == {"pass"}
+    corpus = {r.instance: r.witness for r in suite_run("rank3", seed=1)}
+    assert {r.instance: r.witness for r in reports} == corpus and again.witness == corpus[tags[0]]
+
+
+def test_ordinal_sum_corpus_subjects_give_the_witness_of_their_replay():
+    """Prebuilt pool entries check as the instance string does on its own."""
+    for tag, subject in _ordinal_sum_corpus(0):
+        assert subject[0] == tag
+        assert _check_ordinal_sum(subject, 0) == _check_ordinal_sum(tag, 0)
+
+
+def test_ordinal_sum_suite_builds_each_pool_entry_once():
+    built = []
+    rows, posets = suites.build_rows, suites.build_instance
+    with mock.patch.object(suites, "build_rows", lambda tag: built.append(tag) or rows(tag)), mock.patch.object(
+        suites, "build_instance", lambda dsl: built.append(dsl) or posets(dsl)
+    ):
+        reports = suite_run("ordinal-sum", seed=0)
+    assert len(reports) == 32 and {r.verdict for r in reports} == {"pass"}
+    assert built == [*suites._ROW_POOL, *suites._BOUNDED_POOL]
+
+
 def test_see_corpus_subjects_give_the_witness_of_their_replay():
     """A prebuilt host extended along the instance's cuts checks as the
     instance string does when it is replayed on its own."""
@@ -534,6 +569,15 @@ def test_see_suite_builds_each_host_once():
         reports = suite_run("see", seed=0)
     assert len(reports) == 100 and {r.verdict for r in reports} == {"pass"}
     assert built == [f"{host}:{n}{cut}" for n in (3, 4, 5) for host, cut in (("boolean", ""), ("trunc-boolean", ":1"))]
+
+
+def test_see_suite_builds_each_product_once():
+    built = []
+    build = suites._see_product
+    with mock.patch.object(suites, "_see_product", lambda n, k: built.append((n, k)) or build(n, k)):
+        reports = suite_run("see", seed=0)
+    assert sum("product_isomorphic" in r.witness for r in reports) == 38
+    assert built == [(n, k) for n in (3, 4, 5) for k in range(2, n)]
 
 
 @pytest.mark.parametrize("cut", ["1,1", "1,2,2"])
