@@ -105,6 +105,8 @@ class Poset:
         "_by_up",
         "_by_down",
         "_lattice",
+        "_geometric",
+        "_counts",
     )
 
     def __init__(
@@ -232,6 +234,8 @@ class Poset:
         object.__setattr__(self, "_by_up", None)
         object.__setattr__(self, "_by_down", None)
         object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "_geometric", None)
+        object.__setattr__(self, "_counts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -306,6 +310,15 @@ class Poset:
         return [x for level in self._levels for x in _bits(level & mask)]
 
     def _level_counts(self, below: bool) -> Optional[list]:
+        """The poset's level counts when it is uniform by level, else None,
+        derived once per direction (``_count_levels``) and kept."""
+        if self._counts is None:
+            object.__setattr__(self, "_counts", {})
+        if below not in self._counts:
+            self._counts[below] = self._count_levels(below)
+        return self._counts[below]
+
+    def _count_levels(self, below: bool) -> Optional[list]:
         """The poset's level counts when it is uniform by level, else None.
 
         Below, counts[r] lists for s = 0, ..., r - 1 the number of level-s
@@ -538,10 +551,17 @@ class Poset:
         """Elements with exactly one lower cover."""
         return tuple(x for x in range(self.n) if len(self._cover_down[x]) == 1)
 
-    def _mask_index(self) -> None:
+    def _up_index(self) -> dict:
+        """Each up-set mask's element, built on first use."""
         if self._by_up is None:
             object.__setattr__(self, "_by_up", {m: x for x, m in enumerate(self._up)})
+        return self._by_up
+
+    def _down_index(self) -> dict:
+        """Each down-set mask's element, built on first use."""
+        if self._by_down is None:
             object.__setattr__(self, "_by_down", {m: x for x, m in enumerate(self._down)})
+        return self._by_down
 
     @property
     def is_lattice(self) -> bool:
@@ -562,21 +582,18 @@ class Poset:
     def _lattice_test(self) -> bool:
         if self._least is None:
             return False
-        self._mask_index()
-        up, by_up = self._up, self._by_up
+        up, by_up = self._up, self._up_index()
         irreducible = [up[j] for j in self.join_irreducibles()]
         return all((ux & uj) in by_up for ux in up for uj in irreducible)
 
     def join(self, x: int, y: int) -> int:
-        self._mask_index()
-        j = self._by_up.get(self._up[x] & self._up[y])
+        j = self._up_index().get(self._up[x] & self._up[y])
         if j is None:
             raise ValueError(f"join of {x} and {y} does not exist")
         return j
 
     def meet(self, x: int, y: int) -> int:
-        self._mask_index()
-        w = self._by_down.get(self._down[x] & self._down[y])
+        w = self._down_index().get(self._down[x] & self._down[y])
         if w is None:
             raise ValueError(f"meet of {x} and {y} does not exist")
         return w

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .polynomial import ExactPoly, Scalar, _minors_nonnegative
@@ -272,8 +273,12 @@ def _require_lattice(p: Poset) -> None:
 
 
 def _is_graded(p: Poset) -> bool:
+    """Every cover climbs one quasi-rank. Each climbs at least one, so that
+    holds iff the climbs, summed as the sum of rho(y) times the lower covers
+    of y less the sum of rho(x) times the upper covers of x, number the covers."""
     rho = p._rho
-    return all(rho[y] == rho[x] + 1 for x, y in p.covers)
+    climbs = sum(map(mul, rho, map(len, p._cover_down))) - sum(map(mul, rho, map(len, p._cover_up)))
+    return climbs == len(p.covers)
 
 
 def is_atomistic(p: Poset) -> bool:
@@ -312,7 +317,10 @@ def is_geometric(p: Poset) -> bool:
     and likewise y: the upward cover criterion (EC1 Prop. 3.3.2). Last,
     x join a covers x iff a lies under some upper cover c of x, since then
     x < x join a <= c. The covering test runs before the atomistic one,
-    whose False verdict overrides it.
+    whose False verdict overrides it. The verdict is stored on the poset,
+    as ``is_lattice`` stores its own, so a poset is tested once.
     """
     _require_lattice(p)
-    return _is_graded(p) and _has_covering_property(p) and is_atomistic(p)
+    if p._geometric is None:
+        object.__setattr__(p, "_geometric", _is_graded(p) and _has_covering_property(p) and is_atomistic(p))
+    return p._geometric

@@ -9,7 +9,8 @@ the covered-pair set of the rank-3 draws that one bitmask per point
 replaced (``random_rank3_lines_by_pairs``), the echelon sums
 and coset translation that the flat listing of subspace and affine
 lattices replaced, the cover-path gradedness search that the single cover
-scan replaced, the permutation enumeration that the chain-count route
+scan replaced and that scan, cover by cover, which the climb sum replaced
+(``graded_by_covers``), the permutation enumeration that the chain-count route
 of permstats replaced, the packed element program that the level
 quotient of uniform posets bypasses (``chain_fields_by_pairs``), the
 per-coefficient chain-counting program, the per-rank-set flag f-vector
@@ -1014,6 +1015,12 @@ def multichains_by_walk(p: Poset, n: int) -> int:
 
 
 # -- gradedness by cover-path lengths ------------------------------------------------
+
+
+def graded_by_covers(p: Poset) -> bool:
+    """Every cover raises the quasi-rank by one, compared cover by cover."""
+    rho = p._rho
+    return all(rho[y] == rho[x] + 1 for x, y in p.covers)
 
 
 def interval_length_spread(p: Poset):

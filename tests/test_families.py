@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations, count
+from unittest import mock
 
 import pytest
 
@@ -38,7 +39,7 @@ from latchain import (
     vamos_lattice,
 )
 from latchain.posets import MAX_ELEMENTS
-from latchain import families
+from latchain import families, tn
 from latchain.families import (
     FANO_BLOCKS,
     MAX_DOWLING_GROUP,
@@ -418,6 +419,16 @@ _EXTENSION_HOSTS = [
 @pytest.mark.parametrize("dsl", _EXTENSION_HOSTS)
 def test_extension_matches_the_flat_list_oracle(dsl):
     assert _oracle_misses(single_element_extension, dsl) == []
+
+
+def test_nested_see_tests_each_lattice_for_geometricity_once():
+    """Each extension is tested as it is built, and as the next cut's host
+    it is not tested again."""
+    sizes = []
+    covering = tn._has_covering_property
+    with mock.patch.object(tn, "_has_covering_property", lambda p: sizes.append(p.n) or covering(p)):
+        build_instance("see:see:see:boolean:4:cut=1,2:cut=0:cut=none")
+    assert sizes == [16, 20, 20, 40]
 
 
 def _mutant(old: str, new: str):

@@ -4,16 +4,21 @@ The library finds joins and meets by mask lookup, decides latticehood by the
 join-irreducible test and semimodularity, modularity and atomisticity by
 local criteria. Here every verdict and every join and meet is compared with
 the tables of ``lattice_tables_oracle`` and the pairwise rank definitions,
-and the single cover scan that decides interval gradedness is compared with
-the cover-path search of ``interval_length_spread``.
+and the climb sum that decides interval gradedness is compared with the
+cover-path search of ``interval_length_spread`` and with the comparison of
+each cover (``graded_by_covers``). Stored verdicts are compared with those
+of a fresh twin.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
+from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
+from latchain import tn
 from latchain import (
     Poset,
     boolean_lattice,
@@ -27,6 +32,7 @@ from latchain.families import _poset_from_sets
 from latchain.tn import _is_graded
 from helpers import (
     antichain,
+    graded_by_covers,
     interval_length_spread,
     is_modular,
     is_semimodular,
@@ -83,7 +89,7 @@ def _oracle_predicates(p: Poset, join, meet):
     """(semimodular, modular, atomistic, geometric) from the pairwise rank
     definitions on the tables."""
     rho = [p.rho(x) for x in range(p.n)]
-    graded = all(rho[y] == rho[x] + 1 for x, y in p.covers)
+    graded = graded_by_covers(p)
     pairs = [(x, y) for x in range(p.n) for y in range(x + 1, p.n)]
     excess = [rho[x] + rho[y] - rho[meet[x][y]] - rho[join[x][y]] for x, y in pairs]
     semimodular = graded and all(e >= 0 for e in excess)
@@ -157,3 +163,76 @@ def test_cover_scan_decides_interval_gradedness():
         else:
             is_triangular(p)
     assert seen == {True, False}
+
+
+def test_stored_verdicts_match_a_fresh_twin():
+    """is_lattice and is_geometric store their verdicts on the poset; asked
+    again, and asked of a twin built afresh from the same covers, they agree."""
+    seen = set()
+    for p in CORPUS:
+        twin = Poset(p.n, p.covers, p.labels)
+        assert p.is_lattice == p.is_lattice == twin.is_lattice
+        if p.is_lattice:
+            verdict = is_geometric(p)
+            assert p._geometric == verdict == is_geometric(p) == is_geometric(twin)
+            seen.add(verdict)
+        else:
+            with pytest.raises(ValueError, match="lattice"):
+                is_geometric(p)
+            assert p._geometric is None
+    assert seen == {True, False}
+
+
+@st.composite
+def _leveled_posets(draw):
+    """Front-door posets built level by level: each element above level 0
+    has lower covers on the level below, and a few extra relations may skip
+    levels, which leaves the poset graded only when each is implied. Half
+    get a new least element below everything."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    level = [r for r, size in enumerate(sizes) for _ in range(size)]
+    n = len(level)
+    first = [level.index(r) for r in range(len(sizes))]
+    rels = []
+    for y in range(n):
+        if level[y]:
+            below = range(first[level[y] - 1], first[level[y]])
+            rels += [(x, y) for x in draw(st.lists(st.sampled_from(below), min_size=1, unique=True))]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    rels += [(x, y) for x, y in extra if level[x] < level[y]]
+    if draw(st.booleans()):
+        rels += [(n, x) for x in range(n)]
+        n += 1
+    return Poset(n, rels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leveled_posets())
+def test_climb_sum_matches_the_cover_comparison(p):
+    assert _is_graded(p) == graded_by_covers(p)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("climbs == len(p.covers)", "climbs <= len(p.covers) + 1"),  # one cover may climb two
+        ("climbs == len(p.covers)", "climbs == len(p.covers) + 1"),
+    ],
+    ids=["tolerates-one-extra-climb", "expects-one-extra-climb"],
+)
+def test_cover_comparison_catches_an_off_by_one_climb_sum(old, new):
+    source = inspect.getsource(tn._is_graded)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(tn))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace["_is_graded"]
+    # the first poset found is enough, so no shrinking; derandomized, so no flakes
+    settle = settings(
+        max_examples=1000,
+        database=None,
+        derandomize=True,
+        phases=[Phase.generate],
+        suppress_health_check=list(HealthCheck),
+    )
+    p = find(_leveled_posets(), lambda p: mutant(p) != graded_by_covers(p), settings=settle)
+    assert mutant(p) != _is_graded(p)

@@ -21,6 +21,7 @@ from latchain import (
     paving_lattice_from_dpartition,
     poset_from_text,
     poset_to_text,
+    rank_matrix,
     truncated_boolean,
 )
 from latchain import suites
@@ -1076,3 +1077,18 @@ def test_operations_refuse_posets_they_are_not_defined_on():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             op()
+
+
+def test_level_counts_are_derived_once_per_direction():
+    """rank_matrix after chain_polynomial reuses the level counts from below,
+    and the counts from above are derived at the first of two asks."""
+    b6 = boolean_lattice(6)
+    count = Poset._count_levels
+    derived = []
+    with mock.patch.object(Poset, "_count_levels", lambda p, below: derived.append(below) or count(p, below)):
+        c = b6.chain_polynomial()
+        rows = rank_matrix(b6)
+        assert b6._level_counts(False) == b6._level_counts(False)
+    assert derived == [True, False]
+    assert c == chain_polynomial_by_dp(b6)
+    assert rows.rows == tuple(ExactPoly((1, 1)) ** n for n in range(7))

@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
 from unittest import mock
@@ -26,6 +27,7 @@ from latchain import (
     eulerian,
     fano_lattice,
     is_geometric,
+    is_isomorphic,
     q_eulerian,
     rank3_formula,
     suite_run,
@@ -33,7 +35,7 @@ from latchain import (
     write_csv,
     write_jsonl,
 )
-from latchain import suites
+from latchain import suites, tn
 from latchain.cli import main
 from latchain.suites import (
     _SUITES,
@@ -578,6 +580,66 @@ def test_see_suite_builds_each_product_once():
         reports = suite_run("see", seed=0)
     assert sum("product_isomorphic" in r.witness for r in reports) == 38
     assert built == [(n, k) for n in (3, 4, 5) for k in range(2, n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_see_suite_decides_every_product_by_its_named_isomorphism(seed):
+    with mock.patch.object(suites, "is_isomorphic", wraps=is_isomorphic) as search:
+        reports = suite_run("see", seed=seed)
+    assert search.call_count == 0
+    assert {r.verdict for r in reports} == {"pass"}
+    assert sum(r.witness.get("product_isomorphic", False) for r in reports) == 38
+
+
+def _boolean_cut(n, members):
+    """The extension of B_n along the cut of the atoms ``members``, and its product."""
+    ext = build_instance(f"see:boolean:{n}:cut={','.join(map(str, members))}")
+    return ext, suites._see_product(n, len(members))
+
+
+def test_named_isomorphism_holds_on_every_boolean_cut():
+    for n in range(3, 7):
+        for k in range(2, n):
+            for members in combinations(range(1, n + 1), k):
+                ext, product = _boolean_cut(n, members)
+                assert suites._named_isomorphism(ext, product, members)
+                assert is_isomorphic(ext, product)
+
+
+def _wrong_split(ext, product, n, members):
+    k = len(members)
+    return ext, truncated_boolean(k + 2, 1).direct_product(boolean_lattice(n - k - 1)), False
+
+
+def _one_cover_dropped(ext, product, n, members):
+    covers = list(ext.covers)
+    del covers[len(covers) // 2]
+    return Poset(ext.n, covers, ext.labels), product, False
+
+
+def _two_labels_swapped(ext, product, n, members):
+    labels = list(ext.labels)
+    labels[1], labels[2] = labels[2], labels[1]  # two atoms, one of them the new atom
+    return Poset(ext.n, ext.covers, labels), product, True
+
+
+@pytest.mark.parametrize("mutate", [_wrong_split, _one_cover_dropped, _two_labels_swapped])
+@pytest.mark.parametrize("n, members", [(4, (1, 2)), (5, (2, 4, 5)), (6, (1, 3))])
+def test_named_isomorphism_refuses_mutants_and_the_search_decides(mutate, n, members):
+    ext, product, isomorphic = mutate(*_boolean_cut(n, members), n, members)
+    assert not suites._named_isomorphism(ext, product, members)
+    assert suites._matches_product(ext, product, members) == is_isomorphic(ext, product) == isomorphic
+
+
+def test_see_suite_tests_each_lattice_for_geometricity_once():
+    """The six hosts and the 100 extensions, each once, though every cut
+    validates its host."""
+    tested = []
+    covering = tn._has_covering_property
+    with mock.patch.object(tn, "_has_covering_property", lambda p: tested.append(p) or covering(p)):
+        reports = suite_run("see", seed=0)
+    assert {r.verdict for r in reports} == {"pass"}
+    assert len(tested) == len(set(map(id, tested))) == 106
 
 
 @pytest.mark.parametrize("cut", ["1,1", "1,2,2"])
