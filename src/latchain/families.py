@@ -527,8 +527,13 @@ def _collides(e, names: Iterable) -> bool:
 def element_with_atoms(l: Poset, atom_names: Iterable) -> int:
     """Index of the first element whose atom set carries exactly the given
     names: the first whose down-set mask meets the atoms in their mask."""
+    return _element_with_atoms(l, _atom_names(l), atom_names)
+
+
+def _element_with_atoms(l: Poset, names: Dict[int, object], atom_names: Iterable) -> int:
+    """``element_with_atoms``, given the atom names ``_atom_names(l)``."""
     want = frozenset(atom_names)
-    bit = {v: 1 << a for a, v in _atom_names(l).items()}
+    bit = {v: 1 << a for a, v in names.items()}
     if all(v in bit for v in want):
         mask, atoms = sum(map(bit.__getitem__, want)), sum(bit.values())
         for x, down in enumerate(l._down):
@@ -685,12 +690,12 @@ def _extend_by_cuts(host: Poset, cuts: Iterable) -> Poset:
     None is the empty cut, else the atom names whose join generates a principal
     cut. The new atom is named by the least integer that is not a name yet."""
     for atom_names in cuts:
+        names = _atom_names(host)
         if atom_names is None:
             mc = ModularCut(host, frozenset())
         else:
-            mc = principal_cut(host, element_with_atoms(host, atom_names))
-        names = _atom_names(host).values()
-        host = single_element_extension(host, mc, next(e for e in count() if not _collides(e, names)))
+            mc = principal_cut(host, _element_with_atoms(host, names, atom_names))
+        host = single_element_extension(host, mc, next(e for e in count() if not _collides(e, names.values())))
     return host
 
 

@@ -3,15 +3,14 @@
 Each suite turns a family of instances into CheckReports with exact
 verdicts: real-rootedness, root location in [-1, 0], interlacing,
 resolvability, isomorphism, and polynomial identities. A suite is a
-default corpus plus one check; every instance is a string that the
-check parses itself, so any reported instance can be run again on its
-own. The rank3 corpus of random lattices is prebuilt from the seed; its
-tags name the seed and the draw, so they replay too. The see corpus
-builds each of its hosts and products once and hands them over with the
-instance string, whose cuts are applied as they are on replay, and checks
-each product by the isomorphism its decomposition names; the
-ordinal-sum corpus builds each pool entry once. Randomized corpora
-are seeded and the seed is recorded in every report.
+default corpus of instance strings plus one check, which parses the
+string itself, so any reported instance can be run again on its own. The
+checks of one run share what they build, through one table the run
+creates: the see hosts and products, the ordinal-sum summands and the
+rank3 line draws, each built at most once, whether the instances come
+from the corpus or are replayed; nothing is kept from one run to the
+next. Randomized corpora are seeded, and the rank3 tags name the seed
+and the draw, so they replay too; the seed is recorded in every report.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 import time
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb, factorial
 from operator import mul
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -202,12 +201,18 @@ def random_bounded_poset(rng: random.Random) -> Poset:
     return Poset(n, rels)
 
 
-# -- suites: corpus(seed) -> (instance, subject) tasks, check(subject, seed) -> witness --
+# -- suites: corpus(seed) -> instance strings, check(instance, seed, builds) -> witness --
 
 
-def _tasks(tags: Iterable[str]) -> List[Tuple[str, Any]]:
-    """Tasks whose subject is the instance string itself."""
-    return [(tag, tag) for tag in tags]
+def _shared(builds: Dict[tuple, Any], key: tuple, make: Callable[[], Any]) -> Any:
+    """The value that ``make()`` built for ``key`` in this run, built on first use.
+
+    The key names the reader as well as the string it reads. A build that
+    raises is not stored, so each tag that names it raises again.
+    """
+    if key not in builds:
+        builds[key] = make()
+    return builds[key]
 
 
 def _params(tag: str, head: str, keys: Sequence[str]) -> Dict[str, int]:
@@ -221,41 +226,30 @@ def _params(tag: str, head: str, keys: Sequence[str]) -> Dict[str, int]:
 _RANK3_DRAWS = 200
 
 
-def _rank3_corpus(seed: int) -> List[Tuple[str, Any]]:
-    rng = random.Random(seed)
-    return [(f"rank3-random:seed={seed}:i={i:03d}", random_rank3_geometric(rng)) for i in range(_RANK3_DRAWS)]
+def _rank3_corpus(seed: int) -> List[str]:
+    return [f"rank3-random:seed={seed}:i={i:03d}" for i in range(_RANK3_DRAWS)]
 
 
-def _rank3_replays(tags: Iterable[str]) -> List[Tuple[str, Any]]:
-    """Tasks for rank3 instance strings; they share one record of line draws per seed."""
-    draws: Dict[int, Tuple[random.Random, List]] = {}
-    return [(tag, (tag, draws)) for tag in tags]
-
-
-def _check_rank3(subject: Any, seed: int) -> dict:
+def _check_rank3(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """Geometric, the closed form matches the chain count, and real-rooted.
 
-    The subject is a prebuilt random lattice, a family DSL string, or a
-    ``rank3-random:seed=S:i=III`` tag, which names draw i of the corpus at
-    seed S and is replayed by drawing the lines of draws 0 to i from seed S
-    again, then building draw i alone. A string may come with a dict from
-    seeds to their random source and the lines drawn from it so far, which
-    the tags of one run share, so each draw is made once.
+    The tag is a family DSL string or ``rank3-random:seed=S:i=III``, which
+    names draw i of the corpus at seed S: the lines of draws 0 to i are
+    drawn from seed S, and draw i alone is built. The tags of one run share
+    each seed's random source and the lines drawn from it so far, keyed
+    ``("rank3", S)``, so each draw is made once per run.
     """
-    subject, draws = subject if isinstance(subject, tuple) else (subject, {})
-    if not isinstance(subject, str):
-        l = subject
-    elif subject.startswith("rank3-random:"):
-        params = _params(subject, "rank3-random", ("seed", "i"))
+    if tag.startswith("rank3-random:"):
+        params = _params(tag, "rank3-random", ("seed", "i"))
         if not 0 <= params["i"] < _RANK3_DRAWS:
             raise ValueError(f"draw index out of range 0..{_RANK3_DRAWS - 1}: {params['i']}")
         seed = params["seed"]
-        rng, lines = draws.setdefault(seed, (random.Random(seed), []))
+        rng, lines = _shared(builds, ("rank3", seed), lambda: (random.Random(seed), []))
         while len(lines) <= params["i"]:
             lines.append(_rank3_lines(rng))
         l = linear_space_lattice(*lines[params["i"]])
     else:
-        l = build_instance(subject)
+        l = build_instance(tag)
     _require(is_geometric(l), reason="not geometric")
     c = l.chain_polynomial()
     formula = rank3_formula(l)
@@ -269,9 +263,9 @@ def _check_rank3(subject: Any, seed: int) -> dict:
     return {"seed": seed, "chain": c.to_string()}
 
 
-def _paving_corpus(seed: int) -> List[Tuple[str, Any]]:
+def _paving_corpus(seed: int) -> List[str]:
     truncations = [f"trunc-boolean:{n}:{k}" for n in range(2, 8) for k in range(n - 1)]
-    return _tasks(["vamos", "fano-design"] + truncations)
+    return ["vamos", "fano-design"] + truncations
 
 
 _SWEEP_MAX_ELEMENTS = 128
@@ -333,7 +327,7 @@ def _certify_rank_selections(p: Poset, alpha: Dict[int, int]) -> int:
     return (1 << (top + 1)) - 1
 
 
-def _check_rank_selections(dsl: str, seed: int) -> dict:
+def _check_rank_selections(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """The chain polynomial, and that of every rank selection, has its roots in [-1, 0].
 
     When the rank selections are swept, the chain polynomial is read from
@@ -344,7 +338,7 @@ def _check_rank_selections(dsl: str, seed: int) -> dict:
     times 1 + t, so only the factor-free selections are certified (see
     _certify_rank_selections).
     """
-    p = build_instance(dsl)
+    p = build_instance(tag)
     alpha = _swept_flag_f_vector(p)
     if alpha is None:
         c = _checked_chain_polynomial(p.chain_polynomial())
@@ -389,14 +383,14 @@ def _certify_rows(rows: RMatrix, **context) -> Tuple[ResolveOutcome, List[ExactP
     return outcome, ps
 
 
-def _dowling_corpus(seed: int) -> List[Tuple[str, Any]]:
-    return _tasks(f"dowling-rows:m={m}:N=6" for m in (1, 2, 3))
+def _dowling_corpus(seed: int) -> List[str]:
+    return [f"dowling-rows:m={m}:N=6" for m in (1, 2, 3)]
 
 
-def _check_dowling(dsl: str, seed: int) -> dict:
+def _check_dowling(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """``dowling-rows:m=M:N=N``: row n of dowling_rows(M, N) holds the Whitney numbers
     W(n, k) = sum_j (-1)^(k-j) C(k, j) (1 + M j)^n / (M^k k!), j = 0..k; the rows are certified."""
-    params = _params(dsl, "dowling-rows", ("m", "N"))
+    params = _params(tag, "dowling-rows", ("m", "N"))
     rows, m = dowling_rows(**params), params["m"]
     for n, row in enumerate(rows.rows):
         expected = ExactPoly(
@@ -414,17 +408,17 @@ def _check_dowling(dsl: str, seed: int) -> dict:
     return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
 
 
-def _designs_corpus(seed: int) -> List[Tuple[str, Any]]:
+def _designs_corpus(seed: int) -> List[str]:
     uniform = [f"uniform-design:{n}:{k}" for n, k in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 4))]
-    return _tasks(["fano-design"] + uniform)
+    return ["fano-design"] + uniform
 
 
-def _triangular_corpus(seed: int) -> List[Tuple[str, Any]]:
+def _triangular_corpus(seed: int) -> List[str]:
     tags = [f"boolean:{n}" for n in range(1, 7)]
     tags += ["trunc-boolean:4:1", "trunc-boolean:5:1", "trunc-boolean:5:2", "trunc-boolean:6:2"]
     tags += ["subspace:2:2", "subspace:3:2", "subspace:2:3", "affine:2:3"]
     tags += ["partition:3", "partition:4", "partition:5"]
-    return _tasks(tags)
+    return tags
 
 
 def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str, Poset]:
@@ -440,7 +434,7 @@ def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str, Poset]:
     raise CheckFailure({"reason": "neither the poset nor its dual is rank uniform"})
 
 
-def _check_triangular(dsl: str, seed: int) -> dict:
+def _check_triangular(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """The rank rows certify, and so does the chain polynomial read off them.
 
     The uniform side has a least element, its one element of quasi-rank 0.
@@ -450,7 +444,7 @@ def _check_triangular(dsl: str, seed: int) -> dict:
     maximum x, counted by p_n. So the chain polynomial is
     (1 + t) * sum_n #(rank n) p_n, and a poset and its dual share it.
     """
-    p = build_instance(dsl)
+    p = build_instance(tag)
     rows, side, uniform = _rows_for_poset(p)
     _, ps = _certify_rows(rows, side=side)
     sizes = uniform.quasi_rank_generating_polynomial().coeffs
@@ -479,29 +473,24 @@ _BOUNDED_POOL = (
     "trunc-boolean:5:2",
 )
 
-def _ordinal_sum_corpus(seed: int) -> List[Tuple[str, Any]]:
-    # each pool entry is built once and handed over with the tags that draw it
+def _ordinal_sum_corpus(seed: int) -> List[str]:
     rng = random.Random(seed)
-    tasks = []
-    for kind, pool, build, count in (
-        ("stacked-rows", _ROW_POOL, build_rows, 24),
-        ("stacked-posets", _BOUNDED_POOL, build_instance, 8),
-    ):
-        built = {tag: build(tag) for tag in pool}
+    tags = []
+    for kind, pool, count in (("stacked-rows", _ROW_POOL, 24), ("stacked-posets", _BOUNDED_POOL, 8)):
         for i in range(count):
             left, right = rng.choice(pool), rng.choice(pool)
-            tag = f"{kind}:seed={seed}:i={i:02d}:{left}+{right}"
-            tasks.append((tag, (tag, (built[left], built[right]))))
-    return tasks
+            tags.append(f"{kind}:seed={seed}:i={i:02d}:{left}+{right}")
+    return tags
 
 
-def _check_ordinal_sum(subject: Any, seed: int) -> dict:
+def _check_ordinal_sum(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """``stacked-rows:seed=S:i=II:L+R`` stacks two row-pool matrices;
     ``stacked-posets:seed=S:i=II:L+R`` the rank rows of an ordinal sum.
 
-    The subject is such a string, or such a string with its two summands
-    prebuilt."""
-    tag, summands = (subject, None) if isinstance(subject, str) else subject
+    The tags of one run share each summand, keyed by the tag's kind and
+    the summand's name, so a name is read by the reader its kind takes:
+    ``build_rows`` for stacked-rows, ``build_instance`` for stacked-posets.
+    """
     fields = tag.split(":", 3)
     kind = fields[0]
     if kind not in ("stacked-rows", "stacked-posets"):
@@ -510,11 +499,12 @@ def _check_ordinal_sum(subject: Any, seed: int) -> dict:
     names = re.split(r"\+(?=[A-Za-z])", fields[-1])  # a '+' before a digit is a sign
     if len(names) != 2:
         raise ValueError(f"{kind} takes two instances joined by one '+', got {fields[-1]!r}")
+    read = build_rows if kind == "stacked-rows" else build_instance
+    lp, rp = (_shared(builds, (kind, name), lambda name=name: read(name)) for name in names)
     if kind == "stacked-rows":
-        stacked = ordinal_sum_rows(*summands or map(build_rows, names))
+        stacked = ordinal_sum_rows(lp, rp)
         _resolved(stacked, "stacked rows not resolvable")
         return {"order": stacked.order}
-    lp, rp = summands or map(build_instance, names)
     summed = lp.ordinal_sum(rp)
     rows = rank_matrix(summed)
     predicted = ordinal_sum_rows(rank_matrix(lp), rank_matrix(rp))
@@ -528,22 +518,16 @@ def _check_ordinal_sum(subject: Any, seed: int) -> dict:
     return {"order": rows.order}
 
 
-def _see_corpus(seed: int) -> List[Tuple[str, Any]]:
+def _see_corpus(seed: int) -> List[str]:
     # every cut of the Boolean algebra; of its single truncation the principal
-    # cuts: elements up to size n-2, plus the top; each host is built once, and
-    # so is each product that a Boolean cut of 2 to n-1 atoms is checked against
-    tasks = []
+    # cuts: elements up to size n-2, plus the top
+    tags = []
     for n in range(3, 6):
-        for host, sizes, products in (
-            (f"boolean:{n}", range(n + 1), {k: _see_product(n, k) for k in range(2, n)}),
-            (f"trunc-boolean:{n}:1", [*range(n - 1), n], {}),
-        ):
-            lattice = build_instance(host)
+        for host, sizes in ((f"boolean:{n}", range(n + 1)), (f"trunc-boolean:{n}:1", [*range(n - 1), n])):
             for size in sizes:
                 for x in combinations(range(1, n + 1), size):
-                    tag = f"see:{host}:cut={','.join(map(str, x)) or 'none'}"
-                    tasks.append((tag, (tag, lattice, products.get(size))))
-    return tasks
+                    tags.append(f"see:{host}:cut={','.join(map(str, x)) or 'none'}")
+    return tags
 
 
 def _see_product(ground: int, members: int) -> Poset:
@@ -586,28 +570,27 @@ def _matches_product(ext: Poset, product: Poset, members: Sequence[int]) -> bool
     return _named_isomorphism(ext, product, members) or is_isomorphic(ext, product)
 
 
-def _check_see(subject: Any, seed: int) -> dict:
+def _check_see(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """The extension's chain polynomial has its roots in [-1, 0], and an
     extension of a Boolean algebra along a cut of 2 or more atoms, short of
     all, matches its product decomposition.
 
-    The subject is a see: instance string, or such a string with its host
-    prebuilt, whose cuts are then applied as ``build_instance`` applies them,
-    and the product it is checked against prebuilt, or None.
+    The host is built as ``build_instance`` builds it and extended along the
+    tag's cuts by the code ``build_instance`` runs (which asserts that each
+    extension is geometric). The tags of one run share each host, keyed
+    ``("host", host DSL)``, and each product, keyed ``("product", n, k)``.
     """
-    if isinstance(subject, str):
-        dsl, ext, product = subject, build_instance(subject), None  # geometricity asserted by the constructor
-    else:
-        dsl, lattice, product = subject
-        ext = _extend_by_cuts(lattice, islice(_see_fields(dsl), 1, None))
+    layers = _see_fields(tag)
+    host = ":".join(next(layers))
+    ext = _extend_by_cuts(_shared(builds, ("host", host), lambda: build_instance(host)), layers)
     c = _checked_chain_polynomial(ext.chain_polynomial())
     witness = {"chain": c.to_string(), "elements": ext.n}
-    host, *cuts = _see_fields(dsl)
-    if host[0] == "boolean" and len(cuts) == 1 and cuts[0] is not None:
+    head, *cuts = _see_fields(tag)
+    if head[0] == "boolean" and len(cuts) == 1 and cuts[0] is not None:
         ground, members = len(ext.atoms()) - 1, cuts[0]  # a cut of 2 or more atoms adds one
         if 2 <= len(members) < ground:
-            if product is None:
-                product = _see_product(ground, len(members))
+            k = len(members)
+            product = _shared(builds, ("product", ground, k), lambda: _see_product(ground, k))
             _require(
                 _matches_product(ext, product, members),
                 reason="extension does not match the product decomposition",
@@ -618,11 +601,11 @@ def _check_see(subject: Any, seed: int) -> dict:
     return witness
 
 
-def _diamond_corpus(seed: int) -> List[Tuple[str, Any]]:
-    return _tasks(f"product-pair:seed={seed}:i={i:02d}" for i in range(50))
+def _diamond_corpus(seed: int) -> List[str]:
+    return [f"product-pair:seed={seed}:i={i:02d}" for i in range(50)]
 
 
-def _check_diamond(tag: str, seed: int) -> dict:
+def _check_diamond(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     """``product-pair:seed=S:i=II``: the p polynomial of a product of two random
     bounded posets is the diamond product of theirs."""
     params = _params(tag, "product-pair", ("seed", "i"))
@@ -695,11 +678,11 @@ def counterexample_search(n: int, q_max: int = 64) -> dict:
     return witness
 
 
-def _counterexample_corpus(seed: int) -> List[Tuple[str, Any]]:
-    return _tasks(["counterexample:n=3:qmax=64", "counterexample:n=4:qmax=64"])
+def _counterexample_corpus(seed: int) -> List[str]:
+    return ["counterexample:n=3:qmax=64", "counterexample:n=4:qmax=64"]
 
 
-def _check_counterexample(tag: str, seed: int) -> dict:
+def _check_counterexample(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
     params = _params(tag, "counterexample", ("n", "qmax"))
     witness = counterexample_search(params["n"], params["qmax"])
     _require(
@@ -710,7 +693,7 @@ def _check_counterexample(tag: str, seed: int) -> dict:
     return witness
 
 
-_SUITES: Dict[str, Tuple[Callable[[int], List[Tuple[str, Any]]], Callable[[Any, int], dict]]] = {
+_SUITES: Dict[str, Tuple[Callable[[int], List[str]], Callable[[str, int, Dict[tuple, Any]], dict]]] = {
     "rank3": (_rank3_corpus, _check_rank3),
     "paving": (_paving_corpus, _check_rank_selections),
     "dowling": (_dowling_corpus, _check_dowling),
@@ -724,9 +707,6 @@ _SUITES: Dict[str, Tuple[Callable[[int], List[Tuple[str, Any]]], Callable[[Any, 
 
 SUITE_NAMES = tuple(_SUITES)
 
-# how a suite turns instance strings into tasks, where it is not one task per string alone
-_REPLAYS: Dict[str, Callable[[Sequence[str]], List[Tuple[str, Any]]]] = {"rank3": _rank3_replays}
-
 
 def suite_run(
     name: str,
@@ -737,16 +717,18 @@ def suite_run(
 
     Without ``instances`` the suite's default corpus at ``seed`` is checked;
     an empty ``instances`` checks nothing. A malformed or unknown instance
-    gets an ``error`` verdict.
+    gets an ``error`` verdict. The checks of the run share one table of what
+    they build (see ``_shared``); it is dropped when the run ends.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     corpus, check = _SUITES[name]
+    builds: Dict[tuple, Any] = {}
     reports = []
-    for instance, subject in corpus(seed) if instances is None else _REPLAYS.get(name, _tasks)(instances):
+    for instance in corpus(seed) if instances is None else instances:
         start = time.monotonic()
         try:
-            witness = check(subject, seed)
+            witness = check(instance, seed, builds)
             verdict = "pass"
         except CheckFailure as exc:
             witness = exc.witness

@@ -161,7 +161,7 @@ def test_every_reader_keeps_one_number_grammar(text, token, dsl, poset, dpartiti
         read(reader, text)
     read(build_instance, text, (ValueError, OSError) if "paving" in text else ValueError)
     read(build_rows, text)
-    read(lambda t: _check_ordinal_sum(t, 0), text, (ValueError, CheckFailure))
+    read(lambda t: _check_ordinal_sum(t, 0, {}), text, (ValueError, CheckFailure))
 
     # the integer rule itself, and the integer flags that use it
     if ASCII_INT.fullmatch(token):
@@ -190,7 +190,7 @@ def test_every_reader_keeps_one_number_grammar(text, token, dsl, poset, dpartiti
     # suite tags: key=value integers, and the two summands of an ordinal sum
     head = tag[0].split(":")[0]
     check_integer_reader(lambda t: _params(t, head, TAG_KEYS[head]), tag)
-    check_integer_reader(lambda t: _check_ordinal_sum(t, 0), stacked, (ValueError, CheckFailure))
+    check_integer_reader(lambda t: _check_ordinal_sum(t, 0, {}), stacked, (ValueError, CheckFailure))
 
 
 def test_leading_zeros_and_signs_are_integers():

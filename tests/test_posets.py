@@ -332,7 +332,7 @@ def test_diamond_check_builds_no_subposet():
     with subposet extraction switched off."""
     with mock.patch.object(Poset, "induced", side_effect=AssertionError("a subposet was built")):
         for i in range(50):
-            assert suites._check_diamond(f"product-pair:seed=1:i={i:02d}", 1)
+            assert suites._check_diamond(f"product-pair:seed=1:i={i:02d}", 1, {})
 
 
 def test_diamond_product_matches_products():

@@ -200,7 +200,7 @@ def test_random_linear_spaces_match_pairs_oracle():
         _assert_same_poset(p, paving_poset_by_sets(points, lines, 2))
 
 
-@pytest.mark.parametrize("dsl", [tag for tag, _ in _designs_corpus(0)])
+@pytest.mark.parametrize("dsl", _designs_corpus(0))
 def test_design_posets_match_pairs_oracle(dsl):
     if dsl == "fano-design":
         points, blocks, s = range(1, 8), list(FANO_BLOCKS), 2
@@ -212,7 +212,7 @@ def test_design_posets_match_pairs_oracle(dsl):
 
 
 def test_see_corpus_matches_pairs_oracle():
-    for i, (dsl, _) in enumerate(_see_corpus(0)):
+    for i, dsl in enumerate(_see_corpus(0)):
         p = build_instance(dsl)
         _assert_matches_pairs_oracle(p, p.labels, seed=i)
 

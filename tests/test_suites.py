@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -35,16 +36,13 @@ from latchain import (
     write_csv,
     write_jsonl,
 )
-from latchain import suites, tn
+from latchain import families, suites, tn
 from latchain.cli import main
 from latchain.suites import (
     _SUITES,
     CheckFailure,
-    _check_ordinal_sum,
-    _check_see,
     _check_unit_interval_roots,
     _ordinal_sum_corpus,
-    _see_corpus,
     random_bounded_poset,
     random_rank3_geometric,
 )
@@ -290,11 +288,11 @@ def test_suite_failure_reporting():
     assert not outcome.ok and "divisibility" in outcome.describe()
 
 
-@pytest.mark.parametrize("tag", [tag for tag, _ in suites._triangular_corpus(0)])
+@pytest.mark.parametrize("tag", suites._triangular_corpus(0))
 def test_triangular_chain_polynomial_from_rank_rows_matches_chain_counts(tag):
     """(1 + t) * sum_n #(rank n) p_n, read off the certified rank rows, is the
     chain polynomial that the poset counts, on either side."""
-    witness = suites._check_triangular(tag, 0)
+    witness = suites._check_triangular(tag, 0, {})
     assert witness["chain"] == build_instance(tag).chain_polynomial().to_string()
 
 
@@ -483,7 +481,7 @@ def test_every_sweep_shape_draws_passing_and_failing_posets():
 @pytest.mark.parametrize("name", ["paving", "designs"])
 def test_flag_f_vector_gives_the_rank_selections_of_the_corpus(name):
     corpus, _ = _SUITES[name]
-    for tag, _ in corpus(0):
+    for tag in corpus(0):
         assert_flags_give_rank_selections(build_instance(tag))
 
 
@@ -518,9 +516,9 @@ def test_rank3_replay_builds_one_lattice():
     with mock.patch.object(suites, "linear_space_lattice", lambda n, lines: built.append(n) or build(n, lines)):
         [report] = suite_run("rank3", instances=["rank3-random:seed=1:i=199"], seed=1)
     assert len(built) == 1
-    corpus = dict(suites._rank3_corpus(1))
+    corpus = {r.instance: r.witness for r in suite_run("rank3", seed=1)}
     assert report.verdict == "pass"
-    assert report.witness == suites._check_rank3(corpus["rank3-random:seed=1:i=199"], 1)
+    assert report.witness == corpus["rank3-random:seed=1:i=199"]
 
 
 def test_rank3_replay_draws_each_seed_once():
@@ -538,48 +536,122 @@ def test_rank3_replay_draws_each_seed_once():
     assert {r.instance: r.witness for r in reports} == corpus and again.witness == corpus[tags[0]]
 
 
-def test_ordinal_sum_corpus_subjects_give_the_witness_of_their_replay():
-    """Prebuilt pool entries check as the instance string does on its own."""
-    for tag, subject in _ordinal_sum_corpus(0):
-        assert subject[0] == tag
-        assert _check_ordinal_sum(subject, 0) == _check_ordinal_sum(tag, 0)
+def _records_by_instance(reports):
+    return [(r.instance, r.verdict, r.witness) for r in reports]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", ["rank3", "ordinal-sum", "see"])
+def test_corpus_run_and_the_replay_of_its_tags_give_equal_records(name, seed):
+    """The suites whose checks share builds give each tag of the corpus the
+    record its replay gives, forwards and backwards."""
+    corpus = suite_run(name, seed=seed)
+    tags = [r.instance for r in corpus]
+    assert {r.verdict for r in corpus} == {"pass"}
+    for order in (tags, tags[::-1]):
+        assert _records_by_instance(suite_run(name, instances=order, seed=seed)) == _records_by_instance(corpus)
+
+
+_READERS = {"stacked-rows": "build_rows", "stacked-posets": "build_instance"}
+
+
+def _summand_builds(tags):
+    """The reader and name of each summand that ordinal-sum tags name, in first-use order."""
+    names = ((tag.split(":")[0], name) for tag in tags for name in tag.split(":", 3)[3].split("+"))
+    return [(_READERS[kind], name) for kind, name in dict.fromkeys(names)]
+
+
+@contextmanager
+def _counted_builds():
+    """The calls to the suites' builders of summands, hosts and products, in
+    order, as (builder, argument) pairs; a product's argument is (n, k)."""
+    built = []
+
+    def counting(name, build):
+        def counted(*args):
+            built.append((name, args[0] if len(args) == 1 else args))
+            return build(*args)
+
+        return counted
+
+    with ExitStack() as stack:
+        for name in ("build_rows", "build_instance", "_see_product"):
+            stack.enter_context(mock.patch.object(suites, name, counting(name, getattr(suites, name))))
+        yield built
 
 
 def test_ordinal_sum_suite_builds_each_pool_entry_once():
-    built = []
-    rows, posets = suites.build_rows, suites.build_instance
-    with mock.patch.object(suites, "build_rows", lambda tag: built.append(tag) or rows(tag)), mock.patch.object(
-        suites, "build_instance", lambda dsl: built.append(dsl) or posets(dsl)
-    ):
+    """Each summand is built once per run, in first-use order."""
+    with _counted_builds() as built:
         reports = suite_run("ordinal-sum", seed=0)
     assert len(reports) == 32 and {r.verdict for r in reports} == {"pass"}
-    assert built == [*suites._ROW_POOL, *suites._BOUNDED_POOL]
-
-
-def test_see_corpus_subjects_give_the_witness_of_their_replay():
-    """A prebuilt host extended along the instance's cuts checks as the
-    instance string does when it is replayed on its own."""
-    for tag, subject in _see_corpus(0):
-        assert subject[0] == tag
-        assert _check_see(subject, 0) == _check_see(tag, 0)
+    assert built == _summand_builds(_ordinal_sum_corpus(0))
+    assert sorted(name for _, name in built) == sorted([*suites._ROW_POOL, *suites._BOUNDED_POOL])
 
 
 def test_see_suite_builds_each_host_once():
-    built = []
-    build = suites.build_instance
-    with mock.patch.object(suites, "build_instance", lambda dsl: built.append(dsl) or build(dsl)):
+    """Each host is built once per run, in first-use order."""
+    with _counted_builds() as built:
         reports = suite_run("see", seed=0)
     assert len(reports) == 100 and {r.verdict for r in reports} == {"pass"}
-    assert built == [f"{host}:{n}{cut}" for n in (3, 4, 5) for host, cut in (("boolean", ""), ("trunc-boolean", ":1"))]
+    hosts = [f"{host}:{n}{cut}" for n in (3, 4, 5) for host, cut in (("boolean", ""), ("trunc-boolean", ":1"))]
+    assert [dsl for reader, dsl in built if reader == "build_instance"] == hosts
 
 
 def test_see_suite_builds_each_product_once():
-    built = []
-    build = suites._see_product
-    with mock.patch.object(suites, "_see_product", lambda n, k: built.append((n, k)) or build(n, k)):
+    """Each product is built once per run, in first-use order."""
+    with _counted_builds() as built:
         reports = suite_run("see", seed=0)
     assert sum("product_isomorphic" in r.witness for r in reports) == 38
-    assert built == [(n, k) for n in (3, 4, 5) for k in range(2, n)]
+    assert [nk for reader, nk in built if reader == "_see_product"] == [(n, k) for n in (3, 4, 5) for k in range(2, n)]
+
+
+def test_replays_build_each_shared_value_once():
+    """A replay of the corpus tags shares its builds as the corpus run does:
+    6 hosts and 6 products for see, 15 summands for ordinal-sum, at seed 1."""
+    see_tags = [r.instance for r in suite_run("see", seed=1)]
+    with _counted_builds() as built:
+        reports = suite_run("see", instances=see_tags, seed=1)
+    assert {r.verdict for r in reports} == {"pass"}
+    assert Counter(reader for reader, _ in built) == {"build_instance": 6, "_see_product": 6}
+    assert len(set(built)) == 12
+    sum_tags = [r.instance for r in suite_run("ordinal-sum", seed=1)]
+    with _counted_builds() as built:
+        reports = suite_run("ordinal-sum", instances=sum_tags, seed=1)
+    assert {r.verdict for r in reports} == {"pass"}
+    assert built == _summand_builds(sum_tags) and len(built) == 15
+
+
+_ROWS_TAG = "stacked-rows:seed=0:i=00:dowling-rows:m=1:N=4+boolean-rows:3"
+_POSETS_TAG = "stacked-posets:seed=0:i=00:dowling-rows:m=1:N=4+boolean:2"
+
+
+@pytest.mark.parametrize("order", [(_ROWS_TAG, _POSETS_TAG), (_POSETS_TAG, _ROWS_TAG)])
+def test_shared_summands_are_keyed_by_their_reader(order):
+    """A summand name read as rank rows is never handed to a stacked-posets
+    tag, whichever tag comes first; a build that raises is not stored."""
+    alone = {tag: _records_by_instance(suite_run("ordinal-sum", instances=[tag])) for tag in order}
+    assert _records_by_instance(suite_run("ordinal-sum", instances=list(order))) == sorted(sum(alone.values(), []))
+    [(_, verdict, witness)] = alone[_POSETS_TAG]
+    assert verdict == "error"
+    assert witness == {"exception": "ValueError: dowling-rows builds rank rows, not a poset"}
+    again = "stacked-posets:seed=0:i=01:boolean:2+dowling-rows:m=1:N=4"
+    with _counted_builds() as built:
+        reports = suite_run("ordinal-sum", instances=[*order, again])
+    assert [r.witness for r in reports if r.instance.startswith("stacked-posets")] == [witness, witness]
+    assert built.count(("build_rows", "dowling-rows:m=1:N=4")) == 1
+    assert built.count(("build_instance", "dowling-rows:m=1:N=4")) == 2
+
+
+def test_see_suite_derives_the_atom_names_twice_per_cut_and_once_per_product():
+    """_extend_by_cuts derives a host's atom names once per layer and
+    single_element_extension once more; _named_isomorphism once per product.
+    The 100 instances at seed 1 have one layer each and 38 products."""
+    counted = mock.Mock(wraps=families._atom_names)
+    with mock.patch.object(families, "_atom_names", counted), mock.patch.object(suites, "_atom_names", counted):
+        reports = suite_run("see", seed=1)
+    assert {r.verdict for r in reports} == {"pass"}
+    assert counted.call_count == 238
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
