@@ -14,9 +14,9 @@ back to it through --instances. `build` writes a rank-row head
 families.build_rows, and any other DSL as a poset, read by build_instance.
 
 Exit codes: 0 all checks pass, 1 a check failed or could not run, 2 usage
-error (missing or malformed argument, unreadable instances or d-partition
-file, unwritable output file, unknown or malformed DSL in `build`),
-reported on one line.
+error (missing or malformed argument, a poly flag the op does not take,
+unreadable instances or d-partition file, unwritable output file, unknown
+or malformed DSL in `build`), reported on one line.
 Integers are ASCII [+-]?[0-9]+ everywhere: DSL fields, cut members, suite
 tags, text formats, --seed and --n. Coefficient lists, --lo, --hi and --at
 also take p/q. Nothing else is a number (no 1e9, 1_0, 0.5, 1/0 or non-ASCII
@@ -117,7 +117,7 @@ def _interval(args: argparse.Namespace):
 
 
 # each poly op: its number of coefficient lists, the flags it needs as its usage error names them,
-# and what it prints (a verdict as true or false)
+# and what it prints (a verdict as true or false); sturm-count alone also takes an optional pair
 _POLY_OPS = {
     "real-rooted": (1, (), lambda a, ps: str(is_real_rooted(ps[0])).lower()),
     "sturm-count": (1, (), lambda a, ps: str(sturm_real_root_count(ps[0], _interval(a)))),
@@ -132,6 +132,8 @@ _POLY_OPS = {
     "eulerian": (0, ("--n",), lambda a, ps: eulerian(a.n).to_string()),
     "q-eulerian": (0, ("--n", "--at <q>"), lambda a, ps: q_eulerian(a.n, _rational(a.at)).to_string()),
 }
+_OPTIONAL_FLAGS = {"sturm-count": ("--lo", "--hi")}
+_POLY_FLAGS = ("--lo", "--hi", "--n", "--at")
 
 
 def _poly_result(args: argparse.Namespace) -> str:
@@ -139,8 +141,13 @@ def _poly_result(args: argparse.Namespace) -> str:
     arity, flags, result = _POLY_OPS[args.op]
     if len(args.coeffs) != arity:
         raise ValueError(f"needs {arity} coefficient list(s), got {len(args.coeffs)}")
+    needed = [flag.split()[0] for flag in flags]
+    taken = needed + list(_OPTIONAL_FLAGS.get(args.op, ()))
+    unread = [flag for flag in _POLY_FLAGS if flag not in taken and getattr(args, flag[2:]) is not None]
+    if unread:
+        raise ValueError("takes no " + " or ".join(unread))
     ps = [ExactPoly.from_string(text) for text in args.coeffs]
-    if any(getattr(args, flag.split()[0].lstrip("-")) is None for flag in flags):
+    if any(getattr(args, flag[2:]) is None for flag in needed):
         raise ValueError("needs " + " and ".join(flags))
     return result(args, ps)
 

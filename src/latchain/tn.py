@@ -106,6 +106,10 @@ class ResolutionWitness:
     polys[n][0] the input row and polys[n][n] = t^n; lambdas[n][k] >= 0
     links consecutive rows via
     polys[n+1][k] = polys[n+1][k+1] + lambdas[n][k] * polys[n][k].
+
+    ``verify`` rechecks that recursion by ExactPoly arithmetic, not on
+    the coefficient lists ``resolve`` builds the array with, so the
+    checker of a certificate shares no arithmetic with its builder.
     """
 
     polys: Tuple[Tuple[ExactPoly, ...], ...]
@@ -176,18 +180,25 @@ def resolve(r: RMatrix) -> ResolveOutcome:
     zero_pivot flag set. The first obstruction encountered is reported.
     Nothing else can fail: row n is monic of degree n, so each peeled
     column stays monic and loses its t^k term, and the last is t^(n+1).
+
+    The columns are plain coefficient lists peeled from each row's
+    coefficient tuple: entries stay ints while the multipliers do, and a
+    multiplier is a Fraction only when the pivot does not divide the
+    target. ExactPoly objects are made only for the witness, once the
+    whole array has resolved, with the input rows as its column 0; an
+    obstruction makes none.
     """
     N = r.order
-    polys: List[List[ExactPoly]] = [[r.rows[0]]]
+    cols: List[List[Sequence[Scalar]]] = [[r.rows[0].coeffs]]
     lambdas: List[List[Scalar]] = []
 
     for n in range(N):
-        current = polys[n]
-        nxt = [r.rows[n + 1]]
+        current = cols[n]
+        nxt = [r.rows[n + 1].coeffs]
         lams: List[Scalar] = []
         for k in range(n + 1):
-            target = nxt[k].coefficient(k)
-            pivot = current[k].coefficient(k)
+            col, prev = nxt[k], current[k]
+            target, pivot = col[k], prev[k]
             if pivot == 0:
                 lam: Scalar = 0
                 if target != 0:
@@ -198,20 +209,28 @@ def resolve(r: RMatrix) -> ResolveOutcome:
                         zero_pivot=True,
                     )
             else:
-                lam = Fraction(target, 1) / Fraction(pivot)
-                if lam.denominator == 1:
-                    lam = int(lam)
+                lam, rest = divmod(target, pivot)
+                if rest:
+                    lam = Fraction(target, pivot)
             if lam < 0:
                 return ResolveOutcome(
                     False, obstruction="negative multiplier", position=(n, k)
                 )
             lams.append(lam)
-            nxt.append(nxt[k] - lam * current[k])
-        polys.append(nxt)
+            # the next column: col - lam * prev, whose t^k term is zero
+            # (with lam = 0 the target is zero already, so col itself)
+            if lam:
+                col = list(col)
+                col[k] = 0
+                for i in range(k + 1, n + 1):
+                    col[i] -= lam * prev[i]
+            nxt.append(col)
+        cols.append(nxt)
         lambdas.append(lams)
 
     witness = ResolutionWitness(
-        tuple(tuple(row) for row in polys), tuple(tuple(l) for l in lambdas)
+        tuple((row,) + tuple(map(ExactPoly, cols[n][1:])) for n, row in enumerate(r.rows)),
+        tuple(map(tuple, lambdas)),
     )
     return ResolveOutcome(True, witness=witness)
 
@@ -234,16 +253,20 @@ def is_totally_nonnegative(r: RMatrix) -> bool:
 
 
 def chain_polys_from_rmatrix(r: RMatrix) -> List[ExactPoly]:
-    """p_0 = 1 and p_n = t * sum_{k<n} r(n, k) p_k for n = 1..N."""
-    out = [ExactPoly((1,))]
-    for n in range(1, r.order + 1):
-        acc = ExactPoly()
-        for k in range(n):
-            c = r.entry(n, k)
+    """p_0 = 1 and p_n = t * sum_{k<n} r(n, k) p_k for n = 1..N.
+
+    The recurrence runs on int coefficient lists, reading each row once;
+    only the N + 1 returned polynomials are ExactPoly objects.
+    """
+    out: List[List[int]] = [[1]]
+    for n, row in enumerate(r.rows[1:], start=1):
+        acc = [0] * (n + 1)  # acc[i] is [t^i] p_n, so acc[0] stays 0
+        for k, c in enumerate(row.coeffs[:n]):
             if c:
-                acc = acc + c * out[k]
-        out.append(acc.shift(1))
-    return out
+                for i, a in enumerate(out[k], start=1):
+                    acc[i] += c * a
+        out.append(acc)
+    return [ExactPoly(p) for p in out]
 
 
 def ordinal_sum_rows(r: RMatrix, s: RMatrix) -> RMatrix:

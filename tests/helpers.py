@@ -47,6 +47,9 @@ that one bilinear formula replaced. ``isomorphic_by_backtracking`` is the
 refine-once-then-backtrack isomorphism test that individualization-refinement
 replaced, and ``rank_selection_sweep_by_all_masks`` the rank-selection sweep
 that certified every selection before factor ranks were skipped.
+``resolve_by_polys`` and ``chain_polys_by_polys`` are the resolvability
+certificate and the rank-row chain polynomials by ExactPoly arithmetic,
+one polynomial per column step, that coefficient lists replaced.
 
 The last section holds what the library exported but only the tests ran:
 the damped interlacing and TP2 checks, the binomial basis, the Mobius
@@ -91,7 +94,7 @@ from latchain import (
     truncated_boolean,
 )
 from latchain.families import _atom_names, _poset_from_sets
-from latchain.polynomial import _minors_nonnegative
+from latchain.polynomial import Scalar, _minors_nonnegative
 from latchain.posets import MAX_ELEMENTS, _bits
 from latchain.suites import (
     _SWEEP_MAX_ELEMENTS,
@@ -100,7 +103,7 @@ from latchain.suites import (
     _check_unit_interval_roots,
     _swept_flag_f_vector,
 )
-from latchain.tn import _is_graded, _require_lattice
+from latchain.tn import ResolutionWitness, ResolveOutcome, _is_graded, _require_lattice
 
 
 ONE = ExactPoly((1,))
@@ -1037,6 +1040,65 @@ def interval_length_spread(p: Poset):
             shortest[y] = 1 + min(lens_s)
             longest[y] = 1 + max(lens_l)
             yield x, y, shortest[y], longest[y]
+
+
+# -- the resolvability certificate and chain polynomials by ExactPoly arithmetic -----
+
+
+def resolve_by_polys(r: RMatrix) -> ResolveOutcome:
+    """The greedy certificate with one ExactPoly per column step (a scalar
+    multiple, a negation and a sum), as ``tn.resolve`` built it before it
+    ran on coefficient lists."""
+    N = r.order
+    polys: List[List[ExactPoly]] = [[r.rows[0]]]
+    lambdas: List[List[Scalar]] = []
+
+    for n in range(N):
+        current = polys[n]
+        nxt = [r.rows[n + 1]]
+        lams: List[Scalar] = []
+        for k in range(n + 1):
+            target = nxt[k].coefficient(k)
+            pivot = current[k].coefficient(k)
+            if pivot == 0:
+                lam: Scalar = 0
+                if target != 0:
+                    return ResolveOutcome(
+                        False,
+                        obstruction="divisibility failure",
+                        position=(n, k),
+                        zero_pivot=True,
+                    )
+            else:
+                lam = Fraction(target, 1) / Fraction(pivot)
+                if lam.denominator == 1:
+                    lam = int(lam)
+            if lam < 0:
+                return ResolveOutcome(
+                    False, obstruction="negative multiplier", position=(n, k)
+                )
+            lams.append(lam)
+            nxt.append(nxt[k] - lam * current[k])
+        polys.append(nxt)
+        lambdas.append(lams)
+
+    witness = ResolutionWitness(
+        tuple(tuple(row) for row in polys), tuple(tuple(l) for l in lambdas)
+    )
+    return ResolveOutcome(True, witness=witness)
+
+
+def chain_polys_by_polys(r: RMatrix) -> List[ExactPoly]:
+    """p_0 = 1 and p_n = t * sum_{k<n} r(n, k) p_k, summed as ExactPoly objects."""
+    out = [ExactPoly((1,))]
+    for n in range(1, r.order + 1):
+        acc = ExactPoly()
+        for k in range(n):
+            c = r.entry(n, k)
+            if c:
+                acc = acc + c * out[k]
+        out.append(acc.shift(1))
+    return out
 
 
 # -- permutation statistics by enumeration -------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from latchain import boolean_lattice, chain_poset, poset_from_text, rank_matrix, truncated_boolean
-from latchain.cli import main
+from latchain.cli import _POLY_OPS, main
 from helpers import run_cli
 
 
@@ -321,3 +321,36 @@ def test_sturm_count_refuses_an_empty_interval(capsys):
     assert err.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
     assert errors == ["latchain poly: error: sturm-count: empty interval"]
+
+
+# each op: an argument list it accepts, flags it does not read, and their names in the error
+_UNREAD_FLAGS = {
+    "real-rooted": (["1 2"], ["--at", "3"], "--at"),
+    "sturm-count": (["1 2"], ["--n", "3"], "--n"),
+    "roots-in-interval": (["1 2", "--lo=-1", "--hi", "0"], ["--at", "3"], "--at"),
+    "interlaces": (["1 2", "1 4 3"], ["--n", "2"], "--n"),
+    "diamond": (["0 1", "0 1"], ["--lo", "0"], "--lo"),
+    "h-from-f": (["1 2", "--n", "3"], ["--hi", "1"], "--hi"),
+    "f-from-h": (["1 1", "--n", "3"], ["--at", "1"], "--at"),
+    "eval": (["1 2", "--at", "3"], ["--lo", "0", "--hi", "1"], "--lo or --hi"),
+    "eulerian": (["--n", "3"], ["--at", "2"], "--at"),
+    "q-eulerian": (["--n", "3", "--at", "2"], ["--lo", "1"], "--lo"),
+}
+
+
+def test_every_poly_op_has_an_unread_flag_case():
+    assert set(_UNREAD_FLAGS) == set(_POLY_OPS)
+
+
+@pytest.mark.parametrize("op", list(_UNREAD_FLAGS))
+def test_poly_op_refuses_a_flag_it_does_not_read(op, capsys):
+    accepted, unread, named = _UNREAD_FLAGS[op]
+    assert main(["poly", op, *accepted]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["poly", op, *accepted, *unread])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert errors == [f"latchain poly: error: {op}: takes no {named}"]

@@ -30,6 +30,7 @@ from latchain import (
 )
 from latchain.tn import _is_graded
 from helpers import (
+    chain_polys_by_polys,
     check_cover_recursion,
     down_poset,
     incidence_R,
@@ -47,6 +48,7 @@ from helpers import (
     random_bounded,
     random_poset,
     rank_uniform_tower_13,
+    resolve_by_polys,
     subdivision_operator,
     triangular_by_walk,
     with_bounds,
@@ -253,6 +255,163 @@ def test_resolve_fails_only_on_a_zero_pivot_or_a_negative_multiplier(rows):
         assert (outcome.obstruction, outcome.zero_pivot) in {
             ("divisibility failure", True), ("negative multiplier", False)
         }
+
+
+def _rows_after(draw, rows, order, entries):
+    """rows extended by monic rows of drawn entries up to the given order."""
+    for n in range(len(rows), order + 1):
+        middle = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        rows.append([draw(entries.filter(bool)), *middle, 1])
+    return RMatrix.from_int_rows(rows)
+
+
+@st.composite
+def wide_rank_rows(draw):
+    """Monic rank rows with entries up to 10^30, small ones mixed with ones over 10^29."""
+    entries = st.integers(0, 8) | st.integers(10**29, 10**30)
+    return _rows_after(draw, [[1]], draw(st.integers(0, 5)), entries)
+
+
+@st.composite
+def resolvable_wide_rank_rows(draw):
+    """Rows built from drawn integer multipliers up to 10^6 by the certificate's
+    own recursion, so most resolve, with entries up to about 10^30."""
+    lams = st.integers(0, 3) | st.integers(10**5, 10**6)
+    polys = [[ExactPoly((1,))]]
+    for n in range(draw(st.integers(0, 5))):
+        nxt = [ExactPoly.monomial(n + 1)]
+        for k in range(n, -1, -1):
+            lam = draw(lams.filter(bool) if k == 0 else lams)  # a constant term of at least one
+            nxt.insert(0, nxt[0] + lam * polys[n][k])
+        polys.append(nxt)
+    return RMatrix(tuple(row[0] for row in polys))
+
+
+@st.composite
+def fractional_multiplier_rows(draw):
+    """Row 1 is p + t with p >= 2 and row 2 has a constant term p does not
+    divide, so lambda(1, 0) is a Fraction; its t^1 entry keeps lambda(1, 1) >= 0."""
+    p = draw(st.integers(2, 9))
+    b = draw(st.integers(1, 60).filter(lambda b: b % p))
+    rows = [[1], [p, 1], [b, draw(st.integers(-(-b // p), 60)), 1]]
+    return _rows_after(draw, rows, draw(st.integers(2, 5)), st.integers(0, 60))
+
+
+@st.composite
+def chainlike_rank_rows(draw):
+    """The rows 1 + t + ... + t^n of a chain, some entries raised by one or two.
+    Past column 0 the chain's pivots are zero, so the rows meet zero pivots
+    under zero targets and under the nonzero targets the raised entries leave."""
+    rows = [[1]]
+    for n in range(1, draw(st.integers(2, 6)) + 1):
+        rows.append([1, *draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=n - 1, max_size=n - 1)), 1])
+    return RMatrix.from_int_rows(rows)
+
+
+@st.composite
+def negative_multiplier_rows(draw):
+    """Row 1 is a + t and row 2 is b + c t + t^2 with c a < b: lambda(1, 0) = b / a
+    leaves c - b / a < 0 at t^1, a negative lambda(1, 1)."""
+    a, b = draw(st.integers(1, 9)), draw(st.integers(1, 60))
+    rows = [[1], [a, 1], [b, draw(st.integers(0, (b - 1) // a)), 1]]
+    return _rows_after(draw, rows, draw(st.integers(2, 5)), st.integers(0, 60))
+
+
+def _types(xss):
+    return [[type(x) for x in xs] for xs in xss]
+
+
+def assert_resolves_as_the_oracle(rows):
+    """resolve equals the ExactPoly oracle in every field, down to the type of
+    each multiplier and witness coefficient, and so do the chain polynomials."""
+    got, want = resolve(rows), resolve_by_polys(rows)
+    assert got == want
+    if want.ok:
+        assert _types(got.witness.lambdas) == _types(want.witness.lambdas)
+        for row, oracle_row in zip(got.witness.polys, want.witness.polys):
+            assert _types(p.coeffs for p in row) == _types(p.coeffs for p in oracle_row)
+        assert got.witness.verify(rows)
+    got_ps, want_ps = chain_polys_from_rmatrix(rows), chain_polys_by_polys(rows)
+    assert got_ps == want_ps and _types(p.coeffs for p in got_ps) == _types(p.coeffs for p in want_ps)
+    return got
+
+
+@pytest.mark.parametrize(
+    "rows_strategy",
+    [
+        monic_rank_rows(),
+        wide_rank_rows(),
+        resolvable_wide_rank_rows(),
+        fractional_multiplier_rows(),
+        chainlike_rank_rows(),
+        negative_multiplier_rows(),
+    ],
+    ids=["monic", "wide", "resolvable-wide", "fractional", "chainlike", "negative"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_resolve_and_chain_polys_match_the_exactpoly_oracles(rows_strategy, data):
+    assert_resolves_as_the_oracle(data.draw(rows_strategy))
+
+
+def test_forced_rows_meet_what_their_strategies_name():
+    """Each forcing strategy lands where its docstring says, on a fixed draw."""
+    outcome = assert_resolves_as_the_oracle(RMatrix.from_int_rows([[1], [2, 1], [3, 2, 1], [1, 1, 1, 1]]))
+    assert outcome.witness.lambdas == ((2,), (Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3), 0))
+    outcome = assert_resolves_as_the_oracle(rank_matrix(chain_poset(4)))
+    assert outcome.ok and outcome.witness.lambdas[2] == (1, 0, 0)  # zero pivot, zero target at (2, 1)
+    outcome = assert_resolves_as_the_oracle(RMatrix.from_int_rows([[1], [1, 1], [1, 1, 1], [1, 2, 1, 1]]))
+    assert (outcome.position, outcome.zero_pivot) == ((2, 1), True)  # zero pivot, nonzero target
+    outcome = assert_resolves_as_the_oracle(RMatrix.from_int_rows([[1], [3, 1], [7, 2, 1]]))
+    assert outcome.obstruction == "negative multiplier" and outcome.position == (1, 1)
+    outcome = assert_resolves_as_the_oracle(RMatrix.from_int_rows([[1], [10**30, 1]]))
+    assert outcome.witness.lambdas == ((10**30,),)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 64])
+def test_dowling_rows_resolve_as_the_oracle(m):
+    for N in (0, 1, 2, 3, 5, 9, 16, 31, 64):
+        assert assert_resolves_as_the_oracle(dowling_rows(m, N)).ok
+
+
+def test_boolean_truncation_and_stacked_rows_resolve_as_the_oracle():
+    booleans = [rank_matrix(boolean_lattice(n)) for n in range(1, 11)]
+    truncations = [rank_matrix(truncated_boolean(n, k)) for n in range(2, 8) for k in range(n - 1)]
+    for rows in booleans + truncations:
+        assert assert_resolves_as_the_oracle(rows).ok
+    parts = booleans[:4] + truncations[:6] + [rank_matrix(chain_poset(3)), dowling_rows(2, 4)]
+    for lower in parts:
+        for upper in parts:
+            assert_resolves_as_the_oracle(ordinal_sum_rows(lower, upper))
+
+
+def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(monkeypatch):
+    """A certificate of order N makes at most (N + 1)(N + 2) / 2 polynomials,
+    its witness, and none per column step, so an obstruction makes none; the
+    chain polynomials make N + 1."""
+    N = 16
+    rows = dowling_rows(4, N)
+    failing = [
+        RMatrix.from_int_rows([[1], [1, 1], [1, 3, 1], [1, 2, 3, 1]]),  # a negative multiplier
+        rank_matrix(quasi_uniform_13()),  # a zero pivot under a nonzero target
+    ]
+    made = []
+    init = ExactPoly.__init__
+
+    def counted(self, coeffs=()):
+        made.append(self)
+        init(self, coeffs)
+
+    monkeypatch.setattr(ExactPoly, "__init__", counted)
+    assert resolve(rows).ok
+    assert len(made) <= (N + 1) * (N + 2) // 2
+    for bad in failing:
+        made.clear()
+        assert not resolve(bad).ok
+        assert made == []
+    made.clear()
+    chain_polys_from_rmatrix(rows)
+    assert len(made) <= N + 1
 
 
 # -- chain polynomials from rows ------------------------------------------------
