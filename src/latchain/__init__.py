@@ -16,7 +16,6 @@ from .polynomial import (
 from .posets import (
     Poset,
     chain_poset,
-    is_isomorphic,
     poset_from_text,
     poset_to_text,
     write_poset,

@@ -382,6 +382,8 @@ class DPartition:
     d: int
 
     def validate(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"a d-partition needs d >= 1, got d={self.d}")
         if len(self.blocks) < 2:
             raise ValueError("a d-partition needs at least two blocks")
         union: Set[int] = set()
@@ -687,8 +689,9 @@ def build_instance(dsl: str) -> Poset:
 
 def _extend_by_cuts(host: Poset, cuts: Iterable) -> Poset:
     """Extend the host along each cut of a see: form in turn, innermost first:
-    None is the empty cut, else the atom names whose join generates a principal
-    cut. The new atom is named by the least integer that is not a name yet."""
+    None is the empty cut, else the principal cut of the one flat whose atoms
+    are exactly the named atoms; names whose join holds another atom are
+    refused. The new atom is named by the least integer that is not a name yet."""
     for atom_names in cuts:
         names = _atom_names(host)
         if atom_names is None:

@@ -747,7 +747,7 @@ def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
     product and one exact division, as C(m, j) * (m - j) / (j + 1) is
     C(m, j + 1); rational input is first scaled to integers by the lcm of
     its denominators, and the result divided back, as the map is linear.
-    n is capped at ``MAX_TRANSFORM_DIMENSION``, and the nonzero
+    n must lie in 0..``MAX_TRANSFORM_DIMENSION``, and the nonzero
     coefficients times n + 1 at ``MAX_TRANSFORM_WORK``; either is refused
     before any work above it.
     """
@@ -755,6 +755,8 @@ def _rebase(p: ExactPoly, n: int, sign: int) -> ExactPoly:
         raise ValueError(f"dimension parameter n={n} over the cap of {MAX_TRANSFORM_DIMENSION}")
     if p.degree > n:
         raise ValueError("degree exceeds the dimension parameter")
+    if n < 0:
+        raise ValueError(f"dimension parameter n={n} is negative")
     work = (len(p.coeffs) - p.coeffs.count(0)) * (n + 1)
     if work > MAX_TRANSFORM_WORK:
         raise ValueError(

@@ -20,11 +20,9 @@ import re
 import time
 from itertools import combinations
 from math import comb, factorial
-from operator import mul
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .families import (
-    _atom_names,
     _extend_by_cuts,
     _keyed_fields,
     _see_fields,
@@ -43,11 +41,10 @@ from .polynomial import (
     diamond_product,
     h_from_f,
     interlaces,
-    is_real_rooted,
     isolate_real_roots,
     roots_in_interval,
 )
-from .posets import Poset, _bits, is_isomorphic
+from .posets import Poset, _bits
 from .reports import CheckReport
 from .tn import (
     RMatrix,
@@ -231,7 +228,7 @@ def _rank3_corpus(seed: int) -> List[str]:
 
 
 def _check_rank3(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
-    """Geometric, the closed form matches the chain count, and real-rooted.
+    """Geometric, the closed form matches the chain count, and its roots lie in [-1, 0].
 
     The tag is a family DSL string or ``rank3-random:seed=S:i=III``, which
     names draw i of the corpus at seed S: the lines of draws 0 to i are
@@ -259,7 +256,7 @@ def _check_rank3(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
         chain=c.to_string(),
         formula=formula.to_string(),
     )
-    _require(is_real_rooted(c), reason="not real-rooted", poly=c.to_string())
+    _check_unit_interval_roots(c, "chain polynomial")
     return {"seed": seed, "chain": c.to_string()}
 
 
@@ -435,20 +432,13 @@ def _rows_for_poset(p: Poset) -> Tuple[RMatrix, str, Poset]:
 
 
 def _check_triangular(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
-    """The rank rows certify, and so does the chain polynomial read off them.
-
-    The uniform side has a least element, its one element of quasi-rank 0.
-    Every chain is C or C plus the least element for exactly one chain C of
-    elements above it, hence a factor 1 + t. Those C are the empty chain,
-    counted by p_0 = 1, and for each x of quasi-rank n >= 1 the chains with
-    maximum x, counted by p_n. So the chain polynomial is
-    (1 + t) * sum_n #(rank n) p_n, and a poset and its dual share it.
-    """
+    """The rank rows certify, and so does the chain polynomial of the uniform
+    side, which a poset and its dual share; the uniformity test has kept the
+    level counts that count its chains."""
     p = build_instance(tag)
     rows, side, uniform = _rows_for_poset(p)
-    _, ps = _certify_rows(rows, side=side)
-    sizes = uniform.quasi_rank_generating_polynomial().coeffs
-    c = _checked_chain_polynomial(ExactPoly((1, 1)) * sum(map(mul, sizes, ps), ExactPoly()))
+    _certify_rows(rows, side=side)
+    c = _checked_chain_polynomial(uniform.chain_polynomial())
     return {"side": side, "order": rows.order, "chain": c.to_string()}
 
 
@@ -541,16 +531,19 @@ def _named_isomorphism(ext: Poset, product: Poset, members: Sequence[int]) -> bo
     of the k atoms ``members``.
 
     The map takes (S, R) to S + R on atom names: points 1..k+1 of T go to
-    the members, in order, and then to the new atom, and points 1..n-k of
-    B to the other atoms, in order. When the images are distinct labels of
+    the members, in order, and then to the new atom, the one name of the
+    extension's top label outside 1..n, and points 1..n-k of B to the
+    other atoms, in order. When the images are distinct labels of
     the extension, the two posets have as many elements and as many
     covers, and every cover of the product goes to a cover, the map is a
     bijection that carries the covers onto the covers.
     """
     ground = len(ext.atoms()) - 1
-    new = set(_atom_names(ext).values()).difference(range(1, ground + 1))
     index = {label: x for x, label in enumerate(ext.labels or ())}
-    if len(new) != 1 or len(index) != ext.n or product.n != ext.n or len(product.covers) != len(ext.covers):
+    if len(index) != ext.n or product.n != ext.n or len(product.covers) != len(ext.covers):
+        return False
+    new = ext.labels[ext.greatest].difference(range(1, ground + 1))
+    if len(new) != 1:
         return False
     t_names = [*members, *new]
     b_names = [a for a in range(1, ground + 1) if a not in members]
@@ -562,12 +555,6 @@ def _named_isomorphism(ext: Poset, product: Poset, members: Sequence[int]) -> bo
         return False
     up = ext._cover_up
     return all(phi[b] in up[phi[a]] for a, b in product.covers)
-
-
-def _matches_product(ext: Poset, product: Poset, members: Sequence[int]) -> bool:
-    """Whether the extension is isomorphic to its product decomposition: by
-    the map the decomposition names, else by the isomorphism search."""
-    return _named_isomorphism(ext, product, members) or is_isomorphic(ext, product)
 
 
 def _check_see(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
@@ -592,7 +579,7 @@ def _check_see(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
             k = len(members)
             product = _shared(builds, ("product", ground, k), lambda: _see_product(ground, k))
             _require(
-                _matches_product(ext, product, members),
+                _named_isomorphism(ext, product, members),
                 reason="extension does not match the product decomposition",
                 elements=ext.n,
                 product_elements=product.n,

@@ -20,7 +20,6 @@ from latchain import (
     fano_design,
     interlaces,
     is_geometric,
-    is_isomorphic,
     is_quasi_rank_uniform,
     is_real_rooted,
     partition_lattice,
@@ -34,6 +33,7 @@ from latchain import (
     vamos_lattice,
 )
 from latchain.families import element_with_atoms
+from latchain.posets import is_isomorphic
 from helpers import (
     bounded_corpus,
     check_cover_recursion,

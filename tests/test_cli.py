@@ -219,6 +219,10 @@ def test_usage_error_exit_code():
         ["poly", "eulerian", "--n", "9" * 5000],
         # five nonzero coefficients at n = 10000: over the transform work budget
         ["poly", "f-from-h", "1 1 1 1 1", "--n", "10000"],
+        # a negative dimension, once read as the zero polynomial's transform
+        ["poly", "f-from-h", "0", "--n=-5"],
+        # a d-partition with d < 1, once refused by itertools
+        ["build", "paving:file=negative-d", "--out", "x"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, capsys):
@@ -230,6 +234,7 @@ def test_usage_errors_exit_2_with_one_error_line(argv, tmp_path, monkeypatch, ca
     (tmp_path / "bad-point").write_text("dpartition 2\nground 1 2 x\nblock 1 2\n")
     (tmp_path / "not-utf8").write_bytes(b"\xff\xfe")
     (tmp_path / "long-ground").write_text("dpartition 2\nground 1 2 " + "9" * 5000 + "\nblock 1 2\n")
+    (tmp_path / "negative-d").write_text("dpartition -1\nground 1 2 3\nblock 1 2\nblock 2 3\n")
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -23,7 +23,6 @@ from latchain import (
     fano_design,
     fano_lattice,
     is_geometric,
-    is_isomorphic,
     is_real_rooted,
     linear_space_lattice,
     modular_cut_validate,
@@ -38,7 +37,7 @@ from latchain import (
     uniform_design,
     vamos_lattice,
 )
-from latchain.posets import MAX_ELEMENTS
+from latchain.posets import MAX_ELEMENTS, is_isomorphic
 from latchain import families, tn
 from latchain.families import (
     FANO_BLOCKS,
@@ -176,6 +175,14 @@ def test_dpartition_validation():
     with pytest.raises(ValueError, match="blocks"):
         DPartition((1, 2, 3, 4), (frozenset({1, 2}), frozenset({2, 3})), 2).validate()
     vamos_dpartition().validate()
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+def test_dpartition_with_d_below_one_is_refused_naming_d(d):
+    # d = -1 once reached itertools.combinations and leaked "r must be non-negative"
+    with pytest.raises(ValueError) as err:
+        DPartition((1, 2, 3), (frozenset({1, 2}), frozenset({2, 3})), d).validate()
+    assert str(err.value) == f"a d-partition needs d >= 1, got d={d}"
 
 
 def test_vamos():
@@ -618,6 +625,10 @@ def test_see_nests_deeper_than_the_recursion_limit():
     assert build_instance("see:see:boolean:3:cut=none:cut=0").n == 16
     with pytest.raises(ValueError, match=r"^no element with atom set \['0'\]$"):
         build_instance("see:see:boolean:3:cut=0:cut=none")
+    # a cut names exactly one flat's atoms: after cut=1,2 the join of 1 and 2 also holds the new atom 0
+    assert build_instance("see:see:boolean:3:cut=1,2:cut=0,1,2").n == 12
+    with pytest.raises(ValueError, match=r"^no element with atom set \['1', '2'\]$"):
+        build_instance("see:see:boolean:3:cut=1,2:cut=1,2")
 
 
 def test_linear_space_validation():

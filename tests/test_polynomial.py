@@ -178,6 +178,15 @@ def test_h_from_f_examples():
     assert h_from_f(ExactPoly(), 5).is_zero and f_from_h(ExactPoly(), 0).is_zero
 
 
+@pytest.mark.parametrize("transform", [h_from_f, f_from_h])
+def test_transforms_refuse_a_negative_dimension(transform):
+    # the zero polynomial once passed the degree check at every n and came back as zero
+    with pytest.raises(ValueError, match=r"^dimension parameter n=-5 is negative$"):
+        transform(ExactPoly(), -5)
+    with pytest.raises(ValueError, match="^degree exceeds the dimension parameter$"):
+        transform(ExactPoly((1,)), -1)
+
+
 def test_transforms_are_capped_at_dimension_10000():
     h = h_from_f(ExactPoly((1, 2)), MAX_TRANSFORM_DIMENSION)
     # (1 - t)^n + 2t(1 - t)^(n - 1): t^1 has -n + 2, the top -(-1)^n

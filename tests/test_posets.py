@@ -16,7 +16,6 @@ from latchain import (
     build_instance,
     chain_poset,
     diamond_product,
-    is_isomorphic,
     is_quasi_rank_uniform,
     paving_lattice_from_dpartition,
     poset_from_text,
@@ -25,7 +24,7 @@ from latchain import (
     truncated_boolean,
 )
 from latchain import suites
-from latchain.posets import _bits
+from latchain.posets import _bits, is_isomorphic
 from latchain.suites import rank3_formula
 from helpers import (
     antichain,

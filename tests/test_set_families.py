@@ -27,7 +27,6 @@ from latchain import (
     boolean_lattice,
     build_instance,
     is_geometric,
-    is_isomorphic,
     linear_space_lattice,
     paving_lattice_from_dpartition,
     subspace_lattice,
@@ -42,6 +41,7 @@ from latchain.families import (
     uniform_design,
     vamos_dpartition,
 )
+from latchain.posets import is_isomorphic
 from latchain.suites import _designs_corpus, _see_corpus
 from helpers import (
     cosets_by_translation,

@@ -7,6 +7,7 @@ import threading
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
@@ -28,7 +29,6 @@ from latchain import (
     eulerian,
     fano_lattice,
     is_geometric,
-    is_isomorphic,
     q_eulerian,
     rank3_formula,
     suite_run,
@@ -38,6 +38,7 @@ from latchain import (
 )
 from latchain import families, suites, tn
 from latchain.cli import main
+from latchain.posets import is_isomorphic
 from latchain.suites import (
     _SUITES,
     CheckFailure,
@@ -290,19 +291,28 @@ def test_suite_failure_reporting():
 
 @pytest.mark.parametrize("tag", suites._triangular_corpus(0))
 def test_triangular_chain_polynomial_from_rank_rows_matches_chain_counts(tag):
-    """(1 + t) * sum_n #(rank n) p_n, read off the certified rank rows, is the
-    chain polynomial that the poset counts, on either side."""
+    """The uniform side has a least element, so every chain is C or C plus
+    the least element for one chain C above it: the empty chain, counted by
+    p_0 = 1, or one with maximum x of quasi-rank n >= 1, counted by p_n.
+    So (1 + t) * sum_n #(rank n) p_n, read off the rank rows, is the chain
+    polynomial the triangular suite reports, on either side."""
     witness = suites._check_triangular(tag, 0, {})
-    assert witness["chain"] == build_instance(tag).chain_polynomial().to_string()
+    p = build_instance(tag)
+    rows, _, uniform = suites._rows_for_poset(p)
+    sizes = uniform.quasi_rank_generating_polynomial().coeffs
+    ps = tn.chain_polys_from_rmatrix(rows)
+    by_rows = ExactPoly((1, 1)) * sum((k * pn for k, pn in zip(sizes, ps)), ExactPoly())
+    assert witness["chain"] == by_rows.to_string() == p.chain_polynomial().to_string()
 
 
-def test_triangular_suite_counts_no_chains_beyond_the_rank_rows(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the triangular suite counted chains again")
-
-    monkeypatch.setattr(Poset, "chain_polynomial", refuse)
-    reports = suite_run("triangular", seed=1)
+def test_triangular_suite_derives_the_level_counts_once_per_side_tested():
+    """The uniformity test derives the level counts of each side it tests and
+    keeps them, so counting the uniform side's chains derives none again:
+    19 derivations for the 17 instances at seed 1, two of which test both sides."""
+    with mock.patch.object(Poset, "_count_levels", autospec=True, side_effect=Poset._count_levels) as derived:
+        reports = suite_run("triangular", seed=1)
     assert reports and all(r.verdict == "pass" for r in reports)
+    assert derived.call_count == 19
 
 
 def test_suite_seeds_are_reproducible():
@@ -643,22 +653,20 @@ def test_shared_summands_are_keyed_by_their_reader(order):
     assert built.count(("build_instance", "dowling-rows:m=1:N=4")) == 2
 
 
-def test_see_suite_derives_the_atom_names_twice_per_cut_and_once_per_product():
+def test_see_suite_derives_the_atom_names_twice_per_cut():
     """_extend_by_cuts derives a host's atom names once per layer and
-    single_element_extension once more; _named_isomorphism once per product.
-    The 100 instances at seed 1 have one layer each and 38 products."""
+    single_element_extension once more; _named_isomorphism reads the new atom
+    off the extension's top label. The 100 instances at seed 1 have one layer each."""
     counted = mock.Mock(wraps=families._atom_names)
-    with mock.patch.object(families, "_atom_names", counted), mock.patch.object(suites, "_atom_names", counted):
+    with mock.patch.object(families, "_atom_names", counted):
         reports = suite_run("see", seed=1)
     assert {r.verdict for r in reports} == {"pass"}
-    assert counted.call_count == 238
+    assert counted.call_count == 200
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_see_suite_decides_every_product_by_its_named_isomorphism(seed):
-    with mock.patch.object(suites, "is_isomorphic", wraps=is_isomorphic) as search:
-        reports = suite_run("see", seed=seed)
-    assert search.call_count == 0
+    reports = suite_run("see", seed=seed)
     assert {r.verdict for r in reports} == {"pass"}
     assert sum(r.witness.get("product_isomorphic", False) for r in reports) == 38
 
@@ -700,7 +708,33 @@ def _two_labels_swapped(ext, product, n, members):
 def test_named_isomorphism_refuses_mutants_and_the_search_decides(mutate, n, members):
     ext, product, isomorphic = mutate(*_boolean_cut(n, members), n, members)
     assert not suites._named_isomorphism(ext, product, members)
-    assert suites._matches_product(ext, product, members) == is_isomorphic(ext, product) == isomorphic
+    assert is_isomorphic(ext, product) == isomorphic
+
+
+def _cover_moved(product, i):
+    """The product with its i-th cover (a, b) moved to (a, c), c the first
+    element that is neither a, nor above a by one cover, nor below a: same
+    labels, as many covers, and (a, c) the i-th cover, as the covers are
+    listed by their lower end and in each list's order."""
+    a, b = product.covers[i]
+    up, down = product._cover_up[a], product.down_mask(a)
+    c = next(c for c in range(product.n) if c not in up and not down >> c & 1)
+    cover_up = [list(ys) for ys in product._cover_up]
+    cover_up[a][up.index(b)] = c
+    below = {y: [x for x, ys in enumerate(cover_up) if y in ys] for y in range(product.n)}
+    order = list(TopologicalSorter(below).static_order())
+    return Poset._from_covers(product.n, cover_up, order, product.labels), (a, c)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("n, members", [(4, (1, 2)), (5, (2, 4, 5)), (6, (1, 3))])
+def test_named_isomorphism_refuses_a_moved_product_cover(where, n, members):
+    ext, product = _boolean_cut(n, members)
+    i = {"first": 0, "middle": len(product.covers) // 2, "last": len(product.covers) - 1}[where]
+    moved, pair = _cover_moved(product, i)
+    assert moved.labels == product.labels and len(moved.covers) == len(product.covers)
+    assert moved.covers[i] == pair and pair not in product.covers
+    assert not suites._named_isomorphism(ext, moved, members)
 
 
 def test_see_suite_tests_each_lattice_for_geometricity_once():
@@ -726,6 +760,14 @@ def test_see_nested_deeper_than_the_recursion_limit_is_checked():
     depth = sys.getrecursionlimit() + 200
     [report] = suite_run("see", instances=["see:" * depth + "boolean:3" + ":cut=1" * depth])
     assert report.verdict == "pass"
+
+
+def test_paving_d_below_one_is_an_error_verdict_naming_d(tmp_path):
+    path = tmp_path / "negative-d.txt"
+    path.write_text("dpartition -1\nground 1 2 3\nblock 1 2\nblock 2 3\n")
+    [report] = suite_run("paving", instances=[f"paving:file={path}"])
+    assert report.verdict == "error"
+    assert report.witness == {"exception": "ValueError: a d-partition needs d >= 1, got d=-1"}
 
 
 @pytest.mark.parametrize(
