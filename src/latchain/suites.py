@@ -355,7 +355,7 @@ def _resolved(rows: RMatrix, reason: str, **context) -> ResolveOutcome:
     return outcome
 
 
-def _certify_rows(rows: RMatrix, **context) -> Tuple[ResolveOutcome, List[ExactPoly]]:
+def _certify_rows(rows: RMatrix, **context) -> ResolveOutcome:
     """Resolve the rank rows, verify the witness, and certify the chain polynomials.
 
     Every chain polynomial of the rows must have its roots in [-1, 0], and
@@ -363,8 +363,7 @@ def _certify_rows(rows: RMatrix, **context) -> Tuple[ResolveOutcome, List[ExactP
     the whole sequence at once (``certify_interlacing_sequence``); when
     they leave it undecided, each polynomial and each pair is checked on
     its own, and that path gives every failure witness. ``context`` goes
-    into the witness of a resolution failure. Returns the resolve outcome
-    and the chain polynomials.
+    into the witness of a resolution failure. Returns the resolve outcome.
     """
     outcome = _resolved(rows, "not resolvable", **context)
     ps = chain_polys_from_rmatrix(rows)
@@ -377,7 +376,7 @@ def _certify_rows(rows: RMatrix, **context) -> Tuple[ResolveOutcome, List[ExactP
                 reason="consecutive chain polynomials fail to interlace",
                 n=n,
             )
-    return outcome, ps
+    return outcome
 
 
 def _dowling_corpus(seed: int) -> List[str]:
@@ -401,7 +400,7 @@ def _check_dowling(tag: str, seed: int, builds: Dict[tuple, Any]) -> dict:
             expected=expected.to_string(),
             got=row.to_string(),
         )
-    outcome, _ = _certify_rows(rows)
+    outcome = _certify_rows(rows)
     return {"rows": rows.order, "lambda_rows": len(outcome.witness.lambdas)}
 
 

@@ -107,39 +107,50 @@ class ResolutionWitness:
     links consecutive rows via
     polys[n+1][k] = polys[n+1][k+1] + lambdas[n][k] * polys[n][k].
 
-    ``verify`` rechecks that recursion by ExactPoly arithmetic, not on
-    the coefficient lists ``resolve`` builds the array with, so the
-    checker of a certificate shares no arithmetic with its builder.
+    ``verify`` reads each polynomial's coefficient tuple once and checks
+    every invariant on those tuples. It is written apart from ``resolve``
+    and shares no helper or loop with it: the builder peels each column
+    off the one before by subtracting, and the checker rebuilds it by
+    adding.
     """
 
     polys: Tuple[Tuple[ExactPoly, ...], ...]
     lambdas: Tuple[Tuple[Scalar, ...], ...]
 
     def verify(self, r: RMatrix) -> bool:
-        """Recheck every certificate invariant against the input rows."""
+        """Recheck every certificate invariant against the input rows.
+
+        A multiplier whose type is not int or Fraction (a float, a bool,
+        None) is refused, whatever its value. No ExactPoly is made.
+        """
         N = r.order
         if len(self.polys) != N + 1 or len(self.lambdas) != N:
             return False
-        for n in range(N + 1):
-            row = self.polys[n]
-            if len(row) != n + 1:
+        cols = []  # cols[n][k] is the coefficient tuple of polys[n][k]
+        for n, (entries, row) in enumerate(zip(self.polys, r.rows)):
+            if len(entries) != n + 1:
                 return False
-            if row[0] != r.rows[n] or row[n] != ExactPoly.monomial(n):
+            cs = [p.coeffs for p in entries]
+            if cs[0] != row.coeffs:
                 return False
-            for k, poly in enumerate(row):
-                if poly.degree != n or poly.leading_coefficient != 1:
+            # monic of degree n with no term below t^k; at k = n that is t^n
+            for k, c in enumerate(cs):
+                if len(c) != n + 1 or c[n] != 1 or any(c[:k]):
                     return False
-                if any(poly.coefficient(i) != 0 for i in range(k)):
-                    return False
-        for n in range(N):
-            lams = self.lambdas[n]
-            if len(lams) != n + 1 or any(l < 0 for l in lams):
+            cols.append(cs)
+        for n, lams in enumerate(self.lambdas):
+            if len(lams) != n + 1:
                 return False
-            for k in range(n + 1):
-                lhs = self.polys[n + 1][k]
-                rhs = self.polys[n + 1][k + 1] + lams[k] * self.polys[n][k]
-                if lhs != rhs:
+            lower, upper = cols[n], cols[n + 1]
+            for k, lam in enumerate(lams):
+                if type(lam) not in (int, Fraction) or lam < 0:
                     return False
+                # upper[k] = upper[k + 1] + lam * lower[k]: below t^k all three
+                # are zero and at t^(n+1) both sides are 1, so check t^k..t^n
+                here, right, under = upper[k], upper[k + 1], lower[k]
+                for i in range(k, n + 1):
+                    if here[i] != right[i] + lam * under[i]:
+                        return False
         return True
 
     def to_report_text(self) -> str:

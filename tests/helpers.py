@@ -49,7 +49,9 @@ replaced, and ``rank_selection_sweep_by_all_masks`` the rank-selection sweep
 that certified every selection before factor ranks were skipped.
 ``resolve_by_polys`` and ``chain_polys_by_polys`` are the resolvability
 certificate and the rank-row chain polynomials by ExactPoly arithmetic,
-one polynomial per column step, that coefficient lists replaced.
+one polynomial per column step, that coefficient lists replaced, and
+``verify_by_polys`` the certificate check by ExactPoly sums and scalar
+products that the check on coefficient tuples replaced.
 
 The last section holds what the library exported but only the tests ran:
 the damped interlacing and TP2 checks, the binomial basis, the Mobius
@@ -1086,6 +1088,36 @@ def resolve_by_polys(r: RMatrix) -> ResolveOutcome:
         tuple(tuple(row) for row in polys), tuple(tuple(l) for l in lambdas)
     )
     return ResolveOutcome(True, witness=witness)
+
+
+def verify_by_polys(witness: ResolutionWitness, rows: RMatrix) -> bool:
+    """Every certificate invariant rechecked by ExactPoly arithmetic, as
+    ``ResolutionWitness.verify`` did before it read coefficient tuples.
+    A float multiplier raises AttributeError here, and True passes as 1."""
+    N = rows.order
+    if len(witness.polys) != N + 1 or len(witness.lambdas) != N:
+        return False
+    for n in range(N + 1):
+        row = witness.polys[n]
+        if len(row) != n + 1:
+            return False
+        if row[0] != rows.rows[n] or row[n] != ExactPoly.monomial(n):
+            return False
+        for k, poly in enumerate(row):
+            if poly.degree != n or poly.leading_coefficient != 1:
+                return False
+            if any(poly.coefficient(i) != 0 for i in range(k)):
+                return False
+    for n in range(N):
+        lams = witness.lambdas[n]
+        if len(lams) != n + 1 or any(l < 0 for l in lams):
+            return False
+        for k in range(n + 1):
+            lhs = witness.polys[n + 1][k]
+            rhs = witness.polys[n + 1][k + 1] + lams[k] * witness.polys[n][k]
+            if lhs != rhs:
+                return False
+    return True
 
 
 def chain_polys_by_polys(r: RMatrix) -> List[ExactPoly]:

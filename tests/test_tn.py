@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from latchain import (
     ExactPoly,
@@ -28,7 +28,7 @@ from latchain import (
     truncated_boolean,
     vamos_lattice,
 )
-from latchain.tn import _is_graded
+from latchain.tn import ResolutionWitness, _is_graded
 from helpers import (
     chain_polys_by_polys,
     check_cover_recursion,
@@ -51,6 +51,7 @@ from helpers import (
     resolve_by_polys,
     subdivision_operator,
     triangular_by_walk,
+    verify_by_polys,
     with_bounds,
 )
 
@@ -221,6 +222,10 @@ _t = ExactPoly.monomial
         # wrong multiplier shape, or a negative multiplier
         ("lambdas", _at(1, lambda lams: lams[:-1])),
         ("lambdas", _at(1, _set(0, -1))),
+        # B3's multipliers are all 1: a 1 of an inexact type
+        ("lambdas", _at(1, _set(0, 1.0))),
+        ("lambdas", _at(1, _set(0, True))),
+        ("lambdas", _at(1, _set(0, None))),
         # the recursion broken by a nonnegative multiplier
         ("lambdas", _at(1, _set(0, 2))),
     ],
@@ -336,22 +341,82 @@ def assert_resolves_as_the_oracle(rows):
     return got
 
 
-@pytest.mark.parametrize(
-    "rows_strategy",
-    [
-        monic_rank_rows(),
-        wide_rank_rows(),
-        resolvable_wide_rank_rows(),
-        fractional_multiplier_rows(),
-        chainlike_rank_rows(),
-        negative_multiplier_rows(),
-    ],
-    ids=["monic", "wide", "resolvable-wide", "fractional", "chainlike", "negative"],
-)
+CERTIFIED_ROWS = {
+    "monic": monic_rank_rows(),
+    "wide": wide_rank_rows(),
+    "resolvable-wide": resolvable_wide_rank_rows(),
+    "fractional": fractional_multiplier_rows(),
+    "chainlike": chainlike_rank_rows(),
+}
+ROW_STRATEGIES = {**CERTIFIED_ROWS, "negative": negative_multiplier_rows()}
+
+
+@pytest.mark.parametrize("rows_strategy", list(ROW_STRATEGIES.values()), ids=list(ROW_STRATEGIES))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_resolve_and_chain_polys_match_the_exactpoly_oracles(rows_strategy, data):
     assert_resolves_as_the_oracle(data.draw(rows_strategy))
+
+
+def planted_faults(draw, witness):
+    """The witness with one fault each: a coefficient moved by one, a multiplier
+    moved by one or by a unit fraction, a poly row or a multiplier row cut short."""
+    polys, lambdas = witness.polys, witness.lambdas
+    n = draw(st.integers(0, len(polys) - 1))
+    k, i = draw(st.integers(0, n)), draw(st.integers(0, n))
+    step = draw(st.sampled_from([-1, 1]))
+    moved = list(polys[n][k].coeffs)
+    moved[i] += step
+    yield dataclasses.replace(witness, polys=_at(n, _set(k, ExactPoly(moved)))(polys))
+    yield dataclasses.replace(witness, polys=_at(n, lambda row: row[:-1])(polys))
+    if lambdas:
+        n = draw(st.integers(0, len(lambdas) - 1))
+        k = draw(st.integers(0, n))
+        nearby = step * Fraction(1, draw(st.integers(2, 7)))
+        for change in (lambda lam: lam + step, lambda lam: lam + nearby):
+            yield dataclasses.replace(witness, lambdas=_at(n, _at(k, change))(lambdas))
+        yield dataclasses.replace(witness, lambdas=_at(n, lambda lams: lams[:-1])(lambdas))
+
+
+@pytest.mark.parametrize("rows_strategy", list(CERTIFIED_ROWS.values()), ids=list(CERTIFIED_ROWS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_the_exactpoly_oracle_on_certificates_and_planted_faults(rows_strategy, data):
+    rows = data.draw(rows_strategy)
+    outcome = resolve(rows)
+    if not outcome.ok:
+        return
+    assert outcome.witness.verify(rows) and verify_by_polys(outcome.witness, rows)
+    for faulty in planted_faults(data.draw, outcome.witness):
+        assert faulty.verify(rows) == verify_by_polys(faulty, rows)
+
+
+@st.composite
+def arrays_by_recursion(draw):
+    """An array built by the certificate's recursion from drawn int multipliers,
+    some negative, with its column 0 as the rows: a witness in every invariant
+    but the sign. Draws whose column 0 is no rank matrix are rejected."""
+    polys, lambdas = [(ExactPoly((1,)),)], []
+    for n in range(draw(st.integers(1, 5))):
+        lams = [draw(st.integers(1, 6)), *draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n))]
+        nxt = [ExactPoly.monomial(n + 1)]
+        for k in range(n, -1, -1):
+            nxt.insert(0, nxt[0] + lams[k] * polys[n][k])
+        polys.append(tuple(nxt))
+        lambdas.append(tuple(lams))
+    try:
+        rows = RMatrix(tuple(row[0] for row in polys))
+    except ValueError:
+        reject()
+    return rows, ResolutionWitness(tuple(polys), tuple(lambdas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays_by_recursion())
+def test_verify_refuses_exactly_the_arrays_with_a_negative_multiplier(drawn):
+    rows, witness = drawn
+    nonnegative = all(lam >= 0 for lams in witness.lambdas for lam in lams)
+    assert witness.verify(rows) == verify_by_polys(witness, rows) == nonnegative
 
 
 def test_forced_rows_meet_what_their_strategies_name():
@@ -385,7 +450,21 @@ def test_boolean_truncation_and_stacked_rows_resolve_as_the_oracle():
             assert_resolves_as_the_oracle(ordinal_sum_rows(lower, upper))
 
 
-def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(monkeypatch):
+@pytest.fixture
+def made(monkeypatch):
+    """The ExactPoly objects made from here on, in order."""
+    made = []
+    init = ExactPoly.__init__
+
+    def counted(self, coeffs=()):
+        made.append(self)
+        init(self, coeffs)
+
+    monkeypatch.setattr(ExactPoly, "__init__", counted)
+    return made
+
+
+def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(made):
     """A certificate of order N makes at most (N + 1)(N + 2) / 2 polynomials,
     its witness, and none per column step, so an obstruction makes none; the
     chain polynomials make N + 1."""
@@ -395,14 +474,7 @@ def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(
         RMatrix.from_int_rows([[1], [1, 1], [1, 3, 1], [1, 2, 3, 1]]),  # a negative multiplier
         rank_matrix(quasi_uniform_13()),  # a zero pivot under a nonzero target
     ]
-    made = []
-    init = ExactPoly.__init__
-
-    def counted(self, coeffs=()):
-        made.append(self)
-        init(self, coeffs)
-
-    monkeypatch.setattr(ExactPoly, "__init__", counted)
+    made.clear()
     assert resolve(rows).ok
     assert len(made) <= (N + 1) * (N + 2) // 2
     for bad in failing:
@@ -412,6 +484,14 @@ def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(
     made.clear()
     chain_polys_from_rmatrix(rows)
     assert len(made) <= N + 1
+
+
+def test_verify_builds_no_exactpoly_objects(made):
+    rows = dowling_rows(4, 16)
+    witness = resolve(rows).witness
+    made.clear()
+    assert witness.verify(rows)
+    assert made == []
 
 
 # -- chain polynomials from rows ------------------------------------------------
