@@ -36,7 +36,6 @@ from .tn import (
 from .families import (
     Design,
     DPartition,
-    ModularCut,
     affine_lattice,
     boolean_lattice,
     build_instance,
@@ -49,7 +48,6 @@ from .families import (
     modular_cut_validate,
     partition_lattice,
     paving_lattice_from_dpartition,
-    principal_cut,
     single_element_extension,
     subspace_lattice,
     truncated_boolean,

@@ -468,50 +468,41 @@ def dowling_step_operator(m: int, row: ExactPoly) -> ExactPoly:
 # -- modular cuts and single-element extensions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModularCut:
-    """An up-closed subset of a geometric lattice closed under modular-pair meets."""
-
-    host: Poset
-    members: FrozenSet[int]
-
-
-def modular_cut_validate(mc: ModularCut) -> bool:
-    """Whether the members are up-closed and hold the meet of every modular
-    pair of members.
+def modular_cut_validate(l: Poset, cut: int) -> bool:
+    """Whether the cut, a mask over the host's elements, is up-closed and
+    holds the meet of every modular pair of its members.
 
     An up-closed set that holds the meet of all its members is the up-set
-    of that meet, a principal cut, which is always modular; only the other
-    cuts take the pair scan, quadratic in the number of members.
+    of that meet, a principal cut (``l.up_mask(x)``), which is always
+    modular; only the other cuts take the pair scan, quadratic in the
+    number of members.
     """
-    l = mc.host
     if not is_geometric(l):
         raise ValueError("host is not a geometric lattice")
-    mem = mc.members
-    if any(not 0 <= x < l.n for x in mem):
+    if cut < 0 or cut >> l.n:
         raise ValueError("cut member out of range")
-    mask = sum(1 << x for x in mem)
-    if any(l.up_mask(x) & ~mask for x in mem):
+    members = list(_bits(cut))
+    if any(l.up_mask(x) & ~cut for x in members):
         return False
-    least = mask  # the members below every member: their meet, if a member
-    for x in mem:
+    least = cut  # the members below every member: their meet, if a member
+    for x in members:
         least &= l.down_mask(x)
     if least:
         return True
-    for x, y in combinations(mem, 2):
+    for x, y in combinations(members, 2):
         w = l.meet(x, y)
-        if w not in mem and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):
+        if not cut >> w & 1 and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):
             return False
     return True
 
 
-def principal_cut(l: Poset, x: int) -> ModularCut:
-    """The up-set of a single element; always a valid modular cut."""
-    return ModularCut(l, frozenset(_bits(l.up_mask(x))))
-
-
 def _atom_names(l: Poset) -> Dict[int, object]:
-    """Display names for atoms: unwrap singleton frozenset labels, else indices."""
+    """Display names for atoms: unwrap singleton frozenset labels, else
+    indices; derived once per poset."""
+    return l._derived("atom names", _name_atoms)
+
+
+def _name_atoms(l: Poset) -> Dict[int, object]:
     names: Dict[int, object] = {}
     for a in l.atoms():
         lab = l.label_of(a)
@@ -529,13 +520,8 @@ def _collides(e, names: Iterable) -> bool:
 def element_with_atoms(l: Poset, atom_names: Iterable) -> int:
     """Index of the first element whose atom set carries exactly the given
     names: the first whose down-set mask meets the atoms in their mask."""
-    return _element_with_atoms(l, _atom_names(l), atom_names)
-
-
-def _element_with_atoms(l: Poset, names: Dict[int, object], atom_names: Iterable) -> int:
-    """``element_with_atoms``, given the atom names ``_atom_names(l)``."""
     want = frozenset(atom_names)
-    bit = {v: 1 << a for a, v in names.items()}
+    bit = {v: 1 << a for a, v in _atom_names(l).items()}
     if all(v in bit for v in want):
         mask, atoms = sum(map(bit.__getitem__, want)), sum(bit.values())
         for x, down in enumerate(l._down):
@@ -544,8 +530,9 @@ def _element_with_atoms(l: Poset, names: Dict[int, object], atom_names: Iterable
     raise ValueError(f"no element with atom set {sorted(map(repr, want))}")
 
 
-def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
-    """Extend a geometric lattice by one new atom e along a modular cut M.
+def single_element_extension(l: Poset, cut: int, e) -> Poset:
+    """Extend a geometric lattice by one new atom e along a modular cut M,
+    the mask of its members over the host's elements.
 
     The flats of the extension, written as atom-name sets: every flat X
     outside M, and X + e when X is in M or in the collar, the flats outside
@@ -559,24 +546,23 @@ def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
     ``_poset_from_sets``: by size, then by the sorted ranks of the name
     reprs. The result is checked to be geometric.
     """
-    if mc.host is not l:
-        raise ValueError("modular cut belongs to a different host")
-    if not modular_cut_validate(mc):
+    if not modular_cut_validate(l, cut):
         raise ValueError("invalid modular cut")
     names = _atom_names(l)
     if _collides(e, names.values()):
         raise ValueError(f"new atom name {e!r} collides with an existing atom")
-    mem, up = mc.members, l._cover_up
-    collar = {x for x in range(l.n) if x not in mem and mem.isdisjoint(up[x])}
+    up = l._cover_up
+    collar = sum(1 << x for x, ys in enumerate(up) if not cut >> x & 1 and not any(cut >> y & 1 for y in ys))
+    extended = cut | collar
     rank = {v: r for r, v in enumerate(sorted([*names.values(), e], key=repr))}
     atoms = sum(1 << a for a in names)
     flats = []  # (size, sorted name ranks, host element, with e, atom names)
     for x, down in enumerate(l._down):
         flat = frozenset(names[a] for a in _bits(down & atoms))
         ranks = sorted(map(rank.__getitem__, flat))
-        if x not in mem:
+        if not cut >> x & 1:
             flats.append((len(ranks), ranks, x, False, flat))
-        if x in mem or x in collar:
+        if extended >> x & 1:
             flats.append((len(ranks) + 1, sorted([*ranks, rank[e]]), x, True, flat | {e}))
     flats.sort()
     plain, plus = {}, {}
@@ -585,11 +571,11 @@ def single_element_extension(l: Poset, mc: ModularCut, e) -> Poset:
     cover_up = []
     for _, _, x, with_e, _ in flats:
         if not with_e:
-            ys = [plus[y] if y in mem else plain[y] for y in up[x]] + ([plus[x]] if x in collar else [])
-        elif x in mem:
+            ys = [plus[y] if cut >> y & 1 else plain[y] for y in up[x]] + ([plus[x]] if collar >> x & 1 else [])
+        elif cut >> x & 1:
             ys = [plus[y] for y in up[x]]
         else:
-            ys = {plus[y] if y in collar else plus[next(z for z in up[y] if z in mem)] for y in up[x]}
+            ys = {plus[y] if collar >> y & 1 else plus[next(z for z in up[y] if cut >> z & 1)] for y in up[x]}
         cover_up.append(sorted(ys))
     out = Poset._from_covers(len(flats), cover_up, range(len(flats)), [f[-1] for f in flats])
     if not is_geometric(out):
@@ -693,12 +679,9 @@ def _extend_by_cuts(host: Poset, cuts: Iterable) -> Poset:
     are exactly the named atoms; names whose join holds another atom are
     refused. The new atom is named by the least integer that is not a name yet."""
     for atom_names in cuts:
-        names = _atom_names(host)
-        if atom_names is None:
-            mc = ModularCut(host, frozenset())
-        else:
-            mc = principal_cut(host, _element_with_atoms(host, names, atom_names))
-        host = single_element_extension(host, mc, next(e for e in count() if not _collides(e, names.values())))
+        cut = 0 if atom_names is None else host.up_mask(element_with_atoms(host, atom_names))
+        e = next(e for e in count() if not _collides(e, _atom_names(host).values()))
+        host = single_element_extension(host, cut, e)
     return host
 
 

@@ -87,7 +87,10 @@ class Poset:
     Once every quasi-rank is final, the core stores one mask per level, the
     only place levels are derived: the empty poset has one empty level.
     ``labels`` are optional external names carried along by the structural
-    operations.
+    operations. What is derived on demand, here or in other modules (the
+    lattice verdict, the join and meet indexes, the level counts, the
+    geometric verdict, the atom names), is kept in one memo behind
+    ``_derived``, so each fact is derived once per poset.
     """
 
     __slots__ = (
@@ -102,11 +105,7 @@ class Poset:
         "_cover_up",
         "_least",
         "_greatest",
-        "_by_up",
-        "_by_down",
-        "_lattice",
-        "_geometric",
-        "_counts",
+        "_memo",
     )
 
     def __init__(
@@ -231,14 +230,17 @@ class Poset:
         object.__setattr__(self, "_cover_up", tuple(map(tuple, cover_up)))
         object.__setattr__(self, "_least", minimals[0] if len(minimals) == 1 else None)
         object.__setattr__(self, "_greatest", maximals[0] if len(maximals) == 1 else None)
-        object.__setattr__(self, "_by_up", None)
-        object.__setattr__(self, "_by_down", None)
-        object.__setattr__(self, "_lattice", None)
-        object.__setattr__(self, "_geometric", None)
-        object.__setattr__(self, "_counts", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
+
+    def _derived(self, key, derive):
+        """The fact ``derive(self)`` kept under ``key``: derived on first use only."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = derive(self)
+        return memo[key]
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={len(self.covers)})"
@@ -311,12 +313,8 @@ class Poset:
 
     def _level_counts(self, below: bool) -> Optional[list]:
         """The poset's level counts when it is uniform by level, else None,
-        derived once per direction (``_count_levels``) and kept."""
-        if self._counts is None:
-            object.__setattr__(self, "_counts", {})
-        if below not in self._counts:
-            self._counts[below] = self._count_levels(below)
-        return self._counts[below]
+        derived once per direction (``_count_levels``)."""
+        return self._derived(("level counts", below), lambda p: p._count_levels(below))
 
     def _count_levels(self, below: bool) -> Optional[list]:
         """The poset's level counts when it is uniform by level, else None.
@@ -553,15 +551,11 @@ class Poset:
 
     def _up_index(self) -> dict:
         """Each up-set mask's element, built on first use."""
-        if self._by_up is None:
-            object.__setattr__(self, "_by_up", {m: x for x, m in enumerate(self._up)})
-        return self._by_up
+        return self._derived("up index", lambda p: {m: x for x, m in enumerate(p._up)})
 
     def _down_index(self) -> dict:
         """Each down-set mask's element, built on first use."""
-        if self._by_down is None:
-            object.__setattr__(self, "_by_down", {m: x for x, m in enumerate(self._down)})
-        return self._by_down
+        return self._derived("down index", lambda p: {m: x for x, m in enumerate(p._down)})
 
     @property
     def is_lattice(self) -> bool:
@@ -575,9 +569,7 @@ class Poset:
         x join j_1 join ... join j_k, and meets follow from joins and the
         least element.
         """
-        if self._lattice is None:
-            object.__setattr__(self, "_lattice", self._lattice_test())
-        return self._lattice
+        return self._derived("lattice", Poset._lattice_test)
 
     def _lattice_test(self) -> bool:
         if self._least is None:
@@ -587,12 +579,14 @@ class Poset:
         return all((ux & uj) in by_up for ux in up for uj in irreducible)
 
     def join(self, x: int, y: int) -> int:
+        self._check_index(x, y)
         j = self._up_index().get(self._up[x] & self._up[y])
         if j is None:
             raise ValueError(f"join of {x} and {y} does not exist")
         return j
 
     def meet(self, x: int, y: int) -> int:
+        self._check_index(x, y)
         w = self._down_index().get(self._down[x] & self._down[y])
         if w is None:
             raise ValueError(f"meet of {x} and {y} does not exist")

@@ -351,10 +351,9 @@ def is_geometric(p: Poset) -> bool:
     and likewise y: the upward cover criterion (EC1 Prop. 3.3.2). Last,
     x join a covers x iff a lies under some upper cover c of x, since then
     x < x join a <= c. The covering test runs before the atomistic one,
-    whose False verdict overrides it. The verdict is stored on the poset,
-    as ``is_lattice`` stores its own, so a poset is tested once.
+    whose False verdict overrides it. The verdict is stored on the poset
+    (``Poset._derived``), as ``is_lattice`` stores its own, so a poset is
+    tested once.
     """
     _require_lattice(p)
-    if p._geometric is None:
-        object.__setattr__(p, "_geometric", _is_graded(p) and _has_covering_property(p) and is_atomistic(p))
-    return p._geometric
+    return p._derived("geometric", lambda p: _is_graded(p) and _has_covering_property(p) and is_atomistic(p))

@@ -82,7 +82,6 @@ import pytest
 from latchain import (
     CheckReport,
     ExactPoly,
-    ModularCut,
     Poset,
     RMatrix,
     boolean_lattice,
@@ -1149,29 +1148,29 @@ def perm_stats_oracle(n: int) -> List[Tuple[int, int]]:
 # -- modular cuts by subset filters, extensions by flat lists ------------------------
 
 
-def up_closed_subsets(l: Poset) -> Iterator[FrozenSet[int]]:
-    """Every up-closed subset of the elements, by filtering all 2^n subsets."""
+def up_closed_subsets(l: Poset) -> Iterator[int]:
+    """The mask of every up-closed subset of the elements, by filtering all 2^n masks."""
     for mask in range(1 << l.n):
         if not any(l.up_mask(x) & ~mask for x in _bits(mask)):
-            yield frozenset(_bits(mask))
+            yield mask
 
 
-def all_modular_cuts(l: Poset) -> List[ModularCut]:
-    """Every modular cut: the up-closed subsets that ``modular_cut_validate``
-    accepts; exponential, so capped at 16 elements."""
+def all_modular_cuts(l: Poset) -> List[int]:
+    """The mask of every modular cut: the up-closed subsets that
+    ``modular_cut_validate`` accepts; exponential, so capped at 16 elements."""
     if l.n > 16:
         raise ValueError("modular cut enumeration is capped at 16 elements")
-    return [mc for mc in (ModularCut(l, s) for s in up_closed_subsets(l)) if modular_cut_validate(mc)]
+    return [cut for cut in up_closed_subsets(l) if modular_cut_validate(l, cut)]
 
 
 _cached_tables = lru_cache(maxsize=4)(lattice_tables_oracle)
 
 
-def modular_cut_by_definition(mc: ModularCut) -> bool:
-    """Whether every element above a member is a member, and the meet of every
-    modular pair of members (comparable pairs and x = y included) is a
-    member; joins and meets from the all-pairs tables."""
-    l, mem = mc.host, mc.members
+def modular_cut_by_definition(l: Poset, cut: int) -> bool:
+    """Whether every element above a member of the cut mask is a member, and
+    the meet of every modular pair of members (comparable pairs and x = y
+    included) is a member; joins and meets from the all-pairs tables."""
+    mem = set(_bits(cut))
     if any(l.leq(x, y) and y not in mem for x in mem for y in range(l.n)):
         return False
     _, join, meet = _cached_tables(l)
@@ -1180,6 +1179,20 @@ def modular_cut_by_definition(mc: ModularCut) -> bool:
         for x in mem
         for y in mem
     )
+
+
+@contextmanager
+def derivations() -> Iterator[list]:
+    """Record (poset, key) each time ``Poset._derived`` derives a fact,
+    and nothing when it returns one it kept."""
+    made = []
+    derived = Poset._derived
+
+    def spy(p, key, derive):
+        return derived(p, key, lambda q: made.append((q, key)) or derive(q))
+
+    with mock.patch.object(Poset, "_derived", spy):
+        yield made
 
 
 def element_by_leq_scan(l: Poset, atom_names) -> int:
@@ -1194,14 +1207,13 @@ def element_by_leq_scan(l: Poset, atom_names) -> int:
     raise ValueError(f"no element with atom set {sorted(map(repr, want))}")
 
 
-def extension_by_flat_lists(l: Poset, mc: ModularCut, e) -> Poset:
-    """Single-element extension from three flat lists: the flats outside the
-    cut, every cut flat with e added, and the flats X outside the cut with e
-    added when no cut flat of rank rho(X) + 1 sits above X. Inclusion order
-    by comparing every pair of flats; a name collision is caught only by repr."""
-    if mc.host is not l:
-        raise ValueError("modular cut belongs to a different host")
-    if not modular_cut_validate(mc):
+def extension_by_flat_lists(l: Poset, cut: int, e) -> Poset:
+    """Single-element extension along the cut mask from three flat lists: the
+    flats outside the cut, every cut flat with e added, and the flats X
+    outside the cut with e added when no cut flat of rank rho(X) + 1 sits
+    above X. Inclusion order by comparing every pair of flats; a name
+    collision is caught only by repr."""
+    if not modular_cut_validate(l, cut):
         raise ValueError("invalid modular cut")
     names = _atom_names(l)
     if any(repr(e) == repr(v) for v in names.values()):
@@ -1210,7 +1222,7 @@ def extension_by_flat_lists(l: Poset, mc: ModularCut, e) -> Poset:
     def atom_set(x: int) -> FrozenSet:
         return frozenset(names[a] for a in l.atoms() if l.leq(a, x))
 
-    mem = mc.members
+    mem = set(_bits(cut))
     flats = [atom_set(x) for x in range(l.n) if x not in mem]
     flats += [atom_set(x) | {e} for x in mem]
     for x in range(l.n):

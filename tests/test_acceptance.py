@@ -10,7 +10,6 @@ import time
 
 from latchain import (
     ExactPoly,
-    ModularCut,
     affine_lattice,
     boolean_lattice,
     brute_force_oracle,
@@ -23,7 +22,6 @@ from latchain import (
     is_quasi_rank_uniform,
     is_real_rooted,
     partition_lattice,
-    principal_cut,
     resolve,
     roots_in_interval,
     single_element_extension,
@@ -79,8 +77,8 @@ def test_criterion_02_reference_diagrams():
     )
 
     b3 = boolean_lattice(3)
-    ext1 = single_element_extension(b3, principal_cut(b3, 1), 4)
-    ext12 = single_element_extension(b3, principal_cut(b3, 3), 4)
+    ext1 = single_element_extension(b3, b3.up_mask(1), 4)
+    ext12 = single_element_extension(b3, b3.up_mask(3), 4)
     lists_ok = set(ext1.labels) == {
         frozenset(), frozenset({2}), frozenset({3}), frozenset({2, 3}),
         frozenset({1, 4}), frozenset({1, 2, 4}), frozenset({1, 3, 4}),
@@ -188,7 +186,7 @@ def test_criterion_09_single_element_extensions():
         host = boolean_lattice(ground)
         for size in range(2, ground):
             x = element_with_atoms(host, range(1, size + 1))
-            ext = single_element_extension(host, principal_cut(host, x), 0)
+            ext = single_element_extension(host, host.up_mask(x), 0)
             product = truncated_boolean(size + 1, 1).direct_product(
                 boolean_lattice(ground - size)
             )
@@ -201,10 +199,9 @@ def test_criterion_09_single_element_extensions():
             (f"boolean:{ground}", boolean_lattice(ground)),
             (f"trunc-boolean:{ground}:1", truncated_boolean(ground, 1)),
         ):
-            cuts = [ModularCut(host, frozenset())]
-            cuts += [principal_cut(host, x) for x in range(host.n)]
-            for idx, mc in enumerate(cuts):
-                ext = single_element_extension(host, mc, 0)
+            cuts = [0, *map(host.up_mask, range(host.n))]
+            for idx, cut in enumerate(cuts):
+                ext = single_element_extension(host, cut, 0)
                 c = ext.chain_polynomial()
                 if not (is_real_rooted(c) and roots_in_interval(c, -1, 0)):
                     root_bad.append((host_tag, idx))

@@ -11,7 +11,6 @@ from latchain import (
     Design,
     DPartition,
     ExactPoly,
-    ModularCut,
     RMatrix,
     affine_lattice,
     boolean_lattice,
@@ -28,7 +27,6 @@ from latchain import (
     modular_cut_validate,
     partition_lattice,
     paving_lattice_from_dpartition,
-    principal_cut,
     rank_matrix,
     roots_in_interval,
     single_element_extension,
@@ -37,7 +35,7 @@ from latchain import (
     uniform_design,
     vamos_lattice,
 )
-from latchain.posets import MAX_ELEMENTS, is_isomorphic
+from latchain.posets import MAX_ELEMENTS, _bits, is_isomorphic
 from latchain import families, tn
 from latchain.families import (
     FANO_BLOCKS,
@@ -299,13 +297,14 @@ def test_modular_cuts_of_booleans_are_principal():
     for n in (2, 3, 4):
         lat = boolean_lattice(n)
         cuts = all_modular_cuts(lat)
-        for mc in cuts:
-            if not mc.members:
+        for cut in cuts:
+            if not cut:
                 continue
+            members = list(_bits(cut))
             minimal = [
                 x
-                for x in mc.members
-                if not any(lat.leq(y, x) and y != x for y in mc.members)
+                for x in members
+                if not any(lat.leq(y, x) and y != x for y in members)
             ]
             assert len(minimal) == 1
         # every principal up-set appears
@@ -315,15 +314,15 @@ def test_modular_cuts_of_booleans_are_principal():
 def test_invalid_cut_rejected():
     b3 = boolean_lattice(3)
     # two incomparable rank-2 sets form a modular pair whose meet is missing
-    bad = ModularCut(b3, frozenset({3, 5, 7}))
-    assert not modular_cut_validate(bad)
+    bad = 1 << 3 | 1 << 5 | 1 << 7
+    assert not modular_cut_validate(b3, bad)
     with pytest.raises(ValueError, match="invalid"):
         single_element_extension(b3, bad, 4)
 
 
 def test_single_element_extension_reference_lists():
     b3 = boolean_lattice(3)
-    ext1 = single_element_extension(b3, principal_cut(b3, 1), 4)
+    ext1 = single_element_extension(b3, b3.up_mask(1), 4)
     assert set(ext1.labels) == {
         frozenset(),
         frozenset({2}),
@@ -334,7 +333,7 @@ def test_single_element_extension_reference_lists():
         frozenset({1, 3, 4}),
         frozenset({1, 2, 3, 4}),
     }
-    ext12 = single_element_extension(b3, principal_cut(b3, 3), 4)
+    ext12 = single_element_extension(b3, b3.up_mask(3), 4)
     assert set(ext12.labels) == {
         frozenset(),
         frozenset({1}),
@@ -352,13 +351,13 @@ def test_single_element_extension_reference_lists():
 def test_single_element_extension_special_cuts():
     b3 = boolean_lattice(3)
     assert is_isomorphic(
-        single_element_extension(b3, ModularCut(b3, frozenset()), 4), boolean_lattice(4)
+        single_element_extension(b3, 0, 4), boolean_lattice(4)
     )
     assert is_isomorphic(
-        single_element_extension(b3, principal_cut(b3, 7), 4), truncated_boolean(4, 1)
+        single_element_extension(b3, b3.up_mask(7), 4), truncated_boolean(4, 1)
     )
     # cut at an atom keeps the lattice unchanged
-    assert is_isomorphic(single_element_extension(b3, principal_cut(b3, 1), 4), b3)
+    assert is_isomorphic(single_element_extension(b3, b3.up_mask(1), 4), b3)
 
 
 def test_extension_product_decomposition():
@@ -366,7 +365,7 @@ def test_extension_product_decomposition():
         host = boolean_lattice(ground)
         for size in range(2, ground):
             x = element_with_atoms(host, range(1, size + 1))
-            ext = single_element_extension(host, principal_cut(host, x), ground + 1)
+            ext = single_element_extension(host, host.up_mask(x), ground + 1)
             product = truncated_boolean(size + 1, 1).direct_product(boolean_lattice(ground - size))
             assert is_isomorphic(ext, product)
 
@@ -378,7 +377,7 @@ def test_truncated_extension_coatoms():
     for size in (1, 2, 3, 4):
         X = frozenset(range(1, size + 1))
         fam = truncated_extension_coatoms(E, X, 9)
-        ext = single_element_extension(host, principal_cut(host, element_with_atoms(host, X)), 9)
+        ext = single_element_extension(host, host.up_mask(element_with_atoms(host, X)), 9)
         direct = {ext.labels[c] for c in ext.coatoms()}
         assert fam == direct
     # X = E leaves only the first family: the co-atoms of the truncation on E + e
@@ -397,14 +396,14 @@ def _oracle_misses(extend, dsl):
     cuts = all_modular_cuts(host)
     assert len(cuts) > 2 and host.n <= 16
     missed = []
-    for mc in cuts:
-        oracle = extension_by_flat_lists(host, mc, e)
+    for cut in cuts:
+        oracle = extension_by_flat_lists(host, cut, e)
         try:
-            ext = extend(host, mc, e)
+            ext = extend(host, cut, e)
         except Exception:
             ext = None
         if ext is None or (ext.labels, ext.covers) != (oracle.labels, oracle.covers):
-            missed.append(sorted(mc.members))
+            missed.append(sorted(_bits(cut)))
     return missed
 
 
@@ -451,11 +450,11 @@ def _mutant(old: str, new: str):
     "old, new",
     [
         # the cover from a collar flat X to X + e is dropped
-        (" + ([plus[x]] if x in collar else [])", ""),
+        (" + ([plus[x]] if collar >> x & 1 else [])", ""),
         # a collar X + e goes to Y + e for a cover Y outside the collar too
-        ("plus[y] if y in collar else", "plus[y] if y not in mem else"),
+        ("plus[y] if collar >> y & 1 else", "plus[y] if not cut >> y & 1 else"),
         # the empty cut gets no X + e elements
-        ("if x not in mem and mem.isdisjoint(up[x])", "if mem and x not in mem and mem.isdisjoint(up[x])"),
+        ("if not cut >> x & 1 and not any(", "if cut and not cut >> x & 1 and not any("),
     ],
     ids=["no-collar-cover", "collar-to-non-collar", "empty-cut-unextended"],
 )
@@ -489,10 +488,9 @@ def test_modular_cut_validate_matches_the_definition(dsl):
     tried = accepted = 0
     for members in up_closed_subsets(host):
         # each up-closed subset, and each with one member taken out
-        for s in [members, *(members - {x} for x in members)]:
-            mc = ModularCut(host, s)
-            verdict = modular_cut_validate(mc)
-            assert verdict == modular_cut_by_definition(mc), sorted(s)
+        for cut in [members, *(members ^ 1 << x for x in _bits(members))]:
+            verdict = modular_cut_validate(host, cut)
+            assert verdict == modular_cut_by_definition(host, cut), sorted(_bits(cut))
             tried, accepted = tried + 1, accepted + verdict
     assert 0 < accepted < tried
 
@@ -501,23 +499,27 @@ def test_modular_cut_validate_matches_the_definition(dsl):
 def test_a_new_atom_equal_to_an_existing_one_is_refused(e):
     b3 = boolean_lattice(3)
     with pytest.raises(ValueError, match=r"collides with an existing atom$"):
-        single_element_extension(b3, principal_cut(b3, 7), e)
+        single_element_extension(b3, b3.up_mask(7), e)
 
 
 def test_extension_errors_come_in_order():
     b3, c3 = boolean_lattice(3), chain_poset(3)
     # each case also fails a later check (the new atom 1 collides), so the message shows which comes first
     cases = [
-        (b3, principal_cut(boolean_lattice(3), 1), "modular cut belongs to a different host"),
-        (c3, ModularCut(c3, frozenset({5})), "host is not a geometric lattice"),
-        (b3, ModularCut(b3, frozenset({3, 8})), "cut member out of range"),
-        (b3, ModularCut(b3, frozenset({3, 5, 7})), "invalid modular cut"),
-        (b3, principal_cut(b3, 7), "new atom name 1 collides with an existing atom"),
+        (c3, 1 << 5, "host is not a geometric lattice"),
+        (b3, 1 << 3 | 1 << 8, "cut member out of range"),
+        (b3, -1, "cut member out of range"),
+        (b3, 1 << b3.n, "cut member out of range"),
+        (b3, 1 << 3 | 1 << 5 | 1 << 7, "invalid modular cut"),
+        (b3, b3.up_mask(7), "new atom name 1 collides with an existing atom"),
     ]
-    for host, mc, message in cases:
+    for host, cut, message in cases:
         with pytest.raises(ValueError) as exc:
-            single_element_extension(host, mc, 1)
+            single_element_extension(host, cut, 1)
         assert str(exc.value) == message
+    # a set of members, as cuts were once given, is no mask
+    with pytest.raises(TypeError):
+        single_element_extension(b3, frozenset({7}), 1)
 
 
 def test_dsl_round_trips(tmp_path):

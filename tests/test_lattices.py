@@ -174,12 +174,12 @@ def test_stored_verdicts_match_a_fresh_twin():
         assert p.is_lattice == p.is_lattice == twin.is_lattice
         if p.is_lattice:
             verdict = is_geometric(p)
-            assert p._geometric == verdict == is_geometric(p) == is_geometric(twin)
+            assert p._memo["geometric"] == verdict == is_geometric(p) == is_geometric(twin)
             seen.add(verdict)
         else:
             with pytest.raises(ValueError, match="lattice"):
                 is_geometric(p)
-            assert p._geometric is None
+            assert "geometric" not in p._memo
     assert seen == {True, False}
 
 

@@ -16,6 +16,7 @@ from latchain import (
     build_instance,
     chain_poset,
     diamond_product,
+    is_geometric,
     is_quasi_rank_uniform,
     paving_lattice_from_dpartition,
     poset_from_text,
@@ -23,7 +24,7 @@ from latchain import (
     rank_matrix,
     truncated_boolean,
 )
-from latchain import suites
+from latchain import suites, tn
 from latchain.posets import _bits, is_isomorphic
 from latchain.suites import rank3_formula
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     chain_counts_by_walk,
     chain_fields_by_pairs,
     chain_polynomial_by_dp,
+    derivations,
     flag_f_vector_by_dicts,
     is_triangular,
     isomorphic_by_backtracking,
@@ -383,6 +385,10 @@ def test_cycle_rejection_and_bad_index():
         (lambda p: p.interval(-1, 2), -1),
         (lambda p: p.open_interval(7, 1), 7),
         (lambda p: p.open_interval(0, -2), -2),
+        (lambda p: p.join(-1, 1), -1),
+        (lambda p: p.join(1, 3), 3),
+        (lambda p: p.meet(-1, 2), -1),
+        (lambda p: p.meet(3, 0), 3),
     ],
 )
 def test_subposet_operations_name_a_bad_index(call, bad):
@@ -1076,6 +1082,22 @@ def test_operations_refuse_posets_they_are_not_defined_on():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             op()
+
+
+def test_repeated_lattice_queries_derive_each_fact_once():
+    """is_lattice, is_geometric, join and meet asked again of one poset read
+    its memo: the lattice test, the covering test and each index build run once."""
+    b3 = boolean_lattice(3)
+    lattice_test, covering = Poset._lattice_test, tn._has_covering_property
+    runs = []
+    with derivations() as derived, \
+            mock.patch.object(Poset, "_lattice_test", lambda p: runs.append("lattice") or lattice_test(p)), \
+            mock.patch.object(tn, "_has_covering_property", lambda p: runs.append("covering") or covering(p)):
+        for _ in range(3):
+            assert b3.is_lattice and is_geometric(b3)
+            assert (b3.join(1, 2), b3.meet(3, 6)) == (3, 2)
+    assert runs == ["lattice", "covering"]
+    assert [key for _, key in derived] == ["lattice", "up index", "geometric", "down index"]
 
 
 def test_level_counts_are_derived_once_per_direction():

@@ -36,7 +36,7 @@ from latchain import (
     write_csv,
     write_jsonl,
 )
-from latchain import families, suites, tn
+from latchain import suites, tn
 from latchain.cli import main
 from latchain.posets import is_isomorphic
 from latchain.suites import (
@@ -50,6 +50,7 @@ from latchain.suites import (
 from latchain.permstats import MAX_PERMUTATION_SIZE
 from helpers import (
     assert_flags_give_rank_selections,
+    derivations,
     perm_stats_oracle,
     quasi_uniform_13,
     random_poset,
@@ -653,15 +654,20 @@ def test_shared_summands_are_keyed_by_their_reader(order):
     assert built.count(("build_instance", "dowling-rows:m=1:N=4")) == 2
 
 
-def test_see_suite_derives_the_atom_names_twice_per_cut():
-    """_extend_by_cuts derives a host's atom names once per layer and
-    single_element_extension once more; _named_isomorphism reads the new atom
-    off the extension's top label. The 100 instances at seed 1 have one layer each."""
-    counted = mock.Mock(wraps=families._atom_names)
-    with mock.patch.object(families, "_atom_names", counted):
+def test_see_suite_derives_the_atom_names_once_per_host():
+    """_extend_by_cuts and single_element_extension read a host's atom names
+    from its memo, and _named_isomorphism reads the new atom off the
+    extension's top label. So a see pass at seed 1, 100 instances of one
+    layer on 6 shared hosts, derives them 6 times, and a nested see: build
+    once for each lattice that a cut extends."""
+    with derivations() as derived:
         reports = suite_run("see", seed=1)
     assert {r.verdict for r in reports} == {"pass"}
-    assert counted.call_count == 200
+    named = [p for p, key in derived if key == "atom names"]
+    assert len(named) == len(set(map(id, named))) == 6
+    with derivations() as derived:
+        build_instance("see:see:see:boolean:4:cut=1,2:cut=0:cut=none")
+    assert [p.n for p, key in derived if key == "atom names"] == [16, 20, 20]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
