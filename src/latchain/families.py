@@ -489,9 +489,10 @@ def modular_cut_validate(l: Poset, cut: int) -> bool:
         least &= l.down_mask(x)
     if least:
         return True
+    inside = set(members)
     for x, y in combinations(members, 2):
         w = l.meet(x, y)
-        if not cut >> w & 1 and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):
+        if w not in inside and l.rho(x) + l.rho(y) == l.rho(l.join(x, y)) + l.rho(w):
             return False
     return True
 
@@ -552,17 +553,17 @@ def single_element_extension(l: Poset, cut: int, e) -> Poset:
     if _collides(e, names.values()):
         raise ValueError(f"new atom name {e!r} collides with an existing atom")
     up = l._cover_up
-    collar = sum(1 << x for x, ys in enumerate(up) if not cut >> x & 1 and not any(cut >> y & 1 for y in ys))
-    extended = cut | collar
+    inside = set(_bits(cut))
+    collar = {x for x, ys in enumerate(up) if x not in inside and inside.isdisjoint(ys)}
     rank = {v: r for r, v in enumerate(sorted([*names.values(), e], key=repr))}
     atoms = sum(1 << a for a in names)
     flats = []  # (size, sorted name ranks, host element, with e, atom names)
     for x, down in enumerate(l._down):
         flat = frozenset(names[a] for a in _bits(down & atoms))
         ranks = sorted(map(rank.__getitem__, flat))
-        if not cut >> x & 1:
+        if x not in inside:
             flats.append((len(ranks), ranks, x, False, flat))
-        if extended >> x & 1:
+        if x in inside or x in collar:
             flats.append((len(ranks) + 1, sorted([*ranks, rank[e]]), x, True, flat | {e}))
     flats.sort()
     plain, plus = {}, {}
@@ -571,11 +572,11 @@ def single_element_extension(l: Poset, cut: int, e) -> Poset:
     cover_up = []
     for _, _, x, with_e, _ in flats:
         if not with_e:
-            ys = [plus[y] if cut >> y & 1 else plain[y] for y in up[x]] + ([plus[x]] if collar >> x & 1 else [])
-        elif cut >> x & 1:
+            ys = [plus[y] if y in inside else plain[y] for y in up[x]] + ([plus[x]] if x in collar else [])
+        elif x in inside:
             ys = [plus[y] for y in up[x]]
         else:
-            ys = {plus[y] if collar >> y & 1 else plus[next(z for z in up[y] if cut >> z & 1)] for y in up[x]}
+            ys = {plus[y] if y in collar else plus[next(z for z in up[y] if z in inside)] for y in up[x]}
         cover_up.append(sorted(ys))
     out = Poset._from_covers(len(flats), cover_up, range(len(flats)), [f[-1] for f in flats])
     if not is_geometric(out):

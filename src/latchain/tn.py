@@ -4,8 +4,8 @@ The central object is the triangular matrix of down-set rank counts of a
 quasi-rank uniform poset, stored as a sequence of monic row polynomials.
 ``resolve`` attempts to factor that matrix into the certificate of total
 nonnegativity used throughout the verification suites: nonnegative
-multipliers lambda(n, k) and an array of row polynomials satisfying the
-one-step recursion with t^k dividing the k-th column.
+multipliers lambda(n, k), which rebuild the rows through the one-step
+recursion of an array of row polynomials with t^k dividing the k-th column.
 """
 
 from __future__ import annotations
@@ -100,68 +100,54 @@ def rank_matrix(p: Poset) -> RMatrix:
 
 @dataclass(frozen=True)
 class ResolutionWitness:
-    """The array R(n, k) and multipliers lambda(n, k) certifying resolvability.
+    """The multipliers lambda(n, k) certifying resolvability.
 
-    polys[n][k] is monic of degree n and divisible by t^k, with
-    polys[n][0] the input row and polys[n][n] = t^n; lambdas[n][k] >= 0
-    links consecutive rows via
-    polys[n+1][k] = polys[n+1][k+1] + lambdas[n][k] * polys[n][k].
+    With R(n, 0) the input row n and R(n, n) = t^n, they fix the array
+    R(n+1, k) = R(n+1, k+1) + lambdas[n][k] * R(n, k), whose column k is
+    then monic of degree n and divisible by t^k. They certify the rows
+    when every one is nonnegative and the rebuilt column 0 of each row is
+    the input row.
 
-    ``verify`` reads each polynomial's coefficient tuple once and checks
-    every invariant on those tuples. It is written apart from ``resolve``
-    and shares no helper or loop with it: the builder peels each column
-    off the one before by subtracting, and the checker rebuilds it by
-    adding.
+    ``verify`` rebuilds the array a row at a time on coefficient lists. It
+    is written apart from ``resolve`` and shares no helper or loop with it:
+    the builder peels each column off the row by subtracting, and the
+    checker rebuilds it from t^(n+1) by adding.
     """
 
-    polys: Tuple[Tuple[ExactPoly, ...], ...]
     lambdas: Tuple[Tuple[Scalar, ...], ...]
 
     def verify(self, r: RMatrix) -> bool:
-        """Recheck every certificate invariant against the input rows.
+        """Rebuild each row from the multipliers and compare it with the input.
 
         A multiplier whose type is not int or Fraction (a float, a bool,
         None) is refused, whatever its value. No ExactPoly is made.
         """
-        N = r.order
-        if len(self.polys) != N + 1 or len(self.lambdas) != N:
+        if len(self.lambdas) != r.order:
             return False
-        cols = []  # cols[n][k] is the coefficient tuple of polys[n][k]
-        for n, (entries, row) in enumerate(zip(self.polys, r.rows)):
-            if len(entries) != n + 1:
-                return False
-            cs = [p.coeffs for p in entries]
-            if cs[0] != row.coeffs:
-                return False
-            # monic of degree n with no term below t^k; at k = n that is t^n
-            for k, c in enumerate(cs):
-                if len(c) != n + 1 or c[n] != 1 or any(c[:k]):
-                    return False
-            cols.append(cs)
+        lower = [r.rows[0].coeffs]  # the columns of row n, R(0, 0) = 1
         for n, lams in enumerate(self.lambdas):
             if len(lams) != n + 1:
                 return False
-            lower, upper = cols[n], cols[n + 1]
-            for k, lam in enumerate(lams):
+            col = [0] * (n + 1) + [1]  # R(n+1, n+1) = t^(n+1)
+            upper = [col]
+            for k in range(n, -1, -1):
+                lam, under = lams[k], lower[k]
                 if type(lam) not in (int, Fraction) or lam < 0:
                     return False
-                # upper[k] = upper[k + 1] + lam * lower[k]: below t^k all three
-                # are zero and at t^(n+1) both sides are 1, so check t^k..t^n
-                here, right, under = upper[k], upper[k + 1], lower[k]
-                for i in range(k, n + 1):
-                    if here[i] != right[i] + lam * under[i]:
-                        return False
+                if lam:  # R(n+1, k) = R(n+1, k+1) + lam * R(n, k), zero below t^k
+                    col = col[:]
+                    for i in range(k, n + 1):
+                        col[i] += lam * under[i]
+                upper.append(col)
+            if tuple(col) != r.rows[n + 1].coeffs:
+                return False
+            upper.reverse()
+            lower = upper
         return True
 
     def to_report_text(self) -> str:
-        """Readable audit dump: multiplier rows then the polynomial array."""
-        lines = []
-        for n, lams in enumerate(self.lambdas):
-            lines.append("lambda %d: %s" % (n, " ".join(str(l) for l in lams)))
-        for n, row in enumerate(self.polys):
-            for k, poly in enumerate(row):
-                lines.append("R %d %d: %s" % (n, k, poly.to_string()))
-        return "\n".join(lines) + "\n"
+        """Readable audit dump: one line of multipliers per row."""
+        return "".join("lambda %d: %s\n" % (n, " ".join(map(str, lams))) for n, lams in enumerate(self.lambdas))
 
 
 @dataclass(frozen=True)
@@ -170,7 +156,11 @@ class ResolveOutcome:
     witness: Optional[ResolutionWitness] = None
     obstruction: Optional[str] = None
     position: Optional[Tuple[int, int]] = None
-    zero_pivot: bool = False
+
+    @property
+    def zero_pivot(self) -> bool:
+        """``resolve`` fails on divisibility only at a zero pivot."""
+        return self.obstruction == "divisibility failure"
 
     def describe(self) -> str:
         if self.ok:
@@ -184,27 +174,23 @@ def resolve(r: RMatrix) -> ResolveOutcome:
     """Greedy construction of the resolvability certificate.
 
     The multiplier lambda(n, k) is forced whenever the pivot coefficient
-    [t^k] polys[n][k] is nonzero, because the next column must be
-    divisible by t^(k+1). A zero pivot with a zero target selects
-    lambda = 0; a zero pivot with a nonzero target cannot be repaired by
-    any multiplier and is reported as a divisibility failure with the
-    zero_pivot flag set. The first obstruction encountered is reported.
-    Nothing else can fail: row n is monic of degree n, so each peeled
-    column stays monic and loses its t^k term, and the last is t^(n+1).
+    [t^k] R(n, k) is nonzero, because the next column must be divisible
+    by t^(k+1). A zero pivot with a zero target selects lambda = 0; a zero
+    pivot with a nonzero target cannot be repaired by any multiplier and
+    is reported as a divisibility failure, the zero-pivot case. The first
+    obstruction encountered is reported. Nothing else can fail: row n is
+    monic of degree n, so each peeled column stays monic and loses its
+    t^k term, and the last is t^(n+1).
 
     The columns are plain coefficient lists peeled from each row's
-    coefficient tuple: entries stay ints while the multipliers do, and a
-    multiplier is a Fraction only when the pivot does not divide the
-    target. ExactPoly objects are made only for the witness, once the
-    whole array has resolved, with the input rows as its column 0; an
-    obstruction makes none.
+    coefficient tuple, and only the previous row's are kept: entries stay
+    ints while the multipliers do, and a multiplier is a Fraction only
+    when the pivot does not divide the target. No ExactPoly is made.
     """
-    N = r.order
-    cols: List[List[Sequence[Scalar]]] = [[r.rows[0].coeffs]]
-    lambdas: List[List[Scalar]] = []
+    current: List[Sequence[Scalar]] = [r.rows[0].coeffs]
+    lambdas: List[Tuple[Scalar, ...]] = []
 
-    for n in range(N):
-        current = cols[n]
+    for n in range(r.order):
         nxt = [r.rows[n + 1].coeffs]
         lams: List[Scalar] = []
         for k in range(n + 1):
@@ -213,12 +199,7 @@ def resolve(r: RMatrix) -> ResolveOutcome:
             if pivot == 0:
                 lam: Scalar = 0
                 if target != 0:
-                    return ResolveOutcome(
-                        False,
-                        obstruction="divisibility failure",
-                        position=(n, k),
-                        zero_pivot=True,
-                    )
+                    return ResolveOutcome(False, obstruction="divisibility failure", position=(n, k))
             else:
                 lam, rest = divmod(target, pivot)
                 if rest:
@@ -236,14 +217,10 @@ def resolve(r: RMatrix) -> ResolveOutcome:
                 for i in range(k + 1, n + 1):
                     col[i] -= lam * prev[i]
             nxt.append(col)
-        cols.append(nxt)
-        lambdas.append(lams)
+        current = nxt
+        lambdas.append(tuple(lams))
 
-    witness = ResolutionWitness(
-        tuple((row,) + tuple(map(ExactPoly, cols[n][1:])) for n, row in enumerate(r.rows)),
-        tuple(map(tuple, lambdas)),
-    )
-    return ResolveOutcome(True, witness=witness)
+    return ResolveOutcome(True, witness=ResolutionWitness(tuple(lambdas)))
 
 
 def is_totally_nonnegative(r: RMatrix) -> bool:

@@ -49,9 +49,11 @@ replaced, and ``rank_selection_sweep_by_all_masks`` the rank-selection sweep
 that certified every selection before factor ranks were skipped.
 ``resolve_by_polys`` and ``chain_polys_by_polys`` are the resolvability
 certificate and the rank-row chain polynomials by ExactPoly arithmetic,
-one polynomial per column step, that coefficient lists replaced, and
-``verify_by_polys`` the certificate check by ExactPoly sums and scalar
-products that the check on coefficient tuples replaced.
+one polynomial per column step, that coefficient lists replaced.
+``array_by_polys`` rebuilds the polynomial array a certificate's
+multipliers fix, by ExactPoly sums and scalar products, and
+``verify_by_polys`` checks every invariant of that array, as the library
+checked a stored array before the certificate became its multipliers.
 
 The last section holds what the library exported but only the tests ran:
 the damped interlacing and TP2 checks, the binomial basis, the Mobius
@@ -1051,11 +1053,10 @@ def resolve_by_polys(r: RMatrix) -> ResolveOutcome:
     multiple, a negation and a sum), as ``tn.resolve`` built it before it
     ran on coefficient lists."""
     N = r.order
-    polys: List[List[ExactPoly]] = [[r.rows[0]]]
+    current = [r.rows[0]]
     lambdas: List[List[Scalar]] = []
 
     for n in range(N):
-        current = polys[n]
         nxt = [r.rows[n + 1]]
         lams: List[Scalar] = []
         for k in range(n + 1):
@@ -1064,12 +1065,7 @@ def resolve_by_polys(r: RMatrix) -> ResolveOutcome:
             if pivot == 0:
                 lam: Scalar = 0
                 if target != 0:
-                    return ResolveOutcome(
-                        False,
-                        obstruction="divisibility failure",
-                        position=(n, k),
-                        zero_pivot=True,
-                    )
+                    return ResolveOutcome(False, obstruction="divisibility failure", position=(n, k))
             else:
                 lam = Fraction(target, 1) / Fraction(pivot)
                 if lam.denominator == 1:
@@ -1080,26 +1076,38 @@ def resolve_by_polys(r: RMatrix) -> ResolveOutcome:
                 )
             lams.append(lam)
             nxt.append(nxt[k] - lam * current[k])
-        polys.append(nxt)
+        current = nxt
         lambdas.append(lams)
 
-    witness = ResolutionWitness(
-        tuple(tuple(row) for row in polys), tuple(tuple(l) for l in lambdas)
-    )
-    return ResolveOutcome(True, witness=witness)
+    return ResolveOutcome(True, witness=ResolutionWitness(tuple(tuple(l) for l in lambdas)))
+
+
+def array_by_polys(witness: ResolutionWitness, rows: RMatrix) -> List[List[ExactPoly]]:
+    """The array R(n, k) that multipliers of the right shape rebuild by
+    ExactPoly sums and scalar products: R(0, 0) is row 0, R(n, n) = t^n
+    and R(n+1, k) = R(n+1, k+1) + lambdas[n][k] * R(n, k)."""
+    array = [[rows.rows[0]]]
+    for n, lams in enumerate(witness.lambdas):
+        nxt = [ExactPoly.monomial(n + 1)]
+        for k in range(len(lams) - 1, -1, -1):
+            nxt.insert(0, nxt[0] + lams[k] * array[n][k])
+        array.append(nxt)
+    return array
 
 
 def verify_by_polys(witness: ResolutionWitness, rows: RMatrix) -> bool:
-    """Every certificate invariant rechecked by ExactPoly arithmetic, as
-    ``ResolutionWitness.verify`` did before it read coefficient tuples.
-    A float multiplier raises AttributeError here, and True passes as 1."""
+    """Every invariant of the array the multipliers rebuild (``array_by_polys``)
+    checked by ExactPoly arithmetic, as ``ResolutionWitness.verify`` did on a
+    stored array before it rebuilt one on coefficient lists. A float
+    multiplier raises AttributeError here, and True passes as 1."""
     N = rows.order
-    if len(witness.polys) != N + 1 or len(witness.lambdas) != N:
+    if len(witness.lambdas) != N or any(len(lams) != n + 1 for n, lams in enumerate(witness.lambdas)):
         return False
+    if any(l < 0 for lams in witness.lambdas for l in lams):
+        return False
+    array = array_by_polys(witness, rows)
     for n in range(N + 1):
-        row = witness.polys[n]
-        if len(row) != n + 1:
-            return False
+        row = array[n]
         if row[0] != rows.rows[n] or row[n] != ExactPoly.monomial(n):
             return False
         for k, poly in enumerate(row):
@@ -1109,12 +1117,8 @@ def verify_by_polys(witness: ResolutionWitness, rows: RMatrix) -> bool:
                 return False
     for n in range(N):
         lams = witness.lambdas[n]
-        if len(lams) != n + 1 or any(l < 0 for l in lams):
-            return False
         for k in range(n + 1):
-            lhs = witness.polys[n + 1][k]
-            rhs = witness.polys[n + 1][k + 1] + lams[k] * witness.polys[n][k]
-            if lhs != rhs:
+            if array[n + 1][k] != array[n + 1][k + 1] + lams[k] * array[n][k]:
                 return False
     return True
 

@@ -450,11 +450,11 @@ def _mutant(old: str, new: str):
     "old, new",
     [
         # the cover from a collar flat X to X + e is dropped
-        (" + ([plus[x]] if collar >> x & 1 else [])", ""),
+        (" + ([plus[x]] if x in collar else [])", ""),
         # a collar X + e goes to Y + e for a cover Y outside the collar too
-        ("plus[y] if collar >> y & 1 else", "plus[y] if not cut >> y & 1 else"),
+        ("plus[y] if y in collar else", "plus[y] if y not in inside else"),
         # the empty cut gets no X + e elements
-        ("if not cut >> x & 1 and not any(", "if cut and not cut >> x & 1 and not any("),
+        ("if x not in inside and inside.isdisjoint(", "if cut and x not in inside and inside.isdisjoint("),
     ],
     ids=["no-collar-cover", "collar-to-non-collar", "empty-cut-unextended"],
 )

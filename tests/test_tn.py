@@ -30,6 +30,7 @@ from latchain import (
 )
 from latchain.tn import ResolutionWitness, _is_graded
 from helpers import (
+    array_by_polys,
     chain_polys_by_polys,
     check_cover_recursion,
     down_poset,
@@ -88,9 +89,10 @@ def test_resolve_boolean_rows():
     outcome = resolve(rows)
     assert outcome.ok
     assert outcome.witness.verify(rows)
+    array = array_by_polys(outcome.witness, rows)
     for n in range(5):
         for k in range(n + 1):
-            assert outcome.witness.polys[n][k] == (ONE_PLUS_T ** (n - k)).shift(k)
+            assert array[n][k] == (ONE_PLUS_T ** (n - k)).shift(k)
     assert all(l == 1 for lams in outcome.witness.lambdas for l in lams)
 
 
@@ -153,10 +155,9 @@ def test_witness_and_matrix_serialization():
             RMatrix.from_text(text)
     assert rows.to_text().splitlines()[3] == "1 3 3 1"
     witness = resolve(rows).witness
-    dump = witness.to_report_text()
-    assert "lambda 0: 1" in dump
-    assert "R 3 0: 1 3 3 1" in dump
-    assert "R 3 3: 0 0 0 1" in dump
+    assert witness.to_report_text() == "lambda 0: 1\nlambda 1: 1 1\nlambda 2: 1 1 1\n"
+    fractional = resolve(RMatrix.from_int_rows([[1], [2, 1], [3, 2, 1]])).witness
+    assert fractional.to_report_text() == "lambda 0: 2\nlambda 1: 3/2 1/2\n"
 
 
 def test_resolve_agrees_with_minor_oracle_on_small_instances():
@@ -200,25 +201,11 @@ def _set(i, value):
     return _at(i, lambda _: value)
 
 
-_t = ExactPoly.monomial
-
-
 @pytest.mark.parametrize(
     "field, change",
     [
-        # row count: one poly row or one multiplier row too few
-        ("polys", lambda rows: rows[:-1]),
+        # one multiplier row too few
         ("lambdas", lambda rows: rows[:-1]),
-        # row length
-        ("polys", _at(2, lambda row: row[:-1])),
-        # first entry is not the input row, last entry is not t^n
-        ("polys", _at(2, _set(0, _t(2) + _t(0)))),
-        ("polys", _at(2, _set(2, _t(2) + _t(1)))),
-        # not monic, or of the wrong degree
-        ("polys", _at(2, _set(1, 2 * _t(2) + _t(1)))),
-        ("polys", _at(2, _set(1, _t(3) + _t(1)))),
-        # a nonzero coefficient below t^k
-        ("polys", _at(2, _set(1, _t(2) + _t(1) + _t(0)))),
         # wrong multiplier shape, or a negative multiplier
         ("lambdas", _at(1, lambda lams: lams[:-1])),
         ("lambdas", _at(1, _set(0, -1))),
@@ -228,6 +215,14 @@ _t = ExactPoly.monomial
         ("lambdas", _at(1, _set(0, None))),
         # the recursion broken by a nonnegative multiplier
         ("lambdas", _at(1, _set(0, 2))),
+        # one multiplier row too many, or a row one entry too long
+        ("lambdas", lambda rows: rows + ((1, 1, 1, 1),)),
+        ("lambdas", _at(1, lambda lams: lams + (1,))),
+        # the recursion broken by a 0, which adds nothing to its column
+        ("lambdas", _at(2, _set(1, 0))),
+        # nonnegative multipliers that rebuild B3's last row, 1 3 3 1, from rows
+        # 1 and 2 other than B3's, 2 1 and 1 3/2 1
+        ("lambdas", lambda rows: ((2,), (Fraction(1, 2), 1), (1, Fraction(3, 2), Fraction(1, 2)))),
     ],
 )
 def test_verify_rejects_each_broken_invariant(field, change):
@@ -327,15 +322,14 @@ def _types(xss):
 
 
 def assert_resolves_as_the_oracle(rows):
-    """resolve equals the ExactPoly oracle in every field, down to the type of
-    each multiplier and witness coefficient, and so do the chain polynomials."""
+    """resolve equals the ExactPoly oracle in obstruction, position and
+    multipliers, down to the type of each multiplier, its certificate passes
+    both checks, and the chain polynomials equal theirs."""
     got, want = resolve(rows), resolve_by_polys(rows)
     assert got == want
     if want.ok:
         assert _types(got.witness.lambdas) == _types(want.witness.lambdas)
-        for row, oracle_row in zip(got.witness.polys, want.witness.polys):
-            assert _types(p.coeffs for p in row) == _types(p.coeffs for p in oracle_row)
-        assert got.witness.verify(rows)
+        assert got.witness.verify(rows) and verify_by_polys(got.witness, rows)
     got_ps, want_ps = chain_polys_from_rmatrix(rows), chain_polys_by_polys(rows)
     assert got_ps == want_ps and _types(p.coeffs for p in got_ps) == _types(p.coeffs for p in want_ps)
     return got
@@ -359,23 +353,20 @@ def test_resolve_and_chain_polys_match_the_exactpoly_oracles(rows_strategy, data
 
 
 def planted_faults(draw, witness):
-    """The witness with one fault each: a coefficient moved by one, a multiplier
-    moved by one or by a unit fraction, a poly row or a multiplier row cut short."""
-    polys, lambdas = witness.polys, witness.lambdas
-    n = draw(st.integers(0, len(polys) - 1))
-    k, i = draw(st.integers(0, n)), draw(st.integers(0, n))
-    step = draw(st.sampled_from([-1, 1]))
-    moved = list(polys[n][k].coeffs)
-    moved[i] += step
-    yield dataclasses.replace(witness, polys=_at(n, _set(k, ExactPoly(moved)))(polys))
-    yield dataclasses.replace(witness, polys=_at(n, lambda row: row[:-1])(polys))
+    """The witness with one fault each: one multiplier row too many, a multiplier
+    moved by one or by a unit fraction or set to 0, a multiplier row cut short
+    or one entry too long."""
+    lambdas = witness.lambdas
+    yield dataclasses.replace(witness, lambdas=lambdas + ((1,) * (len(lambdas) + 1),))
     if lambdas:
         n = draw(st.integers(0, len(lambdas) - 1))
         k = draw(st.integers(0, n))
+        step = draw(st.sampled_from([-1, 1]))
         nearby = step * Fraction(1, draw(st.integers(2, 7)))
-        for change in (lambda lam: lam + step, lambda lam: lam + nearby):
+        for change in (lambda lam: lam + step, lambda lam: lam + nearby, lambda lam: 0):
             yield dataclasses.replace(witness, lambdas=_at(n, _at(k, change))(lambdas))
         yield dataclasses.replace(witness, lambdas=_at(n, lambda lams: lams[:-1])(lambdas))
+        yield dataclasses.replace(witness, lambdas=_at(n, lambda lams: lams + (0,))(lambdas))
 
 
 @pytest.mark.parametrize("rows_strategy", list(CERTIFIED_ROWS.values()), ids=list(CERTIFIED_ROWS))
@@ -393,9 +384,10 @@ def test_verify_agrees_with_the_exactpoly_oracle_on_certificates_and_planted_fau
 
 @st.composite
 def arrays_by_recursion(draw):
-    """An array built by the certificate's recursion from drawn int multipliers,
-    some negative, with its column 0 as the rows: a witness in every invariant
-    but the sign. Draws whose column 0 is no rank matrix are rejected."""
+    """Rows built by the certificate's recursion from drawn int multipliers,
+    some negative and some 0, with those multipliers as their witness: one
+    that rebuilds the rows but may break the sign. Draws whose rows are no
+    rank matrix are rejected."""
     polys, lambdas = [(ExactPoly((1,)),)], []
     for n in range(draw(st.integers(1, 5))):
         lams = [draw(st.integers(1, 6)), *draw(st.lists(st.integers(-2, 6), min_size=n, max_size=n))]
@@ -408,7 +400,7 @@ def arrays_by_recursion(draw):
         rows = RMatrix(tuple(row[0] for row in polys))
     except ValueError:
         reject()
-    return rows, ResolutionWitness(tuple(polys), tuple(lambdas))
+    return rows, ResolutionWitness(tuple(lambdas))
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,9 +457,8 @@ def made(monkeypatch):
 
 
 def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(made):
-    """A certificate of order N makes at most (N + 1)(N + 2) / 2 polynomials,
-    its witness, and none per column step, so an obstruction makes none; the
-    chain polynomials make N + 1."""
+    """A certificate is its multipliers, so neither it nor an obstruction
+    makes a polynomial; the chain polynomials make N + 1."""
     N = 16
     rows = dowling_rows(4, N)
     failing = [
@@ -476,7 +467,7 @@ def test_resolve_and_chain_polys_build_exactpoly_objects_only_for_their_results(
     ]
     made.clear()
     assert resolve(rows).ok
-    assert len(made) <= (N + 1) * (N + 2) // 2
+    assert made == []
     for bad in failing:
         made.clear()
         assert not resolve(bad).ok
